@@ -22,7 +22,13 @@ from .algebra import (
     permute_legs,
     tensor_multiply,
 )
-from .drinfeld import DrinfeldData, DrinfeldError, compute_drinfeld_twist, drinfeld_report
+from .drinfeld import (
+    DrinfeldData,
+    DrinfeldError,
+    compute_drinfeld_twist,
+    drinfeld_construction,
+    drinfeld_report,
+)
 from .reporting import CheckEntry, CheckReport
 from .scalars import Cyclotomic, FieldSpec, ScalarError, cyclotomic_polynomial
 from .structure import (

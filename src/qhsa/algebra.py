@@ -408,14 +408,15 @@ def multiply_adjacent_legs(x: TensorElement, leg: int) -> TensorElement:
 # -- exact linear algebra ---------------------------------------------------
 
 
-def solve_linear_system(matrix, rhs, field: FieldSpec):
-    """Gauss-Jordan over the exact field; matrix is a list of row lists.
+def solve_linear_system(matrix, rhs_columns, field: FieldSpec):
+    """Gauss-Jordan over the exact field: solve matrix * X = B.
 
-    Returns the unique solution or raises SingularError.  Pivoting just takes
-    the first nonzero entry; there is no rounding to worry about.
+    matrix is a list of row lists and rhs_columns lists the columns of B.
+    Returns X as a list of rows, or raises SingularError.  Pivoting just
+    takes the first nonzero entry; there is no rounding to worry about.
     """
     n = len(matrix)
-    rows = [list(row) + [r] for row, r in zip(matrix, rhs)]
+    rows = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)]
     for col in range(n):
         pivot_row = None
         for r in range(col, n):
@@ -424,28 +425,6 @@ def solve_linear_system(matrix, rhs, field: FieldSpec):
                 break
         if pivot_row is None:
             raise SingularError("singular linear system")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        inv = field.invert(rows[col][col])
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [row[-1] for row in rows]
-
-
-def invert_matrix(matrix, field: FieldSpec):
-    n = len(matrix)
-    zero, one = field.zero(), field.one()
-    rows = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularError("singular matrix")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
         inv = field.invert(rows[col][col])
         rows[col] = [v * inv for v in rows[col]]
@@ -481,11 +460,11 @@ def invert_tensor_element(x: TensorElement) -> TensorElement:
     for w, c in unit.terms.items():
         rhs[index[w]] = c
     try:
-        solution = solve_linear_system(matrix, rhs, alg.field)
+        solution = solve_linear_system(matrix, [rhs], alg.field)
     except SingularError:
         raise SingularError("element has no left inverse")
     inverse = TensorElement(
-        alg, n, {w: c for w, c in zip(words, solution) if c != 0}
+        alg, n, {w: row[0] for w, row in zip(words, solution) if row[0] != 0}
     )
     if tensor_multiply(x, inverse) != unit:
         raise SingularError("element has a left inverse but no right inverse")
@@ -503,8 +482,10 @@ def invert_structure_map(f: StructureMap) -> StructureMap:
     for i in range(d):
         for (j,), c in f.images[i].terms.items():
             matrix[j][i] = c
+    one = alg.field.one()
+    identity = [[one if i == j else zero for i in range(d)] for j in range(d)]
     try:
-        inv = invert_matrix(matrix, alg.field)
+        inv = solve_linear_system(matrix, identity, alg.field)
     except SingularError:
         raise SingularError("structure map is singular")
     images = [

@@ -33,10 +33,10 @@ from .documents import (
     serialize_twistor_document,
     twistor_to_document,
 )
-from .drinfeld import drinfeld_report
-from .reporting import CheckReport
+from .drinfeld import drinfeld_construction, drinfeld_report
 from .structure import DEFAULT_SUITE_NAMES, run_suites, suite_function
 from .transforms import (
+    Twistor,
     TwistorError,
     check_twistor,
     opposite_structure,
@@ -84,12 +84,13 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _format(args, doc) -> str:
+    return serialize_report(doc) if args.format == "json" else format_report_text(doc)
+
+
 def _emit_report(args, name, suite_results) -> int:
     doc = report_document(name, suite_results, __version__)
-    if args.format == "json":
-        _emit(args, serialize_report(doc))
-    else:
-        _emit(args, format_report_text(doc))
+    _emit(args, _format(args, doc))
     return EXIT_OK if doc["overall"] == "pass" else EXIT_CHECK_FAILED
 
 
@@ -143,10 +144,7 @@ def cmd_transform(args) -> int:
     Path(args.output).write_text(text, encoding="utf-8")
     results = run_suites(out)
     doc = report_document(name, results, __version__)
-    report_text = (
-        serialize_report(doc) if args.format == "json" else format_report_text(doc)
-    )
-    sys.stdout.write(report_text)
+    sys.stdout.write(_format(args, doc))
     return EXIT_OK if doc["overall"] == "pass" else EXIT_CHECK_FAILED
 
 
@@ -156,29 +154,14 @@ def cmd_drinfeld(args) -> int:
     base_doc = report_document(name, base, __version__)
     if base_doc["overall"] != "pass":
         sys.stderr.write("structure fails its base suites; not computing the twist\n")
-        _emit(args, serialize_report(base_doc) if args.format == "json" else format_report_text(base_doc))
+        _emit(args, _format(args, base_doc))
         return EXIT_CHECK_FAILED
 
     start = time.perf_counter()
-    data, report = drinfeld_report(H)
+    data, report = (drinfeld_report if args.verify else drinfeld_construction)(H)
     elapsed = time.perf_counter() - start
-    if not args.verify:
-        # keep only the construction-level entries
-        construction_ids = {
-            "drinfeld.construction",
-            "drinfeld.gamma-alt",
-            "eq.8.1",
-            "drinfeld.gamma-bar-alt",
-            "eq.8.7",
-            "drinfeld.fd-inverse",
-            "drinfeld.fd-counit",
-        }
-        trimmed = CheckReport([e for e in report.entries if e.check_id in construction_ids])
-        report = trimmed
 
     if data is not None and args.emit_twist:
-        from .transforms import Twistor
-
         twistor = Twistor(data.f_d_bar, data.f_d_bar_inverse)
         tdoc = twistor_to_document(
             f"{name}-drinfeld",

@@ -17,14 +17,19 @@ from .algebra import (
     TensorElement,
     apply_map_legs,
     embed_legs,
-    invert_tensor_element,
     multiply_adjacent_legs,
     outer,
     permute_legs,
 )
 from .reporting import CheckReport, expect_equal, expect_equal_per_basis
 from .structure import QhsaStructure, check_quasi_triangular, m_alpha_s, m_beta_s, mul_chain
-from .transforms import Twistor, prime_structure, twist_structure, twisted_coassociator
+from .transforms import (
+    Twistor,
+    _compare_structures,
+    prime_structure,
+    twist_structure,
+    twisted_coassociator,
+)
 
 
 class DrinfeldError(ValueError):
@@ -209,11 +214,10 @@ def verify_lemma13(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     return report
 
 
-def verify_thm3(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
+def verify_thm3(H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure) -> CheckReport:
     """The primed structure equals the F_D-twisted one: coassociator and both
     canonical elements, plus the two product forms of the coassociator identity."""
     report = CheckReport()
-    primed = prime_structure(H)
 
     phi_fd = twisted_coassociator(H, D.f_d, D.f_d_inverse)
     expect_equal(report, "thm3.phi", primed.phi, phi_fd)
@@ -244,7 +248,7 @@ def verify_thm3(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     expect_equal(report, "eq.star", lhs, rhs)
 
     lhs = mul_chain(
-        invert_tensor_element(primed.phi),
+        primed.phi_inv,
         embed_legs(D.f_d, (0, 1), 3),
         apply_map_legs(D.gamma, 0, H.delta),
     )
@@ -257,7 +261,7 @@ def verify_thm3(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     return report
 
 
-def verify_thm5(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
+def verify_thm5(H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure) -> CheckReport:
     """(S (x) S)R equals the F_D-twisted R-matrix; the exchange identity for
     gamma; and quasi-triangularity of the full primed structure."""
     report = CheckReport()
@@ -279,7 +283,6 @@ def verify_thm5(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
         r_prime * D.gamma,
         permute_legs(D.gamma, (1, 0)) * H.r_matrix,
     )
-    primed = prime_structure(H)
     sub = check_quasi_triangular(primed)
     if sub.ok:
         report.add_pass("prop8.quasi-triangular")
@@ -291,24 +294,24 @@ def verify_thm5(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     return report
 
 
-def verify_prime_equivalence(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
+def verify_prime_equivalence(
+    H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure
+) -> CheckReport:
     """Componentwise: the primed structure is exactly the structure twisted by
     the normalized twistor eps(beta) F_D, including the R-matrix."""
-    from .transforms import _compare_structures
-
     report = CheckReport()
-    primed = prime_structure(H)
     twisted = twist_structure(H, Twistor(D.f_d_bar, D.f_d_bar_inverse))
     _compare_structures(report, "drinfeld.prime-equivalence", primed, twisted)
     return report
 
 
-def drinfeld_report(H: QhsaStructure) -> tuple:
-    """Run the full Drinfeld battery; returns (DrinfeldData | None, CheckReport).
+def drinfeld_construction(H: QhsaStructure) -> tuple:
+    """Build the Drinfeld twist; returns (DrinfeldData | None, CheckReport).
 
-    Construction failures (expression mismatch, absorption violations, inverse
-    failures) become failing entries rather than exceptions, so corrupted
-    fixtures produce a readable report.
+    The report holds the construction entries only.  Construction failures
+    (expression mismatch, absorption violations, inverse failures) become a
+    failing entry rather than an exception, so corrupted fixtures produce a
+    readable report.
     """
     report = CheckReport()
     try:
@@ -322,10 +325,20 @@ def drinfeld_report(H: QhsaStructure) -> tuple:
     report.add_pass("eq.8.7")
     report.add_pass("drinfeld.fd-inverse")
     report.add_pass("drinfeld.fd-counit")
+    return D, report
+
+
+def drinfeld_report(H: QhsaStructure) -> tuple:
+    """The construction followed by the full theorem battery; returns
+    (DrinfeldData | None, CheckReport)."""
+    D, report = drinfeld_construction(H)
+    if D is None:
+        return None, report
+    primed = prime_structure(H)
     report.extend(verify_lemma13(H, D))
     report.extend(verify_thm2(H, D))
     report.extend(check_alt_expressions(H, D))
-    report.extend(verify_thm3(H, D))
-    report.extend(verify_thm5(H, D))
-    report.extend(verify_prime_equivalence(H, D))
+    report.extend(verify_thm3(H, D, primed))
+    report.extend(verify_thm5(H, D, primed))
+    report.extend(verify_prime_equivalence(H, D, primed))
     return D, report

@@ -19,6 +19,7 @@ Negatives are labeled with the single check they are built to violate.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import GradedAlgebra, StructureMap, TensorElement
@@ -151,13 +152,13 @@ def h2_broken_pentagon() -> QhsaStructure:
             for c in (0, 1):
                 phi_terms[(a, b, c)] = 1
     phi_terms[(1, 1, 0)] = -1
-    return H.replace(phi=_element(H.algebra, 3, phi_terms))
+    return replace(H, phi=_element(H.algebra, 3, phi_terms))
 
 
 def h2_broken_antipode() -> QhsaStructure:
     """h2 with alpha flattened to 1; the canonical-element axioms fail."""
     H = h2_structure()
-    return H.replace(alpha=_element(H.algebra, 1, {(0,): 1, (1,): 1}))
+    return replace(H, alpha=_element(H.algebra, 1, {(0,): 1, (1,): 1}))
 
 
 def ext_broken_grading() -> GradedAlgebra:

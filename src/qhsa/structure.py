@@ -8,6 +8,8 @@ of H are checked on basis elements; linearity makes that complete.
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
@@ -32,36 +34,23 @@ from .reporting import (
 )
 
 
+@dataclass(frozen=True, eq=False)
 class QhsaStructure:
     """The full tuple (algebra, Delta, epsilon, S, Phi, alpha, beta [, R]).
 
-    Immutable after construction; derived data (inverses, transposed and
-    primed coproducts) is computed on first use and cached.
+    Immutable; change a component with ``dataclasses.replace``.  Derived data
+    (inverses, transposed and primed coproducts) is computed on first use and
+    cached.  Equality is identity: ``StructureMap`` is unhashable.
     """
 
-    def __init__(self, algebra, delta, epsilon, antipode, phi, alpha, beta, r_matrix=None):
-        self.algebra = algebra
-        self.delta = delta
-        self.epsilon = epsilon
-        self.antipode = antipode
-        self.phi = phi
-        self.alpha = alpha
-        self.beta = beta
-        self.r_matrix = r_matrix
-
-    def replace(self, **kwargs) -> "QhsaStructure":
-        data = {
-            "algebra": self.algebra,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "antipode": self.antipode,
-            "phi": self.phi,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "r_matrix": self.r_matrix,
-        }
-        data.update(kwargs)
-        return QhsaStructure(**data)
+    algebra: GradedAlgebra
+    delta: StructureMap
+    epsilon: StructureMap
+    antipode: StructureMap
+    phi: TensorElement
+    alpha: TensorElement
+    beta: TensorElement
+    r_matrix: TensorElement | None = None
 
     # -- conveniences --------------------------------------------------------
 
@@ -772,21 +761,19 @@ def run_suites(H: QhsaStructure, names=None):
     Validation failures short-circuit: once the algebra or structure layer is
     broken the later identities are not well posed, so they are skipped.
     """
-    import time as _time
-
     if names is None:
         names = DEFAULT_SUITE_NAMES
     results = []
     validation_broken = False
     for name in names:
         fn = suite_function(name)
-        start = _time.perf_counter()
+        start = time.perf_counter()
         if validation_broken and name not in ("algebra", "structure"):
             report = CheckReport()
             report.add_skip(name, "validation failed earlier")
         else:
             report = fn(H)
-        elapsed = _time.perf_counter() - start
+        elapsed = time.perf_counter() - start
         results.append((name, report, elapsed))
         if name in ("algebra", "structure") and not report.ok:
             validation_broken = True

@@ -11,6 +11,7 @@ outputs with the usual check suites rather than trusting these formulas.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from .algebra import (
     AlgebraError,
@@ -117,7 +118,7 @@ def twist_structure(H: QhsaStructure, F: Twistor) -> QhsaStructure:
     r_f = None
     if H.has_r:
         r_f = permute_legs(f, (1, 0)) * H.r_matrix * f_inv
-    return H.replace(delta=delta_f, phi=phi_f, alpha=alpha_f, beta=beta_f, r_matrix=r_f)
+    return replace(H, delta=delta_f, phi=phi_f, alpha=alpha_f, beta=beta_f, r_matrix=r_f)
 
 
 def _compare_structures(report, prefix, A: QhsaStructure, B: QhsaStructure):
@@ -155,7 +156,8 @@ def opposite_structure(H: QhsaStructure) -> QhsaStructure:
     alpha_t = apply_map_legs(H.alpha, 0, sinv)
     beta_t = apply_map_legs(H.beta, 0, sinv)
     r_t = permute_legs(H.r_matrix, (1, 0)) if H.has_r else None
-    return H.replace(
+    return replace(
+        H,
         delta=H.delta_t,
         phi=phi_t,
         antipode=sinv,
@@ -177,7 +179,7 @@ def prime_structure(H: QhsaStructure) -> QhsaStructure:
     r_p = None
     if H.has_r:
         r_p = apply_map_legs(apply_map_legs(H.r_matrix, 0, H.antipode), 1, H.antipode)
-    return H.replace(delta=H.delta_prime, phi=phi_p, alpha=alpha_p, beta=beta_p, r_matrix=r_p)
+    return replace(H, delta=H.delta_prime, phi=phi_p, alpha=alpha_p, beta=beta_p, r_matrix=r_p)
 
 
 def verify_twist_by_r(H: QhsaStructure) -> CheckReport:

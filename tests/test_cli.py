@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import qhsa.drinfeld
 from qhsa.cli import main
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
@@ -215,6 +218,40 @@ def test_drinfeld_without_verify_reports_construction_only(tmp_path):
     ids = {e["check_id"] for e in doc["entries"]}
     assert "drinfeld.fd-inverse" in ids
     assert "thm3.phi" not in ids
+
+
+def test_drinfeld_without_verify_runs_no_battery(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the theorem battery ran without --verify")
+
+    for name in (
+        "verify_lemma13",
+        "verify_thm2",
+        "check_alt_expressions",
+        "verify_thm3",
+        "verify_thm5",
+        "verify_prime_equivalence",
+    ):
+        monkeypatch.setattr(qhsa.drinfeld, name, refuse)
+    code, doc = run_json(tmp_path, "drinfeld", fx("h2r.qhsa"))
+    assert code == 0
+    assert [e["check_id"] for e in doc["entries"]] == [
+        "drinfeld.gamma-alt",
+        "eq.8.1",
+        "drinfeld.gamma-bar-alt",
+        "eq.8.7",
+        "drinfeld.fd-inverse",
+        "drinfeld.fd-counit",
+    ]
+
+
+@pytest.mark.parametrize("name", ["trivial", "ext", "h2", "h2r", "h2ext"])
+def test_drinfeld_report_is_a_prefix_of_the_verified_one(tmp_path, name):
+    code, doc = run_json(tmp_path, "drinfeld", fx(f"{name}.qhsa"))
+    verify_code, verified = run_json(tmp_path, "drinfeld", fx(f"{name}.qhsa"), "--verify")
+    assert code == verify_code == 0
+    assert doc["entries"] == verified["entries"][: len(doc["entries"])]
+    assert len(verified["entries"]) > len(doc["entries"])
 
 
 def test_drinfeld_refuses_broken_structures(tmp_path):

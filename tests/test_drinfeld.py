@@ -7,6 +7,10 @@ coefficient functions of the idempotent basis (no tensor engine involved).
 
 import pytest
 
+import qhsa.drinfeld
+import qhsa.structure
+import qhsa.transforms
+from qhsa.algebra import invert_tensor_element
 from qhsa.drinfeld import (
     DrinfeldError,
     compute_drinfeld_twist,
@@ -16,6 +20,8 @@ from qhsa.drinfeld import (
     verify_prime_equivalence,
 )
 from qhsa.fixtures import build_structure, h2_broken_pentagon
+from qhsa.structure import run_suites
+from qhsa.transforms import prime_structure
 from conftest import elem
 
 ALL_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
@@ -144,7 +150,31 @@ def test_r_identities_skip_without_r(h2):
 
 def test_prime_equivalence_componentwise(fixture_structure):
     D = compute_drinfeld_twist(fixture_structure)
-    assert verify_prime_equivalence(fixture_structure, D).ok
+    primed = prime_structure(fixture_structure)
+    assert verify_prime_equivalence(fixture_structure, D, primed).ok
+
+
+def test_battery_builds_the_primed_structure_and_its_phi_inverse_once(
+    fixture_structure, monkeypatch
+):
+    H = fixture_structure
+    run_suites(H)  # caches H.phi_inv and the other derived data of H
+    calls = {"prime_structure": 0, "invert_tensor_element": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(qhsa.drinfeld, "prime_structure", counted(prime_structure))
+    invert = counted(invert_tensor_element)
+    for module in (qhsa.structure, qhsa.drinfeld, qhsa.transforms):
+        monkeypatch.setattr(module, "invert_tensor_element", invert, raising=False)
+    data, report = drinfeld_report(H)
+    assert data is not None and report.ok
+    assert calls == {"prime_structure": 1, "invert_tensor_element": 1}
 
 
 def test_thm5_conjugates_the_zeta_coefficient(h2r):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from qhsa.algebra import StructureMap
@@ -46,7 +48,7 @@ def test_odd_to_even_coproduct_fails_parity(ext):
         2,
         [ext.delta.images[0], elem(ext, 2, {(1, 1): 1})],  # Delta(theta) := theta (x) theta
     )
-    report = validate_structure(ext.replace(delta=bad_delta))
+    report = validate_structure(replace(ext, delta=bad_delta))
     entry = report.entry("structure.delta-parity")
     assert entry.status == "fail"
     assert entry.witness["basis"] == 1
@@ -58,7 +60,7 @@ def test_antipode_antihomomorphism_sign(h2ext):
     assert validate_structure(h2ext).ok
     images = list(h2ext.antipode.images)
     images[3] = elem(h2ext, 1, {(3,): 1})  # drop the sign on e1 (x) theta
-    bad = h2ext.replace(antipode=StructureMap(h2ext.algebra, 1, images))
+    bad = replace(h2ext, antipode=StructureMap(h2ext.algebra, 1, images))
     report = check_antipode_axioms(bad)
     assert not report.ok
 
@@ -132,7 +134,7 @@ def test_ext_r_matrix_is_quasi_triangular_and_triangular(ext):
 
 
 def test_trivial_r_matrix(trivial):
-    H = trivial.replace(r_matrix=trivial.unit(2))
+    H = replace(trivial, r_matrix=trivial.unit(2))
     assert check_quasi_triangular(H).ok
     assert check_triangular(H).ok
     assert check_qqybe(H).ok
@@ -146,7 +148,7 @@ def test_h2r_is_quasi_triangular_but_not_triangular(h2r):
 
 
 def test_h2_with_unit_r_fails_hexagon(h2):
-    H = h2.replace(r_matrix=h2.unit(2))
+    H = replace(h2, r_matrix=h2.unit(2))
     report = check_quasi_triangular(H)
     entry = report.entry("eq.6ii")
     assert entry.status == "fail"
@@ -243,7 +245,7 @@ def test_run_suites_skips_after_validation_failure():
     from qhsa.fixtures import ext_broken_grading, ext_structure
 
     H = ext_structure()
-    bad = H.replace(algebra=ext_broken_grading())
+    bad = replace(H, algebra=ext_broken_grading())
     # keep maps pointing at the old algebra: rebuild structure over the bad
     # algebra directly to get a loadable but invalid object
     results = run_suites(bad, ["algebra", "quasi-bialgebra"])

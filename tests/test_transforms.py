@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -217,7 +218,7 @@ def test_twist_by_r_matches_opposite(name):
 
 
 def test_twist_by_r_on_trivial(trivial):
-    H = trivial.replace(r_matrix=trivial.unit(2))
+    H = replace(trivial, r_matrix=trivial.unit(2))
     assert verify_twist_by_r(H).ok
 
 
