@@ -343,17 +343,18 @@ class StructureMap:
             raise AlgebraError("structure maps apply to arity-1 elements")
         return apply_map_legs(x, 0, self)
 
-    def is_parity_preserving(self) -> bool:
+    def parity_violation(self) -> dict | None:
+        """Witness of the first basis image that breaks parity, else None."""
         par = self.algebra.parity
         for i, img in enumerate(self.images):
             if self.out_arity == 0:
                 if par[i] == 1 and not img.is_zero():
-                    return False
+                    return {"basis": i, "reason": "odd element with nonzero scalar image"}
             else:
                 p = img.homogeneous_parity()
                 if p is None or (img.terms and p != par[i]):
-                    return False
-        return True
+                    return {"basis": i, "reason": "image not homogeneous of the right parity"}
+        return None
 
     def __eq__(self, other):
         return (

@@ -34,7 +34,7 @@ from .documents import (
     twistor_to_document,
 )
 from .drinfeld import drinfeld_construction, drinfeld_report
-from .structure import DEFAULT_SUITE_NAMES, run_suites, suite_function
+from .structure import DEFAULT_SUITE_NAMES, VALIDATION_SUITES, run_suites, suite_function
 from .transforms import (
     Twistor,
     TwistorError,
@@ -105,7 +105,7 @@ def _parse_suites(value):
 
 def cmd_validate(args) -> int:
     name, H = _load_structure(args.path)
-    results = run_suites(H, ["algebra", "structure"])
+    results = run_suites(H, VALIDATION_SUITES)
     return _emit_report(args, name, results)
 
 

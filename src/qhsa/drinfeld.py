@@ -85,8 +85,8 @@ def compute_gamma(H: QhsaStructure) -> TensorElement:
     alt = _gamma_post(H, w2)
     if gamma != alt:
         raise DrinfeldError("the two printed expressions for gamma disagree")
-    for a in range(H.algebra.dimension):
-        if _absorb_gamma(H, gamma, a) != gamma.scaled(H.eps_of(H.basis(a))):
+    for a, eps in enumerate(H.epsilon.images):
+        if _absorb_gamma(H, gamma, a) != gamma.scaled(eps.scalar_value()):
             raise DrinfeldError(f"gamma fails its absorption identity at basis {a}")
     return gamma
 
@@ -98,8 +98,8 @@ def compute_gamma_bar(H: QhsaStructure) -> TensorElement:
     alt = _gamma_bar_post(H, w2)
     if gamma_bar != alt:
         raise DrinfeldError("the two printed expressions for gamma-bar disagree")
-    for a in range(H.algebra.dimension):
-        if _absorb_gamma_bar(H, gamma_bar, a) != gamma_bar.scaled(H.eps_of(H.basis(a))):
+    for a, eps in enumerate(H.epsilon.images):
+        if _absorb_gamma_bar(H, gamma_bar, a) != gamma_bar.scaled(eps.scalar_value()):
             raise DrinfeldError(f"gamma-bar fails its absorption identity at basis {a}")
     return gamma_bar
 
@@ -186,23 +186,21 @@ def verify_thm2(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     """Delta' is conjugation of Delta by F_D, plus both intertwining forms."""
     report = CheckReport()
     d = H.algebra.dimension
+    delta, delta_prime = H.delta.images, H.delta_prime.images
     expect_equal_per_basis(
         report,
         "eq.8.6a",
-        lambda a: (H.delta_prime.images[a] * D.f_d, D.f_d * H.delta.images[a]),
-        d,
+        ((a, delta_prime[a] * D.f_d, D.f_d * delta[a]) for a in range(d)),
     )
     expect_equal_per_basis(
         report,
         "eq.8.8a",
-        lambda a: (D.f_d_inverse * H.delta_prime.images[a], H.delta.images[a] * D.f_d_inverse),
-        d,
+        ((a, D.f_d_inverse * delta_prime[a], delta[a] * D.f_d_inverse) for a in range(d)),
     )
     expect_equal_per_basis(
         report,
         "thm2.conjugation",
-        lambda a: (H.delta_prime.images[a], D.f_d * H.delta.images[a] * D.f_d_inverse),
-        d,
+        ((a, delta_prime[a], D.f_d * delta[a] * D.f_d_inverse) for a in range(d)),
     )
     return report
 

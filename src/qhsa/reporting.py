@@ -82,12 +82,17 @@ def expect_equal(report: CheckReport, check_id: str, lhs, rhs, basis=None) -> bo
     return False
 
 
-def expect_equal_per_basis(report: CheckReport, check_id: str, pair_fn, dimension) -> bool:
-    """Check an identity for every basis index; witness the first failure."""
-    for a in range(dimension):
-        lhs, rhs = pair_fn(a)
+def expect_equal_per_basis(report: CheckReport, check_id: str, cases) -> bool:
+    """Record an identity quantified over basis elements.
+
+    ``cases`` yields ``(basis, lhs, rhs)`` and is consumed lazily: the first
+    case with ``lhs != rhs`` is witnessed with its ``basis`` label and no later
+    case is built.  The label is whatever indexes the case, such as ``a``,
+    ``[i, j]`` or ``[i, j, k]``.
+    """
+    for basis, lhs, rhs in cases:
         if lhs != rhs:
-            report.add_fail(check_id, difference_witness(lhs, rhs, basis=a))
+            report.add_fail(check_id, difference_witness(lhs, rhs, basis=basis))
             return False
     report.add_pass(check_id)
     return True

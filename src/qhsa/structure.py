@@ -146,11 +146,6 @@ def m_beta_s(H: QhsaStructure, x: TensorElement) -> TensorElement:
     return multiply_adjacent_legs(z, 0)
 
 
-def phi_permuted(H: QhsaStructure, word, inverse=False) -> TensorElement:
-    base = H.phi_inv if inverse else H.phi
-    return permute_legs(base, word)
-
-
 def mul_chain(first, *rest):
     acc = first
     for el in rest:
@@ -165,51 +160,34 @@ def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
     """Grading additivity, two-sided unit, associativity on all basis triples."""
     report = CheckReport()
     par = algebra.parity
-    bad = None
-    for (i, j), row in algebra.mult.items():
-        for k, c in row.items():
-            if par[k] != (par[i] + par[j]) % 2:
-                bad = (i, j, k)
-                break
-        if bad:
-            break
-    if bad:
-        report.add_fail("algebra.grading", {"pair": [bad[0], bad[1]], "target": bad[2]})
-    else:
-        report.add_pass("algebra.grading")
+    grading = next(
+        (
+            {"pair": [i, j], "target": k}
+            for (i, j), row in algebra.mult.items()
+            for k in row
+            if par[k] != (par[i] + par[j]) % 2
+        ),
+        None,
+    )
+    _witness_entry(report, "algebra.grading", grading)
 
     unit = TensorElement.unit(algebra, 1)
-    unit_bad = None
-    for i in range(algebra.dimension):
-        e = TensorElement.basis(algebra, (i,))
-        if unit * e != e:
-            unit_bad = difference_witness(unit * e, e, basis=i)
-            break
-        if e * unit != e:
-            unit_bad = difference_witness(e * unit, e, basis=i)
-            break
-    if unit_bad:
-        report.add_fail("algebra.unit", unit_bad)
-    else:
-        report.add_pass("algebra.unit")
+    basis = [TensorElement.basis(algebra, (i,)) for i in range(algebra.dimension)]
 
-    d = algebra.dimension
-    for i in range(d):
-        ei = TensorElement.basis(algebra, (i,))
-        for j in range(d):
-            ej = TensorElement.basis(algebra, (j,))
-            left = ei * ej
-            for k in range(d):
-                ek = TensorElement.basis(algebra, (k,))
-                lhs = left * ek
-                rhs = ei * (ej * ek)
-                if lhs != rhs:
-                    report.add_fail(
-                        "algebra.assoc",
-                        difference_witness(lhs, rhs, basis=[i, j, k]),
-                    )
-                    return report
-    report.add_pass("algebra.assoc")
+    def unit_cases():
+        for i, e in enumerate(basis):
+            yield i, unit * e, e
+            yield i, e * unit, e
+
+    def assoc_cases():
+        for i, ei in enumerate(basis):
+            for j, ej in enumerate(basis):
+                left = ei * ej
+                for k, ek in enumerate(basis):
+                    yield [i, j, k], left * ek, ei * (ej * ek)
+
+    expect_equal_per_basis(report, "algebra.unit", unit_cases())
+    expect_equal_per_basis(report, "algebra.assoc", assoc_cases())
     return report
 
 
@@ -218,19 +196,10 @@ def validate_structure(H: QhsaStructure) -> CheckReport:
     parity preservation; evenness and invertibility of Phi, alpha, beta, R."""
     report = CheckReport()
     alg = H.algebra
-    d = alg.dimension
 
     expect_equal(report, "structure.delta-unit", H.coproduct(H.unit(1)), H.unit(2))
-    expect_equal_per_basis(
-        report,
-        "structure.delta-hom",
-        lambda p: _hom_pair(H, H.delta, p),
-        d * d,
-    )
-    if H.delta.is_parity_preserving():
-        report.add_pass("structure.delta-parity")
-    else:
-        report.add_fail("structure.delta-parity", _parity_witness(H.delta))
+    expect_equal_per_basis(report, "structure.delta-hom", _hom_cases(H, H.delta))
+    _witness_entry(report, "structure.delta-parity", H.delta.parity_violation())
 
     eps_unit = apply_map_legs(H.unit(1), 0, H.epsilon)
     expect_equal(
@@ -239,40 +208,12 @@ def validate_structure(H: QhsaStructure) -> CheckReport:
         eps_unit,
         TensorElement.from_scalar(alg, alg.field.one()),
     )
-    expect_equal_per_basis(
-        report,
-        "structure.epsilon-hom",
-        lambda p: _hom_pair(H, H.epsilon, p),
-        d * d,
-    )
-    if H.epsilon.is_parity_preserving():
-        report.add_pass("structure.epsilon-parity")
-    else:
-        report.add_fail("structure.epsilon-parity", _parity_witness(H.epsilon))
+    expect_equal_per_basis(report, "structure.epsilon-hom", _hom_cases(H, H.epsilon))
+    _witness_entry(report, "structure.epsilon-parity", H.epsilon.parity_violation())
 
     expect_equal(report, "structure.antipode-unit", H.s_of(H.unit(1)), H.unit(1))
-    par = alg.parity
-    ok = True
-    for i in range(d):
-        for j in range(d):
-            lhs = H.s_of(H.basis(i) * H.basis(j))
-            rhs = H.s_of(H.basis(j)) * H.s_of(H.basis(i))
-            if par[i] and par[j]:
-                rhs = -rhs
-            if lhs != rhs:
-                report.add_fail(
-                    "structure.antipode-antihom", difference_witness(lhs, rhs, basis=[i, j])
-                )
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        report.add_pass("structure.antipode-antihom")
-    if H.antipode.is_parity_preserving():
-        report.add_pass("structure.antipode-parity")
-    else:
-        report.add_fail("structure.antipode-parity", _parity_witness(H.antipode))
+    expect_equal_per_basis(report, "structure.antipode-antihom", _antihom_cases(H))
+    _witness_entry(report, "structure.antipode-parity", H.antipode.parity_violation())
     try:
         H.antipode_inv
         report.add_pass("structure.antipode-bijective")
@@ -292,25 +233,32 @@ def validate_structure(H: QhsaStructure) -> CheckReport:
     return report
 
 
-def _hom_pair(H, f, flat_index):
+def _hom_cases(H, f):
+    """f(e_i e_j) against f(e_i) f(e_j), labelled by the flat index i*d + j."""
     d = H.algebra.dimension
-    i, j = divmod(flat_index, d)
-    lhs = apply_map_legs(H.basis(i) * H.basis(j), 0, f)
-    rhs = apply_map_legs(H.basis(i), 0, f) * apply_map_legs(H.basis(j), 0, f)
-    return lhs, rhs
+    for i in range(d):
+        for j in range(d):
+            lhs = apply_map_legs(H.basis(i) * H.basis(j), 0, f)
+            yield i * d + j, lhs, f.images[i] * f.images[j]
 
 
-def _parity_witness(f):
-    par = f.algebra.parity
-    for i, img in enumerate(f.images):
-        if f.out_arity == 0:
-            if par[i] == 1 and not img.is_zero():
-                return {"basis": i, "reason": "odd element with nonzero scalar image"}
-        else:
-            p = img.homogeneous_parity()
-            if p is None or (img.terms and p != par[i]):
-                return {"basis": i, "reason": "image not homogeneous of the right parity"}
-    return {"reason": "parity violation"}
+def _antihom_cases(H):
+    """S(e_i e_j) against (-1)^{[i][j]} S(e_j) S(e_i), labelled [i, j]."""
+    par = H.algebra.parity
+    s = H.antipode.images
+    d = H.algebra.dimension
+    for i in range(d):
+        for j in range(d):
+            rhs = s[j] * s[i]
+            yield [i, j], H.s_of(H.basis(i) * H.basis(j)), -rhs if par[i] and par[j] else rhs
+
+
+def _witness_entry(report, check_id, witness):
+    """A pass when there is no witness, else a failure carrying it."""
+    if witness is None:
+        report.add_pass(check_id)
+    else:
+        report.add_fail(check_id, witness)
 
 
 def _even_entry(report, check_id, element):
@@ -333,16 +281,18 @@ def _invertible_entry(report, check_id, H, attr):
 
 def check_quasi_bialgebra(H: QhsaStructure) -> CheckReport:
     report = CheckReport()
-    alg = H.algebra
-    d = alg.dimension
-
-    def fi_pair(a):
-        da = H.coproduct(H.basis(a))
-        lhs = apply_map_legs(da, 1, H.delta)
-        rhs = H.phi_inv * apply_map_legs(da, 0, H.delta) * H.phi
-        return lhs, rhs
-
-    expect_equal_per_basis(report, "eq.fi", fi_pair, d)
+    expect_equal_per_basis(
+        report,
+        "eq.fi",
+        (
+            (
+                a,
+                apply_map_legs(da, 1, H.delta),
+                H.phi_inv * apply_map_legs(da, 0, H.delta) * H.phi,
+            )
+            for a, da in enumerate(H.delta.images)
+        ),
+    )
 
     lhs = apply_map_legs(H.phi, 0, H.delta) * apply_map_legs(H.phi, 2, H.delta)
     rhs = mul_chain(
@@ -352,20 +302,15 @@ def check_quasi_bialgebra(H: QhsaStructure) -> CheckReport:
     )
     expect_equal(report, "eq.fii", lhs, rhs)
 
-    fiii_bad = None
-    for a in range(d):
-        da = H.coproduct(H.basis(a))
-        for leg in (0, 1):
-            contracted = apply_map_legs(da, leg, H.epsilon)
-            if contracted != H.basis(a):
-                fiii_bad = difference_witness(contracted, H.basis(a), basis=a)
-                break
-        if fiii_bad:
-            break
-    if fiii_bad:
-        report.add_fail("eq.fiii", fiii_bad)
-    else:
-        report.add_pass("eq.fiii")
+    expect_equal_per_basis(
+        report,
+        "eq.fiii",
+        (
+            (a, apply_map_legs(da, leg, H.epsilon), H.basis(a))
+            for a, da in enumerate(H.delta.images)
+            for leg in (0, 1)
+        ),
+    )
 
     expect_equal(report, "eq.fiv", apply_map_legs(H.phi, 1, H.epsilon), H.unit(2))
     expect_equal(
@@ -383,25 +328,23 @@ def check_quasi_bialgebra(H: QhsaStructure) -> CheckReport:
 def check_antipode_axioms(H: QhsaStructure) -> CheckReport:
     report = CheckReport()
     alg = H.algebra
-    d = alg.dimension
+    eps = H.epsilon.images
 
     expect_equal_per_basis(
         report,
         "eq.5i1",
-        lambda a: (
-            m_alpha_s(H, H.coproduct(H.basis(a))),
-            H.alpha.scaled(H.eps_of(H.basis(a))),
+        (
+            (a, m_alpha_s(H, da), H.alpha.scaled(eps[a].scalar_value()))
+            for a, da in enumerate(H.delta.images)
         ),
-        d,
     )
     expect_equal_per_basis(
         report,
         "eq.5i",
-        lambda a: (
-            m_beta_s(H, H.coproduct(H.basis(a))),
-            H.beta.scaled(H.eps_of(H.basis(a))),
+        (
+            (a, m_beta_s(H, da), H.beta.scaled(eps[a].scalar_value()))
+            for a, da in enumerate(H.delta.images)
         ),
-        d,
     )
 
     # sum S(X) alpha Y beta S(Z) over Phi
@@ -433,11 +376,10 @@ def check_antipode_axioms(H: QhsaStructure) -> CheckReport:
     expect_equal_per_basis(
         report,
         "eq.eps-s",
-        lambda a: (
-            TensorElement.from_scalar(alg, H.eps_of(H.s_of(H.basis(a)))),
-            TensorElement.from_scalar(alg, H.eps_of(H.basis(a))),
+        (
+            (a, apply_map_legs(s, 0, H.epsilon), eps[a])
+            for a, s in enumerate(H.antipode.images)
         ),
-        d,
     )
     return report
 
@@ -457,24 +399,22 @@ def check_quasi_triangular(H: QhsaStructure) -> CheckReport:
     report = CheckReport()
     if not _require_r(H, report, ["eq.6i", "eq.6ii", "eq.6iii", "eq.r-counit"]):
         return report
-    d = H.algebra.dimension
     R = H.r_matrix
 
     expect_equal_per_basis(
         report,
         "eq.6i",
-        lambda a: (
-            apply_map_legs(H.basis(a), 0, H.delta_t) * R,
-            R * H.coproduct(H.basis(a)),
+        (
+            (a, H.delta_t.images[a] * R, R * da)
+            for a, da in enumerate(H.delta.images)
         ),
-        d,
     )
 
     lhs = apply_map_legs(R, 0, H.delta)
     rhs = mul_chain(
-        phi_permuted(H, (1, 2, 0), inverse=True),
+        permute_legs(H.phi_inv, (1, 2, 0)),
         embed_legs(R, (0, 2), 3),
-        phi_permuted(H, (0, 2, 1)),
+        permute_legs(H.phi, (0, 2, 1)),
         embed_legs(R, (1, 2), 3),
         H.phi_inv,
     )
@@ -482,9 +422,9 @@ def check_quasi_triangular(H: QhsaStructure) -> CheckReport:
 
     lhs = apply_map_legs(R, 1, H.delta)
     rhs = mul_chain(
-        phi_permuted(H, (2, 0, 1)),
+        permute_legs(H.phi, (2, 0, 1)),
         embed_legs(R, (0, 2), 3),
-        phi_permuted(H, (1, 0, 2), inverse=True),
+        permute_legs(H.phi_inv, (1, 0, 2)),
         embed_legs(R, (0, 1), 3),
         H.phi,
     )
@@ -515,18 +455,18 @@ def check_qqybe(H: QhsaStructure) -> CheckReport:
     R = H.r_matrix
     lhs = mul_chain(
         embed_legs(R, (0, 1), 3),
-        phi_permuted(H, (1, 2, 0), inverse=True),
+        permute_legs(H.phi_inv, (1, 2, 0)),
         embed_legs(R, (0, 2), 3),
-        phi_permuted(H, (0, 2, 1)),
+        permute_legs(H.phi, (0, 2, 1)),
         embed_legs(R, (1, 2), 3),
         H.phi_inv,
     )
     rhs = mul_chain(
-        phi_permuted(H, (2, 1, 0), inverse=True),
+        permute_legs(H.phi_inv, (2, 1, 0)),
         embed_legs(R, (1, 2), 3),
-        phi_permuted(H, (2, 0, 1)),
+        permute_legs(H.phi, (2, 0, 1)),
         embed_legs(R, (0, 2), 3),
-        phi_permuted(H, (1, 0, 2), inverse=True),
+        permute_legs(H.phi_inv, (1, 0, 2)),
         embed_legs(R, (0, 1), 3),
     )
     expect_equal(report, "eq.7", lhs, rhs)
@@ -598,13 +538,6 @@ def _sweedler3_left(H, a: TensorElement):
 def _sweedler3_right(H, a: TensorElement):
     """(1 (x) Delta)Delta applied to an arity-1 element."""
     return apply_map_legs(H.coproduct(a), 1, H.delta)
-
-
-def _basis_product(H, *indices):
-    acc = H.basis(indices[0])
-    for i in indices[1:]:
-        acc = acc * H.basis(i)
-    return acc
 
 
 def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
@@ -686,46 +619,31 @@ def check_lemma11(H: QhsaStructure) -> CheckReport:
         expect_equal_per_basis(
             report,
             f"eq.{which}",
-            lambda a, w=which: lemma11_sides(H, w, H.basis(a)),
-            d,
+            ((a, *lemma11_sides(H, which, H.basis(a))) for a in range(d)),
         )
     return report
+
+
+def _absorption_cases(H, contract, from_left):
+    """contract(Delta(a) eta) against eps(a) contract(eta) (eta Delta(a) when
+    absorbing from the right), labelled [a, i, j]; iterates i, then j, then a."""
+    d = H.algebra.dimension
+    for i in range(d):
+        for j in range(d):
+            eta = H.basis(i, j)
+            base = contract(H, eta)
+            for a, da in enumerate(H.delta.images):
+                stacked = da * eta if from_left else eta * da
+                rhs = base.scaled(H.epsilon.images[a].scalar_value())
+                yield [a, i, j], contract(H, stacked), rhs
 
 
 def check_eta_lemma(H: QhsaStructure) -> CheckReport:
     """Absorption of Delta(a) by the alpha/beta contractions, checked for
     every basis word eta of H (x) H and every basis a."""
     report = CheckReport()
-    alg = H.algebra
-    d = alg.dimension
-
-    for check_id, contract, from_left in (
-        ("eq.lem5i", m_alpha_s, True),
-        ("eq.lem5ii", m_beta_s, False),
-    ):
-        failed = False
-        for i in range(d):
-            for j in range(d):
-                eta = H.basis(i, j)
-                base = contract(H, eta)
-                for a in range(d):
-                    da = H.coproduct(H.basis(a))
-                    stacked = da * eta if from_left else eta * da
-                    lhs = contract(H, stacked)
-                    rhs = base.scaled(H.eps_of(H.basis(a)))
-                    if lhs != rhs:
-                        report.add_fail(
-                            check_id,
-                            difference_witness(lhs, rhs, basis=[a, i, j]),
-                        )
-                        failed = True
-                        break
-                if failed:
-                    break
-            if failed:
-                break
-        if not failed:
-            report.add_pass(check_id)
+    expect_equal_per_basis(report, "eq.lem5i", _absorption_cases(H, m_alpha_s, True))
+    expect_equal_per_basis(report, "eq.lem5ii", _absorption_cases(H, m_beta_s, False))
     return report
 
 
@@ -746,6 +664,9 @@ SUITES = (
 OPTIONAL_SUITES = (("triangular", check_triangular),)
 
 DEFAULT_SUITE_NAMES = tuple(name for name, _ in SUITES)
+
+# Once one of these fails, the later identities are not well posed.
+VALIDATION_SUITES = ("algebra", "structure")
 
 
 def suite_function(name):
@@ -768,13 +689,13 @@ def run_suites(H: QhsaStructure, names=None):
     for name in names:
         fn = suite_function(name)
         start = time.perf_counter()
-        if validation_broken and name not in ("algebra", "structure"):
+        if validation_broken and name not in VALIDATION_SUITES:
             report = CheckReport()
             report.add_skip(name, "validation failed earlier")
         else:
             report = fn(H)
         elapsed = time.perf_counter() - start
         results.append((name, report, elapsed))
-        if name in ("algebra", "structure") and not report.ok:
+        if name in VALIDATION_SUITES and not report.ok:
             validation_broken = True
     return results

@@ -110,8 +110,7 @@ def twist_structure(H: QhsaStructure, F: Twistor) -> QhsaStructure:
     verify that instead of assuming it.
     """
     f, f_inv = F.element, F.inverse
-    images = [f * img * f_inv for img in (H.coproduct(H.basis(i)) for i in range(H.algebra.dimension))]
-    delta_f = StructureMap(H.algebra, 2, images)
+    delta_f = StructureMap(H.algebra, 2, [f * img * f_inv for img in H.delta.images])
     phi_f = twisted_coassociator(H, f, f_inv)
     alpha_f = m_alpha_s(H, f_inv)
     beta_f = m_beta_s(H, f)
@@ -125,8 +124,7 @@ def _compare_structures(report, prefix, A: QhsaStructure, B: QhsaStructure):
     expect_equal_per_basis(
         report,
         f"{prefix}.delta",
-        lambda a: (A.delta.images[a], B.delta.images[a]),
-        A.algebra.dimension,
+        ((a, A.delta.images[a], B.delta.images[a]) for a in range(A.algebra.dimension)),
     )
     expect_equal(report, f"{prefix}.phi", A.phi, B.phi)
     expect_equal(report, f"{prefix}.alpha", A.alpha, B.alpha)
@@ -197,8 +195,10 @@ def verify_twist_by_r(H: QhsaStructure) -> CheckReport:
     expect_equal_per_basis(
         report,
         "twist-by-r.delta",
-        lambda a: (twisted.delta.images[a], H.delta_t.images[a]),
-        H.algebra.dimension,
+        (
+            (a, twisted.delta.images[a], H.delta_t.images[a])
+            for a in range(H.algebra.dimension)
+        ),
     )
     expect_equal(report, "twist-by-r.phi", twisted.phi, permute_legs(H.phi_inv, (2, 1, 0)))
     expect_equal(report, "twist-by-r.r", twisted.r_matrix, permute_legs(H.r_matrix, (1, 0)))
@@ -340,7 +340,7 @@ def random_twistor(H: QhsaStructure, rng, max_tries: int = 50) -> Twistor:
     rejection-sampled until invertible.  Used by the property tests."""
     alg = H.algebra
     d = alg.dimension
-    eps = [H.eps_of(H.basis(i)) for i in range(d)]
+    eps = [img.scalar_value() for img in H.epsilon.images]
     candidates = [
         (i, j)
         for i in range(d)

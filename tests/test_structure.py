@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from qhsa.algebra import StructureMap
+from qhsa.algebra import GradedAlgebra, StructureMap
 from qhsa.fixtures import (
     build_structure,
     h2_broken_antipode,
@@ -21,6 +21,7 @@ from qhsa.structure import (
     m_alpha_s,
     m_beta_s,
     run_suites,
+    suite_function,
     validate_structure,
 )
 
@@ -251,3 +252,106 @@ def test_run_suites_skips_after_validation_failure():
     results = run_suites(bad, ["algebra", "quasi-bialgebra"])
     assert results[0][1].failed_ids() == ["algebra.grading"]
     assert results[1][1].entries[0].status == "skipped"
+
+
+# -- witnesses of the basis-quantified checks ------------------------------------------
+
+
+def _with_image(H, component, index, terms):
+    """H with one basis image of a structure map replaced."""
+    f = getattr(H, component)
+    images = list(f.images)
+    images[index] = elem(H, f.out_arity, terms)
+    return replace(H, **{component: StructureMap(H.algebra, f.out_arity, images)})
+
+
+def _with_product(H, pair, row):
+    """H over an algebra whose product of the basis pair is replaced."""
+    alg = H.algebra
+    field = alg.field
+    mult = dict(alg.mult)
+    mult[pair] = {k: field.from_int(c) for k, c in row.items()}
+    bad = GradedAlgebra(alg.dimension, alg.parity, alg.unit, mult, field)
+    return replace(H, algebra=bad)
+
+
+# (suite, fixture, corruption, check id, exact witness).  The basis label has
+# the shape the check is quantified over: one index, [i, j], [i, j, k],
+# [a, i, j] or the flat pair index i*d + j.
+WITNESS_CASES = [
+    (
+        "algebra",
+        "ext",
+        lambda H: _with_product(H, (1, 0), {}),  # theta * 1 = 0: a left unit only
+        "algebra.unit",
+        {"difference": [[[1], "-1"]], "basis": 1},
+    ),
+    (
+        "algebra",
+        "h2",
+        lambda H: _with_product(H, (1, 1), {0: 1}),  # e1 * e1 = e0
+        "algebra.assoc",
+        {"difference": [[[0], "-1"]], "basis": [0, 1, 1]},
+    ),
+    (
+        "structure",
+        "h2ext",
+        lambda H: _with_image(H, "antipode", 0, {(0,): 1, (2,): 1}),  # S(e0 (x) 1) = 1
+        "structure.antipode-antihom",
+        {"difference": [[[2], "-1"]], "basis": [0, 2]},
+    ),
+    (
+        "structure",
+        "h2",
+        lambda H: _with_image(H, "delta", 1, {(0, 1): 2, (1, 0): 2}),
+        "structure.delta-hom",
+        {"difference": [[[0, 1], "-2"], [[1, 0], "-2"]], "basis": 3},
+    ),
+    (
+        "quasi-bialgebra",
+        "ext",
+        # both counit legs fail at theta; the left leg is checked first
+        lambda H: _with_image(H, "delta", 1, {(1, 0): 3, (0, 1): 2}),
+        "eq.fiii",
+        {"difference": [[[1], "1"]], "basis": 1},
+    ),
+    (
+        "eta",
+        "h2ext",
+        lambda H: _with_image(H, "antipode", 3, {(3,): 2}),
+        "eq.lem5i",
+        {"difference": [[[3], "-3"]], "basis": [1, 2, 2]},
+    ),
+    (
+        "eta",
+        "h2ext",
+        lambda H: _with_image(H, "antipode", 3, {(3,): 2}),
+        "eq.lem5ii",
+        {"difference": [[[3], "3"]], "basis": [1, 2, 2]},
+    ),
+    (
+        "structure",
+        "ext",
+        lambda H: _with_image(H, "antipode", 1, {(0,): 1}),  # S(theta) = 1
+        "structure.antipode-parity",
+        {"basis": 1, "reason": "image not homogeneous of the right parity"},
+    ),
+    (
+        "structure",
+        "ext",
+        lambda H: _with_image(H, "epsilon", 1, {(): 1}),  # eps(theta) = 1
+        "structure.epsilon-parity",
+        {"basis": 1, "reason": "odd element with nonzero scalar image"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, fixture, corrupt, check_id, witness",
+    WITNESS_CASES,
+    ids=[case[3] for case in WITNESS_CASES],
+)
+def test_basis_check_witness_is_pinned(suite, fixture, corrupt, check_id, witness):
+    report = suite_function(suite)(corrupt(build_structure(fixture)))
+    assert check_id in report.failed_ids()
+    assert report.entry(check_id).witness == witness
