@@ -5,6 +5,9 @@ Sign conventions, fixed once here and relied on everywhere else:
 - multiplying basis words x = x_1 (x) ... (x) x_n and y = y_1 (x) ... (x) y_n
   costs the Koszul sign (-1)^E with E = sum over i < j of parity(y_i)*parity(x_j),
   the unique bilinear extension of (a(x)b)(c(x)d) = (-1)^{[b][c]} ac (x) bd;
+- ``interleave(x, y, algebra)`` moves x over A and y over B to the element
+  (x_1 (x) y_1) ... (x_n (x) y_n) over A (x) B with that same exponent; the
+  graded tensor product of structures takes all its signs from it;
 - ``permute_legs(x, word)`` places original leg word[i] at position i, realized
   by adjacent transpositions each costing (-1)^{[a][b]}; the transposition
   (1, 0) is the twist map T;
@@ -267,6 +270,39 @@ def permute_legs(x: TensorElement, word) -> TensorElement:
         new_word = tuple(w[word[p]] for p in range(n))
         out[new_word] = -c if sign else c
     return TensorElement(x.algebra, n, out)
+
+
+def interleave_sign(x_word, y_word, x_parity, y_parity) -> int:
+    """Koszul exponent, mod 2, of (x_1...x_n) (x) (y_1...y_n) -> (x_1 y_1)...(x_n y_n).
+
+    Each y_i moves right past x_j for every j > i, so the exponent is the sum
+    over i < j of parity(y_i)*parity(x_j), the same one tensor_multiply uses.
+    """
+    sign = odd_y = 0
+    for a, b in zip(x_word, y_word):
+        if x_parity[a]:
+            sign ^= odd_y
+        odd_y ^= y_parity[b]
+    return sign
+
+
+def interleave(x: TensorElement, y: TensorElement, algebra: GradedAlgebra) -> TensorElement:
+    """x over A and y over B, both of arity n, as the element
+    (x_1 (x) y_1) ... (x_n (x) y_n) of (A (x) B)^(tensor n), signed by
+    interleave_sign.  algebra is A (x) B with a_i (x) b_j at index i*dim(B) + j."""
+    if x.arity != y.arity:
+        raise AlgebraError(f"arity mismatch: {x.arity} vs {y.arity}")
+    par_a, par_b = x.algebra.parity, y.algebra.parity
+    db = y.algebra.dimension
+    out = {}
+    for wx, cx in x.terms.items():
+        for wy, cy in y.terms.items():
+            c = cx * cy
+            if interleave_sign(wx, wy, par_a, par_b):
+                c = -c
+            key = tuple(i * db + j for i, j in zip(wx, wy))
+            out[key] = out[key] + c if key in out else c
+    return TensorElement(algebra, x.arity, out)
 
 
 def embed_legs(x: TensorElement, positions, arity: int) -> TensorElement:

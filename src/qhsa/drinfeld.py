@@ -22,7 +22,14 @@ from .algebra import (
     permute_legs,
 )
 from .reporting import CheckReport, expect_equal, expect_equal_per_basis
-from .structure import QhsaStructure, check_quasi_triangular, m_alpha_s, m_beta_s, mul_chain
+from .structure import (
+    QhsaStructure,
+    _require_r,
+    check_quasi_triangular,
+    m_alpha_s,
+    m_beta_s,
+    mul_chain,
+)
 from .transforms import (
     Twistor,
     _compare_structures,
@@ -263,12 +270,9 @@ def verify_thm5(H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure) -> Che
     """(S (x) S)R equals the F_D-twisted R-matrix; the exchange identity for
     gamma; and quasi-triangularity of the full primed structure."""
     report = CheckReport()
-    ids = ("thm5.r", "eq.lem8", "prop8.quasi-triangular")
-    if not H.has_r:
-        for check_id in ids:
-            report.add_skip(check_id, "no R-matrix")
+    if not _require_r(H, report, ("thm5.r", "eq.lem8", "prop8.quasi-triangular")):
         return report
-    r_prime = apply_map_legs(apply_map_legs(H.r_matrix, 0, H.antipode), 1, H.antipode)
+    r_prime = primed.r_matrix
     expect_equal(
         report,
         "thm5.r",

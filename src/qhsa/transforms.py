@@ -10,7 +10,6 @@ outputs with the usual check suites rather than trusting these formulas.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 
 from .algebra import (
@@ -21,11 +20,13 @@ from .algebra import (
     TensorElement,
     apply_map_legs,
     embed_legs,
+    interleave,
+    interleave_sign,
     invert_tensor_element,
     permute_legs,
 )
 from .reporting import CheckReport, element_terms_json, expect_equal, expect_equal_per_basis
-from .structure import QhsaStructure, m_alpha_s, m_beta_s, mul_chain
+from .structure import QhsaStructure, _require_r, m_alpha_s, m_beta_s, mul_chain
 
 
 class TwistorError(AlgebraError):
@@ -50,10 +51,6 @@ class Twistor:
         return Twistor(
             permute_legs(self.element, (1, 0)), permute_legs(self.inverse, (1, 0))
         )
-
-    def scaled(self, c) -> "Twistor":
-        field = self.element.algebra.field
-        return Twistor(self.element.scaled(c), self.inverse.scaled(field.invert(c)))
 
 
 def check_twistor(H: QhsaStructure, element: TensorElement) -> CheckReport:
@@ -186,9 +183,7 @@ def verify_twist_by_r(H: QhsaStructure) -> CheckReport:
     beta_R are reported informationally and compared to nothing: they are
     built with S, not with the opposite antipode."""
     report = CheckReport()
-    if not H.has_r:
-        for check_id in ("twist-by-r.delta", "twist-by-r.phi", "twist-by-r.r"):
-            report.add_skip(check_id, "no R-matrix")
+    if not _require_r(H, report, ("twist-by-r.delta", "twist-by-r.phi", "twist-by-r.r")):
         return report
     R = Twistor(H.r_matrix, H.r_inv)
     twisted = twist_structure(H, R)
@@ -224,12 +219,18 @@ def check_prop6(H: QhsaStructure, F: Twistor) -> CheckReport:
 
 def tensor_product_structure(A: QhsaStructure, B: QhsaStructure) -> QhsaStructure:
     """Graded tensor product of two structures, with basis index (i, j) at
-    flat position i*dim(B) + j and Koszul-sign multiplication.
+    flat position i*dim(B) + j.
 
-    Phi, alpha, beta and R all come from the factor with the nontrivial
-    coassociator; the other factor must be an honest Hopf superalgebra
-    (trivial Phi, alpha = beta = 1), otherwise the output provably fails the
-    antipode axioms.  The general two-sided formula is out of reach of the
+    Every sign comes from the one interleave rule of ``qhsa.algebra``: the
+    product table, Delta, epsilon and S are interleaved image by image, and
+    Phi, alpha, beta and R are those of the factor with the nontrivial
+    coassociator, interleaved with the other factor's unit.  S carries one
+    extra sign, (-1)^{[a][b]}, which is wrong for odd a and odd b (ROADMAP
+    Open item 1).
+
+    The other factor must be an honest Hopf superalgebra (trivial Phi,
+    alpha = beta = 1), otherwise the output provably fails the antipode
+    axioms.  The general two-sided formula is out of reach of the
     structure-constant data model, and this restricted product is all the
     graded fixtures need.
     """
@@ -251,87 +252,44 @@ def tensor_product_structure(A: QhsaStructure, B: QhsaStructure) -> QhsaStructur
         )
 
     alg_a, alg_b = A.algebra, B.algebra
-    da, db = alg_a.dimension, alg_b.dimension
-    field = alg_a.field
-    dim = da * db
-
-    def flat(i, j):
-        return i * db + j
-
-    parity = tuple((alg_a.parity[i] + alg_b.parity[j]) % 2 for i in range(da) for j in range(db))
-    unit = tuple(alg_a.unit[i] * alg_b.unit[j] for i in range(da) for j in range(db))
-
+    db = alg_b.dimension
+    pairs = [(i, j) for i in range(alg_a.dimension) for j in range(db)]
+    parity = tuple((alg_a.parity[i] + alg_b.parity[j]) % 2 for i, j in pairs)
+    unit = tuple(alg_a.unit[i] * alg_b.unit[j] for i, j in pairs)
     mult = {}
     for (i, j), row_a in alg_a.mult.items():
         for (p, q), row_b in alg_b.mult.items():
-            sign = -1 if alg_b.parity[p] and alg_a.parity[j] else 1
-            pair = (flat(i, p), flat(j, q))
-            row = mult.setdefault(pair, {})
-            for k, ca in row_a.items():
-                for r, cb in row_b.items():
-                    coeff = ca * cb if sign == 1 else -(ca * cb)
-                    key = flat(k, r)
-                    row[key] = row[key] + coeff if key in row else coeff
-    algebra = GradedAlgebra(dim, parity, unit, mult, field)
+            sign = interleave_sign((i, j), (p, q), alg_a.parity, alg_b.parity)
+            mult[(i * db + p, j * db + q)] = {
+                k * db + r: -(ca * cb) if sign else ca * cb
+                for k, ca in row_a.items()
+                for r, cb in row_b.items()
+            }
+    algebra = GradedAlgebra(len(pairs), parity, unit, mult, alg_a.field)
 
-    delta_images = []
-    eps_images = []
-    s_images = []
-    for i in range(da):
-        for j in range(db):
-            # Delta(a (x) b) = (1 (x) T (x) 1)(Delta_A a (x) Delta_B b)
-            terms = {}
-            for (k, l), ca in A.delta.images[i].terms.items():
-                for (p, q), cb in B.delta.images[j].terms.items():
-                    sign = -1 if alg_a.parity[l] and alg_b.parity[p] else 1
-                    word = (flat(k, p), flat(l, q))
-                    coeff = ca * cb if sign == 1 else -(ca * cb)
-                    terms[word] = terms[word] + coeff if word in terms else coeff
-            delta_images.append(TensorElement(algebra, 2, terms))
+    def images(f: StructureMap, g: StructureMap) -> list:
+        return [interleave(f.images[i], g.images[j], algebra) for i, j in pairs]
 
-            ea = A.epsilon.images[i].scalar_value()
-            eb = B.epsilon.images[j].scalar_value()
-            eps_images.append(TensorElement(algebra, 0, {(): ea * eb}))
+    # S(a (x) b) = (-1)^{[a][b]} S_A(a) (x) S_B(b).  The extra sign fails the
+    # antihomomorphism check for odd a and odd b (ROADMAP Open item 1).
+    s_images = [
+        -s if alg_a.parity[i] and alg_b.parity[j] else s
+        for (i, j), s in zip(pairs, images(A.antipode, B.antipode))
+    ]
 
-            # S(a (x) b) = (-1)^{[a][b]} S_A(a) (x) S_B(b)
-            sign = -1 if alg_a.parity[i] and alg_b.parity[j] else 1
-            terms = {}
-            for (k,), ca in A.antipode.images[i].terms.items():
-                for (p,), cb in B.antipode.images[j].terms.items():
-                    coeff = ca * cb if sign == 1 else -(ca * cb)
-                    word = (flat(k, p),)
-                    terms[word] = terms[word] + coeff if word in terms else coeff
-            s_images.append(TensorElement(algebra, 1, terms))
-
-    def lift1(x: TensorElement, from_a: bool) -> TensorElement:
-        unit_vec = alg_b.unit if from_a else alg_a.unit
-        terms = {}
-        support = [(k, cu) for k, cu in enumerate(unit_vec) if cu != 0]
-        for word, c in x.terms.items():
-            for combo in itertools.product(support, repeat=len(word)):
-                coeff = c
-                lifted = []
-                for leg, (k, cu) in zip(word, combo):
-                    coeff = coeff * cu
-                    lifted.append(flat(leg, k) if from_a else flat(k, leg))
-                key = tuple(lifted)
-                terms[key] = terms[key] + coeff if key in terms else coeff
-        return TensorElement(algebra, x.arity, terms)
-
-    phi = lift1(main.phi, main_is_a)
-    alpha = lift1(main.alpha, main_is_a)
-    beta = lift1(main.beta, main_is_a)
-    r = lift1(main.r_matrix, main_is_a) if main.has_r else None
+    def lift(x: TensorElement) -> TensorElement:
+        unit_n = other.unit(x.arity)
+        return interleave(x, unit_n, algebra) if main_is_a else interleave(unit_n, x, algebra)
 
     return QhsaStructure(
         algebra,
-        StructureMap(algebra, 2, delta_images),
-        StructureMap(algebra, 0, eps_images),
+        StructureMap(algebra, 2, images(A.delta, B.delta)),
+        StructureMap(algebra, 0, images(A.epsilon, B.epsilon)),
         StructureMap(algebra, 1, s_images),
-        phi,
-        alpha,
-        beta,
-        r,
+        lift(main.phi),
+        lift(main.alpha),
+        lift(main.beta),
+        lift(main.r_matrix) if main.has_r else None,
     )
 
 

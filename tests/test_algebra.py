@@ -11,6 +11,7 @@ from qhsa.algebra import (
     apply_map_legs,
     embed_legs,
     identity_map,
+    interleave,
     invert_structure_map,
     invert_tensor_element,
     multiply_adjacent_legs,
@@ -19,6 +20,7 @@ from qhsa.algebra import (
 )
 from qhsa.fixtures import ext_broken_grading
 from qhsa.structure import validate_algebra
+from qhsa.transforms import tensor_product_structure
 
 from conftest import elem
 
@@ -300,6 +302,23 @@ small_elements3 = st.dictionaries(small_words3, st.integers(-2, 2), max_size=3)
 def test_tensor_multiplication_is_associative(h2ext, ta, tb, tc):
     x, y, z = (elem(h2ext, 3, t) for t in (ta, tb, tc))
     assert (x * y) * z == x * (y * z)
+
+
+ext_elements3 = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    st.integers(-2, 2),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ext_elements3, ext_elements3)
+def test_interleave_sign_matches_tensor_multiply(ext, tx, ty):
+    # (x (x) 1)(1 (x) y) = x (x) y legwise in (ext (x) ext)^(tensor 3); the
+    # product table adds no sign there, so tensor_multiply alone supplies it
+    product = tensor_product_structure(ext, ext).algebra
+    x, y, one = elem(ext, 3, tx), elem(ext, 3, ty), ext.unit(3)
+    assert interleave(x, one, product) * interleave(one, y, product) == interleave(x, y, product)
 
 
 def test_outer_is_plain_placement(ext):

@@ -24,6 +24,7 @@ from qhsa.structure import (
     suite_function,
     validate_structure,
 )
+from qhsa.transforms import tensor_product_structure
 
 from conftest import elem
 
@@ -55,15 +56,37 @@ def test_odd_to_even_coproduct_fails_parity(ext):
     assert entry.witness["basis"] == 1
 
 
-def test_antipode_antihomomorphism_sign(h2ext):
-    # the checker accepts the genuine graded antipode, and rejects the
-    # ungraded one on a fixture with odd elements
-    assert validate_structure(h2ext).ok
+def test_antipode_antihomomorphism_sign(ext):
+    # on ext (x) ext, theta_1 theta_2 != 0, so the graded sign is visible:
+    # S(a (x) b) = S(a) (x) S(b) is an antihomomorphism, and the variant with
+    # an extra (-1)^{[a][b]} on theta (x) theta (flat index 3) is not
+    T = tensor_product_structure(ext, ext)
+
+    def with_antipode(sign_on_theta_theta):
+        images = [
+            elem(T, 1, {(0,): 1}),
+            elem(T, 1, {(1,): -1}),
+            elem(T, 1, {(2,): -1}),
+            elem(T, 1, {(3,): sign_on_theta_theta}),
+        ]
+        return replace(T, antipode=StructureMap(T.algebra, 1, images))
+
+    graded = with_antipode(1)
+    assert all(report.ok for _, report, _ in run_suites(graded))
+    ungraded = validate_structure(with_antipode(-1))
+    assert ungraded.failed_ids() == ["structure.antipode-antihom"]
+    assert ungraded.entry("structure.antipode-antihom").witness["basis"] == [1, 2]
+
+
+def test_h2ext_ungraded_antipode_is_an_automorphism_twist(h2ext):
+    # dropping the sign on e1 (x) theta composes S with an algebra
+    # automorphism: every product of two odd h2ext elements is 0, so the
+    # structure layer cannot see it and only eq.5i1 and eq.5i fail
     images = list(h2ext.antipode.images)
-    images[3] = elem(h2ext, 1, {(3,): 1})  # drop the sign on e1 (x) theta
+    images[3] = elem(h2ext, 1, {(3,): 1})
     bad = replace(h2ext, antipode=StructureMap(h2ext.algebra, 1, images))
-    report = check_antipode_axioms(bad)
-    assert not report.ok
+    assert validate_structure(bad).ok
+    assert check_antipode_axioms(bad).failed_ids() == ["eq.5i1", "eq.5i"]
 
 
 # -- quasi-bialgebra ----------------------------------------------------------

@@ -17,7 +17,7 @@ from qhsa.fixtures import (
     twistor_u11,
 )
 from qhsa.scalars import FieldSpec
-from qhsa.structure import run_suites
+from qhsa.structure import check_quasi_bialgebra, run_suites, validate_algebra, validate_structure
 from qhsa.transforms import (
     Twistor,
     TwistorError,
@@ -164,7 +164,8 @@ def test_twist_composition_with_unit(h2ext):
 def test_scalar_rescaling_covariance(h2ext):
     F = twistor_u11()
     c = Fraction(5, 3)
-    cF = F.scaled(h2ext.algebra.field.from_fraction(c))
+    field = h2ext.algebra.field
+    cF = Twistor(F.element.scaled(field.from_fraction(c)), F.inverse.scaled(field.from_fraction(1 / c)))
     A = twist_structure(h2ext, F)
     B = twist_structure(h2ext, cF)
     assert B.phi == A.phi
@@ -280,6 +281,20 @@ def test_h2ext_construction_passes_everything(h2ext):
     assert suites_ok(h2ext)
     assert h2ext.algebra.parity == (0, 1, 0, 1)
     assert not h2ext.has_r  # R lives on the trivial factor and is dropped
+
+
+def test_ext_tensor_ext_signs_without_the_antipode(ext):
+    # flat basis: 0 = 1(x)1, 1 = 1(x)theta, 2 = theta(x)1, 3 = theta(x)theta;
+    # both factors odd, so the Koszul signs of the product and Delta bite
+    T = tensor_product_structure(ext, ext)
+    assert T.basis(1) * T.basis(2) == elem(T, 1, {(3,): -1})
+    assert T.basis(2) * T.basis(1) == elem(T, 1, {(3,): 1})
+    assert T.delta.images[3] == elem(T, 2, {(3, 0): 1, (2, 1): 1, (1, 2): -1, (0, 3): 1})
+    assert validate_algebra(T.algebra).ok
+    report = validate_structure(T)
+    assert report.entry("structure.delta-hom").status == "pass"
+    assert report.entry("structure.epsilon-hom").status == "pass"
+    assert check_quasi_bialgebra(T).ok
 
 
 def test_tensor_with_trivial_is_identity():
