@@ -473,36 +473,68 @@ def solve_linear_system(matrix, rhs_columns, field: FieldSpec):
 
 
 def invert_tensor_element(x: TensorElement) -> TensorElement:
-    """Two-sided inverse in the algebra H^(tensor n).
+    """Two-sided inverse in the algebra H^(tensor n), from the minimal
+    polynomial of x; no d^n x d^n system is formed.
 
-    Solves the dense linear system Y * x = unit, then checks x * Y = unit;
-    raises SingularError if either side fails.  Dimension d^n stays small
-    (at most a few hundred) for everything this library handles.
+    The powers P_0 = 1, P_k = P_{k-1} x are reduced one by one against the
+    earlier ones in a sparse echelon form over the exact field, each reduced
+    vector keeping its combination of powers.  The first power that reduces
+    to zero gives p(x) = sum c_k x^k = 0, with deg p <= d^n (the Krylov
+    sequence of Wiedemann, "Solving sparse linear equations over finite
+    fields", 1986).  c_0 = 0 makes x a zero divisor; otherwise
+    Y = -c_0^{-1} sum_{k>=1} c_k P_{k-1} solves Y x = 1.  P_1 is 1 x rather
+    than x, so that this follows from p alone, by bilinearity.  x Y = 1 is
+    checked exactly; SingularError is raised if either side fails.
     """
     alg = x.algebra
     n = x.arity
+    field = alg.field
     if n == 0:
-        return TensorElement.from_scalar(alg, alg.field.invert(x.scalar_value()))
-    words = list(itertools.product(range(alg.dimension), repeat=n))
-    index = {w: i for i, w in enumerate(words)}
-    size = len(words)
-    zero = alg.field.zero()
-    matrix = [[zero] * size for _ in range(size)]
-    for col, v in enumerate(words):
-        prod = tensor_multiply(TensorElement.basis(alg, v), x)
-        for w, c in prod.terms.items():
-            matrix[index[w]][col] = c
+        return TensorElement.from_scalar(alg, field.invert(x.scalar_value()))
+    zero, one = field.zero(), field.one()
     unit = TensorElement.unit(alg, n)
-    rhs = [zero] * size
-    for w, c in unit.terms.items():
-        rhs[index[w]] = c
-    try:
-        solution = solve_linear_system(matrix, [rhs], alg.field)
-    except SingularError:
+    powers = []
+    echelon = []  # (pivot word, vector with 1 at the pivot, combination of powers)
+    power = unit
+    while True:
+        powers.append(power)
+        vector = dict(power.terms)
+        combination = [zero] * (len(powers) - 1) + [one]
+        for pivot, row, row_combination in echelon:
+            f = vector.get(pivot)
+            if f is None:
+                continue
+            for w, c in row.items():
+                v = vector.get(w, zero) - f * c
+                if v == 0:
+                    del vector[w]
+                else:
+                    vector[w] = v
+            for k, c in enumerate(row_combination):
+                combination[k] -= f * c
+        if not vector:
+            break
+        pivot, lead = next(iter(vector.items()))
+        scale = field.invert(lead)
+        echelon.append(
+            (
+                pivot,
+                {w: c * scale for w, c in vector.items()},
+                [c * scale for c in combination],
+            )
+        )
+        power = tensor_multiply(power, x)
+    if combination[0] == 0:
         raise SingularError("element has no left inverse")
-    inverse = TensorElement(
-        alg, n, {w: row[0] for w, row in zip(words, solution) if row[0] != 0}
-    )
+    scale = -field.invert(combination[0])
+    terms = {}
+    for c, p in zip(combination[1:], powers):
+        if c == 0:
+            continue
+        f = c * scale
+        for w, v in p.terms.items():
+            terms[w] = terms[w] + f * v if w in terms else f * v
+    inverse = TensorElement(alg, n, terms)
     if tensor_multiply(x, inverse) != unit:
         raise SingularError("element has a left inverse but no right inverse")
     return inverse

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from qhsa.algebra import TensorElement
+from qhsa.algebra import GradedAlgebra, StructureMap, TensorElement
 from qhsa.fixtures import build_structure
+from qhsa.scalars import FieldSpec
+from qhsa.structure import QhsaStructure
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +31,34 @@ def h2r():
 @pytest.fixture(scope="session")
 def h2ext():
     return build_structure("h2ext")
+
+
+@pytest.fixture(scope="session")
+def kz2():
+    """k[Z2] in the basis {1, g}: g^2 = 1, Delta g = g (x) g, S g = g,
+    eps g = 1, trivial coassociator and alpha = beta = 1.  Purely even."""
+    field = FieldSpec.rational()
+    one = field.one()
+    alg = GradedAlgebra(
+        2,
+        (0, 0),
+        (one, field.zero()),
+        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: one}},
+        field,
+    )
+
+    def element(arity, word):
+        return TensorElement(alg, arity, {word: one})
+
+    return QhsaStructure(
+        alg,
+        StructureMap(alg, 2, [element(2, (0, 0)), element(2, (1, 1))]),
+        StructureMap(alg, 0, [element(0, ()), element(0, ())]),
+        StructureMap(alg, 1, [element(1, (0,)), element(1, (1,))]),
+        element(3, (0, 0, 0)),
+        element(1, (0,)),
+        element(1, (0,)),
+    )
 
 
 def elem(H, arity, terms):

@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhsa import algebra
 from qhsa.algebra import (
     AlgebraError,
     SingularError,
@@ -17,8 +20,10 @@ from qhsa.algebra import (
     multiply_adjacent_legs,
     outer,
     permute_legs,
+    solve_linear_system,
 )
-from qhsa.fixtures import ext_broken_grading
+from qhsa.fixtures import build_structure, ext_broken_grading
+from qhsa.scalars import Cyclotomic
 from qhsa.structure import validate_algebra
 from qhsa.transforms import tensor_product_structure
 
@@ -253,6 +258,104 @@ def test_inverse_is_two_sided(h2, a, b, c):
         return
     assert x * inv == h2.unit(2)
     assert inv * x == h2.unit(2)
+
+
+def dense_inverse(x):
+    """Oracle: the d^n x d^n system Y x = 1 solved by Gauss-Jordan.  Raises
+    SingularError when the system is singular."""
+    alg, n = x.algebra, x.arity
+    words = list(itertools.product(range(alg.dimension), repeat=n))
+    index = {w: i for i, w in enumerate(words)}
+    zero = alg.field.zero()
+    matrix = [[zero] * len(words) for _ in words]
+    for col, v in enumerate(words):
+        for w, c in (TensorElement.basis(alg, v) * x).terms.items():
+            matrix[index[w]][col] = c
+    unit = TensorElement.unit(alg, n)
+    rhs = [unit.terms.get(w, zero) for w in words]
+    solution = solve_linear_system(matrix, [rhs], alg.field)
+    return TensorElement(alg, n, {w: row[0] for w, row in zip(words, solution)})
+
+
+# (structure, arity, basis index of a zero divisor in its algebra)
+INVERSION_CASES = [
+    ("ext", 2, 1),  # theta
+    ("ext", 3, 1),
+    ("h2ext", 2, 0),  # e0 (x) 1
+    ("h2ext", 3, 0),
+    ("h2r", 2, 0),  # e0, over Q(zeta_4)
+]
+
+_structure = cache(build_structure)
+
+
+@st.composite
+def inversion_inputs(draw, name, arity, zero_divisor):
+    """A random element of H^(tensor arity): c*1 + N, 1 + N with N in the
+    nilpotent ideal spanned by words with an odd leg (unipotent), or z * y
+    with z a zero divisor on the first leg (singular)."""
+    H = _structure(name)
+    alg = H.algebra
+    field = alg.field
+    zeta = Cyclotomic.zeta(field.order) if field.kind == "cyclotomic" else None
+
+    def scalar():
+        value = field.from_int(draw(st.integers(-2, 2)))
+        if zeta is None:
+            return value
+        return value + field.from_int(draw(st.integers(-2, 2))) * zeta
+
+    kind = draw(st.sampled_from(["random", "unipotent", "zero divisor"]))
+    words = list(itertools.product(range(alg.dimension), repeat=arity))
+    if kind == "unipotent":
+        words = [w for w in words if any(alg.parity[i] for i in w)]
+    chosen = draw(st.lists(st.sampled_from(words), max_size=4, unique=True)) if words else []
+    x = TensorElement(alg, arity, {w: scalar() for w in chosen})
+    if kind == "random":
+        return x + H.unit(arity).scaled(scalar())
+    if kind == "unipotent":
+        return x + H.unit(arity)
+    z = embed_legs(TensorElement.basis(alg, (zero_divisor,)), (0,), arity)
+    return z * (x + H.unit(arity).scaled(scalar()))
+
+
+@pytest.mark.parametrize("name, arity, zero_divisor", INVERSION_CASES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_the_dense_system(name, arity, zero_divisor, data):
+    x = data.draw(inversion_inputs(name, arity, zero_divisor))
+    try:
+        expected = dense_inverse(x)
+    except SingularError:
+        with pytest.raises(SingularError, match="element has no left inverse"):
+            invert_tensor_element(x)
+        return
+    assert invert_tensor_element(x) == expected
+
+
+def test_inversion_builds_no_dense_system(monkeypatch, h2ext, kz2):
+    dim8 = tensor_product_structure(h2ext, kz2)
+    dim16 = tensor_product_structure(dim8, kz2)
+
+    def no_dense_system(*args):
+        raise AssertionError("solve_linear_system called")
+
+    multiply = algebra.tensor_multiply
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(algebra, "solve_linear_system", no_dense_system)
+    monkeypatch.setattr(algebra, "tensor_multiply", counted)
+    for H in (dim8, dim16):
+        calls.clear()
+        phi_inv = invert_tensor_element(H.phi)
+        # P_1 = 1 * phi, P_2 = P_1 * phi (phi is an involution), then phi * inverse;
+        # the dense system took d^n = 512 products at dimension 8
+        assert len(calls) == 3
+        assert multiply(H.phi, phi_inv) == H.unit(3)
 
 
 def test_invert_structure_map(ext):

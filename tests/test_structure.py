@@ -378,3 +378,23 @@ def test_basis_check_witness_is_pinned(suite, fixture, corrupt, check_id, witnes
     report = suite_function(suite)(corrupt(build_structure(fixture)))
     assert check_id in report.failed_ids()
     assert report.entry(check_id).witness == witness
+
+
+# -- singular elements --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fixture, terms",
+    [
+        ("h2", {(0, i, j): 1 for i in (0, 1) for j in (0, 1)}),  # e0 (x) 1 (x) 1, idempotent
+        ("ext", {(1, 1, 0): 1}),  # theta (x) theta (x) 1, nilpotent
+    ],
+    ids=["idempotent", "nilpotent"],
+)
+def test_singular_phi_witness_is_pinned(fixture, terms):
+    H = build_structure(fixture)
+    report = validate_structure(replace(H, phi=elem(H, 3, terms)))
+    assert report.failed_ids() == ["structure.phi-invertible"]
+    assert report.entry("structure.phi-invertible").witness == {
+        "reason": "element has no left inverse"
+    }

@@ -179,6 +179,20 @@ def test_singular_twistor_rejected(ext):
         Twistor(elem(ext, 2, {(1, 1): 1}))
 
 
+@pytest.mark.parametrize(
+    "fixture, terms",
+    [
+        ("h2", {(0, 0): 1, (0, 1): 1}),  # e0 (x) 1, idempotent
+        ("ext", {(1, 1): 1}),  # theta (x) theta, nilpotent
+    ],
+    ids=["idempotent", "nilpotent"],
+)
+def test_singular_twistor_witness_is_pinned(fixture, terms):
+    H = build_structure(fixture)
+    report = check_twistor(H, elem(H, 2, terms))
+    assert report.entry("twistor.invertible").witness == {"reason": "element has no left inverse"}
+
+
 # -- opposite structure ----------------------------------------------------------------
 
 
