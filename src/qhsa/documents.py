@@ -91,6 +91,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise DocumentError(f"invalid JSON: {exc}")
 
 
 def _expect_keys(data, allowed, required, what):

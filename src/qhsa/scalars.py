@@ -1,11 +1,24 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic extensions Q(zeta_n).
 
 Every structure document declares a single field up front, either Q (plain
-``fractions.Fraction``) or Q(zeta_n) (``Cyclotomic``).  Cyclotomic values are
-polynomials in zeta_n reduced modulo the n-th cyclotomic polynomial Phi_n,
-which is irreducible over Q, so representations are canonical and every
-nonzero element is invertible.  All equality tests downstream reduce to
-comparing these canonical forms, bit for bit.
+``fractions.Fraction``) or Q(zeta_n) (``Cyclotomic``).  A cyclotomic value is
+a polynomial in zeta_n of degree below phi(n), reduced modulo the n-th
+cyclotomic polynomial Phi_n, which is irreducible over Q, so every nonzero
+element is invertible.  It is stored as phi(n) ``int`` numerators over one
+positive ``int`` denominator, gcd-normalised (zero is (0, ..., 0)/1), so each
+value has exactly one representation and every equality test downstream is a
+comparison of integer tuples.
+
+Reduction modulo Phi_n happens only where a polynomial enters, in
+``Cyclotomic(order, coeffs)`` through ``reduce_mod_cyclotomic``.  Add,
+subtract and negate stay below degree phi(n) and only renormalise the gcd;
+multiply convolves the numerators and folds zeta^k, phi(n) <= k <= 2 phi(n) - 2,
+back into low degrees with a per-order table of reduced integer rows.
+
+Input bounds: a field's order is at most ``MAX_CYCLOTOMIC_ORDER``, because
+every operation costs O(phi(n)^2); the numerator and the denominator of a
+rational in scalar text have at most ``MAX_RATIONAL_DIGITS`` digits each.
+Both raise ``ScalarError``, which the CLI reports as an input error.
 """
 
 from __future__ import annotations
@@ -13,12 +26,17 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import gcd, lcm, prod
 from typing import Union
 
 
 class ScalarError(ValueError):
     """Malformed scalar text, zero division, or field mismatch."""
 
+
+MAX_CYCLOTOMIC_ORDER = 1000
+MAX_RATIONAL_DIGITS = 1000
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -32,46 +50,88 @@ def _poly_trim(coeffs):
     return coeffs
 
 
-def _poly_div_exact(num, den):
-    """Divide polynomials (little-endian Fraction tuples); remainder must vanish."""
-    num = list(num)
-    out = [_ZERO] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        q = num[i + len(den) - 1] / lead
-        out[i] = q
-        if q:
-            for j, c in enumerate(den):
-                num[i + j] -= q * c
-    if any(c != 0 for c in num[: len(den) - 1]):
+def _prime_divisors(n: int) -> list:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _times_xd_minus_one(poly, d):
+    out = [-c for c in poly] + [0] * d
+    for i, c in enumerate(poly):
+        out[i + d] += c
+    return out
+
+
+def _div_xd_minus_one(poly, d):
+    """Exact quotient by the monic x^d - 1: from p = q x^d - q, q_i = q_{i-d} - p_i."""
+    size = len(poly) - d
+    out = []
+    for i in range(size):
+        out.append((out[i - d] if i >= d else 0) - poly[i])
+    if any(poly[i] != out[i - d] for i in range(size, len(poly))):
         raise ScalarError("polynomial division left a remainder")
-    return tuple(out)
+    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of Phi_n, little-endian, via x^n - 1 = prod_{d|n} Phi_d."""
+    """Integer coefficients of Phi_n, little-endian, from the Moebius product
+    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): multiply the mu = +1 factors, then
+    divide exactly by the mu = -1 ones."""
     if n < 1:
         raise ScalarError("cyclotomic order must be >= 1")
-    poly = tuple([-_ONE] + [_ZERO] * (n - 1) + [_ONE])  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return poly
+    primes = _prime_divisors(n)
+    poly = [1]
+    divide_by = []
+    for k in range(len(primes) + 1):
+        for chosen in combinations(primes, k):
+            d = n // prod(chosen)
+            if k % 2:
+                divide_by.append(d)
+            else:
+                poly = _times_xd_minus_one(poly, d)
+    for d in divide_by:
+        poly = _div_xd_minus_one(poly, d)
+    return tuple(poly)
 
 
 def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+@lru_cache(maxsize=None)
+def _fold_rows(n: int) -> tuple:
+    """zeta_n^k for phi(n) <= k <= 2 phi(n) - 2, reduced mod Phi_n, as sparse
+    integer rows ((i, c), ...) over the degrees i < phi(n)."""
+    modulus = cyclotomic_polynomial(n)
+    phi = len(modulus) - 1
+    base = [-c for c in modulus[:phi]]  # zeta^phi, since Phi_n is monic
+    row = base
+    rows = []
+    for _ in range(phi - 1):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r + top * b for r, b in zip(row, base)]
+    return tuple(rows)
+
+
 def reduce_mod_cyclotomic(coeffs, n: int) -> tuple:
     """Reduce a polynomial in zeta_n modulo Phi_n; returns exactly phi(n) coefficients."""
     modulus = cyclotomic_polynomial(n)
     deg = len(modulus) - 1
-    work = [Fraction(c) for c in coeffs]
-    lead = modulus[-1]  # always 1
+    work = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     for i in range(len(work) - 1, deg - 1, -1):
-        q = work[i] / lead
+        q = work[i]  # Phi_n is monic
         if q:
             for j, c in enumerate(modulus):
                 work[i - deg + j] -= q * c
@@ -80,22 +140,53 @@ def reduce_mod_cyclotomic(coeffs, n: int) -> tuple:
     return tuple(work)
 
 
-class Cyclotomic:
-    """An element of Q(zeta_n), stored reduced modulo Phi_n."""
+def _from_parts(order: int, num: tuple, den: int) -> "Cyclotomic":
+    """Wrap numerators and a denominator that are already canonical."""
+    value = object.__new__(Cyclotomic)
+    value.order = order
+    value.num = num
+    value.den = den
+    return value
 
-    __slots__ = ("order", "coeffs")
+
+def _normalised(order: int, num: list, den: int) -> "Cyclotomic":
+    if den == 1:
+        return _from_parts(order, tuple(num), 1)
+    g = gcd(den, *num)  # den > 0, so g >= 1; all-zero numerators give g = den
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _from_parts(order, tuple(num), den)
+
+
+class Cyclotomic:
+    """An element of Q(zeta_n): phi(n) int numerators over one positive int
+    denominator, reduced modulo Phi_n and gcd-normalised."""
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs=()):
+        coeffs = reduce_mod_cyclotomic(coeffs, order)
+        den = lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = reduce_mod_cyclotomic(coeffs, order)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
 
     @staticmethod
     def constant(order: int, value) -> "Cyclotomic":
-        return Cyclotomic(order, (Fraction(value),))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        tail = (0,) * (euler_phi(order) - 1)
+        return _from_parts(order, (value.numerator,) + tail, value.denominator)
 
     @staticmethod
     def zeta(order: int) -> "Cyclotomic":
         return Cyclotomic(order, (_ZERO, _ONE))
+
+    @property
+    def coeffs(self) -> tuple:
+        """The phi(n) power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
@@ -108,13 +199,22 @@ class Cyclotomic:
             return Cyclotomic.constant(self.order, other)
         return None
 
+    def _combine(self, other, sign: int):
+        """self + sign * other over the least common denominator."""
+        da, db = self.den, other.den
+        if da == db:
+            num = [a + sign * b for a, b in zip(self.num, other.num)]
+            return _normalised(self.order, num, da)
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        num = [a * fa + b * fb for a, b in zip(self.num, other.num)]
+        return _normalised(self.order, num, da * (db // g))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Cyclotomic(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -122,9 +222,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Cyclotomic(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -136,40 +234,61 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        deg = len(self.coeffs)
-        prod = [_ZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return Cyclotomic(self.order, prod)
+        phi = len(self.num)
+        out = [0] * (2 * phi - 1)
+        right = [(j, b) for j, b in enumerate(other.num) if b]
+        if not right:
+            return other
+        top = 0  # highest degree the convolution reaches
+        for i, a in enumerate(self.num):
+            if a:
+                top = i
+                for j, b in right:
+                    out[i + j] += a * b
+        top += right[-1][0]
+        if top >= phi:
+            rows = _fold_rows(self.order)
+            for k in range(phi, top + 1):
+                c = out[k]
+                if c:
+                    for i, r in rows[k - phi]:
+                        out[i] += c * r
+        del out[phi:]
+        return _normalised(self.order, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
+        return _from_parts(self.order, tuple(-c for c in self.num), self.den)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            # canonical: with no zeta terms, num[0]/den is already in lowest terms
+            return (
+                self.num[0] == other.numerator
+                and self.den == other.denominator
+                and not any(self.num[1:])
+            )
         if isinstance(other, Cyclotomic):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (
+                self.order == other.order
+                and self.num == other.num
+                and self.den == other.den
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def inverse(self) -> "Cyclotomic":
         """Extended Euclid against Phi_n; Phi_n irreducible, so any nonzero inverts."""
         if not self:
             raise ScalarError("zero has no inverse")
         # invariants: r0 = s0 * self (mod Phi_n), r1 = s1 * self (mod Phi_n)
-        r0 = list(cyclotomic_polynomial(self.order))
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         r1 = _poly_trim(list(self.coeffs))
         s0 = [_ZERO]
         s1 = [_ONE]
@@ -210,12 +329,17 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ScalarError(f"invalid rational {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
+    num, _, den = text.partition("/")
+    if max(len(num.lstrip("-")), len(den)) > MAX_RATIONAL_DIGITS:
+        raise ScalarError(
+            f"rational with more than {MAX_RATIONAL_DIGITS} digits"
+            " in its numerator or denominator"
+        )
+    if den:
         if int(den) == 0:
             raise ScalarError(f"invalid scalar {text!r}: zero denominator")
         return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    return Fraction(int(num))
 
 
 class FieldSpec:
@@ -226,8 +350,12 @@ class FieldSpec:
             if order is not None:
                 raise ScalarError("rational field takes no order")
         elif kind == "cyclotomic":
-            if not isinstance(order, int) or order < 1:
+            if isinstance(order, bool) or not isinstance(order, int) or order < 1:
                 raise ScalarError("cyclotomic field needs a positive integer order")
+            if order > MAX_CYCLOTOMIC_ORDER:
+                raise ScalarError(
+                    f"cyclotomic order {order} exceeds the maximum {MAX_CYCLOTOMIC_ORDER}"
+                )
             cyclotomic_polynomial(order)
         else:
             raise ScalarError(f"unknown field kind {kind!r}")

@@ -7,6 +7,7 @@ import pytest
 
 import qhsa.drinfeld
 from qhsa.cli import main
+from qhsa.scalars import MAX_CYCLOTOMIC_ORDER
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
 
@@ -170,6 +171,41 @@ def test_tensor_field_mismatch_is_an_input_error(tmp_path):
         ["transform", fx("h2.qhsa"), "tensor", "--other", fx("h2r.qhsa"), "--output", str(out)]
     )
     assert code == 2
+
+
+# -- hostile input -----------------------------------------------------------------
+
+RATIONAL_FIELD = '"field": {"kind": "rational"}'
+
+
+def cyclotomic_field(order):
+    return '"field": {"kind": "cyclotomic", "order": %s}' % order
+
+
+# text of h2.qhsa to replace, replacement; h2 scalars are bare rationals, which
+# a cyclotomic document accepts, so only the field or the scalar is hostile
+HOSTILE_EDITS = {
+    "bool-order": (RATIONAL_FIELD, cyclotomic_field("true")),
+    "order-over-cap": (RATIONAL_FIELD, cyclotomic_field(MAX_CYCLOTOMIC_ORDER + 1)),
+    "order-beyond-int-digit-limit": (RATIONAL_FIELD, cyclotomic_field("1" + "0" * 5000)),
+    "5000-digit-scalar": ('"unit": ["1",', '"unit": ["1' + "0" * 4999 + '",'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_EDITS))
+def test_hostile_input_is_a_one_line_input_error(tmp_path, capsys, case):
+    old, new = HOSTILE_EDITS[case]
+    text = Path(fx("h2.qhsa")).read_text()
+    assert old in text
+    path = tmp_path / "hostile.qhsa"
+    path.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 300
+    assert "Traceback" not in captured.err
 
 
 # -- drinfeld ----------------------------------------------------------------------

@@ -1,10 +1,15 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qhsa.scalars
 from qhsa.scalars import (
+    MAX_CYCLOTOMIC_ORDER,
+    MAX_RATIONAL_DIGITS,
     Cyclotomic,
     FieldSpec,
     ScalarError,
@@ -157,3 +162,147 @@ def test_zeta_powers_cycle(order, k):
     expected = Cyclotomic.constant(order, 1)
     zk = Cyclotomic(order, [0] * (k % order) + [1]) if order > 1 else expected
     assert acc == zk
+
+
+# -- differential test against plain Fraction reduction ----------------------------
+
+
+def oracle_reduce(coeffs, n):
+    """Long division by Phi_n in Fraction arithmetic, one coefficient at a time."""
+    modulus = oracle_phi(n)
+    deg = len(modulus) - 1
+    work = [F(c) for c in coeffs] + [F(0)] * deg
+    for i in range(len(work) - 1, deg - 1, -1):
+        q = work[i] / modulus[-1]
+        for j, c in enumerate(modulus):
+            work[i - deg + j] -= q * c
+    return tuple(work[:deg])
+
+
+@lru_cache(maxsize=None)
+def oracle_phi(n):
+    """Phi_n as (x^n - 1) / prod_{d | n, d < n} Phi_d, by Fraction long division."""
+    poly = [F(-1)] + [F(0)] * (n - 1) + [F(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            divisor = oracle_phi(d)
+            quotient = [F(0)] * (len(poly) - len(divisor) + 1)
+            for i in range(len(quotient) - 1, -1, -1):
+                q = poly[i + len(divisor) - 1] / divisor[-1]
+                quotient[i] = q
+                for j, c in enumerate(divisor):
+                    poly[i + j] -= q * c
+            assert not any(poly[: len(divisor) - 1])
+            poly = quotient
+    return tuple(poly)
+
+
+def oracle_mul(a, b, n):
+    out = [F(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return oracle_reduce(out, n)
+
+
+def assert_canonical(x):
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert len(x.num) == euler_phi(x.order)
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+# phi = 1 (empty fold table), primes, prime powers, 12, 20, and 105, whose
+# Phi_105 is the first cyclotomic polynomial with a coefficient -2
+DIFFERENTIAL_ORDERS = (1, 2, 3, 5, 7, 4, 8, 9, 16, 25, 12, 20, 105)
+
+coefficients = st.one_of(st.just(F(0)), st.integers(-3, 3).map(F), rationals)
+
+
+@st.composite
+def operand_pairs(draw):
+    n = draw(st.sampled_from(DIFFERENTIAL_ORDERS))
+    raw = st.lists(coefficients, max_size=2 * euler_phi(n))
+    return n, draw(raw), draw(raw)
+
+
+def test_cyclotomic_polynomial_matches_fraction_division():
+    for n in list(range(1, 61)) + [105]:
+        assert cyclotomic_polynomial(n) == oracle_phi(n)
+        assert all(type(c) is int for c in cyclotomic_polynomial(n))
+    assert -2 in cyclotomic_polynomial(105)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operand_pairs())
+def test_integer_arithmetic_agrees_with_fraction_oracle(case):
+    n, raw_a, raw_b = case
+    field = FieldSpec.cyclotomic(n)
+    a, b = Cyclotomic(n, raw_a), Cyclotomic(n, raw_b)
+    ra, rb = oracle_reduce(raw_a, n), oracle_reduce(raw_b, n)
+    expected = [
+        (a, ra),
+        (b, rb),
+        (a + b, oracle_reduce([x + y for x, y in zip(ra, rb)], n)),
+        (a - b, oracle_reduce([x - y for x, y in zip(ra, rb)], n)),
+        (-a, tuple(-x for x in ra)),
+        (a * b, oracle_mul(ra, rb, n)),
+    ]
+    for value, oracle in expected:
+        assert_canonical(value)
+        assert value.coeffs == oracle
+        assert field.format(value) == "[" + ", ".join(str(c) for c in oracle) + "]"
+        assert field.parse(field.format(value)) == value
+    if a:
+        inverse = a.inverse()
+        assert_canonical(inverse)
+        assert oracle_mul(inverse.coeffs, ra, n) == oracle_reduce([1], n)
+    else:
+        assert (a.num, a.den) == ((0,) * euler_phi(n), 1)
+
+
+def test_arithmetic_between_cyclotomics_never_reduces(monkeypatch):
+    values = [
+        Cyclotomic(n, [F(k, 3), 0, -2, F(1, 2), 5, 0, 1, 7, -1][: 2 * euler_phi(n)])
+        for n in (1, 2, 8, 20)
+        for k in (0, 1, -4)
+    ]
+    calls = []
+    original = qhsa.scalars.reduce_mod_cyclotomic
+
+    def counting(coeffs, n):
+        calls.append(n)
+        return original(coeffs, n)
+
+    monkeypatch.setattr(qhsa.scalars, "reduce_mod_cyclotomic", counting)
+    Cyclotomic(8, [1] * 9)
+    assert calls == [8]  # the construction boundary goes through the patched name
+    calls.clear()
+    for a in values:
+        for b in values:
+            if a.order == b.order:
+                a * b, a + b, a - b, -a
+        a * 3, a + 1, 2 - a, a * F(1, 2)
+    assert calls == []
+
+
+def test_field_order_guards():
+    with pytest.raises(ScalarError):
+        FieldSpec("cyclotomic", True)
+    with pytest.raises(ScalarError):
+        FieldSpec.from_json({"kind": "cyclotomic", "order": True})
+    assert FieldSpec.cyclotomic(MAX_CYCLOTOMIC_ORDER).order == MAX_CYCLOTOMIC_ORDER
+    with pytest.raises(ScalarError, match="exceeds the maximum"):
+        FieldSpec.cyclotomic(MAX_CYCLOTOMIC_ORDER + 1)
+    # Phi_2520 (degree 576) comes from integer division of x^d - 1 factors
+    assert euler_phi(2520) == 576
+
+
+def test_rational_digit_cap():
+    at_cap = "9" * MAX_RATIONAL_DIGITS
+    assert parse_rational(f"-{at_cap}/{at_cap}") == -1
+    for text in ("1" * (MAX_RATIONAL_DIGITS + 1), "1/" + "7" * 5000, "-" + "2" * 5000):
+        with pytest.raises(ScalarError, match="digits"):
+            parse_rational(text)
