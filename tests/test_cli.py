@@ -61,6 +61,49 @@ def test_suite_selection(tmp_path):
     assert main(["check", fx("h2.qhsa"), "--suites", "nonsense"]) == 2
 
 
+UNIT_ONLY_EXT_REPORT = """\
+fixture: ext
+PASS    algebra: algebra.grading
+FAIL    algebra: algebra.unit
+        witness: {"difference": [[[1], "-1"]], "basis": 1}
+PASS    algebra: algebra.assoc
+PASS    structure: structure.delta-unit
+PASS    structure: structure.delta-hom
+PASS    structure: structure.delta-parity
+PASS    structure: structure.epsilon-unit
+PASS    structure: structure.epsilon-hom
+PASS    structure: structure.epsilon-parity
+PASS    structure: structure.antipode-unit
+PASS    structure: structure.antipode-antihom
+PASS    structure: structure.antipode-parity
+PASS    structure: structure.antipode-bijective
+PASS    structure: structure.phi-even
+PASS    structure: structure.phi-invertible
+PASS    structure: structure.alpha-even
+PASS    structure: structure.beta-even
+PASS    structure: structure.r-even
+PASS    structure: structure.r-invertible
+SKIPPED quasi-bialgebra: quasi-bialgebra
+SKIPPED antipode: antipode
+SKIPPED pentagon-consequences: pentagon-consequences
+SKIPPED lemma11: lemma11
+SKIPPED eta: eta
+SKIPPED quasi-triangular: quasi-triangular
+SKIPPED qqybe: qqybe
+overall: FAIL (18 passed, 1 failed, 7 skipped)
+"""
+
+
+def test_check_after_a_failed_algebra_suite_is_pinned(tmp_path, capsys):
+    doc = json.loads(Path(fx("ext.qhsa")).read_text())
+    doc["mult"] = [[0, 0, 0, "1"]]  # theta * 1 = 1 * theta = 0: the unit is not a unit
+    path = tmp_path / "unit-only.qhsa"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == UNIT_ONLY_EXT_REPORT
+
+
 def test_triangular_suite_is_opt_in(tmp_path):
     code, doc = run_json(tmp_path, "check", fx("h2r.qhsa"), "--suites", "triangular")
     assert code == 1  # h2r is quasi-triangular but not triangular

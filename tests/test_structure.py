@@ -353,6 +353,35 @@ WITNESS_CASES = [
         {"difference": [[[3], "3"]], "basis": [1, 2, 2]},
     ),
     (
+        "lemma11",
+        "h2ext",
+        lambda H: _with_image(H, "antipode", 3, {(3,): 2}),
+        "eq.11i",
+        {"difference": [[[0, 3], "-3"]], "basis": 1},
+    ),
+    (
+        "lemma11",
+        "h2ext",
+        # Delta(e0 (x) theta) with its (e1 (x) theta) (x) (e1 (x) 1) term negated
+        lambda H: _with_image(H, "delta", 1, {(1, 0): 1, (0, 1): 1, (3, 2): -1, (2, 3): 1}),
+        "eq.11ii",
+        {"difference": [[[3, 0], "2"]], "basis": 1},
+    ),
+    (
+        "lemma11",
+        "h2ext",
+        lambda H: _with_image(H, "delta", 1, {(1, 0): 1, (0, 1): 1, (3, 2): -1, (2, 3): 1}),
+        "eq.11iii",
+        {"difference": [[[0, 3], "2"], [[1, 2], "-2"]], "basis": 1},
+    ),
+    (
+        "lemma11",
+        "h2ext",
+        lambda H: _with_image(H, "antipode", 3, {(3,): 2}),
+        "eq.11iv",
+        {"difference": [[[3, 0], "-3"]], "basis": 1},
+    ),
+    (
         "structure",
         "ext",
         lambda H: _with_image(H, "antipode", 1, {(0,): 1}),  # S(theta) = 1
