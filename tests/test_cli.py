@@ -67,22 +67,7 @@ PASS    algebra: algebra.grading
 FAIL    algebra: algebra.unit
         witness: {"difference": [[[1], "-1"]], "basis": 1}
 PASS    algebra: algebra.assoc
-PASS    structure: structure.delta-unit
-PASS    structure: structure.delta-hom
-PASS    structure: structure.delta-parity
-PASS    structure: structure.epsilon-unit
-PASS    structure: structure.epsilon-hom
-PASS    structure: structure.epsilon-parity
-PASS    structure: structure.antipode-unit
-PASS    structure: structure.antipode-antihom
-PASS    structure: structure.antipode-parity
-PASS    structure: structure.antipode-bijective
-PASS    structure: structure.phi-even
-PASS    structure: structure.phi-invertible
-PASS    structure: structure.alpha-even
-PASS    structure: structure.beta-even
-PASS    structure: structure.r-even
-PASS    structure: structure.r-invertible
+SKIPPED structure: structure
 SKIPPED quasi-bialgebra: quasi-bialgebra
 SKIPPED antipode: antipode
 SKIPPED pentagon-consequences: pentagon-consequences
@@ -90,7 +75,7 @@ SKIPPED lemma11: lemma11
 SKIPPED eta: eta
 SKIPPED quasi-triangular: quasi-triangular
 SKIPPED qqybe: qqybe
-overall: FAIL (18 passed, 1 failed, 7 skipped)
+overall: FAIL (2 passed, 1 failed, 8 skipped)
 """
 
 
