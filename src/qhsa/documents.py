@@ -142,6 +142,13 @@ def _parse_sparse(field, data, index_count, dimension, key):
     return tuple(sorted(rows, key=lambda r: r[:index_count]))
 
 
+def _parse_dimension(value) -> int:
+    # a JSON true is a Python bool, which is an int equal to 1
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DocumentError("dimension must be a positive integer")
+    return value
+
+
 def parse_structure_document(text: str) -> StructureDocument:
     data = _load_json(text)
     _expect_keys(data, STRUCTURE_KEYS, [k for k in STRUCTURE_KEYS if k != "r"], "structure")
@@ -151,9 +158,7 @@ def parse_structure_document(text: str) -> StructureDocument:
         field = FieldSpec.from_json(data["field"])
     except ScalarError as exc:
         raise DocumentError(f"field: {exc}")
-    dim = data["dimension"]
-    if not isinstance(dim, int) or dim < 1:
-        raise DocumentError("dimension must be a positive integer")
+    dim = _parse_dimension(data["dimension"])
     parity = data["parity"]
     if (
         not isinstance(parity, list)
@@ -185,9 +190,7 @@ def parse_twistor_document(text: str) -> TwistorDocument:
         field = FieldSpec.from_json(data["field"])
     except ScalarError as exc:
         raise DocumentError(f"field: {exc}")
-    dim = data["dimension"]
-    if not isinstance(dim, int) or dim < 1:
-        raise DocumentError("dimension must be a positive integer")
+    dim = _parse_dimension(data["dimension"])
     norm = data.get("normalization")
     if norm is not None:
         _expect_keys(norm, ("eps_alpha", "eps_beta"), ("eps_alpha", "eps_beta"), "normalization")

@@ -210,25 +210,38 @@ def cyclotomic_field(order):
     return '"field": {"kind": "cyclotomic", "order": %s}' % order
 
 
-# text of h2.qhsa to replace, replacement; h2 scalars are bare rationals, which
-# a cyclotomic document accepts, so only the field or the scalar is hostile
+# fixture, its text to replace, replacement.  h2 scalars are bare rationals,
+# which a cyclotomic document accepts, so only the field or the scalar is
+# hostile there.  A bool dimension needs a one-dimensional document: on h2 the
+# parity list of length 2 would reject it anyway.
 HOSTILE_EDITS = {
-    "bool-order": (RATIONAL_FIELD, cyclotomic_field("true")),
-    "order-over-cap": (RATIONAL_FIELD, cyclotomic_field(MAX_CYCLOTOMIC_ORDER + 1)),
-    "order-beyond-int-digit-limit": (RATIONAL_FIELD, cyclotomic_field("1" + "0" * 5000)),
-    "5000-digit-scalar": ('"unit": ["1",', '"unit": ["1' + "0" * 4999 + '",'),
+    "bool-order": ("h2.qhsa", RATIONAL_FIELD, cyclotomic_field("true")),
+    "order-over-cap": ("h2.qhsa", RATIONAL_FIELD, cyclotomic_field(MAX_CYCLOTOMIC_ORDER + 1)),
+    "order-beyond-int-digit-limit": (
+        "h2.qhsa",
+        RATIONAL_FIELD,
+        cyclotomic_field("1" + "0" * 5000),
+    ),
+    "5000-digit-scalar": ("h2.qhsa", '"unit": ["1",', '"unit": ["1' + "0" * 4999 + '",'),
+    "bool-dimension": ("trivial.qhsa", '"dimension": 1,', '"dimension": true,'),
+    "bool-twistor-dimension": ("f-one.twist", '"dimension": 1,', '"dimension": true,'),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_EDITS))
 def test_hostile_input_is_a_one_line_input_error(tmp_path, capsys, case):
-    old, new = HOSTILE_EDITS[case]
-    text = Path(fx("h2.qhsa")).read_text()
+    fixture, old, new = HOSTILE_EDITS[case]
+    text = Path(fx(fixture)).read_text()
     assert old in text
-    path = tmp_path / "hostile.qhsa"
+    path = tmp_path / fixture
     path.write_text(text.replace(old, new, 1))
+    if fixture.endswith(".twist"):
+        out = str(tmp_path / "twisted.qhsa")
+        argv = ["transform", fx("trivial.qhsa"), "twist", "--twistor", str(path), "--output", out]
+    else:
+        argv = ["check", str(path)]
     capsys.readouterr()
-    assert main(["check", str(path)]) == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
