@@ -21,6 +21,7 @@ all comparisons are equalities of canonical forms.
 from __future__ import annotations
 
 import itertools
+from operator import getitem
 
 from .scalars import FieldSpec
 
@@ -35,7 +36,17 @@ class SingularError(AlgebraError):
 
 class GradedAlgebra:
     """Associative superalgebra given by a basis, parity vector, unit vector
-    and sparse multiplication table (i, j) -> {k: coefficient}."""
+    and sparse multiplication table (i, j) -> {k: coefficient}.
+
+    ``product_rows[i][j]`` is e_i e_j as a tuple of (k, coefficient) pairs,
+    built once from the cleaned table.  When every nonzero product is one
+    basis element with coefficient 1 or -1, the table is monomial:
+    ``monomial_targets[i][j]`` is that k (None for a zero product) and
+    tensor_multiply builds words by lookup.  ``monomial_signs[i][j]`` is 1
+    where the coefficient is -1, and is None when no coefficient is; graded
+    products of odd-carrying algebras have such signs.  Both are None for any
+    other table.
+    """
 
     def __init__(self, dimension, parity, unit, mult, field: FieldSpec):
         if dimension < 1:
@@ -63,6 +74,19 @@ class GradedAlgebra:
         self.unit = unit
         self.mult = table
         self.field = field
+        self.product_rows = rows = tuple(
+            tuple(tuple(table.get((i, j), {}).items()) for j in range(dimension))
+            for i in range(dimension)
+        )
+        one = field.one()
+        self.monomial_targets = self.monomial_signs = None
+        if all(len(row) == 1 and row[0][1] in (one, -one) for r in rows for row in r if row):
+            self.monomial_targets = tuple(
+                tuple(row[0][0] if row else None for row in r) for r in rows
+            )
+            signs = tuple(tuple(int(bool(row) and row[0][1] != one) for row in r) for r in rows)
+            if any(map(any, signs)):
+                self.monomial_signs = signs
 
     def product(self, i: int, j: int) -> dict:
         return self.mult.get((i, j), {})
@@ -104,11 +128,22 @@ class TensorElement:
         self.arity = arity
         self.terms = cleaned
 
+    @staticmethod
+    def _from_terms(algebra, arity, terms):
+        """Engine results, whose words have the right length and range by
+        construction: only zero coefficients are dropped.  Input from outside
+        the engine goes through ``__init__``, which validates every word."""
+        x = object.__new__(TensorElement)
+        x.algebra = algebra
+        x.arity = arity
+        x.terms = {w: c for w, c in terms.items() if c}
+        return x
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(algebra, arity):
-        return TensorElement(algebra, arity, {})
+        return TensorElement._from_terms(algebra, arity, {})
 
     @staticmethod
     def unit(algebra, arity):
@@ -119,7 +154,7 @@ class TensorElement:
             for _, c in combo:
                 coeff = coeff * c
             terms[tuple(k for k, _ in combo)] = coeff
-        return TensorElement(algebra, arity, terms)
+        return TensorElement._from_terms(algebra, arity, terms)
 
     @staticmethod
     def basis(algebra, word):
@@ -145,24 +180,24 @@ class TensorElement:
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms[w] + c if w in terms else c
-        return TensorElement(self.algebra, self.arity, terms)
+        return TensorElement._from_terms(self.algebra, self.arity, terms)
 
     def __sub__(self, other):
         self._require_same_shape(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms[w] - c if w in terms else -c
-        return TensorElement(self.algebra, self.arity, terms)
+        return TensorElement._from_terms(self.algebra, self.arity, terms)
 
     def __neg__(self):
-        return TensorElement(
+        return TensorElement._from_terms(
             self.algebra, self.arity, {w: -c for w, c in self.terms.items()}
         )
 
     def scaled(self, scalar):
         if scalar == 0:
             return TensorElement.zero(self.algebra, self.arity)
-        return TensorElement(
+        return TensorElement._from_terms(
             self.algebra, self.arity, {w: c * scalar for w, c in self.terms.items()}
         )
 
@@ -211,38 +246,85 @@ class TensorElement:
         return self.terms.get((), self.algebra.field.zero())
 
 
+def _odd_legs(word, parity) -> int:
+    """Bit j set when leg j of word is odd."""
+    mask = 0
+    for j, i in enumerate(word):
+        if parity[i]:
+            mask |= 1 << j
+    return mask
+
+
+def _odd_prefix(word, parity) -> int:
+    """Bit j set when an odd number of the legs left of leg j are odd."""
+    mask = odd = 0
+    for j, i in enumerate(word):
+        if odd:
+            mask |= 1 << j
+        odd ^= parity[i]
+    return mask
+
+
 def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Graded product in H^(tensor n); see the module docstring for the sign."""
+    """Graded product in H^(tensor n); see the module docstring for the sign.
+
+    The exponent for words x and y is the number of legs j where x_j is odd
+    and an odd number of y-legs lie left of j: the common bits of
+    ``_odd_legs(x)`` and ``_odd_prefix(y)``.  Over a monomial table a pair of
+    words gives one word by lookup and costs one scalar product, its sign
+    adding the table's -1 entries; any other table expands the precomputed
+    rows leg by leg.
+    """
     x._require_same_shape(y)
     alg = x.algebra
     par = alg.parity
-    n = x.arity
+    targets = alg.monomial_targets
     out = {}
-    for wy, cy in y.terms.items():
-        # prefix[j] = number of odd y-legs strictly left of j, mod 2
-        prefix = []
-        acc = 0
-        for i in range(n):
-            prefix.append(acc)
-            acc ^= par[wy[i]]
-        for wx, cx in x.terms.items():
-            sign = 0
-            for j in range(n):
-                if par[wx[j]]:
-                    sign ^= prefix[j]
-            coeff = -cx * cy if sign else cx * cy
-            partial = [((), coeff)]
-            for i in range(n):
-                row = alg.product(wx[i], wy[i])
-                if not row:
-                    partial = []
-                    break
-                partial = [
-                    (w + (k,), c * ck) for (w, c) in partial for k, ck in row.items()
-                ]
-            for w, c in partial:
+    if targets is not None:
+        signs = alg.monomial_signs
+        xs = [
+            (
+                tuple(map(targets.__getitem__, wx)),
+                signs and tuple(map(signs.__getitem__, wx)),
+                _odd_legs(wx, par),
+                cx,
+            )
+            for wx, cx in x.terms.items()
+        ]
+        for wy, cy in y.terms.items():
+            prefix = _odd_prefix(wy, par)
+            for rows, negated, odd, cx in xs:
+                w = tuple(map(getitem, rows, wy))
+                if None in w:
+                    continue
+                flips = (odd & prefix).bit_count()
+                if negated:
+                    flips += sum(map(getitem, negated, wy))
+                c = -cx * cy if flips & 1 else cx * cy
                 out[w] = out[w] + c if w in out else c
-    return TensorElement(alg, n, out)
+    else:
+        rows = alg.product_rows
+        xs = [(wx, _odd_legs(wx, par), cx) for wx, cx in x.terms.items()]
+        for wy, cy in y.terms.items():
+            prefix = _odd_prefix(wy, par)
+            for wx, odd, cx in xs:
+                partial = [((), -cx * cy if (odd & prefix).bit_count() & 1 else cx * cy)]
+                for i, j in zip(wx, wy):
+                    partial = [(w + (k,), c * ck) for w, c in partial for k, ck in rows[i][j]]
+                for w, c in partial:
+                    out[w] = out[w] + c if w in out else c
+    return TensorElement._from_terms(alg, x.arity, out)
+
+
+def linear_combination(algebra: GradedAlgebra, arity: int, pairs) -> TensorElement:
+    """The sum of scalar * x over the (x, scalar) pairs, added term by term
+    into one dict rather than through a new element per partial sum."""
+    out = {}
+    for x, scalar in pairs:
+        for w, c in x.terms.items():
+            v = c * scalar
+            out[w] = out[w] + v if w in out else v
+    return TensorElement._from_terms(algebra, arity, out)
 
 
 def permute_legs(x: TensorElement, word) -> TensorElement:
@@ -269,7 +351,7 @@ def permute_legs(x: TensorElement, word) -> TensorElement:
                     sign ^= 1
         new_word = tuple(w[word[p]] for p in range(n))
         out[new_word] = -c if sign else c
-    return TensorElement(x.algebra, n, out)
+    return TensorElement._from_terms(x.algebra, n, out)
 
 
 def interleave_sign(x_word, y_word, x_parity, y_parity) -> int:
@@ -302,7 +384,7 @@ def interleave(x: TensorElement, y: TensorElement, algebra: GradedAlgebra) -> Te
                 c = -c
             key = tuple(i * db + j for i, j in zip(wx, wy))
             out[key] = out[key] + c if key in out else c
-    return TensorElement(algebra, x.arity, out)
+    return TensorElement._from_terms(algebra, x.arity, out)
 
 
 def embed_legs(x: TensorElement, positions, arity: int) -> TensorElement:
@@ -330,7 +412,7 @@ def embed_legs(x: TensorElement, positions, arity: int) -> TensorElement:
                 coeff = coeff * ck
             key = tuple(new_word)
             out[key] = out[key] + coeff if key in out else coeff
-    return TensorElement(alg, arity, out)
+    return TensorElement._from_terms(alg, arity, out)
 
 
 def outer(*elements) -> TensorElement:
@@ -347,7 +429,7 @@ def outer(*elements) -> TensorElement:
             w + w2: c * c2 for w, c in terms.items() for w2, c2 in el.terms.items()
         }
         arity += el.arity
-    return TensorElement(alg, arity, terms)
+    return TensorElement._from_terms(alg, arity, terms)
 
 
 class StructureMap:
@@ -423,7 +505,7 @@ def apply_map_legs(x: TensorElement, leg: int, f: StructureMap) -> TensorElement
             key = w[:leg] + iw + w[leg + 1 :]
             coeff = c * ic
             out[key] = out[key] + coeff if key in out else coeff
-    return TensorElement(x.algebra, x.arity - 1 + f.out_arity, out)
+    return TensorElement._from_terms(x.algebra, x.arity - 1 + f.out_arity, out)
 
 
 def multiply_adjacent_legs(x: TensorElement, leg: int) -> TensorElement:
@@ -432,14 +514,14 @@ def multiply_adjacent_legs(x: TensorElement, leg: int) -> TensorElement:
     if not 0 <= leg < x.arity - 1:
         raise AlgebraError(f"cannot contract legs ({leg}, {leg + 1})")
     alg = x.algebra
+    rows = alg.product_rows
     out = {}
     for w, c in x.terms.items():
-        row = alg.product(w[leg], w[leg + 1])
-        for k, ck in row.items():
+        for k, ck in rows[w[leg]][w[leg + 1]]:
             key = w[:leg] + (k,) + w[leg + 2 :]
             coeff = c * ck
             out[key] = out[key] + coeff if key in out else coeff
-    return TensorElement(alg, x.arity - 1, out)
+    return TensorElement._from_terms(alg, x.arity - 1, out)
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -534,7 +616,7 @@ def invert_tensor_element(x: TensorElement) -> TensorElement:
         f = c * scale
         for w, v in p.terms.items():
             terms[w] = terms[w] + f * v if w in terms else f * v
-    inverse = TensorElement(alg, n, terms)
+    inverse = TensorElement._from_terms(alg, n, terms)
     if tensor_multiply(x, inverse) != unit:
         raise SingularError("element has a left inverse but no right inverse")
     return inverse
@@ -558,7 +640,7 @@ def invert_structure_map(f: StructureMap) -> StructureMap:
     except SingularError:
         raise SingularError("structure map is singular")
     images = [
-        TensorElement(alg, 1, {(j,): inv[j][i] for j in range(d) if inv[j][i] != 0})
+        TensorElement._from_terms(alg, 1, {(j,): inv[j][i] for j in range(d)})
         for i in range(d)
     ]
     return StructureMap(alg, 1, images)

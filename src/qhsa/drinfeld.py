@@ -17,6 +17,7 @@ from .algebra import (
     TensorElement,
     apply_map_legs,
     embed_legs,
+    linear_combination,
     multiply_adjacent_legs,
     outer,
     permute_legs,
@@ -113,39 +114,50 @@ def compute_gamma_bar(H: QhsaStructure) -> TensorElement:
 
 def _absorb_gamma(H, gamma, a):
     """sum over Delta(a): (S (x) S)Delta^T(a_1) * gamma * Delta(a_2)."""
-    acc = TensorElement.zero(H.algebra, 2)
-    for (j, k), c in H.delta.images[a].terms.items():
-        term = H.ss_delta_t.images[j] * gamma * H.delta.images[k]
-        acc = acc + term.scaled(c)
-    return acc
+    return linear_combination(
+        H.algebra,
+        2,
+        (
+            (H.ss_delta_t.images[j] * gamma * H.delta.images[k], c)
+            for (j, k), c in H.delta.images[a].terms.items()
+        ),
+    )
 
 
 def _absorb_gamma_bar(H, gamma_bar, a):
     """sum over Delta(a): Delta(a_1) * gamma-bar * (S (x) S)Delta^T(a_2)."""
-    acc = TensorElement.zero(H.algebra, 2)
-    for (j, k), c in H.delta.images[a].terms.items():
-        term = H.delta.images[j] * gamma_bar * H.ss_delta_t.images[k]
-        acc = acc + term.scaled(c)
-    return acc
+    return linear_combination(
+        H.algebra,
+        2,
+        (
+            (H.delta.images[j] * gamma_bar * H.ss_delta_t.images[k], c)
+            for (j, k), c in H.delta.images[a].terms.items()
+        ),
+    )
 
 
 def _f_d_element(H: QhsaStructure, gamma: TensorElement) -> TensorElement:
     """F_D = sum over Phi of (S (x) S)Delta^T(X) * gamma * Delta(Y beta S(Z))."""
-    acc = TensorElement.zero(H.algebra, 2)
-    for (x, y, z), c in H.phi.terms.items():
-        h = H.basis(y) * H.beta * H.s_of(H.basis(z))
-        acc = acc + (H.ss_delta_t.images[x] * gamma * H.coproduct(h)).scaled(c)
-    return acc
+    s = H.antipode.images
+
+    def terms():
+        for (x, y, z), c in H.phi.terms.items():
+            h = H.basis(y) * H.beta * s[z]
+            yield H.ss_delta_t.images[x] * gamma * H.coproduct(h), c
+
+    return linear_combination(H.algebra, 2, terms())
 
 
 def _f_d_inverse_element(H: QhsaStructure, gamma_bar: TensorElement) -> TensorElement:
     """F_D^{-1} = sum over Phi^{-1} of Delta(Xbar) * gamma-bar * Delta'(S(Ybar) alpha Zbar)."""
-    acc = TensorElement.zero(H.algebra, 2)
-    for (x, y, z), c in H.phi_inv.terms.items():
-        h = H.s_of(H.basis(y)) * H.alpha * H.basis(z)
-        term = H.delta.images[x] * gamma_bar * apply_map_legs(h, 0, H.delta_prime)
-        acc = acc + term.scaled(c)
-    return acc
+    s = H.antipode.images
+
+    def terms():
+        for (x, y, z), c in H.phi_inv.terms.items():
+            h = s[y] * H.alpha * H.basis(z)
+            yield H.delta.images[x] * gamma_bar * apply_map_legs(h, 0, H.delta_prime), c
+
+    return linear_combination(H.algebra, 2, terms())
 
 
 def compute_drinfeld_twist(H: QhsaStructure) -> DrinfeldData:
@@ -173,19 +185,25 @@ def compute_drinfeld_twist(H: QhsaStructure) -> DrinfeldData:
 def check_alt_expressions(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     """The alternative closed forms for F_D and F_D^{-1}."""
     report = CheckReport()
-    acc = TensorElement.zero(H.algebra, 2)
-    for (x, y, z), c in H.phi_inv.terms.items():
-        h = H.basis(x) * H.beta * H.s_of(H.basis(y))
-        term = apply_map_legs(h, 0, H.delta_prime) * D.gamma * H.delta.images[z]
-        acc = acc + term.scaled(c)
-    expect_equal(report, "altexpr.fd", acc, D.f_d)
+    s = H.antipode.images
 
-    acc = TensorElement.zero(H.algebra, 2)
-    for (x, y, z), c in H.phi.terms.items():
-        h = H.s_of(H.basis(x)) * H.alpha * H.basis(y)
-        term = H.coproduct(h) * D.gamma_bar * H.ss_delta_t.images[z]
-        acc = acc + term.scaled(c)
-    expect_equal(report, "altexpr.fd-inverse", acc, D.f_d_inverse)
+    def fd_terms():
+        for (x, y, z), c in H.phi_inv.terms.items():
+            h = H.basis(x) * H.beta * s[y]
+            yield apply_map_legs(h, 0, H.delta_prime) * D.gamma * H.delta.images[z], c
+
+    def fd_inverse_terms():
+        for (x, y, z), c in H.phi.terms.items():
+            h = s[x] * H.alpha * H.basis(y)
+            yield H.coproduct(h) * D.gamma_bar * H.ss_delta_t.images[z], c
+
+    expect_equal(report, "altexpr.fd", linear_combination(H.algebra, 2, fd_terms()), D.f_d)
+    expect_equal(
+        report,
+        "altexpr.fd-inverse",
+        linear_combination(H.algebra, 2, fd_inverse_terms()),
+        D.f_d_inverse,
+    )
     return report
 
 

@@ -22,6 +22,7 @@ from .algebra import (
     embed_legs,
     invert_structure_map,
     invert_tensor_element,
+    linear_combination,
     multiply_adjacent_legs,
     outer,
     permute_legs,
@@ -115,6 +116,16 @@ class QhsaStructure:
         return StructureMap(self.algebra, 2, images)
 
     @cached_property
+    def one_alpha(self) -> TensorElement:
+        """1 (x) alpha, the left factor of m_alpha_s."""
+        return outer(self.unit(1), self.alpha)
+
+    @cached_property
+    def one_beta(self) -> TensorElement:
+        """1 (x) beta, the left factor of m_beta_s."""
+        return outer(self.unit(1), self.beta)
+
+    @cached_property
     def eps_alpha(self):
         return self.eps_of(self.alpha)
 
@@ -135,14 +146,14 @@ class QhsaStructure:
 def m_alpha_s(H: QhsaStructure, x: TensorElement) -> TensorElement:
     """m . (1 (x) alpha)(S (x) 1) applied to an arity-2 element."""
     z = apply_map_legs(x, 0, H.antipode)
-    z = outer(H.unit(1), H.alpha) * z
+    z = H.one_alpha * z
     return multiply_adjacent_legs(z, 0)
 
 
 def m_beta_s(H: QhsaStructure, x: TensorElement) -> TensorElement:
     """m . (1 (x) beta)(1 (x) S) applied to an arity-2 element."""
     z = apply_map_legs(x, 1, H.antipode)
-    z = outer(H.unit(1), H.beta) * z
+    z = H.one_beta * z
     return multiply_adjacent_legs(z, 0)
 
 
@@ -542,17 +553,13 @@ def _sweedler3_right(H, a: TensorElement):
 
 def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
     """Both sides of one of the four exchange identities, evaluated term by
-    term exactly as printed, explicit sign factors included."""
+    term exactly as printed, explicit sign factors included.  Each side is
+    one linear_combination of its terms; s[i] is the stored image S(e_i)."""
     alg = H.algebra
     par = alg.parity
-    S = H.antipode
-    zero2 = TensorElement.zero(alg, 2)
+    e = [H.basis(i) for i in range(alg.dimension)]
+    s = H.antipode.images
 
-    def s_elem(x):
-        return apply_map_legs(x, 0, S)
-
-    lhs = zero2
-    rhs = zero2
     if which in ("11i", "11ii"):
         words = H.phi.terms
         sweedler = _sweedler3_left(H, a) if which == "11i" else _sweedler3_right(H, a)
@@ -560,56 +567,46 @@ def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
         words = H.phi_inv.terms
         sweedler = _sweedler3_left(H, a) if which == "11iii" else _sweedler3_right(H, a)
 
+    lhs = []  # (term, coefficient) pairs of each side
+    rhs = []
     for (x, y, z), c in words.items():
         if which == "11i":
-            ybsz = H.basis(y) * H.beta * s_elem(H.basis(z))
+            ybsz = e[y] * H.beta * s[z]
             for (w,), ca in a.terms.items():
                 sign = -1 if par[w] and par[x] else 1
-                lhs = lhs + outer(H.basis(x) * H.basis(w), ybsz).scaled(c * ca * sign)
+                lhs.append((outer(e[x] * e[w], ybsz), c * ca * sign))
             for (u1, u2, u3), cu in sweedler.terms.items():
                 sign = -1 if par[x] and par[u2] else 1
-                term = outer(
-                    H.basis(u1) * H.basis(x),
-                    H.basis(u2) * ybsz * s_elem(H.basis(u3)),
-                )
-                rhs = rhs + term.scaled(c * cu * sign)
+                term = outer(e[u1] * e[x], e[u2] * ybsz * s[u3])
+                rhs.append((term, c * cu * sign))
         elif which == "11ii":
-            sxay = s_elem(H.basis(x)) * H.alpha * H.basis(y)
+            sxay = s[x] * H.alpha * e[y]
             for (w,), ca in a.terms.items():
                 sign = -1 if par[w] and par[z] else 1
-                lhs = lhs + outer(sxay, H.basis(w) * H.basis(z)).scaled(c * ca * sign)
+                lhs.append((outer(sxay, e[w] * e[z]), c * ca * sign))
             for (u1, u2, u3), cu in sweedler.terms.items():
                 sign = -1 if par[z] and par[u2] else 1
-                term = outer(
-                    s_elem(H.basis(u1)) * sxay * H.basis(u2),
-                    H.basis(z) * H.basis(u3),
-                )
-                rhs = rhs + term.scaled(c * cu * sign)
+                term = outer(s[u1] * sxay * e[u2], e[z] * e[u3])
+                rhs.append((term, c * cu * sign))
         elif which == "11iii":
-            syaz = s_elem(H.basis(y)) * H.alpha * H.basis(z)
+            syaz = s[y] * H.alpha * e[z]
             for (w,), ca in a.terms.items():
-                lhs = lhs + outer(H.basis(w) * H.basis(x), syaz).scaled(c * ca)
+                lhs.append((outer(e[w] * e[x], syaz), c * ca))
             for (u1, u2, u3), cu in sweedler.terms.items():
                 sign = -1 if par[x] and (par[u1] + par[u2]) % 2 else 1
-                term = outer(
-                    H.basis(x) * H.basis(u1),
-                    s_elem(H.basis(u2)) * syaz * H.basis(u3),
-                )
-                rhs = rhs + term.scaled(c * cu * sign)
+                term = outer(e[x] * e[u1], s[u2] * syaz * e[u3])
+                rhs.append((term, c * cu * sign))
         elif which == "11iv":
-            xbsy = H.basis(x) * H.beta * s_elem(H.basis(y))
+            xbsy = e[x] * H.beta * s[y]
             for (w,), ca in a.terms.items():
-                lhs = lhs + outer(xbsy, H.basis(z) * H.basis(w)).scaled(c * ca)
+                lhs.append((outer(xbsy, e[z] * e[w]), c * ca))
             for (u1, u2, u3), cu in sweedler.terms.items():
                 sign = -1 if par[z] and (par[u2] + par[u3]) % 2 else 1
-                term = outer(
-                    H.basis(u1) * xbsy * s_elem(H.basis(u2)),
-                    H.basis(u3) * H.basis(z),
-                )
-                rhs = rhs + term.scaled(c * cu * sign)
+                term = outer(e[u1] * xbsy * s[u2], e[u3] * e[z])
+                rhs.append((term, c * cu * sign))
         else:
             raise AlgebraError(f"unknown identity {which!r}")
-    return lhs, rhs
+    return linear_combination(alg, 2, lhs), linear_combination(alg, 2, rhs)
 
 
 def check_lemma11(H: QhsaStructure) -> CheckReport:

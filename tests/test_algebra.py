@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qhsa import algebra
 from qhsa.algebra import (
     AlgebraError,
+    GradedAlgebra,
     SingularError,
     TensorElement,
     apply_map_legs,
@@ -17,13 +18,14 @@ from qhsa.algebra import (
     interleave,
     invert_structure_map,
     invert_tensor_element,
+    linear_combination,
     multiply_adjacent_legs,
     outer,
     permute_legs,
     solve_linear_system,
 )
 from qhsa.fixtures import build_structure, ext_broken_grading
-from qhsa.scalars import Cyclotomic
+from qhsa.scalars import Cyclotomic, FieldSpec
 from qhsa.structure import validate_algebra
 from qhsa.transforms import tensor_product_structure
 
@@ -75,6 +77,128 @@ def test_multiply_shape_errors(ext, h2):
         ext.unit(2) * ext.unit(3)
     with pytest.raises(AlgebraError):
         ext.unit(2) * h2.unit(2)
+
+
+def oracle_multiply(x, y):
+    """Reference kernel, the product as first written: every pair of words
+    expands alg.product leg by leg, whatever the table looks like."""
+    alg = x.algebra
+    par = alg.parity
+    n = x.arity
+    out = {}
+    for wy, cy in y.terms.items():
+        # prefix[j] = number of odd y-legs strictly left of j, mod 2
+        prefix = []
+        acc = 0
+        for i in range(n):
+            prefix.append(acc)
+            acc ^= par[wy[i]]
+        for wx, cx in x.terms.items():
+            sign = 0
+            for j in range(n):
+                if par[wx[j]]:
+                    sign ^= prefix[j]
+            coeff = -cx * cy if sign else cx * cy
+            partial = [((), coeff)]
+            for i in range(n):
+                row = alg.product(wx[i], wy[i])
+                if not row:
+                    partial = []
+                    break
+                partial = [
+                    (w + (k,), c * ck) for (w, c) in partial for k, ck in row.items()
+                ]
+            for w, c in partial:
+                out[w] = out[w] + c if w in out else c
+    return TensorElement(alg, n, out)
+
+
+def _rational_algebra(parity, unit, table):
+    field = FieldSpec.rational()
+    mult = {pair: {k: field.from_int(c) for k, c in row.items()} for pair, row in table.items()}
+    return GradedAlgebra(len(parity), parity, [field.from_int(u) for u in unit], mult, field)
+
+
+SMALL_ALGEBRAS = {
+    # k[Z2] in the basis {1, g}
+    "kz2": ((0, 0), (1, 0), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}),
+    # k[Z2] in the basis {1, 2g}: (2g)(2g) = 4 * 1
+    "kz2-2g": ((0, 0), (1, 0), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 4}}),
+    # k[Z2] in the basis {g, 1 + g}: g g = (1 + g) - g, a row with two terms
+    "kz2-g-1g": (
+        (0, 0),
+        (-1, 1),
+        {(0, 0): {1: 1, 0: -1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 2}},
+    ),
+    # the Clifford superalgebra Cl_1: theta odd, theta theta = 2 * 1
+    "cl1": ((0, 1), (1, 0), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 2}}),
+    # Cl_1 with theta theta = -1: monomial, with a -1 entry
+    "cl1-minus": (
+        (0, 1),
+        (1, 0),
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}},
+    ),
+}
+MONOMIAL_ALGEBRAS = ("h2", "ext", "kz2", "h2ext", "ext-ext", "cl1-minus")
+# (1 (x) theta)(theta (x) 1) = -(theta (x) theta) puts a -1 into ext (x) ext
+SIGNED_ALGEBRAS = ("ext-ext", "cl1-minus")
+GENERAL_ALGEBRAS = ("kz2-2g", "kz2-g-1g", "cl1")
+
+
+@cache
+def kernel_algebra(name):
+    if name in SMALL_ALGEBRAS:
+        return _rational_algebra(*SMALL_ALGEBRAS[name])
+    if name == "ext-ext":
+        return tensor_product_structure(_structure("ext"), _structure("ext")).algebra
+    return _structure(name).algebra
+
+
+@pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
+def test_kernel_path_follows_the_table(name):
+    alg = kernel_algebra(name)
+    assert validate_algebra(alg).ok
+    assert (alg.monomial_targets is not None) == (name in MONOMIAL_ALGEBRAS)
+    assert (alg.monomial_signs is not None) == (name in SIGNED_ALGEBRAS)
+
+
+@st.composite
+def kernel_operands(draw, alg):
+    n = draw(st.integers(1, 4))
+    word = st.tuples(*[st.integers(0, alg.dimension - 1)] * n)
+    terms = st.dictionaries(word, st.integers(-3, 3), max_size=5)
+    field = alg.field
+    return tuple(
+        TensorElement(alg, n, {w: field.from_int(c) for w, c in draw(terms).items()})
+        for _ in range(2)
+    )
+
+
+@pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_the_reference_product(name, data):
+    alg = kernel_algebra(name)
+    x, y = data.draw(kernel_operands(alg))
+    product = x * y
+    assert product == oracle_multiply(x, y)
+    assert all(c != 0 for c in product.terms.values())
+    assert TensorElement(alg, x.arity, product.terms) == product
+
+
+def test_cancelled_words_leave_the_product(ext):
+    # (1 (x) theta)(theta (x) 1) = -(theta (x) theta) cancels (theta (x) 1)(1 (x) theta)
+    x = elem(ext, 2, {(0, 1): 1, (1, 0): 1})
+    assert (x * x).terms == {}
+
+
+def test_linear_combination_sums_in_one_dict(h2ext):
+    x = elem(h2ext, 2, {(0, 1): 1, (1, 3): 2})
+    y = elem(h2ext, 2, {(0, 1): 3, (2, 2): -1})
+    total = linear_combination(h2ext.algebra, 2, [(x, 2), (y, -1), (x, -2)])
+    assert total == -y and total == x.scaled(2) - y - x.scaled(2)
+    assert linear_combination(h2ext.algebra, 2, [(x, 1), (x, -1)]).terms == {}
+    assert linear_combination(h2ext.algebra, 3, []) == TensorElement.zero(h2ext.algebra, 3)
 
 
 # -- leg permutation ---------------------------------------------------------------

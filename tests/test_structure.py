@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+import qhsa.structure
 from qhsa.algebra import GradedAlgebra, StructureMap
 from qhsa.fixtures import (
     build_structure,
@@ -244,6 +245,23 @@ def test_eta_lemma_examples(h2, ext):
     theta = elem(ext, 1, {(1,): 1})
     da = ext.coproduct(theta)
     assert m_alpha_s(ext, da * eta).is_zero()
+
+
+def test_eta_builds_its_constants_once_per_structure(monkeypatch):
+    H = build_structure("h2ext")  # fresh, so nothing is cached yet
+    calls = []
+    original = qhsa.structure.outer
+
+    def counting(*elements):
+        calls.append(len(elements))
+        return original(*elements)
+
+    monkeypatch.setattr(qhsa.structure, "outer", counting)
+    assert check_eta_lemma(H).ok
+    # 1 (x) alpha and 1 (x) beta, not one of each for every (a, i, j): 2 d^3 = 128
+    assert calls == [2, 2]
+    assert check_eta_lemma(H).ok
+    assert calls == [2, 2]
 
 
 # -- metatheorems ------------------------------------------------------------------------
