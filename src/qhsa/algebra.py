@@ -360,12 +360,7 @@ def interleave_sign(x_word, y_word, x_parity, y_parity) -> int:
     Each y_i moves right past x_j for every j > i, so the exponent is the sum
     over i < j of parity(y_i)*parity(x_j), the same one tensor_multiply uses.
     """
-    sign = odd_y = 0
-    for a, b in zip(x_word, y_word):
-        if x_parity[a]:
-            sign ^= odd_y
-        odd_y ^= y_parity[b]
-    return sign
+    return (_odd_legs(x_word, x_parity) & _odd_prefix(y_word, y_parity)).bit_count() & 1
 
 
 def interleave(x: TensorElement, y: TensorElement, algebra: GradedAlgebra) -> TensorElement:
@@ -452,9 +447,6 @@ class StructureMap:
         self.algebra = algebra
         self.out_arity = out_arity
         self.images = images
-
-    def image(self, i: int) -> TensorElement:
-        return self.images[i]
 
     def __call__(self, x: TensorElement) -> TensorElement:
         if x.arity != 1:

@@ -22,10 +22,9 @@ from . import __version__
 from .algebra import AlgebraError, SingularError
 from .documents import (
     DocumentError,
-    document_to_structure,
     document_to_twistor,
     format_report_text,
-    parse_structure_document,
+    load_structure,
     parse_twistor_document,
     report_document,
     serialize_report,
@@ -72,11 +71,6 @@ def _read(path: str) -> str:
     return resolve_input(path).read_text(encoding="utf-8")
 
 
-def _load_structure(path: str):
-    doc = parse_structure_document(_read(path))
-    return doc.name, document_to_structure(doc)
-
-
 def _emit(args, text: str):
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -104,26 +98,26 @@ def _parse_suites(value):
 
 
 def cmd_validate(args) -> int:
-    name, H = _load_structure(args.path)
+    name, H = load_structure(_read(args.path))
     results = run_suites(H, VALIDATION_SUITES)
     return _emit_report(args, name, results)
 
 
 def cmd_check(args) -> int:
-    name, H = _load_structure(args.path)
+    name, H = load_structure(_read(args.path))
     names = _parse_suites(args.suites) or list(DEFAULT_SUITE_NAMES)
     results = run_suites(H, names)
     return _emit_report(args, name, results)
 
 
 def cmd_transform(args) -> int:
-    name, H = _load_structure(args.path)
+    name, H = load_structure(_read(args.path))
     if args.kind == "twist":
         if not args.twistor:
             raise DocumentError("transform twist needs --twistor")
         tdoc = parse_twistor_document(_read(args.twistor))
         twistor = document_to_twistor(tdoc, H)
-        twistor_report = check_twistor(H, twistor.element)
+        twistor_report = check_twistor(H, twistor)
         if not twistor_report.ok:
             sys.stderr.write("invalid twistor: " + ", ".join(twistor_report.failed_ids()) + "\n")
             return EXIT_CHECK_FAILED
@@ -135,7 +129,7 @@ def cmd_transform(args) -> int:
     elif args.kind == "tensor":
         if not args.other:
             raise DocumentError("transform tensor needs --other")
-        _, B = _load_structure(args.other)
+        _, B = load_structure(_read(args.other))
         out = tensor_product_structure(H, B)
     else:  # pragma: no cover - argparse restricts choices
         raise DocumentError(f"unknown transform {args.kind!r}")
@@ -149,7 +143,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_drinfeld(args) -> int:
-    name, H = _load_structure(args.path)
+    name, H = load_structure(_read(args.path))
     base = run_suites(H)
     base_doc = report_document(name, base, __version__)
     if base_doc["overall"] != "pass":

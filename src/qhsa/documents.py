@@ -5,6 +5,13 @@ fixed key order, index tuples sorted lexicographically, scalars in their
 canonical text encoding, two-space indentation, trailing newline.  Parsing a
 canonical document and serializing it again reproduces it byte for byte.
 
+A structure is read by ``load_structure``: ``parse_structure_document``
+checks the text into a ``StructureDocument`` and ``document_to_structure``
+builds the ``QhsaStructure`` from it.  ``serialize_structure`` writes a
+structure straight from its tables and elements, with no document in between.
+Indices, parities and the dimension are JSON integers; ``true`` and ``false``
+are refused.
+
 Layout of a ``.qhsa`` structure document::
 
     name       str
@@ -119,6 +126,11 @@ def _parse_scalar_vector(field, data, length, key):
     return tuple(_parse_scalar(field, v, f"{key}[{i}]") for i, v in enumerate(data))
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bools, which are ints equal to 1 and 0
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_sparse(field, data, index_count, dimension, key):
     if not isinstance(data, list):
         raise DocumentError(f"{key} must be a list of index tuples")
@@ -130,10 +142,10 @@ def _parse_sparse(field, data, index_count, dimension, key):
             raise DocumentError(f"{where}: expected {index_count} indices and a scalar")
         indices = row[:index_count]
         for i in indices:
-            if not isinstance(i, int) or not 0 <= i < dimension:
-                raise DocumentError(
-                    f"{where}: index {i} out of range (dimension {dimension})"
-                )
+            if not _is_int(i):
+                raise DocumentError(f"{where}: index {json.dumps(i)} is not an integer")
+            if not 0 <= i < dimension:
+                raise DocumentError(f"{where}: index {i} out of range (dimension {dimension})")
         word = tuple(indices)
         if word in seen:
             raise DocumentError(f"{where}: duplicate index tuple {word}")
@@ -143,8 +155,7 @@ def _parse_sparse(field, data, index_count, dimension, key):
 
 
 def _parse_dimension(value) -> int:
-    # a JSON true is a Python bool, which is an int equal to 1
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _is_int(value) or value < 1:
         raise DocumentError("dimension must be a positive integer")
     return value
 
@@ -163,7 +174,7 @@ def parse_structure_document(text: str) -> StructureDocument:
     if (
         not isinstance(parity, list)
         or len(parity) != dim
-        or any(p not in (0, 1) for p in parity)
+        or any(not _is_int(p) or p not in (0, 1) for p in parity)
     ):
         raise DocumentError(f"parity must be a 0/1 list of length {dim}")
     return StructureDocument(
@@ -248,45 +259,6 @@ def document_to_structure(doc: StructureDocument) -> QhsaStructure:
     return QhsaStructure(algebra, delta, epsilon, antipode, phi, alpha, beta, r)
 
 
-def structure_to_document(name: str, H: QhsaStructure) -> StructureDocument:
-    alg = H.algebra
-    mult = []
-    for (i, j), row in alg.mult.items():
-        for k, c in row.items():
-            mult.append((i, j, k, c))
-    delta = []
-    for i, img in enumerate(H.delta.images):
-        for (j, k), c in img.terms.items():
-            delta.append((i, j, k, c))
-    antipode = []
-    for i, img in enumerate(H.antipode.images):
-        for (j,), c in img.terms.items():
-            antipode.append((i, j, c))
-    epsilon = tuple(img.scalar_value() for img in H.epsilon.images)
-    zero = alg.field.zero()
-    alpha = tuple(H.alpha.terms.get((i,), zero) for i in range(alg.dimension))
-    beta = tuple(H.beta.terms.get((i,), zero) for i in range(alg.dimension))
-    phi = tuple(sorted(w + (c,) for w, c in H.phi.terms.items()))
-    r = None
-    if H.has_r:
-        r = tuple(sorted(w + (c,) for w, c in H.r_matrix.terms.items()))
-    return StructureDocument(
-        name=name,
-        field=alg.field,
-        dimension=alg.dimension,
-        parity=alg.parity,
-        unit=alg.unit,
-        mult=tuple(sorted(mult, key=lambda r_: r_[:3])),
-        delta=tuple(sorted(delta, key=lambda r_: r_[:3])),
-        epsilon=epsilon,
-        antipode=tuple(sorted(antipode, key=lambda r_: r_[:2])),
-        phi=phi,
-        alpha=alpha,
-        beta=beta,
-        r=r,
-    )
-
-
 def twistor_to_document(name: str, H: QhsaStructure, F: Twistor, normalization=None) -> TwistorDocument:
     field = H.algebra.field
     norm = None
@@ -342,27 +314,6 @@ def _canonical_json(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_structure_document(doc: StructureDocument) -> str:
-    field = doc.field
-    data = {
-        "name": doc.name,
-        "field": field.to_json(),
-        "dimension": doc.dimension,
-        "parity": list(doc.parity),
-        "unit": [field.format(c) for c in doc.unit],
-        "mult": _sparse_json(field, doc.mult),
-        "delta": _sparse_json(field, doc.delta),
-        "epsilon": [field.format(c) for c in doc.epsilon],
-        "antipode": _sparse_json(field, doc.antipode),
-        "phi": _sparse_json(field, doc.phi),
-        "alpha": [field.format(c) for c in doc.alpha],
-        "beta": [field.format(c) for c in doc.beta],
-    }
-    if doc.r is not None:
-        data["r"] = _sparse_json(field, doc.r)
-    return _canonical_json(data)
-
-
 def serialize_twistor_document(doc: TwistorDocument) -> str:
     field = doc.field
     data = {
@@ -382,7 +333,39 @@ def serialize_twistor_document(doc: TwistorDocument) -> str:
 
 
 def serialize_structure(name: str, H: QhsaStructure) -> str:
-    return serialize_structure_document(structure_to_document(name, H))
+    """The canonical document of H, read straight from its tables and elements."""
+    alg = H.algebra
+    field = alg.field
+    fmt = field.format
+
+    def sparse(terms):  # (word, scalar) pairs -> rows sorted by word
+        return _sparse_json(field, sorted(w + (c,) for w, c in terms))
+
+    def images(f):  # rows (i, *word, scalar) over the images of the basis
+        return sparse(
+            ((i,) + w, c) for i, img in enumerate(f.images) for w, c in img.terms.items()
+        )
+
+    def vector(x):
+        return [fmt(x.terms.get((i,), field.zero())) for i in range(alg.dimension)]
+
+    data = {
+        "name": name,
+        "field": field.to_json(),
+        "dimension": alg.dimension,
+        "parity": list(alg.parity),
+        "unit": [fmt(c) for c in alg.unit],
+        "mult": sparse(((i, j, k), c) for (i, j), row in alg.mult.items() for k, c in row.items()),
+        "delta": images(H.delta),
+        "epsilon": [fmt(img.scalar_value()) for img in H.epsilon.images],
+        "antipode": images(H.antipode),
+        "phi": sparse(H.phi.terms.items()),
+        "alpha": vector(H.alpha),
+        "beta": vector(H.beta),
+    }
+    if H.has_r:
+        data["r"] = sparse(H.r_matrix.terms.items())
+    return _canonical_json(data)
 
 
 def load_structure(text: str) -> tuple:

@@ -65,8 +65,9 @@ def trivial_structure(field=None) -> QhsaStructure:
     )
 
 
-def ext_structure(with_r=True, field=None) -> QhsaStructure:
-    """Exterior algebra on one odd theta: basis (1, theta), theta^2 = 0."""
+def ext_structure(field=None) -> QhsaStructure:
+    """Exterior algebra on one odd theta: basis (1, theta), theta^2 = 0, with
+    the R-matrix 1 (x) 1 + theta (x) theta."""
     field = field or FieldSpec.rational()
     one = field.one()
     alg = GradedAlgebra(
@@ -79,7 +80,6 @@ def ext_structure(with_r=True, field=None) -> QhsaStructure:
     delta = _map_from_rows(alg, 2, {0: {(0, 0): 1}, 1: {(1, 0): 1, (0, 1): 1}})
     epsilon = _map_from_rows(alg, 0, {0: {(): 1}, 1: {}})
     antipode = _map_from_rows(alg, 1, {0: {(0,): 1}, 1: {(1,): -1}})
-    r = _element(alg, 2, {(0, 0): 1, (1, 1): 1}) if with_r else None
     return QhsaStructure(
         alg,
         delta,
@@ -88,7 +88,7 @@ def ext_structure(with_r=True, field=None) -> QhsaStructure:
         _element(alg, 3, {(0, 0, 0): 1}),
         _element(alg, 1, {(0,): 1}),
         _element(alg, 1, {(0,): 1}),
-        r,
+        _element(alg, 2, {(0, 0): 1, (1, 1): 1}),
     )
 
 

@@ -37,8 +37,8 @@ class CheckReport:
     def add_pass(self, check_id, detail=None):
         self.entries.append(CheckEntry(check_id, "pass", detail=detail))
 
-    def add_fail(self, check_id, witness, detail=None):
-        self.entries.append(CheckEntry(check_id, "fail", witness=witness, detail=detail))
+    def add_fail(self, check_id, witness):
+        self.entries.append(CheckEntry(check_id, "fail", witness=witness))
 
     def add_skip(self, check_id, reason):
         self.entries.append(CheckEntry(check_id, "skipped", detail={"reason": reason}))
@@ -73,12 +73,12 @@ def difference_witness(lhs, rhs, basis=None) -> dict:
     return witness
 
 
-def expect_equal(report: CheckReport, check_id: str, lhs, rhs, basis=None) -> bool:
+def expect_equal(report: CheckReport, check_id: str, lhs, rhs) -> bool:
     """Record an exact element equality; on failure store the difference."""
     if lhs == rhs:
         report.add_pass(check_id)
         return True
-    report.add_fail(check_id, difference_witness(lhs, rhs, basis))
+    report.add_fail(check_id, difference_witness(lhs, rhs))
     return False
 
 

@@ -100,7 +100,7 @@ def test_criterion_1_axiom_suites():
     # the labeled cocycle negative: a valid twistor violating only eq.ccc
     h2ext = build_structure("h2ext")
     F = twistor_u11()
-    assert check_twistor(h2ext, F.element).ok
+    assert check_twistor(h2ext, F).ok
     report = check_cocycle(h2ext, F)
     assert report.entry("eq.ccc").status == "fail"
     assert report.entry("eq.ccc").witness["difference"]

@@ -548,6 +548,18 @@ def test_interleave_sign_matches_tensor_multiply(ext, tx, ty):
     assert interleave(x, one, product) * interleave(one, y, product) == interleave(x, y, product)
 
 
+def test_interleave_sign_is_the_koszul_sum():
+    # sum over i < j of |y_i||x_j|, for every pair of words up to length 4
+    x_parity, y_parity = (0, 1, 1), (1, 0)
+    for n in range(5):
+        for wx in itertools.product(range(3), repeat=n):
+            for wy in itertools.product(range(2), repeat=n):
+                total = sum(
+                    y_parity[wy[i]] * x_parity[wx[j]] for j in range(n) for i in range(j)
+                )
+                assert algebra.interleave_sign(wx, wy, x_parity, y_parity) == total % 2
+
+
 def test_outer_is_plain_placement(ext):
     theta = elem(ext, 1, {(1,): 1})
     assert outer(theta, theta) == elem(ext, 2, {(1, 1): 1})

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import qhsa.algebra
 import qhsa.drinfeld
+import qhsa.structure
+import qhsa.transforms
 from qhsa.cli import main
 from qhsa.scalars import MAX_CYCLOTOMIC_ORDER
 
@@ -180,6 +183,24 @@ def test_twist_rejects_invalid_twistor(tmp_path):
     assert not out.exists()
 
 
+def test_twist_inverts_only_the_twisted_coassociator(tmp_path, monkeypatch):
+    """The twistor document declares its inverse and ``check_twistor`` reuses
+    it, so the one inversion left is Phi of the twisted structure."""
+    original = qhsa.algebra.invert_tensor_element
+    arities = []
+
+    def counting(x):
+        arities.append(x.arity)
+        return original(x)
+
+    for module in (qhsa.algebra, qhsa.structure, qhsa.transforms):
+        monkeypatch.setattr(module, "invert_tensor_element", counting)
+    out = tmp_path / "h2ext-twisted.qhsa"
+    argv = ["transform", fx("h2ext.qhsa"), "twist", "--twistor", fx("f-u11.twist")]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert arities == [3]
+
+
 def test_tensor_transform_reproduces_h2ext(tmp_path):
     out = tmp_path / "product.qhsa"
     code = main(
@@ -213,7 +234,8 @@ def cyclotomic_field(order):
 # fixture, its text to replace, replacement.  h2 scalars are bare rationals,
 # which a cyclotomic document accepts, so only the field or the scalar is
 # hostile there.  A bool dimension needs a one-dimensional document: on h2 the
-# parity list of length 2 would reject it anyway.
+# parity list of length 2 would reject it anyway.  A JSON bool loads as a
+# Python int, so each bool row is a document the parser once accepted.
 HOSTILE_EDITS = {
     "bool-order": ("h2.qhsa", RATIONAL_FIELD, cyclotomic_field("true")),
     "order-over-cap": ("h2.qhsa", RATIONAL_FIELD, cyclotomic_field(MAX_CYCLOTOMIC_ORDER + 1)),
@@ -225,6 +247,9 @@ HOSTILE_EDITS = {
     "5000-digit-scalar": ("h2.qhsa", '"unit": ["1",', '"unit": ["1' + "0" * 4999 + '",'),
     "bool-dimension": ("trivial.qhsa", '"dimension": 1,', '"dimension": true,'),
     "bool-twistor-dimension": ("f-one.twist", '"dimension": 1,', '"dimension": true,'),
+    "bool-index": ("h2.qhsa", '[1, 1, 1, "1"]', '[true, true, 1, "1"]'),
+    "bool-parity": ("h2.qhsa", '"parity": [0, 0],', '"parity": [0, false],'),
+    "bool-twistor-index": ("f-one.twist", '[0, 0, "1"]', '[false, 0, "1"]'),
 }
 
 

@@ -10,26 +10,32 @@ from qhsa.documents import (
     parse_structure_document,
     parse_twistor_document,
     serialize_structure,
-    serialize_structure_document,
     serialize_twistor_document,
-    structure_to_document,
     twistor_to_document,
 )
 from qhsa.fixtures import (
     ALL_TWISTOR_NAMES,
+    NEGATIVE_FIXTURES,
     POSITIVE_FIXTURES,
     build_structure,
     build_twistor,
     twistor_e11,
 )
-from qhsa.transforms import twist_structure
+from qhsa.transforms import (
+    opposite_structure,
+    prime_structure,
+    tensor_product_structure,
+    twist_structure,
+)
 
 from conftest import structures_equal
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
 
+BUNDLED = POSITIVE_FIXTURES + tuple(NEGATIVE_FIXTURES)
 
-@pytest.mark.parametrize("name", POSITIVE_FIXTURES + ("h2-broken-pentagon", "h2-broken-antipode"))
+
+@pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_files_match_builders(name):
     on_disk = (FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8")
     regenerated = serialize_structure(name, build_structure(name))
@@ -44,20 +50,42 @@ def test_bundled_twistors_match_builders(tname):
     assert on_disk == serialize_twistor_document(twistor_to_document(tname, H, F))
 
 
-@pytest.mark.parametrize("name", POSITIVE_FIXTURES)
+# the bundled structures, their opposite and primed structures, the bundled
+# twists, and two graded tensor products
+ROUND_TRIP = (
+    BUNDLED
+    + tuple(f"opposite-{name}" for name in BUNDLED)
+    + tuple(f"prime-{name}" for name in BUNDLED)
+    + tuple(f"twist-{tname}" for tname in ALL_TWISTOR_NAMES)
+    + ("tensor-h2-ext", "tensor-ext-ext")
+)
+
+
+def _round_trip_structure(case):
+    if case in BUNDLED:
+        return build_structure(case)
+    kind, rest = case.split("-", 1)
+    if kind == "twist":
+        target, F = build_twistor(rest)
+        return twist_structure(build_structure(target), F)
+    if kind == "tensor":
+        a, b = rest.split("-")
+        return tensor_product_structure(build_structure(a), build_structure(b))
+    transform = {"opposite": opposite_structure, "prime": prime_structure}[kind]
+    return transform(build_structure(rest))
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
 def test_serialize_parse_round_trip_is_byte_stable(name):
-    text = (FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8")
-    doc = parse_structure_document(text)
-    assert serialize_structure_document(doc) == text
-    # and again through the structure layer
-    fixture_name, H = load_structure(text)
-    assert serialize_structure(fixture_name, H) == text
+    text = serialize_structure(name, _round_trip_structure(name))
+    loaded_name, H = load_structure(text)
+    assert loaded_name == name
+    assert serialize_structure(loaded_name, H) == text
 
 
 def test_parse_serialize_value_identity(h2):
-    doc = structure_to_document("h2", h2)
-    text = serialize_structure_document(doc)
-    assert parse_structure_document(text) == doc
+    written = parse_structure_document(serialize_structure("h2", h2))
+    assert written == parse_structure_document((FIXTURE_DIR / "h2.qhsa").read_text(encoding="utf-8"))
 
 
 def test_twisted_structure_survives_the_round_trip(h2):

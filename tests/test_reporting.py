@@ -62,4 +62,15 @@ def test_every_traced_name_resolves(monkeypatch):
         for module, function in names
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
+    # and the methods it patches in place, each defined on its own class
+    methods = [
+        ("qhsa.scalars", "Cyclotomic", "__mul__"),
+        ("qhsa.scalars", "Cyclotomic", "__rmul__"),
+        ("qhsa.scalars", "FieldSpec", "invert"),
+        ("qhsa.algebra", "TensorElement", "__init__"),
+    ]
+    for module, owner, attr in methods:
+        cls = getattr(importlib.import_module(module), owner, None)
+        if cls is None or not callable(vars(cls).get(attr)):
+            missing.append(f"{module}.{owner}.{attr}")
     assert not missing

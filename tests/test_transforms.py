@@ -44,18 +44,21 @@ def suites_ok(H):
 
 
 def test_theta_twistor_is_valid(ext):
-    assert check_twistor(ext, twistor_theta().element).ok
+    assert check_twistor(ext, twistor_theta()).ok
 
 
 def test_theta_squared_fails_counit_legs(ext):
-    report = check_twistor(ext, elem(ext, 2, {(1, 1): 1}))
+    theta2 = elem(ext, 2, {(1, 1): 1})
+    with pytest.raises(TwistorError, match="not invertible"):
+        Twistor(theta2)
+    # 2 (x) 1 + theta (x) theta is invertible, and its counit legs are 2
+    report = check_twistor(ext, Twistor(elem(ext, 2, {(0, 0): 2, (1, 1): 1})))
     assert report.entry("eq.cup").status == "fail"
-    assert report.entry("twistor.invertible").status == "fail"
 
 
 def test_e11_twistor_and_its_inverse(h2):
     F = twistor_e11()
-    assert check_twistor(h2, F.element).ok
+    assert check_twistor(h2, F).ok
     assert F.inverse == h2.unit(2) + elem(h2, 2, {(1, 1): Fraction(-1, 2)})
 
 
@@ -90,7 +93,7 @@ def test_every_h2_twistor_is_a_cocycle(h2):
 
 def test_u11_twistor_breaks_the_cocycle(h2ext):
     F = twistor_u11()
-    assert check_twistor(h2ext, F.element).ok
+    assert check_twistor(h2ext, F).ok
     report = check_cocycle(h2ext, F)
     entry = report.entry("eq.ccc")
     assert entry.status == "fail"
@@ -189,8 +192,9 @@ def test_singular_twistor_rejected(ext):
 )
 def test_singular_twistor_witness_is_pinned(fixture, terms):
     H = build_structure(fixture)
-    report = check_twistor(H, elem(H, 2, terms))
-    assert report.entry("twistor.invertible").witness == {"reason": "element has no left inverse"}
+    message = "^twistor is not invertible: element has no left inverse$"
+    with pytest.raises(TwistorError, match=message):
+        Twistor(elem(H, 2, terms))
 
 
 # -- opposite structure ----------------------------------------------------------------
