@@ -87,10 +87,10 @@ def compute_gamma(H: QhsaStructure) -> TensorElement:
     """gamma from (Phi^{-1} (x) 1)(Delta (x) 1 (x) 1)Phi, cross-checked against
     the second expression and against its absorption identity for every basis
     element.  A mismatch signals a sign-engine bug, so it raises."""
-    w1 = embed_legs(H.phi_inv, (0, 1, 2), 4) * apply_map_legs(H.phi, 0, H.delta)
-    gamma = _gamma_post(H, w1)
-    w2 = embed_legs(H.phi, (1, 2, 3), 4) * apply_map_legs(H.phi_inv, 2, H.delta)
-    alt = _gamma_post(H, w2)
+    phi0, _, _, _, one_x_phi = H.phi_factors
+    _, _, inv2, inv_x1, _ = H.phi_inv_factors
+    gamma = _gamma_post(H, inv_x1 * phi0)
+    alt = _gamma_post(H, one_x_phi * inv2)
     if gamma != alt:
         raise DrinfeldError("the two printed expressions for gamma disagree")
     for a, eps in enumerate(H.epsilon.images):
@@ -100,10 +100,10 @@ def compute_gamma(H: QhsaStructure) -> TensorElement:
 
 
 def compute_gamma_bar(H: QhsaStructure) -> TensorElement:
-    w1 = apply_map_legs(H.phi_inv, 0, H.delta) * embed_legs(H.phi, (0, 1, 2), 4)
-    gamma_bar = _gamma_bar_post(H, w1)
-    w2 = apply_map_legs(H.phi, 2, H.delta) * embed_legs(H.phi_inv, (1, 2, 3), 4)
-    alt = _gamma_bar_post(H, w2)
+    _, _, phi2, phi_x1, _ = H.phi_factors
+    inv0, _, _, _, one_x_inv = H.phi_inv_factors
+    gamma_bar = _gamma_bar_post(H, inv0 * phi_x1)
+    alt = _gamma_bar_post(H, phi2 * one_x_inv)
     if gamma_bar != alt:
         raise DrinfeldError("the two printed expressions for gamma-bar disagree")
     for a, eps in enumerate(H.epsilon.images):

@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .reporting import (
     CheckReport,
-    difference_witness,
+    element_terms_json,
     expect_equal,
     expect_equal_per_basis,
 )
@@ -116,6 +116,31 @@ class QhsaStructure:
         return StructureMap(self.algebra, 2, images)
 
     @cached_property
+    def delta_left3(self) -> StructureMap:
+        """(Delta (x) 1)Delta, stored image by image."""
+        return StructureMap(
+            self.algebra, 3, [apply_map_legs(img, 0, self.delta) for img in self.delta.images]
+        )
+
+    @cached_property
+    def delta_right3(self) -> StructureMap:
+        """(1 (x) Delta)Delta, stored image by image."""
+        return StructureMap(
+            self.algebra, 3, [apply_map_legs(img, 1, self.delta) for img in self.delta.images]
+        )
+
+    @cached_property
+    def phi_factors(self) -> tuple:
+        """The five arity-4 factors of the pentagon built from Phi; see
+        ``arity4_factors``."""
+        return arity4_factors(self.phi, self.delta)
+
+    @cached_property
+    def phi_inv_factors(self) -> tuple:
+        """The five arity-4 factors of the pentagon built from Phi^{-1}."""
+        return arity4_factors(self.phi_inv, self.delta)
+
+    @cached_property
     def one_alpha(self) -> TensorElement:
         """1 (x) alpha, the left factor of m_alpha_s."""
         return outer(self.unit(1), self.alpha)
@@ -141,6 +166,18 @@ class QhsaStructure:
 
 
 # -- recurring contraction patterns ------------------------------------------
+
+
+def arity4_factors(x: TensorElement, delta: StructureMap) -> tuple:
+    """(Delta (x) 1 (x) 1)x, (1 (x) Delta (x) 1)x, (1 (x) 1 (x) Delta)x,
+    x (x) 1 and 1 (x) x for an arity-3 element x, in that order."""
+    return (
+        apply_map_legs(x, 0, delta),
+        apply_map_legs(x, 1, delta),
+        apply_map_legs(x, 2, delta),
+        embed_legs(x, (0, 1, 2), 4),
+        embed_legs(x, (1, 2, 3), 4),
+    )
 
 
 def m_alpha_s(H: QhsaStructure, x: TensorElement) -> TensorElement:
@@ -287,31 +324,34 @@ def _invertible_entry(report, check_id, H, attr):
         report.add_fail(check_id, {"reason": str(exc)})
 
 
+def _counit_legs_entry(report, check_id, H, x):
+    """Both counit legs (eps (x) 1)x and (1 (x) eps)x of an arity-2 element
+    equal to 1; a failure witnesses each leg."""
+    left = apply_map_legs(x, 0, H.epsilon)
+    right = apply_map_legs(x, 1, H.epsilon)
+    if left == H.unit(1) and right == H.unit(1):
+        report.add_pass(check_id)
+    else:
+        report.add_fail(
+            check_id,
+            {"eps-left": element_terms_json(left), "eps-right": element_terms_json(right)},
+        )
+
+
 # -- quasi-bialgebra axioms ----------------------------------------------------
 
 
 def check_quasi_bialgebra(H: QhsaStructure) -> CheckReport:
     report = CheckReport()
+    left3, right3 = H.delta_left3.images, H.delta_right3.images
     expect_equal_per_basis(
         report,
         "eq.fi",
-        (
-            (
-                a,
-                apply_map_legs(da, 1, H.delta),
-                H.phi_inv * apply_map_legs(da, 0, H.delta) * H.phi,
-            )
-            for a, da in enumerate(H.delta.images)
-        ),
+        ((a, right3[a], H.phi_inv * left3[a] * H.phi) for a in range(H.algebra.dimension)),
     )
 
-    lhs = apply_map_legs(H.phi, 0, H.delta) * apply_map_legs(H.phi, 2, H.delta)
-    rhs = mul_chain(
-        embed_legs(H.phi, (0, 1, 2), 4),
-        apply_map_legs(H.phi, 1, H.delta),
-        embed_legs(H.phi, (1, 2, 3), 4),
-    )
-    expect_equal(report, "eq.fii", lhs, rhs)
+    phi0, phi1, phi2, phi_x1, one_x_phi = H.phi_factors
+    expect_equal(report, "eq.fii", phi0 * phi2, phi_x1 * phi1 * one_x_phi)
 
     expect_equal_per_basis(
         report,
@@ -441,12 +481,7 @@ def check_quasi_triangular(H: QhsaStructure) -> CheckReport:
     )
     expect_equal(report, "eq.6iii", lhs, rhs)
 
-    left = apply_map_legs(R, 0, H.epsilon)
-    right = apply_map_legs(R, 1, H.epsilon)
-    if left == H.unit(1) and right == H.unit(1):
-        report.add_pass("eq.r-counit")
-    else:
-        report.add_fail("eq.r-counit", difference_witness(left, right))
+    _counit_legs_entry(report, "eq.r-counit", H, R)
     return report
 
 
@@ -491,81 +526,28 @@ def check_pentagon_consequences(H: QhsaStructure) -> CheckReport:
     """Four rearrangements of the pentagon; the sharpest routine exercise of
     the sign engine because every product mixes split and unsplit legs."""
     report = CheckReport()
-    phi, phi_inv = H.phi, H.phi_inv
-    dl = H.delta
-
-    expect_equal(
-        report,
-        "eq.6.1i",
-        embed_legs(phi, (0, 1, 2), 4),
-        mul_chain(
-            apply_map_legs(phi, 0, dl),
-            apply_map_legs(phi, 2, dl),
-            embed_legs(phi_inv, (1, 2, 3), 4),
-            apply_map_legs(phi_inv, 1, dl),
-        ),
-    )
-    expect_equal(
-        report,
-        "eq.6.1ii",
-        embed_legs(phi, (1, 2, 3), 4),
-        mul_chain(
-            apply_map_legs(phi_inv, 1, dl),
-            embed_legs(phi_inv, (0, 1, 2), 4),
-            apply_map_legs(phi, 0, dl),
-            apply_map_legs(phi, 2, dl),
-        ),
-    )
-    expect_equal(
-        report,
-        "eq.6.1iii",
-        embed_legs(phi_inv, (0, 1, 2), 4),
-        mul_chain(
-            apply_map_legs(phi, 1, dl),
-            embed_legs(phi, (1, 2, 3), 4),
-            apply_map_legs(phi_inv, 2, dl),
-            apply_map_legs(phi_inv, 0, dl),
-        ),
-    )
-    expect_equal(
-        report,
-        "eq.6.1iv",
-        embed_legs(phi_inv, (1, 2, 3), 4),
-        mul_chain(
-            apply_map_legs(phi_inv, 2, dl),
-            apply_map_legs(phi_inv, 0, dl),
-            embed_legs(phi, (0, 1, 2), 4),
-            apply_map_legs(phi, 1, dl),
-        ),
-    )
+    phi0, phi1, phi2, phi_x1, one_x_phi = H.phi_factors
+    inv0, inv1, inv2, inv_x1, one_x_inv = H.phi_inv_factors
+    expect_equal(report, "eq.6.1i", phi_x1, phi0 * phi2 * one_x_inv * inv1)
+    expect_equal(report, "eq.6.1ii", one_x_phi, inv1 * inv_x1 * phi0 * phi2)
+    expect_equal(report, "eq.6.1iii", inv_x1, phi1 * one_x_phi * inv2 * inv0)
+    expect_equal(report, "eq.6.1iv", one_x_inv, inv2 * inv0 * phi_x1 * phi1)
     return report
-
-
-def _sweedler3_left(H, a: TensorElement):
-    """(Delta (x) 1)Delta applied to an arity-1 element."""
-    return apply_map_legs(H.coproduct(a), 0, H.delta)
-
-
-def _sweedler3_right(H, a: TensorElement):
-    """(1 (x) Delta)Delta applied to an arity-1 element."""
-    return apply_map_legs(H.coproduct(a), 1, H.delta)
 
 
 def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
     """Both sides of one of the four exchange identities, evaluated term by
     term exactly as printed, explicit sign factors included.  Each side is
-    one linear_combination of its terms; s[i] is the stored image S(e_i)."""
+    one linear_combination of its terms; s[i] is the stored image S(e_i),
+    and the Sweedler legs of ``a`` come from the stored iterated coproduct."""
     alg = H.algebra
     par = alg.parity
     e = [H.basis(i) for i in range(alg.dimension)]
     s = H.antipode.images
 
-    if which in ("11i", "11ii"):
-        words = H.phi.terms
-        sweedler = _sweedler3_left(H, a) if which == "11i" else _sweedler3_right(H, a)
-    else:
-        words = H.phi_inv.terms
-        sweedler = _sweedler3_left(H, a) if which == "11iii" else _sweedler3_right(H, a)
+    words = (H.phi if which in ("11i", "11ii") else H.phi_inv).terms
+    iterated = H.delta_left3 if which in ("11i", "11iii") else H.delta_right3
+    sweedler = apply_map_legs(a, 0, iterated)
 
     lhs = []  # (term, coefficient) pairs of each side
     rhs = []

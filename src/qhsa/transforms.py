@@ -26,7 +26,15 @@ from .algebra import (
     permute_legs,
 )
 from .reporting import CheckReport, element_terms_json, expect_equal, expect_equal_per_basis
-from .structure import QhsaStructure, _require_r, m_alpha_s, m_beta_s, mul_chain
+from .structure import (
+    QhsaStructure,
+    _counit_legs_entry,
+    _even_entry,
+    _require_r,
+    m_alpha_s,
+    m_beta_s,
+    mul_chain,
+)
 
 
 class TwistorError(AlgebraError):
@@ -57,24 +65,8 @@ def check_twistor(H: QhsaStructure, F: Twistor) -> CheckReport:
     """Evenness and both counit legs equal to 1.  Invertibility needs no
     check: building ``F`` already inverted its element or raised."""
     report = CheckReport()
-    element = F.element
-    if element.is_even():
-        report.add_pass("twistor.even")
-    else:
-        report.add_fail("twistor.even", {"reason": "element not homogeneous even"})
-    left = apply_map_legs(element, 0, H.epsilon)
-    right = apply_map_legs(element, 1, H.epsilon)
-    ok = left == H.unit(1) and right == H.unit(1)
-    if ok:
-        report.add_pass("eq.cup")
-    else:
-        report.add_fail(
-            "eq.cup",
-            {
-                "eps-left": element_terms_json(left),
-                "eps-right": element_terms_json(right),
-            },
-        )
+    _even_entry(report, "twistor.even", F.element)
+    _counit_legs_entry(report, "eq.cup", H, F.element)
     return report
 
 
@@ -180,7 +172,8 @@ def verify_twist_by_r(H: QhsaStructure) -> CheckReport:
     beta_R are reported informationally and compared to nothing: they are
     built with S, not with the opposite antipode."""
     report = CheckReport()
-    if not _require_r(H, report, ("twist-by-r.delta", "twist-by-r.phi", "twist-by-r.r")):
+    ids = ("twist-by-r.delta", "twist-by-r.phi", "twist-by-r.r", "twist-by-r.alpha-beta")
+    if not _require_r(H, report, ids):
         return report
     R = Twistor(H.r_matrix, H.r_inv)
     twisted = twist_structure(H, R)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from qhsa.algebra import GradedAlgebra, StructureMap, TensorElement
 from qhsa.fixtures import build_structure
 from qhsa.scalars import FieldSpec
 from qhsa.structure import QhsaStructure
+from qhsa.transforms import tensor_product_structure
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +33,15 @@ def h2r():
 @pytest.fixture(scope="session")
 def h2ext():
     return build_structure("h2ext")
+
+
+@pytest.fixture(scope="session")
+def ext_ext_graded(ext):
+    """ext (x) ext with the graded antipode S_A (x) S_B built by hand: -1 on
+    theta (x) 1 and 1 (x) theta, +1 on theta (x) theta (flat index 3)."""
+    T = tensor_product_structure(ext, ext)
+    images = [elem(T, 1, {(k,): c}) for k, c in enumerate((1, -1, -1, 1))]
+    return replace(T, antipode=StructureMap(T.algebra, 1, images))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 import qhsa.drinfeld
 import qhsa.structure
 import qhsa.transforms
-from qhsa.algebra import invert_tensor_element
+from qhsa.algebra import apply_map_legs, embed_legs, invert_tensor_element
 from qhsa.drinfeld import (
     DrinfeldError,
     compute_drinfeld_twist,
@@ -175,6 +175,32 @@ def test_battery_builds_the_primed_structure_and_its_phi_inverse_once(
     data, report = drinfeld_report(H)
     assert data is not None and report.ok
     assert calls == {"prime_structure": 1, "invert_tensor_element": 1}
+
+
+def test_pentagon_factors_are_built_once_per_structure(monkeypatch):
+    H = build_structure("h2ext")  # fresh, so nothing is cached yet
+    delta_legs, embeddings = [], []
+
+    def apply_counting(x, leg, f):
+        if x.arity == 3 and f is H.delta:
+            delta_legs.append(leg)
+        return apply_map_legs(x, leg, f)
+
+    def embed_counting(x, positions, arity):
+        if arity == 4:
+            embeddings.append(tuple(positions))
+        return embed_legs(x, positions, arity)
+
+    for module in (qhsa.structure, qhsa.drinfeld, qhsa.transforms):
+        monkeypatch.setattr(module, "apply_map_legs", apply_counting)
+        monkeypatch.setattr(module, "embed_legs", embed_counting)
+    for _ in range(2):
+        assert all(report.ok for _, report, _ in run_suites(H))
+        compute_drinfeld_twist(H)
+    # Delta on each leg of Phi and of Phi^{-1}, then Phi^{+-1} (x) 1 and
+    # 1 (x) Phi^{+-1}, however many identities and constructions read them
+    assert sorted(delta_legs) == [0, 0, 1, 1, 2, 2]
+    assert sorted(embeddings) == [(0, 1, 2), (0, 1, 2), (1, 2, 3), (1, 2, 3)]
 
 
 def test_thm5_conjugates_the_zeta_coefficient(h2r):

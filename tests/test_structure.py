@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,7 @@ from qhsa.structure import (
     suite_function,
     validate_structure,
 )
-from qhsa.transforms import tensor_product_structure
+from qhsa.transforms import random_twistor, tensor_product_structure, twist_structure
 
 from conftest import elem
 
@@ -57,24 +58,17 @@ def test_odd_to_even_coproduct_fails_parity(ext):
     assert entry.witness["basis"] == 1
 
 
-def test_antipode_antihomomorphism_sign(ext):
+def test_antipode_antihomomorphism_sign(ext_ext_graded):
     # on ext (x) ext, theta_1 theta_2 != 0, so the graded sign is visible:
     # S(a (x) b) = S(a) (x) S(b) is an antihomomorphism, and the variant with
     # an extra (-1)^{[a][b]} on theta (x) theta (flat index 3) is not
-    T = tensor_product_structure(ext, ext)
-
-    def with_antipode(sign_on_theta_theta):
-        images = [
-            elem(T, 1, {(0,): 1}),
-            elem(T, 1, {(1,): -1}),
-            elem(T, 1, {(2,): -1}),
-            elem(T, 1, {(3,): sign_on_theta_theta}),
-        ]
-        return replace(T, antipode=StructureMap(T.algebra, 1, images))
-
-    graded = with_antipode(1)
+    graded = ext_ext_graded
     assert all(report.ok for _, report, _ in run_suites(graded))
-    ungraded = validate_structure(with_antipode(-1))
+    images = list(graded.antipode.images)
+    images[3] = -images[3]
+    ungraded = validate_structure(
+        replace(graded, antipode=StructureMap(graded.algebra, 1, images))
+    )
     assert ungraded.failed_ids() == ["structure.antipode-antihom"]
     assert ungraded.entry("structure.antipode-antihom").witness["basis"] == [1, 2]
 
@@ -181,6 +175,14 @@ def test_h2_with_unit_r_fails_hexagon(h2):
     assert [[1, 1, 1], "2"] in entry.witness["difference"]
 
 
+def test_r_counit_witnesses_each_leg(ext):
+    # both legs are 2 (x) 1, so their difference would be an empty witness
+    report = check_quasi_triangular(replace(ext, r_matrix=ext.r_matrix.scaled(2)))
+    entry = report.entry("eq.r-counit")
+    assert entry.status == "fail"
+    assert entry.witness == {"eps-left": [[[0], "2"]], "eps-right": [[[0], "2"]]}
+
+
 def test_suites_skip_without_r(h2):
     report = check_quasi_triangular(h2)
     assert all(e.status == "skipped" for e in report.entries)
@@ -223,6 +225,17 @@ def test_lemma11_exercises_odd_legs(h2ext):
         for which in ("11i", "11ii", "11iii", "11iv"):
             lhs, rhs = lemma11_sides(h2ext, which, h2ext.basis(a))
             assert lhs == rhs, (which, a)
+
+
+def test_lemma11_signs_on_a_twisted_odd_product(h2, ext_ext_graded):
+    # h2 brings a nontrivial Phi and ext (x) ext nonzero odd products; a
+    # random twist mixes the two, so every explicit sign factor of
+    # lemma11_sides decides terms that do not vanish
+    P = tensor_product_structure(h2, ext_ext_graded)
+    H = twist_structure(P, random_twistor(P, random.Random(3)))
+    assert H.algebra.dimension == 8 and len(H.phi.terms) == 109
+    report = check_lemma11(H)
+    assert report.ok, report.failed_ids()
 
 
 # -- eta lemma -------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qhsa.algebra import AlgebraError
+from qhsa.drinfeld import compute_drinfeld_twist, verify_thm5
 from qhsa.fixtures import (
     build_structure,
     build_twistor,
@@ -17,7 +18,15 @@ from qhsa.fixtures import (
     twistor_u11,
 )
 from qhsa.scalars import FieldSpec
-from qhsa.structure import check_quasi_bialgebra, run_suites, validate_algebra, validate_structure
+from qhsa.structure import (
+    check_qqybe,
+    check_quasi_bialgebra,
+    check_quasi_triangular,
+    check_triangular,
+    run_suites,
+    validate_algebra,
+    validate_structure,
+)
 from qhsa.transforms import (
     Twistor,
     TwistorError,
@@ -53,7 +62,9 @@ def test_theta_squared_fails_counit_legs(ext):
         Twistor(theta2)
     # 2 (x) 1 + theta (x) theta is invertible, and its counit legs are 2
     report = check_twistor(ext, Twistor(elem(ext, 2, {(0, 0): 2, (1, 1): 1})))
-    assert report.entry("eq.cup").status == "fail"
+    entry = report.entry("eq.cup")
+    assert entry.status == "fail"
+    assert entry.witness == {"eps-left": [[[0], "2"]], "eps-right": [[[0], "2"]]}
 
 
 def test_e11_twistor_and_its_inverse(h2):
@@ -244,6 +255,22 @@ def test_twist_by_r_on_trivial(trivial):
 def test_twist_by_r_skips_without_r(h2):
     report = verify_twist_by_r(h2)
     assert all(e.status == "skipped" for e in report.entries)
+
+
+def test_r_checks_skip_the_ids_they_check(h2, ext):
+    # without an R-matrix each check lists, as skipped, the ids it reports with one
+    def ids(H):
+        D = compute_drinfeld_twist(H)
+        reports = (
+            check_quasi_triangular(H),
+            check_triangular(H),
+            check_qqybe(H),
+            verify_thm5(H, D, prime_structure(H)),
+            verify_twist_by_r(H),
+        )
+        return [[e.check_id for e in report.entries] for report in reports]
+
+    assert ids(h2) == ids(ext)
 
 
 # -- primed structure ------------------------------------------------------------------------
