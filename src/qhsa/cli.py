@@ -71,9 +71,10 @@ def _read(path: str) -> str:
     return resolve_input(path).read_text(encoding="utf-8")
 
 
-def _emit(args, text: str):
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+def _emit(output, text: str):
+    """Write text to the file ``output``, or to stdout when it is None."""
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -82,9 +83,9 @@ def _format(args, doc) -> str:
     return serialize_report(doc) if args.format == "json" else format_report_text(doc)
 
 
-def _emit_report(args, name, suite_results) -> int:
+def _emit_report(args, name, suite_results, output) -> int:
     doc = report_document(name, suite_results, __version__)
-    _emit(args, _format(args, doc))
+    _emit(output, _format(args, doc))
     return EXIT_OK if doc["overall"] == "pass" else EXIT_CHECK_FAILED
 
 
@@ -100,14 +101,14 @@ def _parse_suites(value):
 def cmd_validate(args) -> int:
     name, H = load_structure(_read(args.path))
     results = run_suites(H, VALIDATION_SUITES)
-    return _emit_report(args, name, results)
+    return _emit_report(args, name, results, args.output)
 
 
 def cmd_check(args) -> int:
     name, H = load_structure(_read(args.path))
     names = _parse_suites(args.suites) or list(DEFAULT_SUITE_NAMES)
     results = run_suites(H, names)
-    return _emit_report(args, name, results)
+    return _emit_report(args, name, results, args.output)
 
 
 def cmd_transform(args) -> int:
@@ -117,10 +118,12 @@ def cmd_transform(args) -> int:
             raise DocumentError("transform twist needs --twistor")
         tdoc = parse_twistor_document(_read(args.twistor))
         twistor = document_to_twistor(tdoc, H)
+        start = time.perf_counter()
         twistor_report = check_twistor(H, twistor)
+        elapsed = time.perf_counter() - start
         if not twistor_report.ok:
             sys.stderr.write("invalid twistor: " + ", ".join(twistor_report.failed_ids()) + "\n")
-            return EXIT_CHECK_FAILED
+            return _emit_report(args, name, [("twistor", twistor_report, elapsed)], None)
         out = twist_structure(H, twistor)
     elif args.kind == "opposite":
         out = opposite_structure(H)
@@ -136,10 +139,8 @@ def cmd_transform(args) -> int:
 
     text = serialize_structure(name, out)
     Path(args.output).write_text(text, encoding="utf-8")
-    results = run_suites(out)
-    doc = report_document(name, results, __version__)
-    sys.stdout.write(_format(args, doc))
-    return EXIT_OK if doc["overall"] == "pass" else EXIT_CHECK_FAILED
+    # --output names the transformed document, so the report goes to stdout
+    return _emit_report(args, name, run_suites(out), None)
 
 
 def cmd_drinfeld(args) -> int:
@@ -148,7 +149,7 @@ def cmd_drinfeld(args) -> int:
     base_doc = report_document(name, base, __version__)
     if base_doc["overall"] != "pass":
         sys.stderr.write("structure fails its base suites; not computing the twist\n")
-        _emit(args, _format(args, base_doc))
+        _emit(args.output, _format(args, base_doc))
         return EXIT_CHECK_FAILED
 
     start = time.perf_counter()
@@ -166,7 +167,7 @@ def cmd_drinfeld(args) -> int:
         Path(args.emit_twist).write_text(serialize_twistor_document(tdoc), encoding="utf-8")
 
     results = [("drinfeld", report, elapsed)]
-    return _emit_report(args, name, results)
+    return _emit_report(args, name, results, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

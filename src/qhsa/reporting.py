@@ -2,12 +2,17 @@
 
 Every failing entry carries a witness: the first offending basis element
 and/or the difference element LHS - RHS, which is the most useful thing to
-stare at when a sign is wrong.
+stare at when a sign is wrong.  A difference lists at most WITNESS_TERMS
+terms, so a witness stays a few kilobytes whatever the dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+# Above the longest difference that the bundled fixtures, their corruptions
+# and the benchmark jobs produce (25 terms), so those reports are unchanged.
+WITNESS_TERMS = 64
 
 
 @dataclass
@@ -67,7 +72,12 @@ def element_terms_json(element) -> list:
 
 
 def difference_witness(lhs, rhs, basis=None) -> dict:
-    witness = {"difference": element_terms_json(lhs - rhs)}
+    """The sorted terms of lhs - rhs, cut to the first WITNESS_TERMS; a cut
+    difference records its full length under ``difference_terms``."""
+    difference = element_terms_json(lhs - rhs)
+    witness = {"difference": difference[:WITNESS_TERMS]}
+    if len(difference) > WITNESS_TERMS:
+        witness["difference_terms"] = len(difference)
     if basis is not None:
         witness["basis"] = basis
     return witness

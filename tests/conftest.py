@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -66,6 +67,36 @@ def kz2():
         StructureMap(alg, 2, [element(2, (0, 0)), element(2, (1, 1))]),
         StructureMap(alg, 0, [element(0, ()), element(0, ())]),
         StructureMap(alg, 1, [element(1, (0,)), element(1, (1,))]),
+        element(3, (0, 0, 0)),
+        element(1, (0,)),
+        element(1, (0,)),
+    )
+
+
+@pytest.fixture(scope="session")
+def ks3():
+    """k[S3] in the basis of permutations of (0, 1, 2), in itertools order
+    (the identity first): Delta g = g (x) g, S g = g^{-1}, eps g = 1,
+    trivial coassociator and alpha = beta = 1.  Purely even, and not
+    commutative, so alpha or beta off the centre breaks the eta lemma."""
+    field = FieldSpec.rational()
+    one = field.one()
+    perms = list(itertools.permutations(range(3)))
+    index = {g: k for k, g in enumerate(perms)}
+    mult = {
+        (index[g], index[h]): {index[tuple(g[i] for i in h)]: one} for g in perms for h in perms
+    }
+    alg = GradedAlgebra(6, (0,) * 6, (one,) + (field.zero(),) * 5, mult, field)
+    inverse = [index[tuple(sorted(range(3), key=g.__getitem__))] for g in perms]
+
+    def element(arity, word):
+        return TensorElement(alg, arity, {word: one})
+
+    return QhsaStructure(
+        alg,
+        StructureMap(alg, 2, [element(2, (k, k)) for k in range(6)]),
+        StructureMap(alg, 0, [element(0, ()) for _ in range(6)]),
+        StructureMap(alg, 1, [element(1, (inverse[k],)) for k in range(6)]),
         element(3, (0, 0, 0)),
         element(1, (0,)),
         element(1, (0,)),

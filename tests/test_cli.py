@@ -183,6 +183,45 @@ def test_twist_rejects_invalid_twistor(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_invalid_twistor_reports_its_witness(tmp_path, capsys, fmt):
+    # 2 (1 (x) 1) + theta (x) theta is invertible and even, but both counit
+    # legs are 2, so eq.cup fails; its report reaches stdout in either format
+    bad = tmp_path / "bad.twist"
+    bad.write_text(
+        json.dumps(
+            {
+                "name": "bad",
+                "field": {"kind": "rational"},
+                "dimension": 2,
+                "element": [[0, 0, "2"], [1, 1, "1"]],
+            }
+        )
+    )
+    out = tmp_path / "out.qhsa"
+    argv = ["transform", fx("ext.qhsa"), "twist", "--twistor", str(bad), "--output", str(out)]
+    assert main([*argv, "--format", fmt]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == "invalid twistor: eq.cup\n"
+    legs = {"eps-left": [[[0], "2"]], "eps-right": [[[0], "2"]]}
+    if fmt == "json":
+        doc = json.loads(captured.out)
+        assert doc["fixture"] == "ext" and doc["overall"] == "fail"
+        assert doc["entries"] == [
+            {"suite": "twistor", "check_id": "twistor.even", "status": "pass"},
+            {"suite": "twistor", "check_id": "eq.cup", "status": "fail", "witness": legs},
+        ]
+    else:
+        assert captured.out == (
+            "fixture: ext\n"
+            "PASS    twistor: twistor.even\n"
+            "FAIL    twistor: eq.cup\n"
+            f"        witness: {json.dumps(legs)}\n"
+            "overall: FAIL (1 passed, 1 failed, 0 skipped)\n"
+        )
+
+
 def test_twist_inverts_only_the_twisted_coassociator(tmp_path, monkeypatch):
     """The twistor document declares its inverse and ``check_twistor`` reuses
     it, so the one inversion left is Phi of the twisted structure."""

@@ -1,9 +1,10 @@
 import importlib
+import itertools
 import importlib.util
 import sys
 from pathlib import Path
 
-from qhsa.reporting import CheckReport, expect_equal_per_basis
+from qhsa.reporting import WITNESS_TERMS, CheckReport, expect_equal_per_basis
 
 from conftest import elem
 
@@ -41,6 +42,26 @@ def test_per_basis_returns_a_bool(ext):
     assert ok is True
     bad = expect_equal_per_basis(report, "diff", [(0, ext.basis(0), ext.basis(1))])
     assert bad is False
+
+
+def test_a_long_difference_is_cut_with_its_full_count(h2ext):
+    # 100 words of arity 4; the witness keeps the first 64 in sorted order
+    words = sorted(itertools.product(range(4), repeat=4))[:100]
+    lhs = elem(h2ext, 4, {w: 1 for w in words})
+    zero = elem(h2ext, 4, {})
+    report = CheckReport()
+    assert expect_equal_per_basis(report, "long", [([0, 1], lhs, zero)]) is False
+    witness = report.entry("long").witness
+    assert WITNESS_TERMS == 64
+    assert list(witness) == ["difference", "difference_terms", "basis"]
+    assert witness["difference"] == [[list(w), "1"] for w in words[:64]]
+    assert witness["difference_terms"] == 100
+    assert witness["basis"] == [0, 1]
+    # at the cap nothing is cut and no count is added
+    exact = elem(h2ext, 4, {w: 1 for w in words[:64]})
+    report = CheckReport()
+    expect_equal_per_basis(report, "exact", [(0, exact, zero)])
+    assert list(report.entry("exact").witness) == ["difference", "basis"]
 
 
 def test_every_traced_name_resolves(monkeypatch):

@@ -2,15 +2,28 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qhsa.algebra
 import qhsa.structure
-from qhsa.algebra import GradedAlgebra, StructureMap
+from qhsa.algebra import (
+    AlgebraError,
+    GradedAlgebra,
+    StructureMap,
+    TensorElement,
+    apply_map_legs,
+    linear_combination,
+    outer,
+)
 from qhsa.fixtures import (
     build_structure,
     h2_broken_antipode,
     h2_broken_pentagon,
 )
+from qhsa.reporting import CheckReport, expect_equal_per_basis
 from qhsa.structure import (
+    QhsaStructure,
     check_antipode_axioms,
     check_eta_lemma,
     check_lemma11,
@@ -227,6 +240,96 @@ def test_lemma11_exercises_odd_legs(h2ext):
             assert lhs == rhs, (which, a)
 
 
+def reference_lemma11_sides(H, which, a):
+    """Both sides of one exchange identity, term by term over every word of
+    Phi (Phi^{-1}) exactly as printed: the reference that the grouped
+    ``lemma11_sides`` is compared against."""
+    alg = H.algebra
+    par = alg.parity
+    e = [H.basis(i) for i in range(alg.dimension)]
+    s = H.antipode.images
+
+    words = (H.phi if which in ("11i", "11ii") else H.phi_inv).terms
+    iterated = H.delta_left3 if which in ("11i", "11iii") else H.delta_right3
+    sweedler = apply_map_legs(a, 0, iterated)
+
+    lhs = []
+    rhs = []
+    for (x, y, z), c in words.items():
+        if which == "11i":
+            ybsz = e[y] * H.beta * s[z]
+            for (w,), ca in a.terms.items():
+                sign = -1 if par[w] and par[x] else 1
+                lhs.append((outer(e[x] * e[w], ybsz), c * ca * sign))
+            for (u1, u2, u3), cu in sweedler.terms.items():
+                sign = -1 if par[x] and par[u2] else 1
+                term = outer(e[u1] * e[x], e[u2] * ybsz * s[u3])
+                rhs.append((term, c * cu * sign))
+        elif which == "11ii":
+            sxay = s[x] * H.alpha * e[y]
+            for (w,), ca in a.terms.items():
+                sign = -1 if par[w] and par[z] else 1
+                lhs.append((outer(sxay, e[w] * e[z]), c * ca * sign))
+            for (u1, u2, u3), cu in sweedler.terms.items():
+                sign = -1 if par[z] and par[u2] else 1
+                term = outer(s[u1] * sxay * e[u2], e[z] * e[u3])
+                rhs.append((term, c * cu * sign))
+        elif which == "11iii":
+            syaz = s[y] * H.alpha * e[z]
+            for (w,), ca in a.terms.items():
+                lhs.append((outer(e[w] * e[x], syaz), c * ca))
+            for (u1, u2, u3), cu in sweedler.terms.items():
+                sign = -1 if par[x] and (par[u1] + par[u2]) % 2 else 1
+                term = outer(e[x] * e[u1], s[u2] * syaz * e[u3])
+                rhs.append((term, c * cu * sign))
+        elif which == "11iv":
+            xbsy = e[x] * H.beta * s[y]
+            for (w,), ca in a.terms.items():
+                lhs.append((outer(xbsy, e[z] * e[w]), c * ca))
+            for (u1, u2, u3), cu in sweedler.terms.items():
+                sign = -1 if par[z] and (par[u2] + par[u3]) % 2 else 1
+                term = outer(e[u1] * xbsy * s[u2], e[u3] * e[z])
+                rhs.append((term, c * cu * sign))
+        else:
+            raise AlgebraError(f"unknown identity {which!r}")
+    return linear_combination(alg, 2, lhs), linear_combination(alg, 2, rhs)
+
+
+def _assert_lemma11_sides_match_the_reference(H):
+    d = H.algebra.dimension
+    for which in ("11i", "11ii", "11iii", "11iv"):
+        for label, a in [("1", H.unit(1))] + [(i, H.basis(i)) for i in range(d)]:
+            sides = lemma11_sides(H, which, a)
+            assert sides == reference_lemma11_sides(H, which, a), (which, label)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lemma11_sides_match_the_reference_on_twists_of_h2ext(h2ext, seed):
+    _assert_lemma11_sides_match_the_reference(
+        twist_structure(h2ext, random_twistor(h2ext, random.Random(seed)))
+    )
+
+
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lemma11_sides_match_the_reference_on_twists_of_an_odd_product(
+    h2, ext_ext_graded, seed
+):
+    P = tensor_product_structure(h2, ext_ext_graded)
+    _assert_lemma11_sides_match_the_reference(
+        twist_structure(P, random_twistor(P, random.Random(seed)))
+    )
+
+
+def test_lemma11_sides_match_the_reference_on_a_failing_product(h2ext, ext):
+    # h2ext (x) ext fails all four identities through the odd (x) odd
+    # antipode sign (ROADMAP item 1); the grouped sides must fail the same way
+    H = tensor_product_structure(h2ext, ext)
+    assert check_lemma11(H).failed_ids() == ["eq.11i", "eq.11ii", "eq.11iii", "eq.11iv"]
+    _assert_lemma11_sides_match_the_reference(H)
+
+
 def test_lemma11_signs_on_a_twisted_odd_product(h2, ext_ext_graded):
     # h2 brings a nontrivial Phi and ext (x) ext nonzero odd products; a
     # random twist mixes the two, so every explicit sign factor of
@@ -277,6 +380,95 @@ def test_eta_builds_its_constants_once_per_structure(monkeypatch):
     assert calls == [2, 2]
 
 
+def reference_eta_report(H):
+    """eq.lem5i and eq.lem5ii over all d^3 cases (a, i, j) with
+    eta = e_i (x) e_j: the reference that the reduced check is compared
+    against."""
+    report = CheckReport()
+    d = range(H.algebra.dimension)
+    for check_id, contract, from_left in (
+        ("eq.lem5i", m_alpha_s, True),
+        ("eq.lem5ii", m_beta_s, False),
+    ):
+
+        def cases():
+            for i in d:
+                for j in d:
+                    eta = H.basis(i, j)
+                    base = contract(H, eta)
+                    for a, da in enumerate(H.delta.images):
+                        stacked = da * eta if from_left else eta * da
+                        rhs = base.scaled(H.epsilon.images[a].scalar_value())
+                        yield [a, i, j], contract(H, stacked), rhs
+
+        expect_equal_per_basis(report, check_id, cases())
+    return report
+
+
+def _entries(report):
+    return [(e.check_id, e.status, e.witness) for e in report.entries]
+
+
+# Structures on which the reduced eta check must agree with the d^3
+# enumeration, each built from the conftest fixtures: the bundled positive
+# fixtures and both negative documents, both ladder rung shapes, and
+# corruptions in alpha, beta, Delta, S and in the product table (the last
+# makes the algebra report fail, so the d^3 cases run).
+ETA_AGREEMENT_CASES = {
+    **{name: (lambda fx, name=name: fx(name)) for name in ALL_FIXTURES},
+    "h2-broken-antipode": lambda fx: h2_broken_antipode(),
+    "h2-broken-pentagon": lambda fx: h2_broken_pentagon(),
+    "h2ext-kz2": lambda fx: tensor_product_structure(fx("h2ext"), fx("kz2")),
+    "h2ext-twist": lambda fx: twist_structure(
+        fx("h2ext"), random_twistor(fx("h2ext"), random.Random(11))
+    ),
+    "h2ext-delta": lambda fx: _with_image(
+        fx("h2ext"), "delta", 1, {(1, 0): 1, (0, 1): 1, (3, 2): -1, (2, 3): 1}
+    ),
+    "h2ext-antipode": lambda fx: _with_image(fx("h2ext"), "antipode", 3, {(3,): 2}),
+    # beta with an odd part: eq.lem5ii takes the d^3 cases
+    "h2ext-odd-beta": lambda fx: replace(
+        fx("h2ext"), beta=fx("h2ext").beta + elem(fx("h2ext"), 1, {(1,): 1})
+    ),
+    # alpha or beta a transposition: k[S3] is not commutative, so eta fails
+    "ks3-alpha": lambda fx: replace(fx("ks3"), alpha=elem(fx("ks3"), 1, {(1,): 1})),
+    "ks3-beta": lambda fx: replace(fx("ks3"), beta=elem(fx("ks3"), 1, {(1,): 1})),
+    "h2-non-associative": lambda fx: _with_product(fx("h2"), (1, 1), {0: 1}),
+    "h2ext-non-associative": lambda fx: _with_product(fx("h2ext"), (1, 2), {3: 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ETA_AGREEMENT_CASES))
+def test_reduced_eta_agrees_with_the_full_enumeration(request, name):
+    H = ETA_AGREEMENT_CASES[name](request.getfixturevalue)
+    expected = _entries(reference_eta_report(H))
+    assert _entries(check_eta_lemma(H)) == expected
+    [(suite, report, _)] = run_suites(H, ["eta"])
+    assert suite == "eta" and _entries(report) == expected
+
+
+def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
+    """Exact tensor_multiply counts on a fresh h2ext.  The first lemma-11
+    call also inverts Phi and builds the cached middles, and the first eta
+    call builds the algebra report; second calls reuse all three."""
+    H = build_structure("h2ext")
+    calls = []
+    original = qhsa.algebra.tensor_multiply
+
+    def counting(x, y):
+        calls.append(x.arity)
+        return original(x, y)
+
+    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    counts = []
+    for check in (check_lemma11, check_lemma11, check_eta_lemma, check_eta_lemma):
+        calls.clear()
+        assert check(H).ok
+        counts.append(len(calls))
+    # the term-by-term lemma 11 made 3459 and 3456 calls, the d^3 eta 288 each time
+    assert counts == [827, 800, 288, 72]
+
+
 # -- metatheorems ------------------------------------------------------------------------
 
 
@@ -320,13 +512,30 @@ def _with_image(H, component, index, terms):
 
 
 def _with_product(H, pair, row):
-    """H over an algebra whose product of the basis pair is replaced."""
+    """H over an algebra whose product of the basis pair is replaced, every
+    other component copied over to it."""
     alg = H.algebra
     field = alg.field
     mult = dict(alg.mult)
     mult[pair] = {k: field.from_int(c) for k, c in row.items()}
     bad = GradedAlgebra(alg.dimension, alg.parity, alg.unit, mult, field)
-    return replace(H, algebra=bad)
+
+    def moved(x):
+        return TensorElement(bad, x.arity, x.terms)
+
+    def moved_map(f):
+        return StructureMap(bad, f.out_arity, [moved(img) for img in f.images])
+
+    return QhsaStructure(
+        bad,
+        moved_map(H.delta),
+        moved_map(H.epsilon),
+        moved_map(H.antipode),
+        moved(H.phi),
+        moved(H.alpha),
+        moved(H.beta),
+        H.r_matrix and moved(H.r_matrix),
+    )
 
 
 # (suite, fixture, corruption, check id, exact witness).  The basis label has
@@ -429,13 +638,52 @@ WITNESS_CASES = [
 ]
 
 
+# The eta witnesses under corruptions of Delta, alpha and beta (S is above),
+# pinned before the reduced eta check; each row starts with its test id.
+ETA_WITNESS_CASES = [
+    (
+        "eq.lem5i-delta",
+        "eta",
+        "h2ext",
+        # Delta(e0 (x) theta) with its (e1 (x) theta) (x) (e1 (x) 1) term negated
+        lambda H: _with_image(H, "delta", 1, {(1, 0): 1, (0, 1): 1, (3, 2): -1, (2, 3): 1}),
+        "eq.lem5i",
+        {"difference": [[[3], "-2"]], "basis": [1, 2, 2]},
+    ),
+    (
+        "eq.lem5ii-delta",
+        "eta",
+        "h2ext",
+        lambda H: _with_image(H, "delta", 1, {(1, 0): 1, (0, 1): 1, (3, 2): -1, (2, 3): 1}),
+        "eq.lem5ii",
+        {"difference": [[[3], "-2"]], "basis": [1, 2, 2]},
+    ),
+    (
+        "eq.lem5i-alpha",
+        "eta",
+        "ks3",
+        lambda H: replace(H, alpha=elem(H, 1, {(1,): 1})),  # alpha a transposition
+        "eq.lem5i",
+        {"difference": [[[1], "-1"], [[5], "1"]], "basis": [2, 0, 0]},
+    ),
+    (
+        "eq.lem5ii-beta",
+        "eta",
+        "ks3",
+        lambda H: replace(H, beta=elem(H, 1, {(1,): 1})),
+        "eq.lem5ii",
+        {"difference": [[[1], "-1"], [[5], "1"]], "basis": [2, 0, 0]},
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "suite, fixture, corrupt, check_id, witness",
-    WITNESS_CASES,
-    ids=[case[3] for case in WITNESS_CASES],
+    WITNESS_CASES + [case[1:] for case in ETA_WITNESS_CASES],
+    ids=[case[3] for case in WITNESS_CASES] + [case[0] for case in ETA_WITNESS_CASES],
 )
-def test_basis_check_witness_is_pinned(suite, fixture, corrupt, check_id, witness):
-    report = suite_function(suite)(corrupt(build_structure(fixture)))
+def test_basis_check_witness_is_pinned(request, suite, fixture, corrupt, check_id, witness):
+    report = suite_function(suite)(corrupt(request.getfixturevalue(fixture)))
     assert check_id in report.failed_ids()
     assert report.entry(check_id).witness == witness
 
