@@ -141,6 +141,32 @@ class QhsaStructure:
         return arity4_factors(self.phi_inv, self.delta)
 
     @cached_property
+    def pentagon_lhs(self) -> TensorElement:
+        """P = (Delta (x) 1 (x) 1)Phi . (1 (x) 1 (x) Delta)Phi: the left side
+        of eq.fii, the first two factors of eq.6.1i and the last two of
+        eq.6.1ii."""
+        phi0, _, phi2, _, _ = self.phi_factors
+        return phi0 * phi2
+
+    @cached_property
+    def pentagon_head(self) -> TensorElement:
+        """Q = (Phi (x) 1) . (1 (x) Delta (x) 1)Phi: the first two factors of
+        the right side of eq.fii and the last two of eq.6.1iv."""
+        _, phi1, _, phi_x1, _ = self.phi_factors
+        return phi_x1 * phi1
+
+    @cached_property
+    def basis_products(self) -> tuple:
+        """e_i e_j as arity-1 elements indexed [i][j], read off the product
+        table (an arity-1 product has no Koszul sign); zero products are
+        zero elements."""
+        alg = self.algebra
+        return tuple(
+            tuple(TensorElement._from_terms(alg, 1, {(k,): c for k, c in row}) for row in r)
+            for r in alg.product_rows
+        )
+
+    @cached_property
     def lemma11_middles(self) -> dict:
         """Phi (Phi^{-1}) grouped by the lone leg of each exchange identity;
         see ``lemma11_middles``."""
@@ -216,8 +242,26 @@ def mul_chain(first, *rest):
 # -- validation ---------------------------------------------------------------
 
 
+def _row_combination(pairs) -> dict:
+    """The sum of c * e_i e_j over (c, product_rows[i][j]) pairs, as
+    {k: coefficient} with zeros dropped."""
+    out = {}
+    for c, row in pairs:
+        for k, ck in row:
+            v = c * ck
+            out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v}
+
+
 def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
-    """Grading additivity, two-sided unit, associativity on all basis triples."""
+    """Grading additivity, two-sided unit, associativity on all basis triples.
+
+    The unit and associativity are compared on ``product_rows`` as sparse
+    dicts, with no element per case: an arity-1 product has no Koszul sign,
+    so e_i e_j is row [i][j].  Only the first case that fails there is built
+    from elements, so its witness is the difference of the elements, labelled
+    i (``algebra.unit``) or [i, j, k] (``algebra.assoc``).
+    """
     report = CheckReport()
     par = algebra.parity
     grading = next(
@@ -231,20 +275,36 @@ def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
     )
     _witness_entry(report, "algebra.grading", grading)
 
-    unit = TensorElement.unit(algebra, 1)
-    basis = [TensorElement.basis(algebra, (i,)) for i in range(algebra.dimension)]
+    rows = algebra.product_rows
+    dim = range(algebra.dimension)
+    one = algebra.field.one()
+    unit_terms = [(u, k) for k, u in enumerate(algebra.unit) if u]
 
     def unit_cases():
-        for i, e in enumerate(basis):
-            yield i, unit * e, e
-            yield i, e * unit, e
+        for i in dim:
+            for left in (True, False):
+                pairs = ((u, rows[k][i] if left else rows[i][k]) for u, k in unit_terms)
+                if _row_combination(pairs) != {i: one}:
+                    unit = TensorElement.unit(algebra, 1)
+                    e = TensorElement.basis(algebra, (i,))
+                    yield i, unit * e if left else e * unit, e
+                    return
 
     def assoc_cases():
-        for i, ei in enumerate(basis):
-            for j, ej in enumerate(basis):
-                left = ei * ej
-                for k, ek in enumerate(basis):
-                    yield [i, j, k], left * ek, ei * (ej * ek)
+        for i in dim:
+            row_i = rows[i]
+            for j in dim:
+                left = row_i[j]
+                row_j = rows[j]
+                for k in dim:
+                    right = row_j[k]
+                    if not (left or right):
+                        continue
+                    lhs = _row_combination((c, rows[m][k]) for m, c in left)
+                    if lhs != _row_combination((c, row_i[m]) for m, c in right):
+                        ei, ej, ek = (TensorElement.basis(algebra, (t,)) for t in (i, j, k))
+                        yield [i, j, k], ei * ej * ek, ei * (ej * ek)
+                        return
 
     expect_equal_per_basis(report, "algebra.unit", unit_cases())
     expect_equal_per_basis(report, "algebra.assoc", assoc_cases())
@@ -296,9 +356,10 @@ def validate_structure(H: QhsaStructure) -> CheckReport:
 def _hom_cases(H, f):
     """f(e_i e_j) against f(e_i) f(e_j), labelled by the flat index i*d + j."""
     d = H.algebra.dimension
+    products = H.basis_products
     for i in range(d):
         for j in range(d):
-            lhs = apply_map_legs(H.basis(i) * H.basis(j), 0, f)
+            lhs = apply_map_legs(products[i][j], 0, f)
             yield i * d + j, lhs, f.images[i] * f.images[j]
 
 
@@ -306,11 +367,12 @@ def _antihom_cases(H):
     """S(e_i e_j) against (-1)^{[i][j]} S(e_j) S(e_i), labelled [i, j]."""
     par = H.algebra.parity
     s = H.antipode.images
+    products = H.basis_products
     d = H.algebra.dimension
     for i in range(d):
         for j in range(d):
             rhs = s[j] * s[i]
-            yield [i, j], H.s_of(H.basis(i) * H.basis(j)), -rhs if par[i] and par[j] else rhs
+            yield [i, j], H.s_of(products[i][j]), -rhs if par[i] and par[j] else rhs
 
 
 def _witness_entry(report, check_id, witness):
@@ -362,8 +424,8 @@ def check_quasi_bialgebra(H: QhsaStructure) -> CheckReport:
         ((a, right3[a], H.phi_inv * left3[a] * H.phi) for a in range(H.algebra.dimension)),
     )
 
-    phi0, phi1, phi2, phi_x1, one_x_phi = H.phi_factors
-    expect_equal(report, "eq.fii", phi0 * phi2, phi_x1 * phi1 * one_x_phi)
+    one_x_phi = H.phi_factors[4]
+    expect_equal(report, "eq.fii", H.pentagon_lhs, H.pentagon_head * one_x_phi)
 
     expect_equal_per_basis(
         report,
@@ -536,14 +598,24 @@ def check_qqybe(H: QhsaStructure) -> CheckReport:
 
 def check_pentagon_consequences(H: QhsaStructure) -> CheckReport:
     """Four rearrangements of the pentagon; the sharpest routine exercise of
-    the sign engine because every product mixes split and unsplit legs."""
+    the sign engine because every product mixes split and unsplit legs.
+
+    Every factor stands in its printed order; only the bracketing differs
+    from left to right, so that P = (Delta (x) 1 (x) 1)Phi (1 (x) 1 (x)
+    Delta)Phi, Q = (Phi (x) 1)(1 (x) Delta (x) 1)Phi (both cached on the
+    structure and shared with eq.fii) and N = (1 (x) 1 (x) Delta)Phi^{-1}
+    (Delta (x) 1 (x) 1)Phi^{-1} are each multiplied once.  Over an
+    associative algebra, which the validation suites establish before this
+    one runs, the bracketing does not change a product.
+    """
     report = CheckReport()
-    phi0, phi1, phi2, phi_x1, one_x_phi = H.phi_factors
+    _, phi1, _, phi_x1, one_x_phi = H.phi_factors
     inv0, inv1, inv2, inv_x1, one_x_inv = H.phi_inv_factors
-    expect_equal(report, "eq.6.1i", phi_x1, phi0 * phi2 * one_x_inv * inv1)
-    expect_equal(report, "eq.6.1ii", one_x_phi, inv1 * inv_x1 * phi0 * phi2)
-    expect_equal(report, "eq.6.1iii", inv_x1, phi1 * one_x_phi * inv2 * inv0)
-    expect_equal(report, "eq.6.1iv", one_x_inv, inv2 * inv0 * phi_x1 * phi1)
+    p, q, n = H.pentagon_lhs, H.pentagon_head, inv2 * inv0
+    expect_equal(report, "eq.6.1i", phi_x1, p * one_x_inv * inv1)
+    expect_equal(report, "eq.6.1ii", one_x_phi, inv1 * inv_x1 * p)
+    expect_equal(report, "eq.6.1iii", inv_x1, phi1 * one_x_phi * n)
+    expect_equal(report, "eq.6.1iv", one_x_inv, n * q)
     return report
 
 
@@ -601,12 +673,18 @@ def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
     two legs of Phi that stay inside one factor is the stored middle M_v of
     ``lemma11_middles``, so the sides run over (lone leg v, term of a) and
     (v, Sweedler term) pairs; s[i] is the stored image S(e_i), and the
-    Sweedler legs of ``a`` come from the stored iterated coproduct."""
+    Sweedler legs of ``a`` come from the stored iterated coproduct.
+
+    Each term is outer(f, g) with one factor a product of two basis
+    elements, read from ``basis_products``.  When that product is zero the
+    term is skipped before the other factor is built: outer(0, g) = 0.
+    """
     if which not in ("11i", "11ii", "11iii", "11iv"):
         raise AlgebraError(f"unknown identity {which!r}")
     alg = H.algebra
     par = alg.parity
     e = [H.basis(i) for i in range(alg.dimension)]
+    ee = H.basis_products
     s = H.antipode.images
 
     iterated = H.delta_left3 if which in ("11i", "11iii") else H.delta_right3
@@ -616,30 +694,38 @@ def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
     for v, m in H.lemma11_middles[which].items():
         if which == "11i":
             for (w,), ca in a.terms.items():
-                sign = -1 if par[w] and par[v] else 1
-                lhs.append((outer(e[v] * e[w], m), ca * sign))
+                if ee[v][w].terms:
+                    sign = -1 if par[w] and par[v] else 1
+                    lhs.append((outer(ee[v][w], m), ca * sign))
             for (u1, u2, u3), cu in sweedler.items():
-                sign = -1 if par[v] and par[u2] else 1
-                rhs.append((outer(e[u1] * e[v], e[u2] * m * s[u3]), cu * sign))
+                if ee[u1][v].terms:
+                    sign = -1 if par[v] and par[u2] else 1
+                    rhs.append((outer(ee[u1][v], e[u2] * m * s[u3]), cu * sign))
         elif which == "11ii":
             for (w,), ca in a.terms.items():
-                sign = -1 if par[w] and par[v] else 1
-                lhs.append((outer(m, e[w] * e[v]), ca * sign))
+                if ee[w][v].terms:
+                    sign = -1 if par[w] and par[v] else 1
+                    lhs.append((outer(m, ee[w][v]), ca * sign))
             for (u1, u2, u3), cu in sweedler.items():
-                sign = -1 if par[v] and par[u2] else 1
-                rhs.append((outer(s[u1] * m * e[u2], e[v] * e[u3]), cu * sign))
+                if ee[v][u3].terms:
+                    sign = -1 if par[v] and par[u2] else 1
+                    rhs.append((outer(s[u1] * m * e[u2], ee[v][u3]), cu * sign))
         elif which == "11iii":
             for (w,), ca in a.terms.items():
-                lhs.append((outer(e[w] * e[v], m), ca))
+                if ee[w][v].terms:
+                    lhs.append((outer(ee[w][v], m), ca))
             for (u1, u2, u3), cu in sweedler.items():
-                sign = -1 if par[v] and (par[u1] + par[u2]) % 2 else 1
-                rhs.append((outer(e[v] * e[u1], s[u2] * m * e[u3]), cu * sign))
+                if ee[v][u1].terms:
+                    sign = -1 if par[v] and (par[u1] + par[u2]) % 2 else 1
+                    rhs.append((outer(ee[v][u1], s[u2] * m * e[u3]), cu * sign))
         else:  # 11iv
             for (w,), ca in a.terms.items():
-                lhs.append((outer(m, e[v] * e[w]), ca))
+                if ee[v][w].terms:
+                    lhs.append((outer(m, ee[v][w]), ca))
             for (u1, u2, u3), cu in sweedler.items():
-                sign = -1 if par[v] and (par[u2] + par[u3]) % 2 else 1
-                rhs.append((outer(e[u1] * m * s[u2], e[u3] * e[v]), cu * sign))
+                if ee[u3][v].terms:
+                    sign = -1 if par[v] and (par[u2] + par[u3]) % 2 else 1
+                    rhs.append((outer(e[u1] * m * s[u2], ee[u3][v]), cu * sign))
     return linear_combination(alg, 2, lhs), linear_combination(alg, 2, rhs)
 
 

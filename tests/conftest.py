@@ -45,8 +45,7 @@ def ext_ext_graded(ext):
     return replace(T, antipode=StructureMap(T.algebra, 1, images))
 
 
-@pytest.fixture(scope="session")
-def kz2():
+def kz2_structure():
     """k[Z2] in the basis {1, g}: g^2 = 1, Delta g = g (x) g, S g = g,
     eps g = 1, trivial coassociator and alpha = beta = 1.  Purely even."""
     field = FieldSpec.rational()
@@ -73,8 +72,7 @@ def kz2():
     )
 
 
-@pytest.fixture(scope="session")
-def ks3():
+def ks3_structure():
     """k[S3] in the basis of permutations of (0, 1, 2), in itertools order
     (the identity first): Delta g = g (x) g, S g = g^{-1}, eps g = 1,
     trivial coassociator and alpha = beta = 1.  Purely even, and not
@@ -101,6 +99,16 @@ def ks3():
         element(1, (0,)),
         element(1, (0,)),
     )
+
+
+@pytest.fixture(scope="session")
+def kz2():
+    return kz2_structure()
+
+
+@pytest.fixture(scope="session")
+def ks3():
+    return ks3_structure()
 
 
 def elem(H, arity, terms):

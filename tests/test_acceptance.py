@@ -44,12 +44,13 @@ from qhsa.transforms import (
     check_prop6,
     check_twistor,
     opposite_structure,
+    tensor_product_structure,
     twist_composition_check,
     twist_structure,
     verify_twist_by_r,
 )
 
-from conftest import elem, structures_equal
+from conftest import elem, kz2_structure, structures_equal
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
 AXIOM_SUITES = ("algebra", "structure", "quasi-bialgebra", "antipode")
@@ -331,3 +332,21 @@ def test_runtime_budget_for_the_full_battery():
         assert report.ok
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"battery took {elapsed:.2f}s"
+
+
+def test_runtime_budget_for_the_sparse_scale_rung():
+    """h2ext (x) k[Z2]^3 (d = 32, Phi with 8 terms) passes every default
+    suite and the Drinfeld battery within a generous five seconds: a guard
+    against a product kernel that visits every pair of words, or an algebra
+    check that builds an element for every basis triple."""
+    H = build_structure("h2ext")
+    for _ in range(3):
+        H = tensor_product_structure(H, kz2_structure())
+    assert H.algebra.dimension == 32
+    start = time.perf_counter()
+    for _, report, _ in run_suites(H):
+        assert report.ok
+    _, report = drinfeld_report(H)
+    assert report.ok
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"d = 32 battery took {elapsed:.2f}s"

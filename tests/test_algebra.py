@@ -1,4 +1,6 @@
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -29,7 +31,7 @@ from qhsa.scalars import Cyclotomic, FieldSpec
 from qhsa.structure import validate_algebra
 from qhsa.transforms import tensor_product_structure
 
-from conftest import elem
+from conftest import elem, ks3_structure, kz2_structure
 
 
 # -- validate_algebra ---------------------------------------------------------
@@ -116,7 +118,8 @@ def oracle_multiply(x, y):
 def _rational_algebra(parity, unit, table):
     field = FieldSpec.rational()
     mult = {pair: {k: field.from_int(c) for k, c in row.items()} for pair, row in table.items()}
-    return GradedAlgebra(len(parity), parity, [field.from_int(u) for u in unit], mult, field)
+    unit = [field.from_fraction(Fraction(u)) for u in unit]
+    return GradedAlgebra(len(parity), parity, unit, mult, field)
 
 
 SMALL_ALGEBRAS = {
@@ -138,19 +141,46 @@ SMALL_ALGEBRAS = {
         (1, 0),
         {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}},
     ),
+    # h2 in the basis {e0, 2 e1}: (2 e1)(2 e1) = 2 (2 e1), zero cross products
+    "h2-2e1": ((0, 0), (1, Fraction(1, 2)), {(0, 0): {0: 1}, (1, 1): {1: 2}}),
 }
-MONOMIAL_ALGEBRAS = ("h2", "ext", "kz2", "h2ext", "ext-ext", "cl1-minus")
+# Product tables given as the algebra of a structure
+STRUCTURE_ALGEBRAS = {
+    "ext-ext": lambda: tensor_product_structure(_structure("ext"), _structure("ext")),
+    # zero-heavy: 3/4 of the pairs of basis elements multiply to zero
+    "h2-h2": lambda: tensor_product_structure(_structure("h2"), _hopf(_structure("h2"))),
+    "h2ext-kz2": lambda: tensor_product_structure(_structure("h2ext"), kz2_structure()),
+    # not commutative, and no zero product
+    "ks3": ks3_structure,
+}
+MONOMIAL_ALGEBRAS = (
+    "h2",
+    "ext",
+    "kz2",
+    "h2ext",
+    "ext-ext",
+    "cl1-minus",
+    "h2-h2",
+    "h2ext-kz2",
+    "ks3",
+)
 # (1 (x) theta)(theta (x) 1) = -(theta (x) theta) puts a -1 into ext (x) ext
 SIGNED_ALGEBRAS = ("ext-ext", "cl1-minus")
-GENERAL_ALGEBRAS = ("kz2-2g", "kz2-g-1g", "cl1")
+GENERAL_ALGEBRAS = ("kz2-2g", "kz2-g-1g", "cl1", "h2-2e1")
+
+
+def _hopf(H):
+    """H with Phi, alpha and beta made trivial, so that it may be the second
+    factor of a product structure; only its product table is used."""
+    return replace(H, phi=H.unit(3), alpha=H.unit(1), beta=H.unit(1))
 
 
 @cache
 def kernel_algebra(name):
     if name in SMALL_ALGEBRAS:
         return _rational_algebra(*SMALL_ALGEBRAS[name])
-    if name == "ext-ext":
-        return tensor_product_structure(_structure("ext"), _structure("ext")).algebra
+    if name in STRUCTURE_ALGEBRAS:
+        return STRUCTURE_ALGEBRAS[name]().algebra
     return _structure(name).algebra
 
 
@@ -162,16 +192,29 @@ def test_kernel_path_follows_the_table(name):
     assert (alg.monomial_signs is not None) == (name in SIGNED_ALGEBRAS)
 
 
+@pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
+def test_partners_are_the_nonzero_products(name):
+    alg = kernel_algebra(name)
+    d = range(alg.dimension)
+    assert alg.partners == tuple(tuple(j for j in d if alg.product(i, j)) for i in d)
+
+
 @st.composite
 def kernel_operands(draw, alg):
+    """Two elements of one arity with up to 40 terms each, so that products
+    take both routes of tensor_multiply: up to JOIN_CUTOFF word pairs and
+    beyond it."""
     n = draw(st.integers(1, 4))
     word = st.tuples(*[st.integers(0, alg.dimension - 1)] * n)
-    terms = st.dictionaries(word, st.integers(-3, 3), max_size=5)
     field = alg.field
-    return tuple(
-        TensorElement(alg, n, {w: field.from_int(c) for w, c in draw(terms).items()})
-        for _ in range(2)
-    )
+    operands = []
+    for _ in range(2):
+        size = draw(st.integers(0, 40))
+        words = draw(st.lists(word, min_size=size, max_size=size))
+        coefficients = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        terms = {w: field.from_int(c) for w, c in zip(words, coefficients)}
+        operands.append(TensorElement(alg, n, terms))
+    return tuple(operands)
 
 
 @pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
@@ -184,6 +227,27 @@ def test_kernel_matches_the_reference_product(name, data):
     assert product == oracle_multiply(x, y)
     assert all(c != 0 for c in product.terms.values())
     assert TensorElement(alg, x.arity, product.terms) == product
+
+
+@pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
+def test_joined_route_matches_the_reference_product(name):
+    # seeded operands of up to 40 terms in arity 3 and 4, taken where their
+    # product has more than JOIN_CUTOFF word pairs and so the joined route
+    alg = kernel_algebra(name)
+    rng = random.Random(name)
+    for n in (3, 4):
+        words = list(itertools.product(range(alg.dimension), repeat=n))
+        size = min(40, len(words))
+        if size * size <= algebra.JOIN_CUTOFF:
+            continue  # arity 3 over a 2-dimensional algebra has 8 words
+        for _ in range(3):
+            x, y = (
+                TensorElement(
+                    alg, n, {w: alg.field.from_int(rng.choice((-2, -1, 1, 3))) for w in pair}
+                )
+                for pair in (rng.sample(words, size), rng.sample(words, size))
+            )
+            assert x * y == oracle_multiply(x, y)
 
 
 def test_cancelled_words_leave_the_product(ext):

@@ -21,7 +21,7 @@ from qhsa.fixtures import (
     h2_broken_antipode,
     h2_broken_pentagon,
 )
-from qhsa.reporting import CheckReport, expect_equal_per_basis
+from qhsa.reporting import CheckReport, expect_equal, expect_equal_per_basis
 from qhsa.structure import (
     QhsaStructure,
     check_antipode_axioms,
@@ -35,13 +35,15 @@ from qhsa.structure import (
     lemma11_sides,
     m_alpha_s,
     m_beta_s,
+    mul_chain,
     run_suites,
     suite_function,
+    validate_algebra,
     validate_structure,
 )
 from qhsa.transforms import random_twistor, tensor_product_structure, twist_structure
 
-from conftest import elem
+from conftest import elem, ks3_structure, kz2_structure
 
 ALL_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
 
@@ -216,6 +218,59 @@ def test_pentagon_consequences_fail_on_corruption():
     assert set(report.failed_ids()) == {"eq.6.1i", "eq.6.1ii", "eq.6.1iii", "eq.6.1iv"}
 
 
+def reference_pentagon_report(H):
+    """eq.fii and eq.6.1i-iv with every product taken left to right as
+    printed: the reference that the suites, which share the products P, Q
+    and N, are compared against."""
+    phi0, phi1, phi2, phi_x1, one_x_phi = H.phi_factors
+    inv0, inv1, inv2, inv_x1, one_x_inv = H.phi_inv_factors
+    report = CheckReport()
+    expect_equal(report, "eq.fii", mul_chain(phi0, phi2), mul_chain(phi_x1, phi1, one_x_phi))
+    expect_equal(report, "eq.6.1i", phi_x1, mul_chain(phi0, phi2, one_x_inv, inv1))
+    expect_equal(report, "eq.6.1ii", one_x_phi, mul_chain(inv1, inv_x1, phi0, phi2))
+    expect_equal(report, "eq.6.1iii", inv_x1, mul_chain(phi1, one_x_phi, inv2, inv0))
+    expect_equal(report, "eq.6.1iv", one_x_inv, mul_chain(inv2, inv0, phi_x1, phi1))
+    return report
+
+
+PENTAGON_CASES = {
+    **{name: (lambda fx, name=name: fx(name)) for name in ALL_FIXTURES},
+    "h2-broken-pentagon": lambda fx: h2_broken_pentagon(),
+    "h2-broken-antipode": lambda fx: h2_broken_antipode(),
+    # h2 brings a nontrivial Phi and ext (x) ext odd products; the twist mixes them
+    "h2-ext-ext-twist": lambda fx: _twisted_odd_product(fx("h2"), fx("ext_ext_graded"), 3),
+}
+
+
+def _twisted_odd_product(h2, ext_ext_graded, seed):
+    P = tensor_product_structure(h2, ext_ext_graded)
+    return twist_structure(P, random_twistor(P, random.Random(seed)))
+
+
+@pytest.mark.parametrize("name", sorted(PENTAGON_CASES))
+def test_pentagon_products_match_the_printed_chains(request, name):
+    H = PENTAGON_CASES[name](request.getfixturevalue)
+    expected = _entries(reference_pentagon_report(H))
+    fii = [entry for entry in _entries(check_quasi_bialgebra(H)) if entry[0] == "eq.fii"]
+    assert fii + _entries(check_pentagon_consequences(H)) == expected
+
+
+def test_pentagon_makes_eleven_arity4_products(monkeypatch):
+    H = build_structure("h2ext")  # fresh, so nothing is cached yet
+    calls = []
+    original = qhsa.algebra.tensor_multiply
+
+    def counting(x, y):
+        calls.append(x.arity)
+        return original(x, y)
+
+    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    assert check_quasi_bialgebra(H).ok and check_pentagon_consequences(H).ok
+    # the printed left-to-right chains make 3 products for eq.fii and 3 for
+    # each of eq.6.1i-iv: 15
+    assert calls.count(4) == 11
+
+
 # -- lemma 11 -------------------------------------------------------------------------
 
 
@@ -328,6 +383,14 @@ def test_lemma11_sides_match_the_reference_on_a_failing_product(h2ext, ext):
     H = tensor_product_structure(h2ext, ext)
     assert check_lemma11(H).failed_ids() == ["eq.11i", "eq.11ii", "eq.11iii", "eq.11iv"]
     _assert_lemma11_sides_match_the_reference(H)
+
+
+@pytest.mark.parametrize("pair, row", [((2, 1), {3: 1}), ((1, 2), {3: 1}), ((3, 0), {1: 1})])
+def test_lemma11_sides_match_the_reference_on_one_sided_products(h2ext, pair, row):
+    # e_i e_j != 0 but e_j e_i = 0, with the lone leg of Phi (0 or 2) on
+    # either side: a zero-product skip that reads its factor in the wrong
+    # order drops terms that do not vanish
+    _assert_lemma11_sides_match_the_reference(_with_product(h2ext, pair, row))
 
 
 def test_lemma11_signs_on_a_twisted_odd_product(h2, ext_ext_graded):
@@ -465,8 +528,30 @@ def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
         calls.clear()
         assert check(H).ok
         counts.append(len(calls))
-    # the term-by-term lemma 11 made 3459 and 3456 calls, the d^3 eta 288 each time
-    assert counts == [827, 800, 288, 72]
+    # the term-by-term lemma 11 made 3459 and 3456 calls, the d^3 eta 288 each
+    # time; the grouped lemma 11 with every basis product multiplied made 827
+    # and 800, and the eta lemma 288 then 72 while the algebra report was
+    # built from elements
+    assert counts == [283, 256, 72, 72]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_structure("h2ext"),
+        lambda: tensor_product_structure(build_structure("h2ext"), kz2_structure()),
+        ks3_structure,
+    ],
+    ids=["h2ext", "h2ext-kz2", "ks3"],
+)
+def test_algebra_report_makes_no_product(monkeypatch, build):
+    H = build()  # fresh, so nothing is cached yet
+
+    def no_product(x, y):
+        raise AssertionError("tensor_multiply called")
+
+    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", no_product)
+    assert H.algebra_report.ok
 
 
 # -- metatheorems ------------------------------------------------------------------------
@@ -675,6 +760,49 @@ ETA_WITNESS_CASES = [
         {"difference": [[[1], "-1"], [[5], "1"]], "basis": [2, 0, 0]},
     ),
 ]
+
+
+# Whole algebra reports of corrupted tables, pinned before the table-level
+# unit and associativity checks: a monomial and a two-term non-associative
+# table, and a table with coefficient 2 whose unit fails on the right.
+ALGEBRA_REPORT_CASES = {
+    "h2ext-non-associative": (
+        lambda fx: _with_product(fx("h2ext"), (3, 3), {0: 1}),  # (e1 (x) theta)^2 = e0 (x) 1
+        [
+            ("algebra.grading", "pass", None),
+            ("algebra.unit", "pass", None),
+            ("algebra.assoc", "fail", {"difference": [[[0], "-1"]], "basis": [0, 3, 3]}),
+        ],
+    ),
+    "ks3-non-associative": (
+        lambda fx: _with_product(fx("ks3"), (1, 2), {3: 1, 4: -1}),
+        [
+            ("algebra.grading", "pass", None),
+            ("algebra.unit", "pass", None),
+            (
+                "algebra.assoc",
+                "fail",
+                {"difference": [[[2], "2"], [[5], "-1"]], "basis": [1, 1, 2]},
+            ),
+        ],
+    ),
+    "ks3-right-unit": (
+        lambda fx: _with_product(fx("ks3"), (3, 0), {3: 2}),  # g 1 = 2 g
+        [
+            ("algebra.grading", "pass", None),
+            ("algebra.unit", "fail", {"difference": [[[3], "1"]], "basis": 3}),
+            ("algebra.assoc", "fail", {"difference": [[[5], "-1"]], "basis": [1, 3, 0]}),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_REPORT_CASES))
+def test_algebra_report_witnesses_are_pinned(request, name):
+    corrupt, expected = ALGEBRA_REPORT_CASES[name]
+    H = corrupt(request.getfixturevalue)
+    assert _entries(validate_algebra(H.algebra)) == expected
+    assert _entries(H.algebra_report) == expected
 
 
 @pytest.mark.parametrize(
