@@ -14,13 +14,18 @@ Sign conventions, fixed once here and relied on everywhere else:
 - structure maps (coproduct, counit, antipode and friends) are even operators,
   so applying one to a leg never creates a sign.
 
-Everything is exact: scalars are Fractions or cyclotomic field elements, and
-all comparisons are equalities of canonical forms.
+Everything is exact: scalars are rationals or cyclotomic field elements, and
+all comparisons are equalities of canonical forms.  Over Q an element holds
+an integral coefficient as an ``int`` and any other as a ``Fraction``: both
+constructors turn an integral Fraction into its numerator as they drop the
+zeros, so products of the common integral coefficients stay on ``int``
+arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from operator import getitem
 
 from .scalars import FieldSpec
@@ -47,6 +52,8 @@ class GradedAlgebra:
     products of odd-carrying algebras have such signs.  Both are None for any
     other table.  ``partners[i]`` lists the j with e_i e_j != 0, in order: the
     legs the joined route of tensor_multiply walks from a leg e_i.
+    ``has_zero_products`` is True when some e_i e_j is 0; without one the
+    joined route would skip nothing, and tensor_multiply never takes it.
     """
 
     def __init__(self, dimension, parity, unit, mult, field: FieldSpec):
@@ -80,6 +87,7 @@ class GradedAlgebra:
             for i in range(dimension)
         )
         self.partners = tuple(tuple(j for j, row in enumerate(r) if row) for r in rows)
+        self.has_zero_products = any(len(legs) < dimension for legs in self.partners)
         one = field.one()
         self.monomial_targets = self.monomial_signs = None
         if all(len(row) == 1 and row[0][1] in (one, -one) for r in rows for row in r if row):
@@ -125,6 +133,8 @@ class TensorElement:
             if len(word) != arity or any(not 0 <= i < d for i in word):
                 raise AlgebraError(f"bad word {word} for arity {arity}")
             if coeff != 0:
+                if type(coeff) is Fraction and coeff.denominator == 1:
+                    coeff = coeff.numerator
                 cleaned[tuple(word)] = coeff
         self.algebra = algebra
         self.arity = arity
@@ -133,12 +143,17 @@ class TensorElement:
     @staticmethod
     def _from_terms(algebra, arity, terms):
         """Engine results, whose words have the right length and range by
-        construction: only zero coefficients are dropped.  Input from outside
-        the engine goes through ``__init__``, which validates every word."""
+        construction: only zero coefficients are dropped, and integral
+        Fractions become ints.  Input from outside the engine goes through
+        ``__init__``, which validates every word."""
         x = object.__new__(TensorElement)
         x.algebra = algebra
         x.arity = arity
-        x.terms = {w: c for w, c in terms.items() if c}
+        x.terms = {
+            w: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for w, c in terms.items()
+            if c
+        }
         return x
 
     # -- constructors ------------------------------------------------------
@@ -267,11 +282,13 @@ def _odd_prefix(word, parity) -> int:
     return mask
 
 
-# Above this many word pairs, tensor_multiply joins x with a trie of y
-# instead of visiting every pair.  A small product has few zero pairs to
-# skip, and over a table with no zero product the trie skips nothing and
-# costs about a tenth more.  On the benchmark workloads a cutoff of 16 or 64
-# did equally well, and 256 or 1024 a little worse.
+# Above this many word pairs, and only over a table with a zero product,
+# tensor_multiply joins x with a trie of y instead of visiting every pair.
+# A small product has few zero pairs to skip.  Over a table with no zero
+# product (any group algebra) the trie would skip nothing and cost 5-15%
+# more, so ``GradedAlgebra.has_zero_products`` keeps such tables on the pair
+# loop at every size.  On the benchmark workloads a cutoff of 16 or 64 did
+# equally well, and 256 or 1024 a little worse.
 JOIN_CUTOFF = 64
 
 
@@ -305,19 +322,19 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
     The exponent for words x and y is the number of legs j where x_j is odd
     and an odd number of y-legs lie left of j: the common bits of
     ``_odd_legs(x)`` and ``_odd_prefix(y)``.  Each x word visits the y words
-    of one of two routes.  Up to JOIN_CUTOFF pairs it visits every y word;
-    above, it visits only those whose every leg is a partner of its own
-    (``_joined``), so no pair with a zero leg product is visited.  Both
-    routes give the same terms.  Over a monomial table a pair of words gives
-    one word by lookup and costs one scalar product, its sign adding the
-    table's -1 entries; any other table expands the precomputed rows leg by
-    leg.
+    of one of two routes.  Up to JOIN_CUTOFF pairs, or over a table with no
+    zero product, it visits every y word; otherwise it visits only those
+    whose every leg is a partner of its own (``_joined``), so no pair with a
+    zero leg product is visited.  Both routes give the same terms.  Over a
+    monomial table a pair of words gives one word by lookup and costs one
+    scalar product, its sign adding the table's -1 entries; any other table
+    expands the precomputed rows leg by leg.
     """
     x._require_same_shape(y)
     alg = x.algebra
     par = alg.parity
     ys = [(wy, _odd_prefix(wy, par), cy) for wy, cy in y.terms.items()]
-    if len(x.terms) * len(ys) > JOIN_CUTOFF:
+    if alg.has_zero_products and len(x.terms) * len(ys) > JOIN_CUTOFF:
         visit = _joined(ys, alg.partners)
     else:
 
@@ -339,14 +356,14 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
                 flips = (odd & prefix).bit_count()
                 if negated:
                     flips += sum(map(getitem, negated, wy))
-                c = -cx * cy if flips & 1 else cx * cy
+                c = -(cx * cy) if flips & 1 else cx * cy
                 out[w] = out[w] + c if w in out else c
     else:
         rows = alg.product_rows
         for wx, cx in x.terms.items():
             odd = _odd_legs(wx, par)
             for wy, prefix, cy in visit(wx):
-                partial = [((), -cx * cy if (odd & prefix).bit_count() & 1 else cx * cy)]
+                partial = [((), -(cx * cy) if (odd & prefix).bit_count() & 1 else cx * cy)]
                 for i, j in zip(wx, wy):
                     partial = [(w + (k,), c * ck) for w, c in partial for k, ck in rows[i][j]]
                 for w, c in partial:

@@ -1,7 +1,11 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic extensions Q(zeta_n).
 
-Every structure document declares a single field up front, either Q (plain
-``fractions.Fraction``) or Q(zeta_n) (``Cyclotomic``).  A cyclotomic value is
+Every structure document declares a single field up front, either Q or
+Q(zeta_n) (``Cyclotomic``).  A value of Q has one canonical form: an ``int``
+when it is integral, else a ``fractions.Fraction`` in lowest terms
+(``rational``).  Equal ints and Fractions compare, hash and print alike, so
+the form never shows in output; it only keeps the common integral products
+on ``int`` arithmetic.  A cyclotomic value is
 a polynomial in zeta_n of degree below phi(n), reduced modulo the n-th
 cyclotomic polynomial Phi_n, which is irreducible over Q, so every nonzero
 element is invertible.  It is stored as phi(n) ``int`` numerators over one
@@ -322,10 +326,16 @@ class Cyclotomic:
         return f"Cyclotomic({self.order}, {list(self.coeffs)})"
 
 
-Scalar = Union[Fraction, Cyclotomic]
+Scalar = Union[int, Fraction, Cyclotomic]
 
 
-def parse_rational(text: str) -> Fraction:
+def rational(value):
+    """The canonical form of a rational: its numerator when the denominator
+    is 1, else the value itself."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def parse_rational(text: str) -> Union[int, Fraction]:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ScalarError(f"invalid rational {text!r}")
@@ -338,8 +348,8 @@ def parse_rational(text: str) -> Fraction:
     if den:
         if int(den) == 0:
             raise ScalarError(f"invalid scalar {text!r}: zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+        return rational(Fraction(int(num), int(den)))
+    return int(num)
 
 
 class FieldSpec:
@@ -393,19 +403,19 @@ class FieldSpec:
 
     def from_int(self, value: int) -> Scalar:
         if self.kind == "rational":
-            return Fraction(value)
+            return int(value)
         return Cyclotomic.constant(self.order, value)
 
     def from_fraction(self, value: Fraction) -> Scalar:
         if self.kind == "rational":
-            return Fraction(value)
+            return rational(Fraction(value))
         return Cyclotomic.constant(self.order, value)
 
     def invert(self, value: Scalar) -> Scalar:
         if self.kind == "rational":
             if value == 0:
                 raise ScalarError("zero has no inverse")
-            return _ONE / value
+            return rational(_ONE / value)  # a Fraction quotient: int / int is a float
         if not isinstance(value, Cyclotomic):
             return Cyclotomic.constant(self.order, value).inverse()
         return value.inverse()

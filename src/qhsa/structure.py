@@ -825,6 +825,13 @@ def suite_function(name):
     raise AlgebraError(f"unknown suite {name!r}")
 
 
+def _premises(name):
+    """The validation suites that must pass before suite ``name`` is well posed."""
+    if name in VALIDATION_SUITES:
+        return VALIDATION_SUITES[: VALIDATION_SUITES.index(name)]
+    return VALIDATION_SUITES
+
+
 def run_suites(H: QhsaStructure, names=None):
     """Run the named suites in order; returns [(name, CheckReport, seconds)].
 
@@ -832,21 +839,39 @@ def run_suites(H: QhsaStructure, names=None):
     broken the later suites are not well posed, so they are skipped.  That
     includes ``structure`` after a failed ``algebra``: inverses and
     homomorphisms mean nothing over an algebra whose unit is not a unit.
+    A validation suite that a selected suite needs and that has not run yet
+    runs first, as its premise; a premise's report is added only when it
+    fails, so a run whose premises pass reports exactly the selected suites.
     """
     if names is None:
         names = DEFAULT_SUITE_NAMES
     results = []
     validation_broken = False
+    validated = {}  # validation suite -> its report, selected or run as a premise
     for name in names:
+        for premise in _premises(name):
+            if validation_broken or premise in validated:
+                continue
+            start = time.perf_counter()
+            report = validated[premise] = suite_function(premise)(H)
+            if not report.ok:
+                results.append((premise, report, time.perf_counter() - start))
+                validation_broken = True
         fn = suite_function(name)
         start = time.perf_counter()
-        if validation_broken:
+        if name in validated:  # selected after it ran as a premise
+            if not validated[name].ok:
+                continue  # reported where it ran
+            report = validated[name]
+        elif validation_broken:
             report = CheckReport()
             report.add_skip(name, "validation failed earlier")
         else:
             report = fn(H)
         elapsed = time.perf_counter() - start
         results.append((name, report, elapsed))
-        if name in VALIDATION_SUITES and not report.ok:
-            validation_broken = True
+        if name in VALIDATION_SUITES:
+            validated[name] = report
+            if not report.ok:
+                validation_broken = True
     return results

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,24 @@ from qhsa.algebra import (
     permute_legs,
     solve_linear_system,
 )
-from qhsa.fixtures import build_structure, ext_broken_grading
+from qhsa.documents import document_to_twistor, load_structure, parse_twistor_document
+from qhsa.drinfeld import compute_drinfeld_twist
+from qhsa.fixtures import (
+    ALL_TWISTOR_NAMES,
+    NEGATIVE_FIXTURES,
+    build_structure,
+    build_twistor,
+    ext_broken_grading,
+)
+from qhsa.reporting import element_terms_json
 from qhsa.scalars import Cyclotomic, FieldSpec
 from qhsa.structure import validate_algebra
-from qhsa.transforms import tensor_product_structure
+from qhsa.transforms import (
+    opposite_structure,
+    prime_structure,
+    tensor_product_structure,
+    twist_structure,
+)
 
 from conftest import elem, ks3_structure, kz2_structure
 
@@ -150,6 +165,8 @@ STRUCTURE_ALGEBRAS = {
     # zero-heavy: 3/4 of the pairs of basis elements multiply to zero
     "h2-h2": lambda: tensor_product_structure(_structure("h2"), _hopf(_structure("h2"))),
     "h2ext-kz2": lambda: tensor_product_structure(_structure("h2ext"), kz2_structure()),
+    # a group algebra: no zero product, so the joined route has nothing to skip
+    "kz2-kz2": lambda: tensor_product_structure(kz2_structure(), kz2_structure()),
     # not commutative, and no zero product
     "ks3": ks3_structure,
 }
@@ -163,10 +180,13 @@ MONOMIAL_ALGEBRAS = (
     "h2-h2",
     "h2ext-kz2",
     "ks3",
+    "kz2-kz2",
 )
 # (1 (x) theta)(theta (x) 1) = -(theta (x) theta) puts a -1 into ext (x) ext
 SIGNED_ALGEBRAS = ("ext-ext", "cl1-minus")
 GENERAL_ALGEBRAS = ("kz2-2g", "kz2-g-1g", "cl1", "h2-2e1")
+# every e_i e_j is nonzero
+NO_ZERO_PRODUCT = ("kz2", "kz2-2g", "kz2-g-1g", "cl1", "cl1-minus", "ks3", "kz2-kz2")
 
 
 def _hopf(H):
@@ -248,6 +268,25 @@ def test_joined_route_matches_the_reference_product(name):
                 for pair in (rng.sample(words, size), rng.sample(words, size))
             )
             assert x * y == oracle_multiply(x, y)
+
+
+@pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
+def test_joined_route_only_over_a_table_with_zero_products(monkeypatch, name):
+    alg = kernel_algebra(name)
+    assert alg.has_zero_products == (name not in NO_ZERO_PRODUCT)
+    joins = []
+    join = algebra._joined
+
+    def counted(ys, partners):
+        joins.append(1)
+        return join(ys, partners)
+
+    monkeypatch.setattr(algebra, "_joined", counted)
+    words = list(itertools.product(range(alg.dimension), repeat=4))[:9]
+    x = TensorElement(alg, 4, dict.fromkeys(words, alg.field.one()))
+    assert len(words) ** 2 > algebra.JOIN_CUTOFF
+    assert x * x == oracle_multiply(x, x)
+    assert bool(joins) == alg.has_zero_products
 
 
 def test_cancelled_words_leave_the_product(ext):
@@ -631,3 +670,99 @@ def test_outer_is_plain_placement(ext):
     right = embed_legs(theta, (1,), 2)
     left = embed_legs(theta, (0,), 2)
     assert right * left == elem(ext, 2, {(1, 1): -1})
+
+
+# -- the canonical rational form ------------------------------------------------------
+
+FIXTURE_DIR = Path(algebra.__file__).parent / "fixtures"
+
+
+def _assert_canonical(x):
+    # over Q an int (never a bool or float) when integral, else a Fraction
+    for w, c in x.terms.items():
+        if x.algebra.field.kind == "rational":
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (w, c)
+        else:
+            assert type(c) is Cyclotomic, (w, c)
+
+
+def _elements(H):
+    maps = (H.delta, H.epsilon, H.antipode)
+    elements = [img for f in maps for img in f.images]
+    elements += [H.phi, H.alpha, H.beta, H.phi_inv]
+    return elements + ([H.r_matrix, H.r_inv] if H.has_r else [])
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in FIXTURE_DIR.glob("*.qhsa")))
+def test_coefficients_are_canonical(name, ext):
+    _, H = load_structure((FIXTURE_DIR / f"{name}.qhsa").read_text())
+    structures = [H, opposite_structure(H), prime_structure(H)]
+    if H.algebra.field == ext.algebra.field:
+        structures.append(tensor_product_structure(H, ext))
+    for twistor in ALL_TWISTOR_NAMES:
+        if build_twistor(twistor)[0] == name:
+            doc = parse_twistor_document((FIXTURE_DIR / f"{twistor}.twist").read_text())
+            structures.append(twist_structure(H, document_to_twistor(doc, H)))
+    for T in structures:
+        for x in _elements(T):
+            _assert_canonical(x)
+    if name in NEGATIVE_FIXTURES:
+        return  # the Drinfeld construction refuses a broken structure
+    D = compute_drinfeld_twist(H)
+    for x in (D.f_d, D.f_d_inverse, D.gamma, D.gamma_bar):
+        _assert_canonical(x)
+
+
+def test_constructors_store_integral_fractions_as_ints(h2ext):
+    terms = {(0,): Fraction(4, 2), (1,): Fraction(1, 2), (2,): Fraction(0)}
+    alg = h2ext.algebra
+    for x in (TensorElement(alg, 1, terms), TensorElement._from_terms(alg, 1, terms)):
+        assert x.terms == {(0,): 2, (1,): Fraction(1, 2)}
+        assert type(x.terms[(0,)]) is int and type(x.scaled(2).terms[(1,)]) is int
+
+
+def test_the_dimension_8_rung_stays_on_ints(h2ext, kz2):
+    H = tensor_product_structure(h2ext, kz2)
+    cached = [H.phi_inv, *H.phi_factors, H.pentagon_lhs, H.pentagon_head]
+    for x in cached:
+        assert x.terms and all(type(c) is int for c in x.terms.values())
+
+
+def _stored_as_fractions(x):
+    """x with every coefficient a Fraction, integral ones included: set
+    past both constructors, which would turn the integral ones into ints."""
+    y = object.__new__(TensorElement)
+    y.algebra, y.arity = x.algebra, x.arity
+    y.terms = {w: Fraction(c) for w, c in x.terms.items()}
+    return y
+
+
+@st.composite
+def h2ext_operands(draw):
+    H = _structure("h2ext")
+    n = draw(st.integers(1, 3))
+    word = st.tuples(*[st.integers(0, 3)] * n)
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    x, y = (
+        TensorElement(H.algebra, n, draw(st.dictionaries(word, scalar, max_size=5)))
+        for _ in range(2)
+    )
+    return x + H.unit(n).scaled(draw(scalar)), y
+
+
+@settings(max_examples=40, deadline=None)
+@given(h2ext_operands())
+def test_the_stored_form_is_never_observable(operands):
+    x, y = operands
+    xf, yf = _stored_as_fractions(x), _stored_as_fractions(y)
+    pairs = [(x * y, xf * yf), (x * y, x * yf), (x + y, xf + yf), (x - y, xf - y)]
+    try:
+        pairs.append((invert_tensor_element(x), invert_tensor_element(xf)))
+    except SingularError:
+        with pytest.raises(SingularError):
+            invert_tensor_element(xf)
+    for canonical, stored in pairs:
+        _assert_canonical(canonical)
+        _assert_canonical(stored)
+        assert canonical.terms == stored.terms
+        assert element_terms_json(canonical) == element_terms_json(stored)

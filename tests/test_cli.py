@@ -92,6 +92,35 @@ def test_check_after_a_failed_algebra_suite_is_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == UNIT_ONLY_EXT_REPORT
 
 
+@pytest.mark.parametrize(
+    "suite, edit, premise",
+    [
+        # Phi = theta (x) theta (x) 1 squares to zero, so it has no inverse
+        ("lemma11", {"phi": [[1, 1, 0, "1"]]}, "structure.phi-invertible"),
+        # 1 * 1 = 0: the unit is not a unit
+        ("eta", {"mult": [[0, 1, 1, "1"], [1, 0, 1, "1"]]}, "algebra.unit"),
+    ],
+)
+def test_a_selected_suite_reports_its_failed_premise(tmp_path, capsys, suite, edit, premise):
+    doc = json.loads(Path(fx("ext.qhsa")).read_text())
+    doc.update(edit)
+    path = tmp_path / "edited.qhsa"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(path), "--suites", suite]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert f"FAIL    {premise.split('.')[0]}: {premise}\n" in out
+    assert f"SKIPPED {suite}: {suite}\n" in out
+    assert out.splitlines()[-1].startswith("overall: FAIL")
+    # selected after the suite it is a premise of, it is reported once, where it ran
+    assert main(["check", str(path), "--suites", f"{suite},{premise.split('.')[0]}"]) == 1
+    assert capsys.readouterr().out == out
+    # premises that pass add nothing to the report
+    code, report = run_json(tmp_path, "check", fx("ext.qhsa"), "--suites", suite)
+    assert code == 0 and {e["suite"] for e in report["entries"]} == {suite}
+
+
 def test_triangular_suite_is_opt_in(tmp_path):
     code, doc = run_json(tmp_path, "check", fx("h2r.qhsa"), "--suites", "triangular")
     assert code == 1  # h2r is quasi-triangular but not triangular

@@ -74,6 +74,19 @@ def test_inversion_examples():
         c4.invert(Cyclotomic(4, []))
 
 
+def test_rationals_are_ints_when_integral():
+    # canonical form over Q: an int when integral, else a Fraction in lowest terms
+    field = FieldSpec.rational()
+    assert field.invert(3) == F(1, 3) and type(field.invert(3)) is F
+    assert field.invert(-1) == -1 and type(field.invert(-1)) is int
+    assert field.parse("4/2") == 2
+    assert all(type(field.parse(text)) is int for text in ("0", "-7", "4/2"))
+    assert type(field.from_fraction(F(6, 3))) is int
+    assert type(field.from_int(True)) is int
+    for text in ("0", "-7", "6/4", "-1/3"):
+        assert field.format(field.parse(text)) == field.format(F(text))
+
+
 def test_mixed_orders_rejected():
     with pytest.raises(ScalarError):
         Cyclotomic.zeta(4) + Cyclotomic.zeta(3)

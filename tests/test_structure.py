@@ -501,13 +501,28 @@ ETA_AGREEMENT_CASES = {
 }
 
 
+# The cases whose algebra or structure suite fails: selected alone, eta
+# runs that premise first, reports its failure and is skipped.
+ETA_FAILED_PREMISES = {
+    "h2-non-associative": "algebra",
+    "h2ext-non-associative": "algebra",
+    "h2ext-odd-beta": "structure",
+}
+
+
 @pytest.mark.parametrize("name", sorted(ETA_AGREEMENT_CASES))
 def test_reduced_eta_agrees_with_the_full_enumeration(request, name):
     H = ETA_AGREEMENT_CASES[name](request.getfixturevalue)
     expected = _entries(reference_eta_report(H))
     assert _entries(check_eta_lemma(H)) == expected
-    [(suite, report, _)] = run_suites(H, ["eta"])
-    assert suite == "eta" and _entries(report) == expected
+    results = run_suites(H, ["eta"])
+    if name not in ETA_FAILED_PREMISES:
+        [(suite, report, _)] = results
+        assert suite == "eta" and _entries(report) == expected
+        return
+    [(premise, failed, _), (suite, skipped, _)] = results
+    assert (premise, suite) == (ETA_FAILED_PREMISES[name], "eta") and not failed.ok
+    assert [e.status for e in skipped.entries] == ["skipped"]
 
 
 def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
