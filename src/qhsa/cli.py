@@ -33,7 +33,8 @@ from .documents import (
     twistor_to_document,
 )
 from .drinfeld import drinfeld_construction, drinfeld_report
-from .structure import DEFAULT_SUITE_NAMES, VALIDATION_SUITES, run_suites, suite_function
+from .reporting import CheckReport
+from .structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, SUITES, run_suites
 from .transforms import (
     Twistor,
     TwistorError,
@@ -49,6 +50,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 BUNDLED_DIR = Path(__file__).parent / "fixtures"
+
+# what ``validate`` runs, and what explains a structure that cannot be transformed
+VALIDATE_SUITES = ("algebra", "structure")
 
 
 def resolve_input(path: str) -> Path:
@@ -71,42 +75,44 @@ def _read(path: str) -> str:
     return resolve_input(path).read_text(encoding="utf-8")
 
 
-def _emit(output, text: str):
-    """Write text to the file ``output``, or to stdout when it is None."""
+def _emit_report(args, name, suite_results, output) -> int:
+    """Write the report to the file ``output``, or to stdout when it is None."""
+    doc = report_document(name, suite_results, __version__)
+    text = serialize_report(doc) if args.format == "json" else format_report_text(doc)
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _format(args, doc) -> str:
-    return serialize_report(doc) if args.format == "json" else format_report_text(doc)
-
-
-def _emit_report(args, name, suite_results, output) -> int:
-    doc = report_document(name, suite_results, __version__)
-    _emit(output, _format(args, doc))
     return EXIT_OK if doc["overall"] == "pass" else EXIT_CHECK_FAILED
 
 
+def _refuse(args, name, what, results) -> int:
+    """No document is written: the failing report goes to stdout and its
+    failed check ids to stderr."""
+    failed = [check_id for _, report, _ in results for check_id in report.failed_ids()]
+    sys.stderr.write(f"invalid {what}: " + ", ".join(failed) + "\n")
+    return _emit_report(args, name, results, None)
+
+
 def _parse_suites(value):
-    if not value:
-        return None
     names = [s.strip() for s in value.split(",") if s.strip()]
+    if not names:
+        raise DocumentError("--suites names no suite")
     for n in names:
-        suite_function(n)  # raises AlgebraError for unknown names
+        if n not in SUITES:
+            raise DocumentError(f"unknown suite {n!r}")
     return names
 
 
 def cmd_validate(args) -> int:
     name, H = load_structure(_read(args.path))
-    results = run_suites(H, VALIDATION_SUITES)
+    results = run_suites(H, VALIDATE_SUITES)
     return _emit_report(args, name, results, args.output)
 
 
 def cmd_check(args) -> int:
     name, H = load_structure(_read(args.path))
-    names = _parse_suites(args.suites) or list(DEFAULT_SUITE_NAMES)
+    names = DEFAULT_SUITE_NAMES if args.suites is None else _parse_suites(args.suites)
     results = run_suites(H, names)
     return _emit_report(args, name, results, args.output)
 
@@ -117,18 +123,25 @@ def cmd_transform(args) -> int:
         if not args.twistor:
             raise DocumentError("transform twist needs --twistor")
         tdoc = parse_twistor_document(_read(args.twistor))
-        twistor = document_to_twistor(tdoc, H)
         start = time.perf_counter()
-        twistor_report = check_twistor(H, twistor)
+        try:
+            twistor = document_to_twistor(tdoc, H)
+            twistor_report = check_twistor(H, twistor)
+        except TwistorError as exc:  # a singular element
+            twistor_report = CheckReport()
+            twistor_report.add_fail("twistor.invertible", {"reason": str(exc)})
         elapsed = time.perf_counter() - start
         if not twistor_report.ok:
-            sys.stderr.write("invalid twistor: " + ", ".join(twistor_report.failed_ids()) + "\n")
-            return _emit_report(args, name, [("twistor", twistor_report, elapsed)], None)
+            return _refuse(args, name, "twistor", [("twistor", twistor_report, elapsed)])
         out = twist_structure(H, twistor)
-    elif args.kind == "opposite":
-        out = opposite_structure(H)
-    elif args.kind == "prime":
-        out = prime_structure(H)
+    elif args.kind in ("opposite", "prime"):
+        try:
+            out = (opposite_structure if args.kind == "opposite" else prime_structure)(H)
+        except SingularError:  # a singular antipode or Phi fails the input's validation
+            results = run_suites(H, VALIDATE_SUITES)
+            if all(report.ok for _, report, _ in results):
+                raise
+            return _refuse(args, name, "structure", results)
     elif args.kind == "tensor":
         if not args.other:
             raise DocumentError("transform tensor needs --other")
@@ -145,12 +158,10 @@ def cmd_transform(args) -> int:
 
 def cmd_drinfeld(args) -> int:
     name, H = load_structure(_read(args.path))
-    base = run_suites(H)
-    base_doc = report_document(name, base, __version__)
-    if base_doc["overall"] != "pass":
+    base = run_suites(H, DEFAULT_SUITE_NAMES if args.verify else DRINFELD_PREMISES)
+    if not all(report.ok for _, report, _ in base):
         sys.stderr.write("structure fails its base suites; not computing the twist\n")
-        _emit(args.output, _format(args, base_doc))
-        return EXIT_CHECK_FAILED
+        return _emit_report(args, name, base, args.output)
 
     start = time.perf_counter()
     data, report = (drinfeld_report if args.verify else drinfeld_construction)(H)

@@ -798,80 +798,64 @@ def check_eta_lemma(H: QhsaStructure) -> CheckReport:
 
 # -- suite orchestration -----------------------------------------------------------
 
-SUITES = (
-    ("algebra", lambda H: CheckReport(list(H.algebra_report.entries))),
-    ("structure", validate_structure),
-    ("quasi-bialgebra", check_quasi_bialgebra),
-    ("antipode", check_antipode_axioms),
-    ("pentagon-consequences", check_pentagon_consequences),
-    ("lemma11", check_lemma11),
-    ("eta", check_eta_lemma),
-    ("quasi-triangular", check_quasi_triangular),
-    ("qqybe", check_qqybe),
-)
+# Each suite, in report order, with the suites that must pass before it is
+# well posed.  ``structure`` needs ``algebra``: inverses and homomorphisms mean
+# nothing over an algebra whose unit is not a unit.  The identities need both.
+_VALID = ("algebra", "structure")
+SUITES = {
+    "algebra": (lambda H: CheckReport(list(H.algebra_report.entries)), ()),
+    "structure": (validate_structure, ("algebra",)),
+    "quasi-bialgebra": (check_quasi_bialgebra, _VALID),
+    "antipode": (check_antipode_axioms, _VALID),
+    "pentagon-consequences": (check_pentagon_consequences, _VALID),
+    "lemma11": (check_lemma11, _VALID),
+    "eta": (check_eta_lemma, _VALID),
+    "quasi-triangular": (check_quasi_triangular, _VALID),
+    "qqybe": (check_qqybe, _VALID),
+    "triangular": (check_triangular, _VALID),
+}
 
-OPTIONAL_SUITES = (("triangular", check_triangular),)
+# triangular is opt-in: a quasi-triangular structure need not be triangular.
+DEFAULT_SUITE_NAMES = tuple(name for name in SUITES if name != "triangular")
 
-DEFAULT_SUITE_NAMES = tuple(name for name, _ in SUITES)
-
-# Once one of these fails, the later identities are not well posed.
-VALIDATION_SUITES = ("algebra", "structure")
+# The Drinfeld twist needs only the quasi-Hopf axioms (Drinfeld 1990).
+DRINFELD_PREMISES = ("algebra", "structure", "quasi-bialgebra", "antipode")
 
 
 def suite_function(name):
-    for n, fn in SUITES + OPTIONAL_SUITES:
-        if n == name:
-            return fn
-    raise AlgebraError(f"unknown suite {name!r}")
+    return SUITES[name][0]
 
 
-def _premises(name):
-    """The validation suites that must pass before suite ``name`` is well posed."""
-    if name in VALIDATION_SUITES:
-        return VALIDATION_SUITES[: VALIDATION_SUITES.index(name)]
-    return VALIDATION_SUITES
+def run_suites(H: QhsaStructure, names=DEFAULT_SUITE_NAMES):
+    """Run the named suites; returns [(name, CheckReport, seconds)].
 
-
-def run_suites(H: QhsaStructure, names=None):
-    """Run the named suites in order; returns [(name, CheckReport, seconds)].
-
-    Validation failures short-circuit: once the algebra or structure layer is
-    broken the later suites are not well posed, so they are skipped.  That
-    includes ``structure`` after a failed ``algebra``: inverses and
-    homomorphisms mean nothing over an algebra whose unit is not a unit.
-    A validation suite that a selected suite needs and that has not run yet
-    runs first, as its premise; a premise's report is added only when it
-    fails, so a run whose premises pass reports exactly the selected suites.
+    Each suite runs at most once, after its premises in ``SUITES``.  A suite
+    with a premise that did not pass is not run: it reports ``skipped:
+    validation failed earlier``.  A failed suite is reported where it ran,
+    whether it was selected or ran as a premise; any other selected suite
+    is reported where it is first named.  So a run whose premises pass
+    reports exactly the selected suites, each once.
     """
-    if names is None:
-        names = DEFAULT_SUITE_NAMES
+    runs = {}  # name -> (report, seconds, ran and passed)
     results = []
-    validation_broken = False
-    validated = {}  # validation suite -> its report, selected or run as a premise
-    for name in names:
-        for premise in _premises(name):
-            if validation_broken or premise in validated:
-                continue
+
+    def run(name):
+        if name not in runs:
+            fn, premises = SUITES[name]
+            well_posed = all(run(p)[2] for p in premises)
             start = time.perf_counter()
-            report = validated[premise] = suite_function(premise)(H)
+            if well_posed:
+                report = fn(H)
+            else:
+                report = CheckReport()
+                report.add_skip(name, "validation failed earlier")
+            runs[name] = (report, time.perf_counter() - start, well_posed and report.ok)
             if not report.ok:
-                results.append((premise, report, time.perf_counter() - start))
-                validation_broken = True
-        fn = suite_function(name)
-        start = time.perf_counter()
-        if name in validated:  # selected after it ran as a premise
-            if not validated[name].ok:
-                continue  # reported where it ran
-            report = validated[name]
-        elif validation_broken:
-            report = CheckReport()
-            report.add_skip(name, "validation failed earlier")
-        else:
-            report = fn(H)
-        elapsed = time.perf_counter() - start
-        results.append((name, report, elapsed))
-        if name in VALIDATION_SUITES:
-            validated[name] = report
-            if not report.ok:
-                validation_broken = True
+                results.append((name, report, runs[name][1]))
+        return runs[name]
+
+    for name in names:
+        report, seconds, _ = run(name)
+        if report.ok and name not in (n for n, _, _ in results):
+            results.append((name, report, seconds))
     return results

@@ -11,6 +11,7 @@ import qhsa.structure
 import qhsa.transforms
 from qhsa.cli import main
 from qhsa.scalars import MAX_CYCLOTOMIC_ORDER
+from qhsa.structure import DRINFELD_PREMISES, SUITES
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
 
@@ -23,6 +24,15 @@ def run_json(tmp_path, *argv):
     out = tmp_path / "report.json"
     code = main([*argv, "--format", "json", "--output", str(out)])
     return code, json.loads(out.read_text())
+
+
+def edited(tmp_path, fixture, **fields):
+    """The bundled ``fixture`` with ``fields`` replaced, written to tmp_path."""
+    doc = json.loads(Path(fx(fixture)).read_text())
+    doc.update(fields)
+    path = tmp_path / f"edited-{fixture}"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 # -- check ---------------------------------------------------------------------
@@ -119,6 +129,31 @@ def test_a_selected_suite_reports_its_failed_premise(tmp_path, capsys, suite, ed
     # premises that pass add nothing to the report
     code, report = run_json(tmp_path, "check", fx("ext.qhsa"), "--suites", suite)
     assert code == 0 and {e["suite"] for e in report["entries"]} == {suite}
+
+
+def test_a_repeated_suite_runs_and_is_reported_once(capsys, monkeypatch):
+    calls = []
+    fn, premises = SUITES["eta"]
+    monkeypatch.setitem(SUITES, "eta", (lambda H: calls.append(1) or fn(H), premises))
+    assert main(["check", fx("h2.qhsa"), "--suites", "eta,eta,algebra,algebra"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "fixture: h2\n"
+        "PASS    eta: eq.lem5i\n"
+        "PASS    eta: eq.lem5ii\n"
+        "PASS    algebra: algebra.grading\n"
+        "PASS    algebra: algebra.unit\n"
+        "PASS    algebra: algebra.assoc\n"
+        "overall: PASS (5 passed, 0 failed, 0 skipped)\n"
+    )
+
+
+@pytest.mark.parametrize("selection", ["", " , ", ",,"])
+def test_an_empty_suite_selection_is_an_input_error(capsys, selection):
+    assert main(["check", fx("h2.qhsa"), "--suites", selection]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --suites names no suite\n"
 
 
 def test_triangular_suite_is_opt_in(tmp_path):
@@ -249,6 +284,81 @@ def test_invalid_twistor_reports_its_witness(tmp_path, capsys, fmt):
             f"        witness: {json.dumps(legs)}\n"
             "overall: FAIL (1 passed, 1 failed, 0 skipped)\n"
         )
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_singular_twistor_reports_twistor_invertible(tmp_path, capsys, fmt):
+    # e0 (x) e0 is an idempotent other than 1 (x) 1, so it has no inverse
+    bad = tmp_path / "singular.twist"
+    bad.write_text(
+        json.dumps(
+            {
+                "name": "singular",
+                "field": {"kind": "rational"},
+                "dimension": 2,
+                "element": [[0, 0, "1"]],
+            }
+        )
+    )
+    out = tmp_path / "out.qhsa"
+    argv = ["transform", fx("h2.qhsa"), "twist", "--twistor", str(bad), "--output", str(out)]
+    assert main([*argv, "--format", fmt]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == "invalid twistor: twistor.invertible\n"
+    witness = {"reason": "twistor is not invertible: element has no left inverse"}
+    if fmt == "json":
+        [entry] = json.loads(captured.out)["entries"]
+        assert entry == {
+            "suite": "twistor",
+            "check_id": "twistor.invertible",
+            "status": "fail",
+            "witness": witness,
+        }
+    else:
+        assert captured.out == (
+            "fixture: h2\n"
+            "FAIL    twistor: twistor.invertible\n"
+            f"        witness: {json.dumps(witness)}\n"
+            "overall: FAIL (0 passed, 1 failed, 0 skipped)\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "fixture, edit, kinds, failed",
+    [
+        # S e1 = 0: the antipode is singular
+        (
+            "h2.qhsa",
+            {"antipode": [[0, 0, "1"]]},
+            ("opposite", "prime"),
+            "structure.antipode-unit, structure.antipode-bijective",
+        ),
+        # Phi = theta (x) theta (x) 1 squares to zero; only the opposite inverts Phi
+        ("ext.qhsa", {"phi": [[1, 1, 0, "1"]]}, ("opposite",), "structure.phi-invertible"),
+        # 1 * 1 = 0 as well: the algebra fails and structure is skipped
+        (
+            "ext.qhsa",
+            {"phi": [[1, 1, 0, "1"]], "mult": [[0, 1, 1, "1"], [1, 0, 1, "1"]]},
+            ("opposite",),
+            "algebra.unit, algebra.assoc",
+        ),
+    ],
+)
+def test_transform_of_a_singular_structure_reports_its_validation(
+    tmp_path, capsys, fixture, edit, kinds, failed
+):
+    path = edited(tmp_path, fixture, **edit)
+    capsys.readouterr()
+    assert main(["validate", path]) == 1
+    validation = capsys.readouterr().out
+    for kind in kinds:
+        out = tmp_path / f"{kind}.qhsa"
+        assert main(["transform", path, kind, "--output", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid structure: {failed}\n"
+        assert captured.out == validation
 
 
 def test_twist_inverts_only_the_twisted_coassociator(tmp_path, monkeypatch):
@@ -424,9 +534,47 @@ def test_drinfeld_report_is_a_prefix_of_the_verified_one(tmp_path, name):
     assert len(verified["entries"]) > len(doc["entries"])
 
 
-def test_drinfeld_refuses_broken_structures(tmp_path):
+def test_drinfeld_refuses_broken_structures(tmp_path, capsys):
     code = main(["drinfeld", fx("h2-broken-pentagon.qhsa"), "--output", str(tmp_path / "r.txt")])
     assert code == 1
+    assert capsys.readouterr().err == "structure fails its base suites; not computing the twist\n"
+    # plain drinfeld reports its premises; --verify reports the whole battery
+    code, plain = run_json(tmp_path, "drinfeld", fx("h2-broken-pentagon.qhsa"))
+    verify_code, battery = run_json(tmp_path, "drinfeld", fx("h2-broken-pentagon.qhsa"), "--verify")
+    assert code == verify_code == 1
+    premises = [e for e in battery["entries"] if e["suite"] in DRINFELD_PREMISES]
+    assert plain["entries"] == premises == battery["entries"][: len(premises)]
+    assert {e["check_id"] for e in premises if e["status"] == "fail"} == {
+        "eq.fii",
+        "eq.phi-counit-right",
+        "eq.5ii1",
+        "eq.5ii",
+    }
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [(n, 0) for n in ("trivial", "ext", "h2", "h2r", "h2ext")]
+    + [("h2-broken-pentagon", 1), ("h2-broken-antipode", 1)],
+)
+def test_drinfeld_without_verify_runs_only_its_premises(tmp_path, monkeypatch, name, code):
+    def refuse(H):
+        raise AssertionError("plain drinfeld ran a suite outside its premises")
+
+    for suite in ("pentagon-consequences", "lemma11", "eta", "quasi-triangular", "qqybe"):
+        monkeypatch.setitem(SUITES, suite, (refuse, SUITES[suite][1]))
+    assert run_json(tmp_path, "drinfeld", fx(f"{name}.qhsa"))[0] == code
+
+
+def test_drinfeld_without_verify_needs_no_quasi_triangular_r(tmp_path):
+    # -R is even and invertible, but (Delta (x) 1)(-R) != (-R)_13 (-R)_23
+    doc = json.loads(Path(fx("h2r.qhsa")).read_text())
+    r = [[i, j, json.dumps([-c for c in json.loads(v)])] for i, j, v in doc["r"]]
+    path = edited(tmp_path, "h2r.qhsa", r=r)
+    assert main(["check", path, "--suites", "structure"]) == 0
+    assert main(["check", path, "--suites", "quasi-triangular"]) == 1
+    assert main(["drinfeld", path]) == 0
+    assert main(["drinfeld", path, "--verify"]) == 1
 
 
 # -- entry point --------------------------------------------------------------------

@@ -23,6 +23,9 @@ from qhsa.fixtures import (
 )
 from qhsa.reporting import CheckReport, expect_equal, expect_equal_per_basis
 from qhsa.structure import (
+    DEFAULT_SUITE_NAMES,
+    DRINFELD_PREMISES,
+    SUITES,
     QhsaStructure,
     check_antipode_axioms,
     check_eta_lemma,
@@ -598,6 +601,33 @@ def test_run_suites_skips_after_validation_failure():
     results = run_suites(bad, ["algebra", "quasi-bialgebra"])
     assert results[0][1].failed_ids() == ["algebra.grading"]
     assert results[1][1].entries[0].status == "skipped"
+
+
+def test_every_premise_is_a_suite_listed_earlier():
+    names = list(SUITES)
+    for position, (name, (_, premises)) in enumerate(SUITES.items()):
+        assert all(p in names[:position] for p in premises), name
+    assert DEFAULT_SUITE_NAMES == tuple(n for n in names if n != "triangular")
+    assert DRINFELD_PREMISES == DEFAULT_SUITE_NAMES[:4]
+
+
+def test_each_suite_runs_once_after_its_premises(monkeypatch, h2):
+    calls = []
+
+    def counted(name, fn):
+        def run(H):
+            calls.append(name)
+            return fn(H)
+
+        return run
+
+    for name, (fn, premises) in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, (counted(name, fn), premises))
+    results = run_suites(h2, ["eta", "structure", "eta", "lemma11", "structure"])
+    assert calls == ["algebra", "structure", "eta", "lemma11"]
+    # passing premises are reported only where they are selected, repeats once
+    assert [name for name, _, _ in results] == ["eta", "structure", "lemma11"]
+    assert all(report.ok for _, report, _ in results)
 
 
 # -- witnesses of the basis-quantified checks ------------------------------------------
