@@ -24,7 +24,6 @@ from .algebra import (
 )
 from .drinfeld import (
     DrinfeldData,
-    DrinfeldError,
     compute_drinfeld_twist,
     drinfeld_construction,
     drinfeld_report,
@@ -47,7 +46,6 @@ from .structure import (
 )
 from .transforms import (
     Twistor,
-    TwistorError,
     check_cocycle,
     check_prop6,
     check_twistor,

@@ -503,11 +503,6 @@ class StructureMap:
         self.out_arity = out_arity
         self.images = images
 
-    def __call__(self, x: TensorElement) -> TensorElement:
-        if x.arity != 1:
-            raise AlgebraError("structure maps apply to arity-1 elements")
-        return apply_map_legs(x, 0, self)
-
     def parity_violation(self) -> dict | None:
         """Witness of the first basis image that breaks parity, else None."""
         par = self.algebra.parity

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    SingularError,
     TensorElement,
     apply_map_legs,
     embed_legs,
@@ -25,11 +26,15 @@ from .algebra import (
 from .reporting import CheckReport, expect_equal, expect_equal_per_basis
 from .structure import (
     QhsaStructure,
+    _counit_legs_entry,
+    _inverse_witness,
     _require_r,
+    _witness_entry,
     check_quasi_triangular,
     m_alpha_s,
     m_beta_s,
     mul_chain,
+    validate_structure,
 )
 from .transforms import (
     Twistor,
@@ -38,11 +43,6 @@ from .transforms import (
     twist_structure,
     twisted_coassociator,
 )
-
-
-class DrinfeldError(ValueError):
-    """A constructed element failed one of its defining identities, which
-    points at a sign bug or an invalid input structure."""
 
 
 @dataclass
@@ -84,56 +84,33 @@ def _gamma_bar_post(H: QhsaStructure, w4: TensorElement) -> TensorElement:
 
 
 def compute_gamma(H: QhsaStructure) -> TensorElement:
-    """gamma from (Phi^{-1} (x) 1)(Delta (x) 1 (x) 1)Phi, cross-checked against
-    the second expression and against its absorption identity for every basis
-    element.  A mismatch signals a sign-engine bug, so it raises."""
-    phi0, _, _, _, one_x_phi = H.phi_factors
-    _, _, inv2, inv_x1, _ = H.phi_inv_factors
-    gamma = _gamma_post(H, inv_x1 * phi0)
-    alt = _gamma_post(H, one_x_phi * inv2)
-    if gamma != alt:
-        raise DrinfeldError("the two printed expressions for gamma disagree")
-    for a, eps in enumerate(H.epsilon.images):
-        if _absorb_gamma(H, gamma, a) != gamma.scaled(eps.scalar_value()):
-            raise DrinfeldError(f"gamma fails its absorption identity at basis {a}")
-    return gamma
+    """gamma from (Phi^{-1} (x) 1)(Delta (x) 1 (x) 1)Phi."""
+    return _gamma_post(H, H.phi_inv_factors[3] * H.phi_factors[0])
 
 
 def compute_gamma_bar(H: QhsaStructure) -> TensorElement:
-    _, _, phi2, phi_x1, _ = H.phi_factors
-    inv0, _, _, _, one_x_inv = H.phi_inv_factors
-    gamma_bar = _gamma_bar_post(H, inv0 * phi_x1)
-    alt = _gamma_bar_post(H, phi2 * one_x_inv)
-    if gamma_bar != alt:
-        raise DrinfeldError("the two printed expressions for gamma-bar disagree")
-    for a, eps in enumerate(H.epsilon.images):
-        if _absorb_gamma_bar(H, gamma_bar, a) != gamma_bar.scaled(eps.scalar_value()):
-            raise DrinfeldError(f"gamma-bar fails its absorption identity at basis {a}")
-    return gamma_bar
+    """gamma-bar from (Delta (x) 1 (x) 1)Phi^{-1} (Phi (x) 1)."""
+    return _gamma_bar_post(H, H.phi_inv_factors[0] * H.phi_factors[3])
 
 
-def _absorb_gamma(H, gamma, a):
-    """sum over Delta(a): (S (x) S)Delta^T(a_1) * gamma * Delta(a_2)."""
-    return linear_combination(
-        H.algebra,
-        2,
-        (
-            (H.ss_delta_t.images[j] * gamma * H.delta.images[k], c)
-            for (j, k), c in H.delta.images[a].terms.items()
-        ),
-    )
+def _absorb_gamma(H, gamma):
+    """eq.8.1 for each basis a: the sum over Delta(a) of
+    (S (x) S)Delta^T(a_1) * gamma * Delta(a_2), against eps(a) gamma."""
+    ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
+    for a, da in enumerate(delta):
+        terms = ((ss_delta_t[j] * gamma * delta[k], c) for (j, k), c in da.terms.items())
+        eps = H.epsilon.images[a].scalar_value()
+        yield a, linear_combination(H.algebra, 2, terms), gamma.scaled(eps)
 
 
-def _absorb_gamma_bar(H, gamma_bar, a):
-    """sum over Delta(a): Delta(a_1) * gamma-bar * (S (x) S)Delta^T(a_2)."""
-    return linear_combination(
-        H.algebra,
-        2,
-        (
-            (H.delta.images[j] * gamma_bar * H.ss_delta_t.images[k], c)
-            for (j, k), c in H.delta.images[a].terms.items()
-        ),
-    )
+def _absorb_gamma_bar(H, gamma_bar):
+    """eq.8.7 for each basis a: the sum over Delta(a) of
+    Delta(a_1) * gamma-bar * (S (x) S)Delta^T(a_2), against eps(a) gamma-bar."""
+    ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
+    for a, da in enumerate(delta):
+        terms = ((delta[j] * gamma_bar * ss_delta_t[k], c) for (j, k), c in da.terms.items())
+        eps = H.epsilon.images[a].scalar_value()
+        yield a, linear_combination(H.algebra, 2, terms), gamma_bar.scaled(eps)
 
 
 def _f_d_element(H: QhsaStructure, gamma: TensorElement) -> TensorElement:
@@ -161,21 +138,12 @@ def _f_d_inverse_element(H: QhsaStructure, gamma_bar: TensorElement) -> TensorEl
 
 
 def compute_drinfeld_twist(H: QhsaStructure) -> DrinfeldData:
-    """gamma, gamma-bar, F_D and F_D^{-1}, with the inverse property and the
-    counit legs verified on the spot."""
+    """gamma, gamma-bar, F_D and F_D^{-1}, built and not checked;
+    ``drinfeld_construction`` checks them."""
     gamma = compute_gamma(H)
     gamma_bar = compute_gamma_bar(H)
     f_d = _f_d_element(H, gamma)
     f_d_inv = _f_d_inverse_element(H, gamma_bar)
-    unit2 = H.unit(2)
-    if f_d_inv * f_d != unit2 or f_d * f_d_inv != unit2:
-        raise DrinfeldError("constructed F_D^{-1} is not a two-sided inverse of F_D")
-    expected = H.unit(1).scaled(H.eps_alpha)
-    if (
-        apply_map_legs(f_d, 0, H.epsilon) != expected
-        or apply_map_legs(f_d, 1, H.epsilon) != expected
-    ):
-        raise DrinfeldError("counit legs of F_D do not equal eps(alpha)")
     return DrinfeldData(gamma, gamma_bar, f_d, f_d_inv, H.eps_alpha, H.eps_beta)
 
 
@@ -326,26 +294,28 @@ def verify_prime_equivalence(
 
 
 def drinfeld_construction(H: QhsaStructure) -> tuple:
-    """Build the Drinfeld twist; returns (DrinfeldData | None, CheckReport).
-
-    The report holds the construction entries only.  Construction failures
-    (expression mismatch, absorption violations, inverse failures) become a
-    failing entry rather than an exception, so corrupted fixtures produce a
-    readable report.
-    """
-    report = CheckReport()
+    """Build the Drinfeld twist and check it; returns (DrinfeldData | None,
+    CheckReport).  The report holds the construction checks in order: gamma
+    and then gamma-bar against its second printed expression and its
+    absorption identity, F_D^{-1} as a two-sided inverse of F_D, and the
+    counit legs of F_D against eps(alpha).  The data comes back only when
+    every check passes.  A singular Phi or S leaves nothing to build; the
+    report is then ``validate_structure``'s, which says which."""
     try:
         D = compute_drinfeld_twist(H)
-    except DrinfeldError as exc:
-        report.add_fail("drinfeld.construction", {"reason": str(exc)})
-        return None, report
-    report.add_pass("drinfeld.gamma-alt")
-    report.add_pass("eq.8.1")
-    report.add_pass("drinfeld.gamma-bar-alt")
-    report.add_pass("eq.8.7")
-    report.add_pass("drinfeld.fd-inverse")
-    report.add_pass("drinfeld.fd-counit")
-    return D, report
+    except SingularError:
+        return None, validate_structure(H)
+    report = CheckReport()
+    phi, inv = H.phi_factors, H.phi_inv_factors
+    # (1 (x) Phi)(1 (x) 1 (x) Delta)Phi^{-1} and (1 (x) 1 (x) Delta)Phi (1 (x) Phi^{-1})
+    expect_equal(report, "drinfeld.gamma-alt", D.gamma, _gamma_post(H, phi[4] * inv[2]))
+    expect_equal_per_basis(report, "eq.8.1", _absorb_gamma(H, D.gamma))
+    gamma_bar_alt = _gamma_bar_post(H, phi[2] * inv[4])
+    expect_equal(report, "drinfeld.gamma-bar-alt", D.gamma_bar, gamma_bar_alt)
+    expect_equal_per_basis(report, "eq.8.7", _absorb_gamma_bar(H, D.gamma_bar))
+    _witness_entry(report, "drinfeld.fd-inverse", _inverse_witness(H, D.f_d, D.f_d_inverse))
+    _counit_legs_entry(report, "drinfeld.fd-counit", H, D.f_d, H.unit(1).scaled(D.eps_alpha))
+    return (D if report.ok else None), report
 
 
 def drinfeld_report(H: QhsaStructure) -> tuple:

@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .reporting import (
     CheckReport,
+    difference_witness,
     element_terms_json,
     expect_equal,
     expect_equal_per_basis,
@@ -398,18 +399,30 @@ def _invertible_entry(report, check_id, H, attr):
         report.add_fail(check_id, {"reason": str(exc)})
 
 
-def _counit_legs_entry(report, check_id, H, x):
+def _counit_legs_entry(report, check_id, H, x, expected=None):
     """Both counit legs (eps (x) 1)x and (1 (x) eps)x of an arity-2 element
-    equal to 1; a failure witnesses each leg."""
+    equal to ``expected``, by default 1; a failure witnesses each leg."""
+    expected = H.unit(1) if expected is None else expected
     left = apply_map_legs(x, 0, H.epsilon)
     right = apply_map_legs(x, 1, H.epsilon)
-    if left == H.unit(1) and right == H.unit(1):
+    if left == expected and right == expected:
         report.add_pass(check_id)
     else:
         report.add_fail(
             check_id,
             {"eps-left": element_terms_json(left), "eps-right": element_terms_json(right)},
         )
+
+
+def _inverse_witness(H, x, x_inv):
+    """None when x_inv x = 1 and x x_inv = 1 in H's algebra, else the
+    difference of the first side that fails, labelled "left" or "right"."""
+    one = H.unit(x.arity)
+    left = x_inv * x
+    if left != one:
+        return difference_witness(left, one, basis="left")
+    right = x * x_inv
+    return None if right == one else difference_witness(right, one, basis="right")
 
 
 # -- quasi-bialgebra axioms ----------------------------------------------------
@@ -798,32 +811,32 @@ def check_eta_lemma(H: QhsaStructure) -> CheckReport:
 
 # -- suite orchestration -----------------------------------------------------------
 
+# A valid structure: what ``validate`` runs, what explains a structure that
+# cannot be transformed, and what every identity suite needs.  ``structure``
+# needs ``algebra``: inverses and homomorphisms mean nothing over an algebra
+# whose unit is not a unit.
+VALIDATION_SUITES = ("algebra", "structure")
+
+# The Drinfeld twist needs only the quasi-Hopf axioms (Drinfeld 1990).
+DRINFELD_PREMISES = VALIDATION_SUITES + ("quasi-bialgebra", "antipode")
+
 # Each suite, in report order, with the suites that must pass before it is
-# well posed.  ``structure`` needs ``algebra``: inverses and homomorphisms mean
-# nothing over an algebra whose unit is not a unit.  The identities need both.
-_VALID = ("algebra", "structure")
+# well posed.
 SUITES = {
     "algebra": (lambda H: CheckReport(list(H.algebra_report.entries)), ()),
     "structure": (validate_structure, ("algebra",)),
-    "quasi-bialgebra": (check_quasi_bialgebra, _VALID),
-    "antipode": (check_antipode_axioms, _VALID),
-    "pentagon-consequences": (check_pentagon_consequences, _VALID),
-    "lemma11": (check_lemma11, _VALID),
-    "eta": (check_eta_lemma, _VALID),
-    "quasi-triangular": (check_quasi_triangular, _VALID),
-    "qqybe": (check_qqybe, _VALID),
-    "triangular": (check_triangular, _VALID),
+    "quasi-bialgebra": (check_quasi_bialgebra, VALIDATION_SUITES),
+    "antipode": (check_antipode_axioms, VALIDATION_SUITES),
+    "pentagon-consequences": (check_pentagon_consequences, VALIDATION_SUITES),
+    "lemma11": (check_lemma11, VALIDATION_SUITES),
+    "eta": (check_eta_lemma, VALIDATION_SUITES),
+    "quasi-triangular": (check_quasi_triangular, VALIDATION_SUITES),
+    "qqybe": (check_qqybe, VALIDATION_SUITES),
+    "triangular": (check_triangular, VALIDATION_SUITES),
 }
 
 # triangular is opt-in: a quasi-triangular structure need not be triangular.
 DEFAULT_SUITE_NAMES = tuple(name for name in SUITES if name != "triangular")
-
-# The Drinfeld twist needs only the quasi-Hopf axioms (Drinfeld 1990).
-DRINFELD_PREMISES = ("algebra", "structure", "quasi-bialgebra", "antipode")
-
-
-def suite_function(name):
-    return SUITES[name][0]
 
 
 def run_suites(H: QhsaStructure, names=DEFAULT_SUITE_NAMES):

@@ -11,6 +11,7 @@ outputs with the usual check suites rather than trusting these formulas.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 
 from .algebra import (
     AlgebraError,
@@ -30,6 +31,7 @@ from .structure import (
     QhsaStructure,
     _counit_legs_entry,
     _even_entry,
+    _inverse_witness,
     _require_r,
     m_alpha_s,
     m_beta_s,
@@ -37,23 +39,22 @@ from .structure import (
 )
 
 
-class TwistorError(AlgebraError):
-    """The given element does not qualify as a twistor."""
-
-
 class Twistor:
-    """An invertible even element of H (x) H with both counit legs equal to 1."""
+    """An element of H (x) H meant to be even and invertible with both counit
+    legs equal to 1, as ``check_twistor`` verifies.  ``inverse`` is the
+    declared one, or is computed on first use (SingularError if there is none)."""
 
     def __init__(self, element: TensorElement, inverse: TensorElement | None = None):
         if element.arity != 2:
-            raise TwistorError("a twistor has arity 2")
-        if inverse is None:
-            try:
-                inverse = invert_tensor_element(element)
-            except SingularError as exc:
-                raise TwistorError(f"twistor is not invertible: {exc}")
+            raise AlgebraError("a twistor has arity 2")
         self.element = element
-        self.inverse = inverse
+        self.declared_inverse = inverse
+
+    @cached_property
+    def inverse(self) -> TensorElement:
+        if self.declared_inverse is not None:
+            return self.declared_inverse
+        return invert_tensor_element(self.element)
 
     def transpose(self) -> "Twistor":
         return Twistor(
@@ -62,9 +63,23 @@ class Twistor:
 
 
 def check_twistor(H: QhsaStructure, F: Twistor) -> CheckReport:
-    """Evenness and both counit legs equal to 1.  Invertibility needs no
-    check: building ``F`` already inverted its element or raised."""
+    """Invertibility, evenness and both counit legs equal to 1.
+
+    ``twistor.invertible`` is reported only when it fails, and then alone:
+    the element is singular, or its declared inverse is not a two-sided
+    inverse in H's algebra.  A computed inverse is not multiplied again.
+    """
     report = CheckReport()
+    try:
+        inverse = F.inverse
+    except SingularError as exc:
+        witness = {"reason": f"twistor is not invertible: {exc}"}
+    else:
+        declared = F.declared_inverse is not None
+        witness = _inverse_witness(H, F.element, inverse) if declared else None
+    if witness is not None:
+        report.add_fail("twistor.invertible", witness)
+        return report
     _even_entry(report, "twistor.even", F.element)
     _counit_legs_entry(report, "eq.cup", H, F.element)
     return report
@@ -304,9 +319,10 @@ def random_twistor(H: QhsaStructure, rng) -> Twistor:
             k = rng.randint(-2, 2)
             if k:
                 terms[w] = alg.field.from_int(k)
-        element = H.unit(2) + TensorElement(alg, 2, terms)
+        twistor = Twistor(H.unit(2) + TensorElement(alg, 2, terms))
         try:
-            return Twistor(element)
-        except TwistorError:
+            twistor.inverse
+        except SingularError:
             continue
-    raise TwistorError("could not sample an invertible twistor")
+        return twistor
+    raise AlgebraError("could not sample an invertible twistor")

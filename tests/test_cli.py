@@ -588,3 +588,32 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "overall: PASS" in result.stdout
+
+
+# The modules loaded at start-up (site .pth files may load third-party ones)
+# are left out: only what running the CLI adds is checked.
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+from qhsa.cli import main
+for argv in sys.argv[1:]:
+    main(json.loads(argv))
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(added - set(sys.stdlib_module_names) - {"qhsa"}))
+"""
+
+
+def test_the_cli_imports_only_the_stdlib(tmp_path):
+    runs = [
+        ["check", fx("h2r.qhsa")],
+        ["drinfeld", fx("h2ext.qhsa"), "--verify", "--emit-twist", str(tmp_path / "f.twist")],
+        ["transform", fx("ext.qhsa"), "twist", "--twistor", fx("f-theta.twist"),
+         "--output", str(tmp_path / "out.qhsa")],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *map(json.dumps, runs)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

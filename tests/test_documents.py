@@ -22,6 +22,8 @@ from qhsa.fixtures import (
     twistor_e11,
 )
 from qhsa.transforms import (
+    Twistor,
+    check_twistor,
     opposite_structure,
     prime_structure,
     tensor_product_structure,
@@ -187,11 +189,35 @@ def test_twistor_field_mismatch(h2r):
 
 
 def test_declared_inverse_is_verified(h2):
+    # a declared inverse that is not two-sided is a failed check, not an
+    # input error: the structure, not the document, may be at fault
     text = (FIXTURE_DIR / "f-e11.twist").read_text(encoding="utf-8")
     data = json.loads(text)
     data["inverse"][3][2] = "7"
-    with pytest.raises(DocumentError, match="not a two-sided inverse"):
-        document_to_twistor(parse_twistor_document(json.dumps(data)), h2)
+    twistor = document_to_twistor(parse_twistor_document(json.dumps(data)), h2)
+    report = check_twistor(h2, twistor)
+    assert report.failed_ids() == ["twistor.invertible"]
+    assert len(report.entries) == 1
+    assert report.entry("twistor.invertible").witness == {
+        "difference": [[[1, 1], "13"]],
+        "basis": "left",
+    }
+
+
+def test_a_one_sided_declared_inverse_fails_on_its_side():
+    # e0 is only a left unit (e0 e1 = e1, e1 e0 = 0), so 1 (x) 1 + e1 (x) e1
+    # is a left inverse of 1 (x) 1 and not a right one
+    data = json.loads((FIXTURE_DIR / "h2.qhsa").read_text(encoding="utf-8"))
+    data.update(unit=["1", "0"], mult=[[0, 0, 0, "1"], [0, 1, 1, "1"]])
+    _, H = load_structure(json.dumps(data))
+    report = check_twistor(H, Twistor(H.unit(2), H.unit(2) + H.basis(1, 1)))
+    assert [e.to_json() for e in report.entries] == [
+        {
+            "check_id": "twistor.invertible",
+            "status": "fail",
+            "witness": {"difference": [[[1, 1], "1"]], "basis": "right"},
+        }
+    ]
 
 
 def test_cyclotomic_scalars_round_trip_bit_exactly(h2r):

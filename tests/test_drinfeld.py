@@ -5,6 +5,8 @@ recomputed by a tiny independent oracle that works purely with the diagonal
 coefficient functions of the idempotent basis (no tensor engine involved).
 """
 
+from fractions import Fraction
+
 import pytest
 
 import qhsa.drinfeld
@@ -12,16 +14,15 @@ import qhsa.structure
 import qhsa.transforms
 from qhsa.algebra import apply_map_legs, embed_legs, invert_tensor_element
 from qhsa.drinfeld import (
-    DrinfeldError,
     compute_drinfeld_twist,
     compute_gamma,
-    compute_gamma_bar,
+    drinfeld_construction,
     drinfeld_report,
     verify_prime_equivalence,
 )
 from qhsa.fixtures import build_structure, h2_broken_pentagon
 from qhsa.structure import run_suites
-from qhsa.transforms import prime_structure
+from qhsa.transforms import Twistor, prime_structure, twist_structure
 from conftest import elem
 
 ALL_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
@@ -84,11 +85,30 @@ def test_trivial_and_hopf_degenerations(trivial, ext):
     assert ext.delta_prime == ext.delta
 
 
+CONSTRUCTION_IDS = [
+    "drinfeld.gamma-alt",
+    "eq.8.1",
+    "drinfeld.gamma-bar-alt",
+    "eq.8.7",
+    "drinfeld.fd-inverse",
+    "drinfeld.fd-counit",
+]
+
+
 def test_gamma_expressions_agree(fixture_structure):
-    # compute_gamma raises if the two printed expressions disagree or the
-    # absorption identity fails for any basis element
-    compute_gamma(fixture_structure)
-    compute_gamma_bar(fixture_structure)
+    # the construction report compares the two printed expressions for gamma
+    # and gamma-bar, and their absorption identities for every basis element
+    data, report = drinfeld_construction(fixture_structure)
+    assert data is not None
+    assert report.passed_ids()[:4] == CONSTRUCTION_IDS[:4]
+
+
+def test_construction_reports_its_checks_in_order(fixture_structure):
+    data, report = drinfeld_construction(fixture_structure)
+    assert data is not None
+    assert [(e.check_id, e.status) for e in report.entries] == [
+        (check_id, "pass") for check_id in CONSTRUCTION_IDS
+    ]
 
 
 def test_fd_inverse_and_counit_legs(fixture_structure):
@@ -102,6 +122,16 @@ def test_fd_inverse_and_counit_legs(fixture_structure):
     assert apply_map_legs(D.f_d, 0, H.epsilon) == expected
     assert apply_map_legs(D.f_d, 1, H.epsilon) == expected
     assert H.eps_alpha * H.eps_beta == H.algebra.field.one()
+
+
+def test_fd_counit_legs_are_checked_against_eps_alpha(h2):
+    # twisting by 2 (1 (x) 1) halves alpha, so the counit legs of F_D are 1/2
+    half = h2.algebra.field.from_fraction(Fraction(1, 2))
+    H = twist_structure(h2, Twistor(h2.unit(2).scaled(2), h2.unit(2).scaled(half)))
+    assert H.eps_alpha == half
+    data, report = drinfeld_construction(H)
+    assert report.entry("drinfeld.fd-counit").status == "pass"
+    assert apply_map_legs(data.f_d, 0, H.epsilon) == H.unit(1).scaled(half)
 
 
 def test_full_battery_passes(fixture_structure):
@@ -216,12 +246,15 @@ def test_thm5_conjugates_the_zeta_coefficient(h2r):
 
 
 def test_corrupted_structure_raises_or_reports():
+    # the two printed expressions for gamma disagree, and the report says where
     bad = h2_broken_pentagon()
-    with pytest.raises(DrinfeldError):
-        compute_gamma(bad)
-    data, report = drinfeld_report(bad)
+    data, report = drinfeld_construction(bad)
     assert data is None
-    assert report.entry("drinfeld.construction").status == "fail"
+    assert report.entry("drinfeld.gamma-alt").status == "fail"
+    assert report.entry("drinfeld.gamma-alt").witness == {"difference": [[[1, 1], "2"]]}
+    data, battery = drinfeld_report(bad)
+    assert data is None
+    assert [e.to_json() for e in battery.entries] == [e.to_json() for e in report.entries]
 
 
 def test_twisted_structure_has_its_own_drinfeld_twist(h2ext):

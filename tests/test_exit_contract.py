@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from qhsa.cli import main
+from qhsa.documents import load_structure
+from qhsa.drinfeld import drinfeld_construction
+from qhsa.fixtures import ALL_TWISTOR_NAMES, build_twistor
 from qhsa.structure import SUITES
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
@@ -54,6 +57,20 @@ def _document(tmp_path, name):
     return str(path)
 
 
+def _run(capsys, argv) -> int:
+    """Run the CLI once and check the contract; returns the exit code."""
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in captured.err, argv
+    if code == 1:
+        assert captured.out.splitlines()[-1].startswith("overall: FAIL"), argv
+    elif code == 0:
+        assert captured.out.splitlines()[-1].startswith("overall: PASS"), argv
+    return code
+
+
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_every_command_keeps_the_exit_contract(tmp_path, capsys, name):
     path = _document(tmp_path, name)
@@ -61,13 +78,35 @@ def test_every_command_keeps_the_exit_contract(tmp_path, capsys, name):
     runs = [["check", path], ["validate", path], ["drinfeld", path], ["drinfeld", path, "--verify"]]
     runs += [["check", path, "--suites", suite] for suite in SUITES]
     runs += [["transform", path, kind, "--output", out] for kind in ("opposite", "prime")]
-    capsys.readouterr()
     for argv in runs:
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code in (0, 1, 2), argv
-        assert "Traceback" not in captured.err, argv
-        if code == 1:
-            assert captured.out.splitlines()[-1].startswith("overall: FAIL"), argv
-        elif code == 0:
-            assert captured.out.splitlines()[-1].startswith("overall: PASS"), argv
+        _run(capsys, argv)
+
+
+# each bundled twistor on its target, and two of them on the corrupted targets
+TWISTS = [(build_twistor(t)[0], t) for t in ALL_TWISTOR_NAMES] + [
+    (f"{base}~{c}", twistor)
+    for base, twistor in (("h2", "f-e11"), ("ext", "f-theta"))
+    for c in CORRUPTIONS
+]
+
+
+@pytest.mark.parametrize("name, twistor", TWISTS, ids=[f"{n}+{t}" for n, t in TWISTS])
+def test_transform_twist_keeps_the_exit_contract(tmp_path, capsys, name, twistor):
+    """A well-formed twistor document whose field and dimension match the
+    structure's is never an input error, whatever is wrong with either:
+    a failed check exits 1 with its report."""
+    path = _document(tmp_path, name)
+    twist = str(FIXTURE_DIR / f"{twistor}.twist")
+    argv = ["transform", path, "twist", "--twistor", twist, "--output", str(tmp_path / "out.qhsa")]
+    assert _run(capsys, argv) != 2, argv
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_drinfeld_construction_reports_and_never_raises(tmp_path, name):
+    """The library call reports what the CLI's premises would refuse: a
+    corrupted structure gives a failing report and no data, never an
+    exception."""
+    _, H = load_structure(Path(_document(tmp_path, name)).read_text())
+    data, report = drinfeld_construction(H)
+    assert (data is not None) == report.ok
+    assert data is not None or report.failed_ids()

@@ -40,7 +40,6 @@ from qhsa.structure import (
     m_beta_s,
     mul_chain,
     run_suites,
-    suite_function,
     validate_algebra,
     validate_structure,
 )
@@ -856,7 +855,7 @@ def test_algebra_report_witnesses_are_pinned(request, name):
     ids=[case[3] for case in WITNESS_CASES] + [case[0] for case in ETA_WITNESS_CASES],
 )
 def test_basis_check_witness_is_pinned(request, suite, fixture, corrupt, check_id, witness):
-    report = suite_function(suite)(corrupt(request.getfixturevalue(fixture)))
+    report = SUITES[suite][0](corrupt(request.getfixturevalue(fixture)))
     assert check_id in report.failed_ids()
     assert report.entry(check_id).witness == witness
 

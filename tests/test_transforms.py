@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhsa.algebra import AlgebraError
+from qhsa.algebra import AlgebraError, SingularError
 from qhsa.drinfeld import compute_drinfeld_twist, verify_thm5
 from qhsa.fixtures import (
     build_structure,
@@ -29,7 +29,6 @@ from qhsa.structure import (
 )
 from qhsa.transforms import (
     Twistor,
-    TwistorError,
     check_cocycle,
     check_prop6,
     check_twistor,
@@ -58,8 +57,9 @@ def test_theta_twistor_is_valid(ext):
 
 def test_theta_squared_fails_counit_legs(ext):
     theta2 = elem(ext, 2, {(1, 1): 1})
-    with pytest.raises(TwistorError, match="not invertible"):
-        Twistor(theta2)
+    report = check_twistor(ext, Twistor(theta2))
+    assert report.failed_ids() == ["twistor.invertible"]
+    assert "not invertible" in report.entry("twistor.invertible").witness["reason"]
     # 2 (x) 1 + theta (x) theta is invertible, and its counit legs are 2
     report = check_twistor(ext, Twistor(elem(ext, 2, {(0, 0): 2, (1, 1): 1})))
     entry = report.entry("eq.cup")
@@ -189,8 +189,10 @@ def test_scalar_rescaling_covariance(h2ext):
 
 
 def test_singular_twistor_rejected(ext):
-    with pytest.raises(TwistorError):
-        Twistor(elem(ext, 2, {(1, 1): 1}))
+    F = Twistor(elem(ext, 2, {(1, 1): 1}))
+    assert not check_twistor(ext, F).ok
+    with pytest.raises(SingularError):
+        F.inverse
 
 
 @pytest.mark.parametrize(
@@ -203,9 +205,15 @@ def test_singular_twistor_rejected(ext):
 )
 def test_singular_twistor_witness_is_pinned(fixture, terms):
     H = build_structure(fixture)
-    message = "^twistor is not invertible: element has no left inverse$"
-    with pytest.raises(TwistorError, match=message):
-        Twistor(elem(H, 2, terms))
+    report = check_twistor(H, Twistor(elem(H, 2, terms)))
+    # reported alone: evenness and the counit legs of a non-twistor say nothing
+    assert [e.to_json() for e in report.entries] == [
+        {
+            "check_id": "twistor.invertible",
+            "status": "fail",
+            "witness": {"reason": "twistor is not invertible: element has no left inverse"},
+        }
+    ]
 
 
 # -- opposite structure ----------------------------------------------------------------
