@@ -219,9 +219,6 @@ def main(argv=None) -> int:
     except (FileNotFoundError, DocumentError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    except SingularError as exc:
-        sys.stderr.write(f"verification failure: {exc}\n")
-        return EXIT_CHECK_FAILED
     except AlgebraError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR

@@ -100,6 +100,8 @@ def _load_json(text: str):
         raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
         raise DocumentError(f"invalid JSON: {exc}")
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply")
 
 
 def _expect_keys(data, allowed, required, what):
@@ -154,6 +156,12 @@ def _parse_sparse(field, data, index_count, dimension, key):
     return tuple(sorted(rows, key=lambda r: r[:index_count]))
 
 
+def _parse_name(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise DocumentError("name must be a nonempty string")
+    return value
+
+
 def _parse_dimension(value) -> int:
     if not _is_int(value) or value < 1:
         raise DocumentError("dimension must be a positive integer")
@@ -163,8 +171,7 @@ def _parse_dimension(value) -> int:
 def parse_structure_document(text: str) -> StructureDocument:
     data = _load_json(text)
     _expect_keys(data, STRUCTURE_KEYS, [k for k in STRUCTURE_KEYS if k != "r"], "structure")
-    if not isinstance(data["name"], str) or not data["name"]:
-        raise DocumentError("name must be a nonempty string")
+    name = _parse_name(data["name"])
     try:
         field = FieldSpec.from_json(data["field"])
     except ScalarError as exc:
@@ -178,7 +185,7 @@ def parse_structure_document(text: str) -> StructureDocument:
     ):
         raise DocumentError(f"parity must be a 0/1 list of length {dim}")
     return StructureDocument(
-        name=data["name"],
+        name=name,
         field=field,
         dimension=dim,
         parity=tuple(parity),
@@ -197,6 +204,7 @@ def parse_structure_document(text: str) -> StructureDocument:
 def parse_twistor_document(text: str) -> TwistorDocument:
     data = _load_json(text)
     _expect_keys(data, TWISTOR_KEYS, ["name", "field", "dimension", "element"], "twistor")
+    name = _parse_name(data["name"])
     try:
         field = FieldSpec.from_json(data["field"])
     except ScalarError as exc:
@@ -210,7 +218,7 @@ def parse_twistor_document(text: str) -> TwistorDocument:
             "eps_beta": _parse_scalar(field, norm["eps_beta"], "normalization.eps_beta"),
         }
     return TwistorDocument(
-        name=data["name"],
+        name=name,
         field=field,
         dimension=dim,
         element=_parse_sparse(field, data["element"], 2, dim, "element"),

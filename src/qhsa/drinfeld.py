@@ -3,10 +3,13 @@
 The pipeline builds gamma and gamma-bar from the coassociator, assembles the
 twist F_D and its explicit inverse, and then machine-checks the whole circle
 of identities connecting the primed structure (S-conjugated coproduct,
-coassociator, canonical elements, R-matrix) with twisting by F_D.  Each
-element is computed term by term over the sparse words of Phi with the
-Sweedler legs expanded through the stored coproduct images; there is no
-symbolic simplification anywhere.
+coassociator, canonical elements, R-matrix) with twisting by F_D.  F_D,
+F_D^{-1} and their two alternative closed forms are sums over the words of
+Phi or Phi^{-1} in which two legs only meet inside one arity-1 factor; each
+is summed over the lone third leg through the lemma-11 middles cached on the
+structure (``QhsaStructure.lemma11_middles``), with the Sweedler legs
+expanded through the stored coproduct images.  There is no symbolic
+simplification anywhere.
 """
 
 from __future__ import annotations
@@ -93,48 +96,24 @@ def compute_gamma_bar(H: QhsaStructure) -> TensorElement:
     return _gamma_bar_post(H, H.phi_inv_factors[0] * H.phi_factors[3])
 
 
-def _absorb_gamma(H, gamma):
-    """eq.8.1 for each basis a: the sum over Delta(a) of
-    (S (x) S)Delta^T(a_1) * gamma * Delta(a_2), against eps(a) gamma."""
-    ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
-    for a, da in enumerate(delta):
-        terms = ((ss_delta_t[j] * gamma * delta[k], c) for (j, k), c in da.terms.items())
+def _absorb(H, g, left, right):
+    """eq.8.1 (left (S (x) S)Delta^T, right Delta, g = gamma) and eq.8.7
+    (left Delta, right (S (x) S)Delta^T, g = gamma-bar) for each basis a: the
+    sum over Delta(a) of left(a_1) * g * right(a_2), against eps(a) g."""
+    for a, da in enumerate(H.delta.images):
+        terms = ((left[j] * g * right[k], c) for (j, k), c in da.terms.items())
         eps = H.epsilon.images[a].scalar_value()
-        yield a, linear_combination(H.algebra, 2, terms), gamma.scaled(eps)
+        yield a, linear_combination(H.algebra, 2, terms), g.scaled(eps)
 
 
-def _absorb_gamma_bar(H, gamma_bar):
-    """eq.8.7 for each basis a: the sum over Delta(a) of
-    Delta(a_1) * gamma-bar * (S (x) S)Delta^T(a_2), against eps(a) gamma-bar."""
-    ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
-    for a, da in enumerate(delta):
-        terms = ((delta[j] * gamma_bar * ss_delta_t[k], c) for (j, k), c in da.terms.items())
-        eps = H.epsilon.images[a].scalar_value()
-        yield a, linear_combination(H.algebra, 2, terms), gamma_bar.scaled(eps)
-
-
-def _f_d_element(H: QhsaStructure, gamma: TensorElement) -> TensorElement:
-    """F_D = sum over Phi of (S (x) S)Delta^T(X) * gamma * Delta(Y beta S(Z))."""
-    s = H.antipode.images
-
-    def terms():
-        for (x, y, z), c in H.phi.terms.items():
-            h = H.basis(y) * H.beta * s[z]
-            yield H.ss_delta_t.images[x] * gamma * H.coproduct(h), c
-
-    return linear_combination(H.algebra, 2, terms())
-
-
-def _f_d_inverse_element(H: QhsaStructure, gamma_bar: TensorElement) -> TensorElement:
-    """F_D^{-1} = sum over Phi^{-1} of Delta(Xbar) * gamma-bar * Delta'(S(Ybar) alpha Zbar)."""
-    s = H.antipode.images
-
-    def terms():
-        for (x, y, z), c in H.phi_inv.terms.items():
-            h = s[y] * H.alpha * H.basis(z)
-            yield H.delta.images[x] * gamma_bar * apply_map_legs(h, 0, H.delta_prime), c
-
-    return linear_combination(H.algebra, 2, terms())
+def _middle_sum(H: QhsaStructure, which: str, term) -> TensorElement:
+    """The sum over the lone leg v of term(v, M_v), where M_v is the cached
+    lemma-11 middle of identity ``which``: the Phi-sums below move their two
+    inner legs into M_v by linearity of Delta and Delta' and distributivity
+    of the product, exactly and over any table."""
+    one = H.algebra.field.one()
+    pairs = ((term(v, m), one) for v, m in H.lemma11_middles[which].items())
+    return linear_combination(H.algebra, 2, pairs)
 
 
 def compute_drinfeld_twist(H: QhsaStructure) -> DrinfeldData:
@@ -142,8 +121,13 @@ def compute_drinfeld_twist(H: QhsaStructure) -> DrinfeldData:
     ``drinfeld_construction`` checks them."""
     gamma = compute_gamma(H)
     gamma_bar = compute_gamma_bar(H)
-    f_d = _f_d_element(H, gamma)
-    f_d_inv = _f_d_inverse_element(H, gamma_bar)
+    ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
+    # F_D = sum over Phi of (S (x) S)Delta^T(X) * gamma * Delta(Y beta S(Z))
+    f_d = _middle_sum(H, "11i", lambda v, m: ss_delta_t[v] * gamma * H.coproduct(m))
+    # F_D^{-1} = sum over Phi^{-1} of Delta(Xbar) * gamma-bar * Delta'(S(Ybar) alpha Zbar)
+    f_d_inv = _middle_sum(
+        H, "11iii", lambda v, m: delta[v] * gamma_bar * apply_map_legs(m, 0, H.delta_prime)
+    )
     return DrinfeldData(gamma, gamma_bar, f_d, f_d_inv, H.eps_alpha, H.eps_beta)
 
 
@@ -153,25 +137,15 @@ def compute_drinfeld_twist(H: QhsaStructure) -> DrinfeldData:
 def check_alt_expressions(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     """The alternative closed forms for F_D and F_D^{-1}."""
     report = CheckReport()
-    s = H.antipode.images
-
-    def fd_terms():
-        for (x, y, z), c in H.phi_inv.terms.items():
-            h = H.basis(x) * H.beta * s[y]
-            yield apply_map_legs(h, 0, H.delta_prime) * D.gamma * H.delta.images[z], c
-
-    def fd_inverse_terms():
-        for (x, y, z), c in H.phi.terms.items():
-            h = s[x] * H.alpha * H.basis(y)
-            yield H.coproduct(h) * D.gamma_bar * H.ss_delta_t.images[z], c
-
-    expect_equal(report, "altexpr.fd", linear_combination(H.algebra, 2, fd_terms()), D.f_d)
-    expect_equal(
-        report,
-        "altexpr.fd-inverse",
-        linear_combination(H.algebra, 2, fd_inverse_terms()),
-        D.f_d_inverse,
+    ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
+    # sum over Phi^{-1} of Delta'(Xbar beta S(Ybar)) * gamma * Delta(Zbar)
+    fd = _middle_sum(
+        H, "11iv", lambda v, m: apply_map_legs(m, 0, H.delta_prime) * D.gamma * delta[v]
     )
+    # sum over Phi of Delta(S(X) alpha Y) * gamma-bar * (S (x) S)Delta^T(Z)
+    fd_inverse = _middle_sum(H, "11ii", lambda v, m: H.coproduct(m) * D.gamma_bar * ss_delta_t[v])
+    expect_equal(report, "altexpr.fd", fd, D.f_d)
+    expect_equal(report, "altexpr.fd-inverse", fd_inverse, D.f_d_inverse)
     return report
 
 
@@ -307,12 +281,13 @@ def drinfeld_construction(H: QhsaStructure) -> tuple:
         return None, validate_structure(H)
     report = CheckReport()
     phi, inv = H.phi_factors, H.phi_inv_factors
+    ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
     # (1 (x) Phi)(1 (x) 1 (x) Delta)Phi^{-1} and (1 (x) 1 (x) Delta)Phi (1 (x) Phi^{-1})
     expect_equal(report, "drinfeld.gamma-alt", D.gamma, _gamma_post(H, phi[4] * inv[2]))
-    expect_equal_per_basis(report, "eq.8.1", _absorb_gamma(H, D.gamma))
+    expect_equal_per_basis(report, "eq.8.1", _absorb(H, D.gamma, ss_delta_t, delta))
     gamma_bar_alt = _gamma_bar_post(H, phi[2] * inv[4])
     expect_equal(report, "drinfeld.gamma-bar-alt", D.gamma_bar, gamma_bar_alt)
-    expect_equal_per_basis(report, "eq.8.7", _absorb_gamma_bar(H, D.gamma_bar))
+    expect_equal_per_basis(report, "eq.8.7", _absorb(H, D.gamma_bar, delta, ss_delta_t))
     _witness_entry(report, "drinfeld.fd-inverse", _inverse_witness(H, D.f_d, D.f_d_inverse))
     _counit_legs_entry(report, "drinfeld.fd-counit", H, D.f_d, H.unit(1).scaled(D.eps_alpha))
     return (D if report.ok else None), report

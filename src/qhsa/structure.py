@@ -170,7 +170,8 @@ class QhsaStructure:
     @cached_property
     def lemma11_middles(self) -> dict:
         """Phi (Phi^{-1}) grouped by the lone leg of each exchange identity;
-        see ``lemma11_middles``."""
+        see ``lemma11_middles``.  Read by lemma 11 and by the Drinfeld sums
+        for F_D, F_D^{-1} and their alternative forms."""
         return lemma11_middles(self)
 
     @cached_property

@@ -413,7 +413,9 @@ def cyclotomic_field(order):
 # which a cyclotomic document accepts, so only the field or the scalar is
 # hostile there.  A bool dimension needs a one-dimensional document: on h2 the
 # parity list of length 2 would reject it anyway.  A JSON bool loads as a
-# Python int, so each bool row is a document the parser once accepted.
+# Python int, so each bool row is a document the parser once accepted.  The
+# nested rows are about 200 KB of JSON nested past the interpreter's recursion
+# limit.
 HOSTILE_EDITS = {
     "bool-order": ("h2.qhsa", RATIONAL_FIELD, cyclotomic_field("true")),
     "order-over-cap": ("h2.qhsa", RATIONAL_FIELD, cyclotomic_field(MAX_CYCLOTOMIC_ORDER + 1)),
@@ -428,6 +430,14 @@ HOSTILE_EDITS = {
     "bool-index": ("h2.qhsa", '[1, 1, 1, "1"]', '[true, true, 1, "1"]'),
     "bool-parity": ("h2.qhsa", '"parity": [0, 0],', '"parity": [0, false],'),
     "bool-twistor-index": ("f-one.twist", '[0, 0, "1"]', '[false, 0, "1"]'),
+    "nested-arrays": ("h2.qhsa", '"name": "h2",', '"name": ' + "[" * 100_000 + "]" * 100_000 + ","),
+    "nested-twistor-objects": (
+        "f-one.twist",
+        '"name": "f-one",',
+        '"name": ' + '{"a": ' * 30_000 + "0" + "}" * 30_000 + ",",
+    ),
+    "twistor-name-not-a-string": ("f-one.twist", '"name": "f-one",', '"name": 5,'),
+    "empty-twistor-name": ("f-one.twist", '"name": "f-one",', '"name": "",'),
 }
 
 

@@ -5,27 +5,48 @@ recomputed by a tiny independent oracle that works purely with the diagonal
 coefficient functions of the idempotent basis (no tensor engine involved).
 """
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qhsa.algebra
 import qhsa.drinfeld
 import qhsa.structure
 import qhsa.transforms
-from qhsa.algebra import apply_map_legs, embed_legs, invert_tensor_element
+from qhsa.algebra import (
+    SingularError,
+    apply_map_legs,
+    embed_legs,
+    invert_tensor_element,
+    linear_combination,
+)
 from qhsa.drinfeld import (
+    check_alt_expressions,
     compute_drinfeld_twist,
     compute_gamma,
     drinfeld_construction,
     drinfeld_report,
     verify_prime_equivalence,
 )
-from qhsa.fixtures import build_structure, h2_broken_pentagon
-from qhsa.structure import run_suites
-from qhsa.transforms import Twistor, prime_structure, twist_structure
+from qhsa.fixtures import build_structure, h2_broken_pentagon, h2_structure
+from qhsa.reporting import expect_equal
+from qhsa.scalars import FieldSpec
+from qhsa.structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, run_suites
+from qhsa.transforms import (
+    Twistor,
+    prime_structure,
+    random_twistor,
+    tensor_product_structure,
+    twist_structure,
+)
 from conftest import elem
 
 ALL_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
+BUNDLED_STRUCTURES = ALL_FIXTURES + ("h2-broken-pentagon", "h2-broken-antipode")
 
 
 @pytest.fixture(scope="module", params=ALL_FIXTURES)
@@ -267,3 +288,136 @@ def test_twisted_structure_has_its_own_drinfeld_twist(h2ext):
     data, report = drinfeld_report(HF)
     assert data is not None
     assert report.ok, report.failed_ids()
+
+
+# -- the Phi-sums against the per-word formulas -------------------------------------
+
+
+def reference_drinfeld_sums(H, gamma, gamma_bar):
+    """F_D, F_D^{-1}, and the alternative closed forms of each, as sums over
+    every word of Phi or Phi^{-1} with each arity-1 middle built word by word
+    in its printed bracketing."""
+    s = H.antipode.images
+    e = [H.basis(i) for i in range(H.algebra.dimension)]
+    ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
+
+    def delta_prime(h):
+        return apply_map_legs(h, 0, H.delta_prime)
+
+    def total(coassociator, term):
+        pairs = ((term(*word), c) for word, c in coassociator.terms.items())
+        return linear_combination(H.algebra, 2, pairs)
+
+    return {
+        "f_d": total(
+            H.phi, lambda x, y, z: ss_delta_t[x] * gamma * H.coproduct(e[y] * H.beta * s[z])
+        ),
+        "f_d_inverse": total(
+            H.phi_inv, lambda x, y, z: delta[x] * gamma_bar * delta_prime(s[y] * H.alpha * e[z])
+        ),
+        "altexpr.fd": total(
+            H.phi_inv, lambda x, y, z: delta_prime(e[x] * H.beta * s[y]) * gamma * delta[z]
+        ),
+        "altexpr.fd-inverse": total(
+            H.phi, lambda x, y, z: H.coproduct(s[x] * H.alpha * e[y]) * gamma_bar * ss_delta_t[z]
+        ),
+    }
+
+
+def _assert_drinfeld_sums_match_the_reference(H, monkeypatch):
+    D = compute_drinfeld_twist(H)
+    sums = {"f_d": D.f_d, "f_d_inverse": D.f_d_inverse}
+
+    def recording(report, check_id, lhs, rhs):
+        sums[check_id] = lhs
+        return expect_equal(report, check_id, lhs, rhs)
+
+    monkeypatch.setattr(qhsa.drinfeld, "expect_equal", recording)
+    check_alt_expressions(H, D)
+    assert sums == reference_drinfeld_sums(H, D.gamma, D.gamma_bar)
+
+
+@pytest.mark.parametrize("name", BUNDLED_STRUCTURES)
+def test_drinfeld_sums_match_the_reference_on_bundled_fixtures(name, monkeypatch):
+    _assert_drinfeld_sums_match_the_reference(build_structure(name), monkeypatch)
+
+
+@pytest.mark.parametrize("order", [8, 20])
+def test_drinfeld_sums_match_the_reference_over_cyclotomic_fields(order, monkeypatch):
+    H = h2_structure(FieldSpec.cyclotomic(order), with_r=True)
+    _assert_drinfeld_sums_match_the_reference(H, monkeypatch)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_drinfeld_sums_match_the_reference_on_twists_of_h2ext(h2ext, seed):
+    H = twist_structure(h2ext, random_twistor(h2ext, random.Random(seed)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_drinfeld_sums_match_the_reference(H, monkeypatch)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_drinfeld_sums_match_the_reference_on_twists_of_an_odd_product(
+    h2, ext_ext_graded, seed
+):
+    P = tensor_product_structure(h2, ext_ext_graded)
+    H = twist_structure(P, random_twistor(P, random.Random(seed)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_drinfeld_sums_match_the_reference(H, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_drinfeld_sums_match_the_reference_over_a_random_phi(ks3, seed, monkeypatch):
+    # The sums are linear algebra, so they must match for any invertible Phi
+    # and any alpha, beta, quasi-Hopf or not.  On h2, ext and their graded
+    # products, which are supercommutative, the middles of two identities
+    # can be swapped without changing F_D; over k[S3], which is not, and
+    # with a Phi that has no symmetry, they cannot.
+    rng = random.Random(seed)
+    d = ks3.algebra.dimension
+
+    def perturbation(arity, count):
+        words = [tuple(rng.randrange(d) for _ in range(arity)) for _ in range(count)]
+        return elem(ks3, arity, {w: rng.choice((-2, -1, 1, 2)) for w in words})
+
+    while True:
+        H = replace(
+            ks3,
+            phi=ks3.phi + perturbation(3, 2),
+            alpha=ks3.alpha + perturbation(1, 1),
+            beta=ks3.beta + perturbation(1, 1),
+        )
+        try:
+            H.phi_inv
+        except SingularError:
+            continue
+        break
+    _assert_drinfeld_sums_match_the_reference(H, monkeypatch)
+
+
+def test_drinfeld_multiplication_counts_are_pinned(monkeypatch):
+    """Exact tensor_multiply counts on a fresh h2ext once the gate has run.
+    The construction after DRINFELD_PREMISES also builds the lemma-11
+    middles; after every default suite they are cached."""
+    calls = []
+    original = qhsa.algebra.tensor_multiply
+
+    def counting(x, y):
+        calls.append(x.arity)
+        return original(x, y)
+
+    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    counts = []
+    stages = ((DRINFELD_PREMISES, drinfeld_construction), (DEFAULT_SUITE_NAMES, drinfeld_report))
+    for gate, run in stages:
+        H = build_structure("h2ext")
+        run_suites(H, gate)
+        calls.clear()
+        data, report = run(H)
+        assert data is not None and report.ok
+        counts.append(len(calls))
+    # summed word by word over Phi and Phi^{-1}, F_D, F_D^{-1} and the two
+    # alternative forms made 122 calls in the construction and 243 in the
+    # construction and battery together
+    assert counts == [90, 131]
