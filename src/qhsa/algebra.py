@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from operator import getitem
 
 from .scalars import FieldSpec
@@ -100,6 +101,14 @@ class GradedAlgebra:
 
     def product(self, i: int, j: int) -> dict:
         return self.mult.get((i, j), {})
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Basis indices that, with 1, generate the algebra, picked greedily
+        by lowest index (``basis_generators``), built on first use.  Checks
+        of the form "for all a in H" whose solutions form a subalgebra run
+        over these once their premises have passed."""
+        return basis_generators(self)
 
     def __eq__(self, other):
         return (
@@ -596,19 +605,103 @@ def solve_linear_system(matrix, rhs_columns, field: FieldSpec):
     return [row[n:] for row in rows]
 
 
+def _echelon_insert(echelon, vector, field, combination=None) -> bool:
+    """Reduce the sparse ``vector`` (a dict, changed in place) against
+    ``echelon`` and append what is left, scaled to a leading 1; returns
+    False when nothing is left.
+
+    Each echelon row is (pivot, row, row combination): a 1 at its pivot and
+    a 0 at the pivots of the rows before it, so one pass in order clears
+    every pivot.  A ``combination`` list, when given, is reduced alongside
+    (changed in place) and stored scaled with the row.
+    """
+    for pivot, row, row_combination in echelon:
+        if not vector:
+            return False
+        f = vector.get(pivot)
+        if f is None:
+            continue
+        for w, c in row.items():
+            v = vector[w] - f * c if w in vector else -(f * c)
+            if v == 0:
+                del vector[w]
+            else:
+                vector[w] = v
+        if combination is not None:
+            for k, c in enumerate(row_combination):
+                combination[k] -= f * c
+    if not vector:
+        return False
+    pivot, lead = next(iter(vector.items()))
+    scale = field.invert(lead)
+    scaled = None if combination is None else [c * scale for c in combination]
+    echelon.append((pivot, {w: c * scale for w, c in vector.items()}, scaled))
+    return True
+
+
+def _row_combination(pairs) -> dict:
+    """The sum of c * e_i e_j over (c, product_rows[i][j]) pairs, as
+    {k: coefficient} with zeros dropped."""
+    out = {}
+    for c, row in pairs:
+        for k, ck in row:
+            v = c * ck
+            out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v}
+
+
+def basis_generators(algebra: GradedAlgebra) -> tuple:
+    """Basis indices G, chosen greedily by lowest index, such that the unit
+    and its products on the right by the e_g span the algebra.
+
+    V, the span of the unit, is kept in exact echelon form and closed under
+    right multiplication by every e_g, g in G: each echelon row times each
+    generator, read off ``product_rows``.  While V is not the whole algebra,
+    the lowest e_i outside V joins G and V.  Over a two-sided unit e_i = 1 e_i
+    lies in the closure anyway, so V is spanned by the words 1 g_1 ... g_k,
+    and G together with 1 generates the algebra.  Over a table without a
+    unit G means nothing, and no check reads it.
+    """
+    field = algebra.field
+    rows = algebra.product_rows
+    d = algebra.dimension
+    echelon, generators = [], []
+
+    def times(row, g):  # a vector of V times e_g
+        return _row_combination((c, rows[k][g]) for k, c in row.items())
+
+    def close(pending):
+        while pending:
+            if _echelon_insert(echelon, pending.pop(), field):
+                row = echelon[-1][1]
+                pending += [times(row, g) for g in generators]
+
+    close([{k: u for k, u in enumerate(algebra.unit) if u}])
+    for i in range(d):
+        if len(echelon) == d:
+            break
+        if _echelon_insert(echelon, {i: field.one()}, field):
+            generators.append(i)
+            new = echelon[-1][1]
+            pending = [times(row, i) for _, row, _ in echelon[:-1]]
+            close(pending + [times(new, g) for g in generators])
+    return tuple(generators)
+
+
 def invert_tensor_element(x: TensorElement) -> TensorElement:
     """Two-sided inverse in the algebra H^(tensor n), from the minimal
     polynomial of x; no d^n x d^n system is formed.
 
     The powers P_0 = 1, P_k = P_{k-1} x are reduced one by one against the
-    earlier ones in a sparse echelon form over the exact field, each reduced
-    vector keeping its combination of powers.  The first power that reduces
-    to zero gives p(x) = sum c_k x^k = 0, with deg p <= d^n (the Krylov
-    sequence of Wiedemann, "Solving sparse linear equations over finite
-    fields", 1986).  c_0 = 0 makes x a zero divisor; otherwise
-    Y = -c_0^{-1} sum_{k>=1} c_k P_{k-1} solves Y x = 1.  P_1 is 1 x rather
-    than x, so that this follows from p alone, by bilinearity.  x Y = 1 is
-    checked exactly; SingularError is raised if either side fails.
+    earlier ones in a sparse echelon form over the exact field
+    (``_echelon_insert``), each reduced vector keeping its combination of
+    powers.  The first power that reduces to zero gives p(x) = sum c_k x^k =
+    0, with deg p <= d^n (the Krylov sequence of Wiedemann, "Solving sparse
+    linear equations over finite fields", 1986).  c_0 = 0 makes x a zero
+    divisor; otherwise Y = -c_0^{-1} sum_{k>=1} c_k P_{k-1} solves Y x = 1.
+    P_1 is 1 x rather than x, so that this follows from p alone, by
+    bilinearity.  x Y = 1 is checked exactly; SingularError is raised if
+    either side fails.
     """
     alg = x.algebra
     n = x.arity
@@ -618,35 +711,13 @@ def invert_tensor_element(x: TensorElement) -> TensorElement:
     zero, one = field.zero(), field.one()
     unit = TensorElement.unit(alg, n)
     powers = []
-    echelon = []  # (pivot word, vector with 1 at the pivot, combination of powers)
+    echelon = []
     power = unit
     while True:
         powers.append(power)
-        vector = dict(power.terms)
         combination = [zero] * (len(powers) - 1) + [one]
-        for pivot, row, row_combination in echelon:
-            f = vector.get(pivot)
-            if f is None:
-                continue
-            for w, c in row.items():
-                v = vector.get(w, zero) - f * c
-                if v == 0:
-                    del vector[w]
-                else:
-                    vector[w] = v
-            for k, c in enumerate(row_combination):
-                combination[k] -= f * c
-        if not vector:
+        if not _echelon_insert(echelon, dict(power.terms), field, combination):
             break
-        pivot, lead = next(iter(vector.items()))
-        scale = field.invert(lead)
-        echelon.append(
-            (
-                pivot,
-                {w: c * scale for w, c in vector.items()},
-                [c * scale for c in combination],
-            )
-        )
         power = tensor_multiply(power, x)
     if combination[0] == 0:
         raise SingularError("element has no left inverse")

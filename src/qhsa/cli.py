@@ -33,6 +33,7 @@ from .documents import (
     twistor_to_document,
 )
 from .drinfeld import drinfeld_construction, drinfeld_report
+from .scalars import echo
 from .structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, SUITES, VALIDATION_SUITES, run_suites
 from .transforms import (
     Twistor,
@@ -95,7 +96,7 @@ def _parse_suites(value):
         raise DocumentError("--suites names no suite")
     for n in names:
         if n not in SUITES:
-            raise DocumentError(f"unknown suite {n!r}")
+            raise DocumentError(f"unknown suite {echo(repr(n))}")
     return names
 
 

@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, StructureMap, TensorElement
-from .scalars import FieldSpec, ScalarError
+from .scalars import FieldSpec, ScalarError, echo
 from .structure import QhsaStructure
 from .transforms import Twistor
 
@@ -109,7 +109,7 @@ def _expect_keys(data, allowed, required, what):
         raise DocumentError(f"{what} must be a JSON object")
     unknown = set(data) - set(allowed)
     if unknown:
-        raise DocumentError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+        raise DocumentError(f"unknown {what} keys: {echo(', '.join(sorted(unknown)))}")
     missing = [k for k in required if k not in data]
     if missing:
         raise DocumentError(f"missing {what} keys: {', '.join(missing)}")
@@ -145,9 +145,11 @@ def _parse_sparse(field, data, index_count, dimension, key):
         indices = row[:index_count]
         for i in indices:
             if not _is_int(i):
-                raise DocumentError(f"{where}: index {json.dumps(i)} is not an integer")
+                raise DocumentError(f"{where}: index {echo(json.dumps(i))} is not an integer")
             if not 0 <= i < dimension:
-                raise DocumentError(f"{where}: index {i} out of range (dimension {dimension})")
+                raise DocumentError(
+                    f"{where}: index {echo(str(i))} out of range (dimension {dimension})"
+                )
         word = tuple(indices)
         if word in seen:
             raise DocumentError(f"{where}: duplicate index tuple {word}")

@@ -26,10 +26,13 @@ from .algebra import (
     outer,
     permute_legs,
 )
-from .reporting import CheckReport, expect_equal, expect_equal_per_basis
+from .reporting import CheckReport, expect_equal
 from .structure import (
     QhsaStructure,
+    VALIDATION_SUITES,
     _counit_legs_entry,
+    _expect_over,
+    _generators,
     _inverse_witness,
     _require_r,
     _witness_entry,
@@ -98,12 +101,26 @@ def compute_gamma_bar(H: QhsaStructure) -> TensorElement:
 
 def _absorb(H, g, left, right):
     """eq.8.1 (left (S (x) S)Delta^T, right Delta, g = gamma) and eq.8.7
-    (left Delta, right (S (x) S)Delta^T, g = gamma-bar) for each basis a: the
-    sum over Delta(a) of left(a_1) * g * right(a_2), against eps(a) g."""
-    for a, da in enumerate(H.delta.images):
-        terms = ((left[j] * g * right[k], c) for (j, k), c in da.terms.items())
-        eps = H.epsilon.images[a].scalar_value()
-        yield a, linear_combination(H.algebra, 2, terms), g.scaled(eps)
+    (left Delta, right (S (x) S)Delta^T, g = gamma-bar), as a function of A
+    for ``_expect_over``: for each basis a in A, the sum over Delta(a) of
+    left(a_1) * g * right(a_2), against eps(a) g.
+
+    Its solution set is a subalgebra once ``algebra`` and ``structure``
+    pass.  Unit case: Delta(1) = 1 (x) 1 and eps(1) = 1.  Products: Delta is
+    a homomorphism and (S (x) S)Delta^T an antihomomorphism, so the eq.8.1
+    sum for ab is the sum of (-1)^{|a||b_1|} (S (x) S)Delta^T(b_1)
+    (sum over a) Delta(b_2), whose inner sum is eps(a) g; eps(a) = 0 unless
+    a is even, and the outer sum is then eps(b) g.  eq.8.7 nests the same
+    way with b inside.
+    """
+
+    def cases(A):
+        for a in A:
+            terms = ((left[j] * g * right[k], c) for (j, k), c in H.delta.images[a].terms.items())
+            eps = H.epsilon.images[a].scalar_value()
+            yield a, linear_combination(H.algebra, 2, terms), g.scaled(eps)
+
+    return cases
 
 
 def _middle_sum(H: QhsaStructure, which: str, term) -> TensorElement:
@@ -150,24 +167,41 @@ def check_alt_expressions(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
 
 
 def verify_thm2(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
-    """Delta' is conjugation of Delta by F_D, plus both intertwining forms."""
+    """Delta' is conjugation of Delta by F_D, plus both intertwining forms.
+
+    Each runs a over the generators once its premises are known to pass:
+    ``algebra`` and ``structure`` for the intertwiners, and ``drinfeld``
+    too for the conjugation, where D is the data built for H.  Unit case:
+    Delta'(1) = 1 (x) 1 = Delta(1), as S(1) = 1, and F_D F_D^{-1} = 1.
+    Products: Delta' = (S (x) S) T Delta S^{-1} is a homomorphism, so
+    Delta'(ab) F = Delta'(a) F Delta(b) = F Delta(ab), likewise with
+    F^{-1} on the other side, and F Delta(a) F^{-1} F Delta(b) F^{-1} =
+    F Delta(ab) F^{-1} as F^{-1} F = 1.
+    """
     report = CheckReport()
     d = H.algebra.dimension
+    G = _generators(H, VALIDATION_SUITES)
     delta, delta_prime = H.delta.images, H.delta_prime.images
-    expect_equal_per_basis(
+    _expect_over(
         report,
         "eq.8.6a",
-        ((a, delta_prime[a] * D.f_d, D.f_d * delta[a]) for a in range(d)),
+        lambda A: ((a, delta_prime[a] * D.f_d, D.f_d * delta[a]) for a in A),
+        G,
+        d,
     )
-    expect_equal_per_basis(
+    _expect_over(
         report,
         "eq.8.8a",
-        ((a, D.f_d_inverse * delta_prime[a], delta[a] * D.f_d_inverse) for a in range(d)),
+        lambda A: ((a, D.f_d_inverse * delta_prime[a], delta[a] * D.f_d_inverse) for a in A),
+        G,
+        d,
     )
-    expect_equal_per_basis(
+    _expect_over(
         report,
         "thm2.conjugation",
-        ((a, delta_prime[a], D.f_d * delta[a] * D.f_d_inverse) for a in range(d)),
+        lambda A: ((a, delta_prime[a], D.f_d * delta[a] * D.f_d_inverse) for a in A),
+        _generators(H, VALIDATION_SUITES + ("drinfeld",)),
+        d,
     )
     return report
 
@@ -273,8 +307,10 @@ def drinfeld_construction(H: QhsaStructure) -> tuple:
     and then gamma-bar against its second printed expression and its
     absorption identity, F_D^{-1} as a two-sided inverse of F_D, and the
     counit legs of F_D against eps(alpha).  The data comes back only when
-    every check passes.  A singular Phi or S leaves nothing to build; the
-    report is then ``validate_structure``'s, which says which."""
+    every check passes, and then ``drinfeld`` joins ``H.passed``, the premise
+    of the reduced ``thm2.conjugation``.  A singular Phi or S leaves nothing
+    to build; the report is then ``validate_structure``'s, which says
+    which."""
     try:
         D = compute_drinfeld_twist(H)
     except SingularError:
@@ -284,13 +320,17 @@ def drinfeld_construction(H: QhsaStructure) -> tuple:
     ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
     # (1 (x) Phi)(1 (x) 1 (x) Delta)Phi^{-1} and (1 (x) 1 (x) Delta)Phi (1 (x) Phi^{-1})
     expect_equal(report, "drinfeld.gamma-alt", D.gamma, _gamma_post(H, phi[4] * inv[2]))
-    expect_equal_per_basis(report, "eq.8.1", _absorb(H, D.gamma, ss_delta_t, delta))
+    G, d = _generators(H, VALIDATION_SUITES), H.algebra.dimension
+    _expect_over(report, "eq.8.1", _absorb(H, D.gamma, ss_delta_t, delta), G, d)
     gamma_bar_alt = _gamma_bar_post(H, phi[2] * inv[4])
     expect_equal(report, "drinfeld.gamma-bar-alt", D.gamma_bar, gamma_bar_alt)
-    expect_equal_per_basis(report, "eq.8.7", _absorb(H, D.gamma_bar, delta, ss_delta_t))
+    _expect_over(report, "eq.8.7", _absorb(H, D.gamma_bar, delta, ss_delta_t), G, d)
     _witness_entry(report, "drinfeld.fd-inverse", _inverse_witness(H, D.f_d, D.f_d_inverse))
     _counit_legs_entry(report, "drinfeld.fd-counit", H, D.f_d, H.unit(1).scaled(D.eps_alpha))
-    return (D if report.ok else None), report
+    if not report.ok:
+        return None, report
+    H.passed.add("drinfeld")
+    return D, report
 
 
 def drinfeld_report(H: QhsaStructure) -> tuple:

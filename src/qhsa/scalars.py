@@ -329,6 +329,13 @@ class Cyclotomic:
 Scalar = Union[int, Fraction, Cyclotomic]
 
 
+def echo(text: str, limit: int = 60) -> str:
+    """``text`` as an error message echoes it: whole up to ``limit``
+    characters, else its first ``limit`` and "...", so a one-line message
+    stays short whatever the input."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def rational(value):
     """The canonical form of a rational: its numerator when the denominator
     is 1, else the value itself."""
@@ -338,7 +345,7 @@ def rational(value):
 def parse_rational(text: str) -> Union[int, Fraction]:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise ScalarError(f"invalid rational {text!r}")
+        raise ScalarError(f"invalid rational {echo(repr(text))}")
     num, _, den = text.partition("/")
     if max(len(num.lstrip("-")), len(den)) > MAX_RATIONAL_DIGITS:
         raise ScalarError(
@@ -347,7 +354,7 @@ def parse_rational(text: str) -> Union[int, Fraction]:
         )
     if den:
         if int(den) == 0:
-            raise ScalarError(f"invalid scalar {text!r}: zero denominator")
+            raise ScalarError(f"invalid scalar {echo(repr(text))}: zero denominator")
         return rational(Fraction(int(num), int(den)))
     return int(num)
 
@@ -364,11 +371,12 @@ class FieldSpec:
                 raise ScalarError("cyclotomic field needs a positive integer order")
             if order > MAX_CYCLOTOMIC_ORDER:
                 raise ScalarError(
-                    f"cyclotomic order {order} exceeds the maximum {MAX_CYCLOTOMIC_ORDER}"
+                    f"cyclotomic order {echo(str(order))}"
+                    f" exceeds the maximum {MAX_CYCLOTOMIC_ORDER}"
                 )
             cyclotomic_polynomial(order)
         else:
-            raise ScalarError(f"unknown field kind {kind!r}")
+            raise ScalarError(f"unknown field kind {echo(repr(kind))}")
         self.kind = kind
         self.order = order
 
@@ -424,19 +432,19 @@ class FieldSpec:
         """Parse the canonical text encoding; cyclotomic documents also accept
         a bare rational as a degree-0 element."""
         if not isinstance(text, str):
-            raise ScalarError(f"scalar must be a string, got {text!r}")
+            raise ScalarError(f"scalar must be a string, got {echo(repr(text))}")
         text = text.strip()
         if self.kind == "rational":
             return parse_rational(text)
         if text.startswith("["):
             if not text.endswith("]"):
-                raise ScalarError(f"unterminated coefficient list {text!r}")
+                raise ScalarError(f"unterminated coefficient list {echo(repr(text))}")
             body = text[1:-1].strip()
             parts = [p for p in body.split(",")] if body else []
             coeffs = [parse_rational(p) for p in parts]
             if len(coeffs) > euler_phi(self.order):
                 raise ScalarError(
-                    f"coefficient list {text!r} longer than phi({self.order})"
+                    f"coefficient list {echo(repr(text))} longer than phi({self.order})"
                 )
             return Cyclotomic(self.order, coeffs)
         return Cyclotomic.constant(self.order, parse_rational(text))
@@ -457,9 +465,9 @@ class FieldSpec:
     @staticmethod
     def from_json(data) -> "FieldSpec":
         if not isinstance(data, dict) or "kind" not in data:
-            raise ScalarError(f"invalid field spec {data!r}")
+            raise ScalarError(f"invalid field spec {echo(repr(data))}")
         kind = data["kind"]
         extra = set(data) - {"kind", "order"}
         if extra:
-            raise ScalarError(f"unknown field spec keys {sorted(extra)}")
+            raise ScalarError(f"unknown field spec keys {echo(str(sorted(extra)))}")
         return FieldSpec(kind, data.get("order"))

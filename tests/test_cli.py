@@ -156,6 +156,13 @@ def test_an_empty_suite_selection_is_an_input_error(capsys, selection):
     assert captured.err == "error: --suites names no suite\n"
 
 
+def test_an_unknown_suite_is_echoed_short(capsys):
+    assert main(["check", fx("h2.qhsa"), "--suites", "algebra," + "x" * 100_000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown suite '" + "x" * 59 + "...\n"
+
+
 def test_triangular_suite_is_opt_in(tmp_path):
     code, doc = run_json(tmp_path, "check", fx("h2r.qhsa"), "--suites", "triangular")
     assert code == 1  # h2r is quasi-triangular but not triangular
@@ -436,6 +443,9 @@ HOSTILE_EDITS = {
         '"name": "f-one",',
         '"name": ' + '{"a": ' * 30_000 + "0" + "}" * 30_000 + ",",
     ),
+    "4000-digit-index": ("h2.qhsa", '[1, 1, 1, "1"]', "[1" + "0" * 3999 + ', 1, 1, "1"]'),
+    "long-unknown-key": ("h2.qhsa", '"name": "h2",', '"name": "h2", "' + "k" * 10_000 + '": 0,'),
+    "long-field-kind": ("h2.qhsa", RATIONAL_FIELD, '"field": {"kind": "' + "q" * 10_000 + '"}'),
     "twistor-name-not-a-string": ("f-one.twist", '"name": "f-one",', '"name": 5,'),
     "empty-twistor-name": ("f-one.twist", '"name": "f-one",', '"name": "",'),
 }

@@ -110,3 +110,23 @@ def test_drinfeld_construction_reports_and_never_raises(tmp_path, name):
     data, report = drinfeld_construction(H)
     assert (data is not None) == report.ok
     assert data is not None or report.failed_ids()
+
+
+# an index that is not an integer, as JSON text: each is echoed into the error
+LONG_INDICES = {
+    "list-nested-900-deep": "[" * 900 + "]" * 900,
+    "100000-character-string": json.dumps("1" * 100_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INDICES))
+def test_a_long_index_is_echoed_in_one_short_line(tmp_path, capsys, case):
+    text = (FIXTURE_DIR / "h2.qhsa").read_text()
+    assert '[1, 1, 1, "1"]' in text
+    path = tmp_path / "h2.qhsa"
+    path.write_text(text.replace('[1, 1, 1, "1"]', f'[{LONG_INDICES[case]}, 1, 1, "1"]', 1))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not an integer" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
