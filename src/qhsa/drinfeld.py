@@ -32,7 +32,7 @@ from .structure import (
     VALIDATION_SUITES,
     _counit_legs_entry,
     _expect_over,
-    _generators,
+    _known_domain,
     _inverse_witness,
     _require_r,
     _witness_entry,
@@ -51,7 +51,7 @@ from .transforms import (
 )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DrinfeldData:
     gamma: TensorElement
     gamma_bar: TensorElement
@@ -170,8 +170,9 @@ def verify_thm2(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     """Delta' is conjugation of Delta by F_D, plus both intertwining forms.
 
     Each runs a over the generators once its premises are known to pass:
-    ``algebra`` and ``structure`` for the intertwiners, and ``drinfeld``
-    too for the conjugation, where D is the data built for H.  Unit case:
+    ``algebra`` and ``structure`` for the intertwiners, and for the
+    conjugation also D itself, which ``drinfeld_construction`` records in
+    ``H.passed`` when its checks, F_D^{-1} F_D = 1 among them, pass.  Unit case:
     Delta'(1) = 1 (x) 1 = Delta(1), as S(1) = 1, and F_D F_D^{-1} = 1.
     Products: Delta' = (S (x) S) T Delta S^{-1} is a homomorphism, so
     Delta'(ab) F = Delta'(a) F Delta(b) = F Delta(ab), likewise with
@@ -179,29 +180,25 @@ def verify_thm2(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     F Delta(ab) F^{-1} as F^{-1} F = 1.
     """
     report = CheckReport()
-    d = H.algebra.dimension
-    G = _generators(H, VALIDATION_SUITES)
+    domain = _known_domain(H, VALIDATION_SUITES)
     delta, delta_prime = H.delta.images, H.delta_prime.images
     _expect_over(
         report,
         "eq.8.6a",
         lambda A: ((a, delta_prime[a] * D.f_d, D.f_d * delta[a]) for a in A),
-        G,
-        d,
+        domain,
     )
     _expect_over(
         report,
         "eq.8.8a",
         lambda A: ((a, D.f_d_inverse * delta_prime[a], delta[a] * D.f_d_inverse) for a in A),
-        G,
-        d,
+        domain,
     )
     _expect_over(
         report,
         "thm2.conjugation",
         lambda A: ((a, delta_prime[a], D.f_d * delta[a] * D.f_d_inverse) for a in A),
-        _generators(H, VALIDATION_SUITES + ("drinfeld",)),
-        d,
+        _known_domain(H, VALIDATION_SUITES + (D,)),
     )
     return report
 
@@ -307,8 +304,8 @@ def drinfeld_construction(H: QhsaStructure) -> tuple:
     and then gamma-bar against its second printed expression and its
     absorption identity, F_D^{-1} as a two-sided inverse of F_D, and the
     counit legs of F_D against eps(alpha).  The data comes back only when
-    every check passes, and then ``drinfeld`` joins ``H.passed``, the premise
-    of the reduced ``thm2.conjugation``.  A singular Phi or S leaves nothing
+    every check passes, and then it joins ``H.passed``, the premise of the
+    reduced ``thm2.conjugation`` over this data.  A singular Phi or S leaves nothing
     to build; the report is then ``validate_structure``'s, which says
     which."""
     try:
@@ -320,16 +317,16 @@ def drinfeld_construction(H: QhsaStructure) -> tuple:
     ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
     # (1 (x) Phi)(1 (x) 1 (x) Delta)Phi^{-1} and (1 (x) 1 (x) Delta)Phi (1 (x) Phi^{-1})
     expect_equal(report, "drinfeld.gamma-alt", D.gamma, _gamma_post(H, phi[4] * inv[2]))
-    G, d = _generators(H, VALIDATION_SUITES), H.algebra.dimension
-    _expect_over(report, "eq.8.1", _absorb(H, D.gamma, ss_delta_t, delta), G, d)
+    domain = _known_domain(H, VALIDATION_SUITES)
+    _expect_over(report, "eq.8.1", _absorb(H, D.gamma, ss_delta_t, delta), domain)
     gamma_bar_alt = _gamma_bar_post(H, phi[2] * inv[4])
     expect_equal(report, "drinfeld.gamma-bar-alt", D.gamma_bar, gamma_bar_alt)
-    _expect_over(report, "eq.8.7", _absorb(H, D.gamma_bar, delta, ss_delta_t), G, d)
+    _expect_over(report, "eq.8.7", _absorb(H, D.gamma_bar, delta, ss_delta_t), domain)
     _witness_entry(report, "drinfeld.fd-inverse", _inverse_witness(H, D.f_d, D.f_d_inverse))
     _counit_legs_entry(report, "drinfeld.fd-counit", H, D.f_d, H.unit(1).scaled(D.eps_alpha))
     if not report.ok:
         return None, report
-    H.passed.add("drinfeld")
+    H.passed.add(D)
     return D, report
 
 

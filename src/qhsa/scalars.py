@@ -329,11 +329,11 @@ class Cyclotomic:
 Scalar = Union[int, Fraction, Cyclotomic]
 
 
-def echo(text: str, limit: int = 60) -> str:
-    """``text`` as an error message echoes it: whole up to ``limit``
-    characters, else its first ``limit`` and "...", so a one-line message
-    stays short whatever the input."""
-    return text if len(text) <= limit else text[:limit] + "..."
+def echo(text: str) -> str:
+    """``text`` as an error message echoes it: whole up to 60 characters,
+    else its first 60 and "...", so a one-line message stays short whatever
+    the input."""
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def rational(value):

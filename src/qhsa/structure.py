@@ -184,7 +184,8 @@ class QhsaStructure:
     def passed(self) -> set:
         """The suites known to have passed on this structure: ``run_suites``
         adds each suite that runs and passes, and ``drinfeld_construction``
-        adds ``drinfeld`` when every construction check passes.  A check
+        adds the ``DrinfeldData`` it built when every construction check
+        passes.  A check
         reduces its quantifier to the generators of the algebra only when its
         premises are here, so a direct call on a fresh structure enumerates the basis."""
         return set()
@@ -328,8 +329,7 @@ def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
                         return
 
     unit_ok = expect_equal_per_basis(report, "algebra.unit", unit_cases())
-    G = algebra.generators if unit_ok else None
-    _expect_over(report, "algebra.assoc", assoc_cases, G, algebra.dimension)
+    _expect_over(report, "algebra.assoc", assoc_cases, _domain(algebra, unit_ok))
     return report
 
 
@@ -352,24 +352,23 @@ def validate_structure(H: QhsaStructure) -> CheckReport:
     """
     report = CheckReport()
     alg = H.algebra
-    d = alg.dimension
-    G = _generators(H, ("algebra",))
+    known = "algebra" in H.passed
 
     ok = expect_equal(report, "structure.delta-unit", H.coproduct(H.unit(1)), H.unit(2))
     cases = partial(_hom_cases, H, H.delta)
-    _expect_over(report, "structure.delta-hom", cases, G if ok else None, d)
+    _expect_over(report, "structure.delta-hom", cases, _domain(alg, known and ok))
     _witness_entry(report, "structure.delta-parity", H.delta.parity_violation())
 
     eps_unit = apply_map_legs(H.unit(1), 0, H.epsilon)
     one = TensorElement.from_scalar(alg, alg.field.one())
     ok = expect_equal(report, "structure.epsilon-unit", eps_unit, one)
     cases = partial(_hom_cases, H, H.epsilon)
-    _expect_over(report, "structure.epsilon-hom", cases, G if ok else None, d)
+    _expect_over(report, "structure.epsilon-hom", cases, _domain(alg, known and ok))
     _witness_entry(report, "structure.epsilon-parity", H.epsilon.parity_violation())
 
     ok = expect_equal(report, "structure.antipode-unit", H.s_of(H.unit(1)), H.unit(1))
     cases = partial(_antihom_cases, H)
-    _expect_over(report, "structure.antipode-antihom", cases, G if ok else None, d)
+    _expect_over(report, "structure.antipode-antihom", cases, _domain(alg, known and ok))
     _witness_entry(report, "structure.antipode-parity", H.antipode.parity_violation())
     try:
         H.antipode_inv
@@ -425,20 +424,28 @@ def _expect_reduced(report, check_id, reduced, full) -> bool:
     return expect_equal_per_basis(report, check_id, full)
 
 
-def _expect_over(report, check_id, cases, generators, dimension) -> bool:
+def _expect_over(report, check_id, cases, domain) -> bool:
     """``_expect_reduced`` for an identity whose ``cases(indices)`` yields
-    its cases for the basis elements a in ``indices``: reduced to a in
-    ``generators``, or not reduced when that is None."""
+    its cases for the basis elements a in ``indices``, over a ``domain``
+    from ``_domain``: reduced to a in its generators unless they are None,
+    else, or on a failure, over its whole basis."""
+    generators, basis = domain
     reduced = None if generators is None else cases(generators)
-    return _expect_reduced(report, check_id, reduced, cases(range(dimension)))
+    return _expect_reduced(report, check_id, reduced, cases(basis))
 
 
-def _generators(H, premises):
-    """The generators of H's algebra when every suite in ``premises`` is
-    known to have passed on H (``H.passed``), else None: the checks that
-    quantify over generators are sound only over a structure that passes
-    their premises, and none of them runs a premise itself."""
-    return H.algebra.generators if H.passed.issuperset(premises) else None
+def _domain(algebra, reduce):
+    """The pair (the generators of ``algebra`` when ``reduce``, else None;
+    the indices of its whole basis)."""
+    return (algebra.generators if reduce else None), range(algebra.dimension)
+
+
+def _known_domain(H, premises):
+    """``_domain`` of H's algebra, reduced when every premise in
+    ``premises`` is known to have passed on H (``H.passed``): the checks
+    that quantify over generators are sound only over a structure that
+    passes their premises, and none of them runs a premise itself."""
+    return _domain(H.algebra, H.passed.issuperset(premises))
 
 
 def _witness_entry(report, check_id, witness):
@@ -504,15 +511,13 @@ def check_quasi_bialgebra(H: QhsaStructure) -> CheckReport:
       conjugates: Phi^{-1} X Phi Phi^{-1} Y Phi = Phi^{-1} XY Phi.
     """
     report = CheckReport()
-    d = H.algebra.dimension
-    G = _generators(H, VALIDATION_SUITES)
+    domain = _known_domain(H, VALIDATION_SUITES)
     left3, right3 = H.delta_left3.images, H.delta_right3.images
     _expect_over(
         report,
         "eq.fi",
         lambda A: ((a, right3[a], H.phi_inv * left3[a] * H.phi) for a in A),
-        G,
-        d,
+        domain,
     )
     one_x_phi = H.phi_factors[4]
     expect_equal(report, "eq.fii", H.pentagon_lhs, H.pentagon_head * one_x_phi)
@@ -524,8 +529,7 @@ def check_quasi_bialgebra(H: QhsaStructure) -> CheckReport:
         lambda A: (
             (a, apply_map_legs(delta[a], leg, H.epsilon), H.basis(a)) for a in A for leg in (0, 1)
         ),
-        G,
-        d,
+        domain,
     )
 
     expect_equal(report, "eq.fiv", apply_map_legs(H.phi, 1, H.epsilon), H.unit(2))
@@ -556,8 +560,7 @@ def check_antipode_axioms(H: QhsaStructure) -> CheckReport:
     """
     report = CheckReport()
     alg = H.algebra
-    d = alg.dimension
-    G = _generators(H, VALIDATION_SUITES)
+    domain = _known_domain(H, VALIDATION_SUITES)
     eps = H.epsilon.images
     delta = H.delta.images
 
@@ -565,15 +568,13 @@ def check_antipode_axioms(H: QhsaStructure) -> CheckReport:
         report,
         "eq.5i1",
         lambda A: ((a, m_alpha_s(H, delta[a]), H.alpha.scaled(eps[a].scalar_value())) for a in A),
-        G,
-        d,
+        domain,
     )
     _expect_over(
         report,
         "eq.5i",
         lambda A: ((a, m_beta_s(H, delta[a]), H.beta.scaled(eps[a].scalar_value())) for a in A),
-        G,
-        d,
+        domain,
     )
 
     # sum S(X) alpha Y beta S(Z) over Phi
@@ -607,8 +608,7 @@ def check_antipode_axioms(H: QhsaStructure) -> CheckReport:
         report,
         "eq.eps-s",
         lambda A: ((a, apply_map_legs(s[a], 0, H.epsilon), eps[a]) for a in A),
-        G,
-        d,
+        domain,
     )
     return report
 
@@ -639,8 +639,7 @@ def check_quasi_triangular(H: QhsaStructure) -> CheckReport:
         report,
         "eq.6i",
         lambda A: ((a, delta_t[a] * R, R * delta[a]) for a in A),
-        _generators(H, VALIDATION_SUITES),
-        H.algebra.dimension,
+        _known_domain(H, VALIDATION_SUITES),
     )
 
     lhs = apply_map_legs(R, 0, H.delta)
@@ -857,14 +856,13 @@ def check_lemma11(H: QhsaStructure) -> CheckReport:
     with exactly the sign the action carries.
     """
     report = CheckReport()
-    G = _generators(H, VALIDATION_SUITES)
+    domain = _known_domain(H, VALIDATION_SUITES)
     for which in ("11i", "11ii", "11iii", "11iv"):
         _expect_over(
             report,
             f"eq.{which}",
             lambda A, which=which: ((a, *lemma11_sides(H, which, H.basis(a))) for a in A),
-            G,
-            H.algebra.dimension,
+            domain,
         )
     return report
 
@@ -902,12 +900,11 @@ def _absorption_entry(report, check_id, H, contract, from_left, reducible):
     When ``reducible`` is false, or a reduced case fails, the d^3 cases run,
     so the witness is the first failing [a, i, j].
     """
-    d = range(H.algebra.dimension)
+    G, d = _known_domain(H, VALIDATION_SUITES)
     reduced = None
     if reducible:
         leg = (0,) if from_left else (1,)
         etas = (((i,), embed_legs(H.basis(i), leg, 2)) for i in d)
-        G = _generators(H, VALIDATION_SUITES)
         reduced = _absorption_cases(H, contract, from_left, etas, d if G is None else G)
     etas = (((i, j), H.basis(i, j)) for i in d for j in d)
     _expect_reduced(report, check_id, reduced, _absorption_cases(H, contract, from_left, etas, d))

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 import qhsa.structure
 from qhsa.algebra import StructureMap
 from qhsa.documents import load_structure, report_document, serialize_structure
-from qhsa.drinfeld import drinfeld_construction, drinfeld_report
+from qhsa.drinfeld import (
+    compute_drinfeld_twist,
+    drinfeld_construction,
+    drinfeld_report,
+    verify_thm2,
+)
 from qhsa.fixtures import build_structure
 from qhsa.structure import DRINFELD_PREMISES, run_suites, validate_algebra
 from qhsa.transforms import tensor_product_structure
@@ -185,7 +190,12 @@ def _edited(name, table, index, value):
 def test_reduced_reports_equal_the_full_enumeration(name, table, index, value):
     """Every report of a structure near a fixture, with one entry of one
     table changed (or none, when ``table`` is None), is the same whether the
-    checks reduce to the generators or enumerate the basis."""
+    checks reduce to the generators or enumerate the basis.
+
+    Under the project's ``filterwarnings = ["error"]`` a failing example
+    ends the run in INTERNALERROR (a DeprecationWarning in hypothesis's
+    reporting hook); to see the falsifying example, run
+    ``pytest -W ignore::DeprecationWarning tests/test_generators.py``."""
     text = json.dumps(_document(name)) if table is None else _edited(name, table, index, value)
     _, H = load_structure(text)
     if H.algebra_report.entry("algebra.unit").status == "pass":
@@ -226,6 +236,30 @@ def test_light_test_on_a_nonassociative_table_keeps_the_full_witness():
     report = validate_algebra(reduced.algebra)
     assert report.failed_ids() == ["algebra.assoc"]
     assert report == validate_algebra(_full_enumeration(full).algebra)
+
+
+def test_conjugation_reduces_only_over_the_data_the_construction_checked():
+    """After a passing construction on ext (G = theta), ``verify_thm2`` on
+    data whose F_D^{-1} is off by theta (x) theta, which Delta(theta)
+    annihilates, holds at a = theta but not at a = 1: its report is the
+    full enumeration's, failing thm2.conjugation at a = 1, because the
+    construction checked other data."""
+
+    def off(H, D):
+        return replace(D, f_d_inverse=D.f_d_inverse + H.basis(1, 1))
+
+    H = build_structure("ext")
+    assert all(report.ok for _, report, _ in run_suites(H))
+    D, report = drinfeld_construction(H)
+    assert report.ok and H.algebra.generators == (1,)
+    E = off(H, D)
+    assert H.delta_prime.images[1] == E.f_d * H.delta.images[1] * E.f_d_inverse
+
+    fresh = build_structure("ext")
+    expected = verify_thm2(fresh, off(fresh, compute_drinfeld_twist(fresh)))
+    assert expected.entry("thm2.conjugation").status == "fail"
+    assert verify_thm2(H, E) == expected
+    assert verify_thm2(H, D).ok
 
 
 def test_reduced_checks_evaluate_generator_many_cases(monkeypatch):
