@@ -15,21 +15,23 @@ Sign conventions, fixed once here and relied on everywhere else:
   so applying one to a leg never creates a sign.
 
 Everything is exact: scalars are rationals or cyclotomic field elements, and
-all comparisons are equalities of canonical forms.  Over Q an element holds
-an integral coefficient as an ``int`` and any other as a ``Fraction``: both
-constructors turn an integral Fraction into its numerator as they drop the
-zeros, so products of the common integral coefficients stay on ``int``
-arithmetic.
+all comparisons are equalities of canonical forms.  An element holds a
+rational coefficient as an ``int`` when it is integral, else as a
+``Fraction``, over Q and over Q(zeta_n) alike, and a ``Cyclotomic`` only when
+its zeta part is nonzero: both constructors put every coefficient in that
+form (``scalars.canonical``) as they drop the zeros, so products of the
+common integral coefficients, the +-1 of a group-like table above all, stay
+on ``int`` arithmetic.  Scalar arithmetic between two ``Cyclotomic`` values
+still returns a ``Cyclotomic``; only the constructors demote.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 from operator import getitem
 
-from .scalars import FieldSpec
+from .scalars import FieldSpec, canonical
 
 
 class AlgebraError(ValueError):
@@ -142,9 +144,7 @@ class TensorElement:
             if len(word) != arity or any(not 0 <= i < d for i in word):
                 raise AlgebraError(f"bad word {word} for arity {arity}")
             if coeff != 0:
-                if type(coeff) is Fraction and coeff.denominator == 1:
-                    coeff = coeff.numerator
-                cleaned[tuple(word)] = coeff
+                cleaned[tuple(word)] = coeff if type(coeff) is int else canonical(coeff)
         self.algebra = algebra
         self.arity = arity
         self.terms = cleaned
@@ -152,16 +152,15 @@ class TensorElement:
     @staticmethod
     def _from_terms(algebra, arity, terms):
         """Engine results, whose words have the right length and range by
-        construction: only zero coefficients are dropped, and integral
-        Fractions become ints.  Input from outside the engine goes through
-        ``__init__``, which validates every word."""
+        construction: only zero coefficients are dropped, and the others are
+        put in canonical form, an int passing with one type test.  Input from
+        outside the engine goes through ``__init__``, which validates every
+        word."""
         x = object.__new__(TensorElement)
         x.algebra = algebra
         x.arity = arity
         x.terms = {
-            w: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for w, c in terms.items()
-            if c
+            w: c if type(c) is int else canonical(c) for w, c in terms.items() if c
         }
         return x
 

@@ -1,17 +1,27 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic extensions Q(zeta_n).
 
 Every structure document declares a single field up front, either Q or
-Q(zeta_n) (``Cyclotomic``).  A value of Q has one canonical form: an ``int``
-when it is integral, else a ``fractions.Fraction`` in lowest terms
-(``rational``).  Equal ints and Fractions compare, hash and print alike, so
-the form never shows in output; it only keeps the common integral products
-on ``int`` arithmetic.  A cyclotomic value is
-a polynomial in zeta_n of degree below phi(n), reduced modulo the n-th
+Q(zeta_n) (``Cyclotomic``).  A cyclotomic value is a polynomial in zeta_n of
+degree below phi(n), reduced modulo the n-th
 cyclotomic polynomial Phi_n, which is irreducible over Q, so every nonzero
 element is invertible.  It is stored as phi(n) ``int`` numerators over one
 positive ``int`` denominator, gcd-normalised (zero is (0, ..., 0)/1), so each
 value has exactly one representation and every equality test downstream is a
 comparison of integer tuples.
+
+A rational value has one canonical form over both fields: an ``int`` when it
+is integral, else a ``fractions.Fraction`` in lowest terms (``rational``,
+``canonical``).  ``FieldSpec`` returns it from ``one``, ``zero``,
+``from_int``, ``from_fraction``, ``parse`` and ``invert``, and the element
+constructors store it, so over Q(zeta_n) an element's ``Cyclotomic``
+coefficients all have a nonzero zeta part.  Equal ints, Fractions and
+Cyclotomics compare and hash alike, and ``FieldSpec.format`` prints a
+rational over Q(zeta_n) in the list form, so the form never shows in output;
+it only keeps the common rational products, the +-1 of a group-like table
+above all, on ``int`` arithmetic.  A ``Cyclotomic`` times, plus or minus a
+rational scales or shifts its numerators directly, and arithmetic between
+two ``Cyclotomic`` values returns a ``Cyclotomic`` even when the result is
+rational.
 
 Reduction modulo Phi_n happens only where a polynomial enters, in
 ``Cyclotomic(order, coeffs)`` through ``reduce_mod_cyclotomic``.  Add,
@@ -193,14 +203,14 @@ class Cyclotomic:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
+        """other when it is a Cyclotomic of this order, None when it is no
+        Cyclotomic; another order raises."""
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
                 raise ScalarError(
                     f"mixed cyclotomic orders {self.order} and {other.order}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.constant(self.order, other)
         return None
 
     def _combine(self, other, sign: int):
@@ -214,7 +224,35 @@ class Cyclotomic:
         num = [a * fa + b * fb for a, b in zip(self.num, other.num)]
         return _normalised(self.order, num, da * (db // g))
 
+    def _shifted(self, value):
+        """self + value for a rational value: only the zeta^0 numerator moves.
+        An int keeps the gcd of the denominator and the numerators at 1."""
+        p, q = value.numerator, value.denominator
+        num, den = self.num, self.den
+        if q == 1:
+            return _from_parts(self.order, (num[0] + p * den,) + num[1:], den)
+        shifted = [num[0] * q + p * den] + [c * q for c in num[1:]]
+        return _normalised(self.order, shifted, den * q)
+
+    def _scaled(self, value):
+        """self * value for a rational value p/q in one pass over the
+        numerators; only a q above 1 costs a gcd over them.  The result is
+        gcd-normalised: p/g is prime to den/g and to q, and gcd(q, num)
+        divides q but no prime of den, since gcd(den, num) = 1."""
+        p, q = value.numerator, value.denominator
+        g = gcd(p, self.den)  # p = 0 gives g = den: the zero (0, ..., 0)/1
+        num, den = self.num, self.den // g * q
+        if q != 1:
+            h = gcd(q, *num)
+            if h != 1:
+                num = [c // h for c in num]
+                den //= h
+        p //= g
+        return _from_parts(self.order, tuple(c * p for c in num), den)
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._shifted(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -223,18 +261,21 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._shifted(-other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self._combine(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        if isinstance(other, (int, Fraction)):
+            return (-self)._shifted(other)
+        return NotImplemented
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -285,7 +326,9 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.num, self.den))
+        if any(self.num[1:]):
+            return hash((self.order, self.num, self.den))
+        return hash(Fraction(self.num[0], self.den))  # as the rational it equals
 
     def inverse(self) -> "Cyclotomic":
         """Extended Euclid against Phi_n; Phi_n irreducible, so any nonzero inverts."""
@@ -340,6 +383,18 @@ def rational(value):
     """The canonical form of a rational: its numerator when the denominator
     is 1, else the value itself."""
     return value.numerator if value.denominator == 1 else value
+
+
+def canonical(value):
+    """The form an element stores a scalar in: a Fraction, or a Cyclotomic
+    whose zeta part is zero, as its ``rational`` form; any other value as it
+    is.  A Cyclotomic is gcd-normalised, so num[0] / den is in lowest terms."""
+    if type(value) is Fraction:
+        return rational(value)
+    if type(value) is Cyclotomic and not any(value.num[1:]):
+        num, den = value.num[0], value.den
+        return num if den == 1 else Fraction(num, den)
+    return value
 
 
 def parse_rational(text: str) -> Union[int, Fraction]:
@@ -410,44 +465,37 @@ class FieldSpec:
         return self.from_int(1)
 
     def from_int(self, value: int) -> Scalar:
-        if self.kind == "rational":
-            return int(value)
-        return Cyclotomic.constant(self.order, value)
+        return int(value)
 
     def from_fraction(self, value: Fraction) -> Scalar:
-        if self.kind == "rational":
-            return rational(Fraction(value))
-        return Cyclotomic.constant(self.order, value)
+        return rational(Fraction(value))
 
     def invert(self, value: Scalar) -> Scalar:
-        if self.kind == "rational":
-            if value == 0:
-                raise ScalarError("zero has no inverse")
-            return rational(_ONE / value)  # a Fraction quotient: int / int is a float
-        if not isinstance(value, Cyclotomic):
-            return Cyclotomic.constant(self.order, value).inverse()
-        return value.inverse()
+        if isinstance(value, Cyclotomic):
+            return canonical(value.inverse())
+        if value == 0:
+            raise ScalarError("zero has no inverse")
+        return rational(_ONE / value)  # a Fraction quotient: int / int is a float
 
     def parse(self, text: str) -> Scalar:
         """Parse the canonical text encoding; cyclotomic documents also accept
-        a bare rational as a degree-0 element."""
+        a bare rational as a degree-0 element.  A rational value comes back in
+        its canonical rational form over either field."""
         if not isinstance(text, str):
             raise ScalarError(f"scalar must be a string, got {echo(repr(text))}")
         text = text.strip()
-        if self.kind == "rational":
+        if self.kind == "rational" or not text.startswith("["):
             return parse_rational(text)
-        if text.startswith("["):
-            if not text.endswith("]"):
-                raise ScalarError(f"unterminated coefficient list {echo(repr(text))}")
-            body = text[1:-1].strip()
-            parts = [p for p in body.split(",")] if body else []
-            coeffs = [parse_rational(p) for p in parts]
-            if len(coeffs) > euler_phi(self.order):
-                raise ScalarError(
-                    f"coefficient list {echo(repr(text))} longer than phi({self.order})"
-                )
-            return Cyclotomic(self.order, coeffs)
-        return Cyclotomic.constant(self.order, parse_rational(text))
+        if not text.endswith("]"):
+            raise ScalarError(f"unterminated coefficient list {echo(repr(text))}")
+        body = text[1:-1].strip()
+        parts = [p for p in body.split(",")] if body else []
+        coeffs = [parse_rational(p) for p in parts]
+        if len(coeffs) > euler_phi(self.order):
+            raise ScalarError(
+                f"coefficient list {echo(repr(text))} longer than phi({self.order})"
+            )
+        return canonical(Cyclotomic(self.order, coeffs))
 
     def format(self, value: Scalar) -> str:
         """Canonical text encoding; bit-exact round trip with parse."""

@@ -35,11 +35,13 @@ from qhsa.fixtures import (
     build_structure,
     build_twistor,
     ext_broken_grading,
+    h2_structure,
 )
 from qhsa.reporting import element_terms_json
 from qhsa.scalars import Cyclotomic, FieldSpec
 from qhsa.structure import validate_algebra
 from qhsa.transforms import (
+    Twistor,
     opposite_structure,
     prime_structure,
     tensor_product_structure,
@@ -678,12 +680,14 @@ FIXTURE_DIR = Path(algebra.__file__).parent / "fixtures"
 
 
 def _assert_canonical(x):
-    # over Q an int (never a bool or float) when integral, else a Fraction
+    # over either field a rational is an int (never a bool or float) when
+    # integral, else a Fraction; any other value is a Cyclotomic with a
+    # nonzero zeta part
     for w, c in x.terms.items():
-        if x.algebra.field.kind == "rational":
-            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (w, c)
+        if type(c) is Cyclotomic:
+            assert x.algebra.field.kind == "cyclotomic" and any(c.num[1:]), (w, c)
         else:
-            assert type(c) is Cyclotomic, (w, c)
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (w, c)
 
 
 def _elements(H):
@@ -726,6 +730,23 @@ def test_the_dimension_8_rung_stays_on_ints(h2ext, kz2):
     cached = [H.phi_inv, *H.phi_factors, H.pentagon_lhs, H.pentagon_head]
     for x in cached:
         assert x.terms and all(type(c) is int for c in x.terms.values())
+
+
+def test_rational_coefficients_over_cyclotomic_fields_stay_on_ints():
+    # h2r over Q(zeta_4), and h2 with R over Q(zeta_8) twisted by
+    # 1(x)1 + c e1(x)e1, c = zeta + zeta^2 - 1: only the words whose
+    # coefficient has a zeta part hold a Cyclotomic
+    h2 = h2_structure(FieldSpec.cyclotomic(8), with_r=True)
+    z = Cyclotomic.zeta(8)
+    twistor = Twistor(h2.unit(2) + TensorElement(h2.algebra, 2, {(1, 1): z + z * z - 1}))
+    twisted = twist_structure(h2, twistor)
+    for H, f_d_zeta_words in ((build_structure("h2r"), set()), (twisted, {(1, 1)})):
+        cases = [(x, set()) for x in (*H.delta.images, H.phi_inv)]
+        cases += [(H.r_inv, {(1, 1)}), (compute_drinfeld_twist(H).f_d, f_d_zeta_words)]
+        for x, zeta_words in cases:
+            _assert_canonical(x)
+            assert x.terms
+            assert {w for w, c in x.terms.items() if type(c) is not int} == zeta_words
 
 
 def _stored_as_fractions(x):

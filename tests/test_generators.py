@@ -190,12 +190,7 @@ def _edited(name, table, index, value):
 def test_reduced_reports_equal_the_full_enumeration(name, table, index, value):
     """Every report of a structure near a fixture, with one entry of one
     table changed (or none, when ``table`` is None), is the same whether the
-    checks reduce to the generators or enumerate the basis.
-
-    Under the project's ``filterwarnings = ["error"]`` a failing example
-    ends the run in INTERNALERROR (a DeprecationWarning in hypothesis's
-    reporting hook); to see the falsifying example, run
-    ``pytest -W ignore::DeprecationWarning tests/test_generators.py``."""
+    checks reduce to the generators or enumerate the basis."""
     text = json.dumps(_document(name)) if table is None else _edited(name, table, index, value)
     _, H = load_structure(text)
     if H.algebra_report.entry("algebra.unit").status == "pass":

@@ -13,6 +13,7 @@ from qhsa.scalars import (
     Cyclotomic,
     FieldSpec,
     ScalarError,
+    canonical,
     cyclotomic_polynomial,
     euler_phi,
     parse_rational,
@@ -85,6 +86,21 @@ def test_rationals_are_ints_when_integral():
     assert type(field.from_int(True)) is int
     for text in ("0", "-7", "6/4", "-1/3"):
         assert field.format(field.parse(text)) == field.format(F(text))
+
+
+def test_cyclotomic_fields_return_the_rational_form():
+    c8 = FieldSpec.cyclotomic(8)
+    assert (c8.zero(), c8.one(), c8.from_int(True), c8.from_fraction(F(6, 4))) == (0, 1, 1, F(3, 2))
+    assert [type(v) for v in (c8.zero(), c8.one(), c8.from_int(True))] == [int] * 3
+    assert type(c8.invert(-1)) is int and c8.invert(F(2, 3)) == F(3, 2)
+    assert type(c8.invert(Cyclotomic(8, [0, 0, 0, 0, 2]))) is F  # zeta^4 = -1
+    assert type(c8.invert(Cyclotomic.zeta(8))) is Cyclotomic
+
+
+def test_a_rational_cyclotomic_hashes_as_its_rational():
+    assert {Cyclotomic(5, [7]), 7} == {7}
+    assert len({Cyclotomic(8, [F(1, 2)]), F(1, 2), Cyclotomic(4, [0, 0, F(1, 2)]), F(-1, 2)}) == 2
+    assert hash(Cyclotomic(1, [3])) == hash(3) and hash(Cyclotomic.zeta(4)) != hash(0)
 
 
 def test_mixed_orders_rejected():
@@ -274,6 +290,48 @@ def test_integer_arithmetic_agrees_with_fraction_oracle(case):
         assert oracle_mul(inverse.coeffs, ra, n) == oracle_reduce([1], n)
     else:
         assert (a.num, a.den) == ((0,) * euler_phi(n), 1)
+
+
+rational_operands = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-6, 6), rationals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_ORDERS), coefficients, rational_operands, st.data())
+def test_arithmetic_with_a_rational_agrees_with_the_oracle(n, head, r, data):
+    """Times, plus or minus an int or a Fraction, on either side, matches the
+    oracle on the constant r and stays a canonical Cyclotomic, whatever the
+    result; equal values hash alike."""
+    raw = data.draw(st.lists(coefficients, max_size=2 * euler_phi(n)))
+    a = Cyclotomic(n, [head] + raw)
+    ra, rr = oracle_reduce([head] + raw, n), oracle_reduce([r], n)
+    plus = oracle_reduce([x + y for x, y in zip(ra, rr)], n)
+    minus = oracle_reduce([x - y for x, y in zip(ra, rr)], n)
+    expected = [
+        (a * r, oracle_mul(ra, rr, n)),
+        (r * a, oracle_mul(ra, rr, n)),
+        (a + r, plus),
+        (r + a, plus),
+        (a - r, minus),
+        (r - a, tuple(-x for x in minus)),
+    ]
+    for value, oracle in expected:
+        assert type(value) is Cyclotomic
+        assert_canonical(value)
+        assert value.coeffs == oracle
+        if not any(oracle[1:]):
+            assert value == canonical(value) and hash(value) == hash(oracle[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_ORDERS), rational_operands)
+def test_a_parsed_rational_comes_back_in_the_rational_form(n, r):
+    field = FieldSpec.cyclotomic(n)
+    r = canonical(F(r))
+    text = "[" + ", ".join([str(r)] + ["0"] * (euler_phi(n) - 1)) + "]"
+    for source in (str(r), text, f"[{r}]"):
+        value = field.parse(source)
+        assert value == r and type(value) is type(r)
+        assert field.format(value) == text
 
 
 def test_arithmetic_between_cyclotomics_never_reduces(monkeypatch):
