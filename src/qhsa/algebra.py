@@ -101,9 +101,6 @@ class GradedAlgebra:
             if any(map(any, signs)):
                 self.monomial_signs = signs
 
-    def product(self, i: int, j: int) -> dict:
-        return self.mult.get((i, j), {})
-
     @cached_property
     def generators(self) -> tuple:
         """Basis indices that, with 1, generate the algebra, picked greedily
@@ -575,33 +572,9 @@ def multiply_adjacent_legs(x: TensorElement, leg: int) -> TensorElement:
 
 
 # -- exact linear algebra ---------------------------------------------------
-
-
-def solve_linear_system(matrix, rhs_columns, field: FieldSpec):
-    """Gauss-Jordan over the exact field: solve matrix * X = B.
-
-    matrix is a list of row lists and rhs_columns lists the columns of B.
-    Returns X as a list of rows, or raises SingularError.  Pivoting just
-    takes the first nonzero entry; there is no rounding to worry about.
-    """
-    n = len(matrix)
-    rows = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularError("singular linear system")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        inv = field.invert(rows[col][col])
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
+# One sparse elimination routine, ``_echelon_insert``, serves every exact
+# solve: structure maps (``solve_linear_system``), elements of H^(tensor n)
+# (``invert_tensor_element``) and ``basis_generators``.
 
 
 def _echelon_insert(echelon, vector, field, combination=None) -> bool:
@@ -636,6 +609,31 @@ def _echelon_insert(echelon, vector, field, combination=None) -> bool:
     scaled = None if combination is None else [c * scale for c in combination]
     echelon.append((pivot, {w: c * scale for w, c in vector.items()}, scaled))
     return True
+
+
+def solve_linear_system(columns, targets, field: FieldSpec) -> list:
+    """For each target t, the list x with sum_i x_i columns[i] = t.
+
+    Precondition: n independent columns in an n-dimensional space, given
+    like the targets as sparse {index: coefficient} vectors; a dependent
+    column raises SingularError.  Column i enters the echelon with the i-th
+    unit vector as its combination, so each target reduces to zero against
+    it, and the combination it gathers, negated, is x.
+    """
+    n = len(columns)
+    zero = field.zero()
+    echelon = []
+    for i, column in enumerate(columns):
+        combination = [zero] * n
+        combination[i] = field.one()
+        if not _echelon_insert(echelon, dict(column), field, combination):
+            raise SingularError("singular linear system")
+    solutions = []
+    for target in targets:
+        combination = [zero] * n
+        _echelon_insert(echelon, dict(target), field, combination)
+        solutions.append([-c for c in combination])
+    return solutions
 
 
 def _row_combination(pairs) -> dict:
@@ -721,38 +719,28 @@ def invert_tensor_element(x: TensorElement) -> TensorElement:
     if combination[0] == 0:
         raise SingularError("element has no left inverse")
     scale = -field.invert(combination[0])
-    terms = {}
-    for c, p in zip(combination[1:], powers):
-        if c == 0:
-            continue
-        f = c * scale
-        for w, v in p.terms.items():
-            terms[w] = terms[w] + f * v if w in terms else f * v
-    inverse = TensorElement._from_terms(alg, n, terms)
+    inverse = linear_combination(
+        alg, n, ((p, c * scale) for c, p in zip(combination[1:], powers) if c)
+    )
     if tensor_multiply(x, inverse) != unit:
         raise SingularError("element has a left inverse but no right inverse")
     return inverse
 
 
 def invert_structure_map(f: StructureMap) -> StructureMap:
-    """Inverse of a bijective H -> H map; f must have out_arity 1."""
+    """Inverse of a bijective H -> H map; f must have out_arity 1.  The
+    images f(e_i) are the columns, and the solution for e_j is f^{-1}(e_j)."""
     if f.out_arity != 1:
         raise AlgebraError("only out_arity 1 maps can be inverted")
     alg = f.algebra
     d = alg.dimension
-    zero = alg.field.zero()
-    matrix = [[zero] * d for _ in range(d)]
-    for i in range(d):
-        for (j,), c in f.images[i].terms.items():
-            matrix[j][i] = c
+    columns = [{j: c for (j,), c in img.terms.items()} for img in f.images]
     one = alg.field.one()
-    identity = [[one if i == j else zero for i in range(d)] for j in range(d)]
     try:
-        inv = solve_linear_system(matrix, identity, alg.field)
+        inv = solve_linear_system(columns, ({j: one} for j in range(d)), alg.field)
     except SingularError:
         raise SingularError("structure map is singular")
     images = [
-        TensorElement._from_terms(alg, 1, {(j,): inv[j][i] for j in range(d)})
-        for i in range(d)
+        TensorElement._from_terms(alg, 1, {(i,): c for i, c in enumerate(x)}) for x in inv
     ]
     return StructureMap(alg, 1, images)

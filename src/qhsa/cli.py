@@ -217,10 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, DocumentError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except AlgebraError as exc:
+    except (OSError, DocumentError, AlgebraError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
 

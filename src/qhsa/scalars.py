@@ -28,11 +28,17 @@ Reduction modulo Phi_n happens only where a polynomial enters, in
 subtract and negate stay below degree phi(n) and only renormalise the gcd;
 multiply convolves the numerators and folds zeta^k, phi(n) <= k <= 2 phi(n) - 2,
 back into low degrees with a per-order table of reduced integer rows.
+Inversion is an extended Euclid by pseudo-remainders on the numerators, so
+no arithmetic operation forms a ``Fraction``.
 
-Input bounds: a field's order is at most ``MAX_CYCLOTOMIC_ORDER``, because
-every operation costs O(phi(n)^2); the numerator and the denominator of a
-rational in scalar text have at most ``MAX_RATIONAL_DIGITS`` digits each.
-Both raise ``ScalarError``, which the CLI reports as an input error.
+Input bounds: a field's order is at most ``MAX_CYCLOTOMIC_ORDER``; the
+numerator and the denominator of a rational in scalar text have at most
+``MAX_RATIONAL_DIGITS`` digits each.  Both raise ``ScalarError``, which the
+CLI reports as an input error.  Add, subtract and multiply cost O(phi(n)^2)
+integer operations.  Inversion costs far more, as its integers grow with
+phi(n): a value with phi(n) one-digit coefficients inverted in 0.1 ms at
+phi(n) = 8, 0.02 s at 100, 0.3 s at 210 and 5-9 s at 400 (2-core Xeon,
+Python 3.11).
 """
 
 from __future__ import annotations
@@ -331,39 +337,37 @@ class Cyclotomic:
         return hash(Fraction(self.num[0], self.den))  # as the rational it equals
 
     def inverse(self) -> "Cyclotomic":
-        """Extended Euclid against Phi_n; Phi_n irreducible, so any nonzero inverts."""
+        """Extended Euclid against Phi_n by pseudo-remainders on the integer
+        numerators (Knuth, TAOCP vol. 2, 4.6.1); Phi_n is irreducible, so
+        any nonzero value inverts.  Each step scales r0 and s0 by lead(r1)^k,
+        k = deg r0 - deg r1 + 1, so the division by r1 stays in the integers,
+        and divides the new pair (rem, s) by the gcd of all their
+        coefficients.  At a constant r1 = c, s1 num = c (mod Phi_n), so the
+        inverse of num / den is den s1 / c."""
         if not self:
             raise ScalarError("zero has no inverse")
-        # invariants: r0 = s0 * self (mod Phi_n), r1 = s1 * self (mod Phi_n)
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r1 = _poly_trim(list(self.coeffs))
-        s0 = [_ZERO]
-        s1 = [_ONE]
-        while True:
-            if len(r1) == 1:
-                inv = r1[0]
-                return Cyclotomic(self.order, tuple(c / inv for c in s1))
-            # one long-division step: r0 = q * r1 + r
-            q = [_ZERO] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            lead = r1[-1]
-            for i in range(len(q) - 1, -1, -1):
-                f = rem[i + len(r1) - 1] / lead
-                q[i] = f
-                if f:
-                    for j, c in enumerate(r1):
-                        rem[i + j] -= f * c
+        # invariants: r0 = s0 * num (mod Phi_n), r1 = s1 * num (mod Phi_n)
+        r0, r1 = list(cyclotomic_polynomial(self.order)), _poly_trim(list(self.num))
+        s0, s1 = [0], [1]
+        while len(r1) > 1:
+            lead, steps = r1[-1], len(r0) - len(r1) + 1
+            scale = lead**steps
+            rem = [c * scale for c in r0]
+            s = [c * scale for c in s0] + [0] * (steps + len(s1) - 1 - len(s0))
+            for i in range(steps - 1, -1, -1):
+                f = rem[i + len(r1) - 1] // lead  # exact, as r0 was scaled
+                for j, c in enumerate(r1):
+                    rem[i + j] -= f * c
+                for j, c in enumerate(s1):
+                    s[i + j] -= f * c
             rem = _poly_trim(rem[: len(r1) - 1])
             if not rem:
                 raise ScalarError("element shares a factor with the modulus")
-            # s = s0 - q * s1
-            s = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qa in enumerate(q):
-                if qa:
-                    for j, sb in enumerate(s1):
-                        s[i + j] -= qa * sb
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_trim(s)
+            g = gcd(*rem, *s)
+            r0, r1, s0, s1 = r1, [c // g for c in rem], s1, _poly_trim([c // g for c in s])
+        sign = 1 if r1[0] > 0 else -1
+        num = [sign * self.den * a for a in s1]
+        return _normalised(self.order, num + [0] * (len(self.num) - len(num)), sign * r1[0])
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {list(self.coeffs)})"

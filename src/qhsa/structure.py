@@ -111,16 +111,13 @@ class QhsaStructure:
 
     @cached_property
     def delta_prime(self) -> StructureMap:
-        """The coproduct (S (x) S) . T . Delta . S^{-1}."""
-        sinv = self.antipode_inv
-        images = []
-        for i in range(self.algebra.dimension):
-            y = apply_map_legs(sinv.images[i], 0, self.delta)
-            y = permute_legs(y, (1, 0))
-            y = apply_map_legs(y, 0, self.antipode)
-            y = apply_map_legs(y, 1, self.antipode)
-            images.append(y)
-        return StructureMap(self.algebra, 2, images)
+        """The coproduct (S (x) S) . T . Delta . S^{-1}: the cached
+        (S (x) S) Delta^T applied to each image of S^{-1}."""
+        return StructureMap(
+            self.algebra,
+            2,
+            [apply_map_legs(x, 0, self.ss_delta_t) for x in self.antipode_inv.images],
+        )
 
     @cached_property
     def delta_left3(self) -> StructureMap:

@@ -121,6 +121,12 @@ def elem(H, arity, terms):
     )
 
 
+def product(alg, i, j):
+    """e_i e_j as {k: coefficient}, read from the cleaned table: the oracles'
+    view of the product, independent of the kernel's ``product_rows``."""
+    return alg.mult.get((i, j), {})
+
+
 def structures_equal(A, B):
     return (
         A.algebra == B.algebra

@@ -50,7 +50,7 @@ from qhsa.transforms import (
     verify_twist_by_r,
 )
 
-from conftest import elem, kz2_structure, structures_equal
+from conftest import elem, kz2_structure, product, structures_equal
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
 AXIOM_SUITES = ("algebra", "structure", "quasi-bialgebra", "antipode")
@@ -129,7 +129,7 @@ def _hand_expanded_pentagon_product(H):
     def times(vec, idx):
         out = {}
         for k, c in vec.items():
-            for r, cr in alg.product(k, idx).items():
+            for r, cr in product(alg, k, idx).items():
                 out[r] = out.get(r, 0) + c * cr
         return {k: v for k, v in out.items() if v != 0}
 

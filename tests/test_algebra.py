@@ -14,6 +14,7 @@ from qhsa.algebra import (
     AlgebraError,
     GradedAlgebra,
     SingularError,
+    StructureMap,
     TensorElement,
     apply_map_legs,
     embed_legs,
@@ -25,7 +26,6 @@ from qhsa.algebra import (
     multiply_adjacent_legs,
     outer,
     permute_legs,
-    solve_linear_system,
 )
 from qhsa.documents import document_to_twistor, load_structure, parse_twistor_document
 from qhsa.drinfeld import compute_drinfeld_twist
@@ -48,7 +48,7 @@ from qhsa.transforms import (
     twist_structure,
 )
 
-from conftest import elem, ks3_structure, kz2_structure
+from conftest import elem, ks3_structure, kz2_structure, product
 
 
 # -- validate_algebra ---------------------------------------------------------
@@ -120,7 +120,7 @@ def oracle_multiply(x, y):
             coeff = -cx * cy if sign else cx * cy
             partial = [((), coeff)]
             for i in range(n):
-                row = alg.product(wx[i], wy[i])
+                row = product(alg, wx[i], wy[i])
                 if not row:
                     partial = []
                     break
@@ -218,7 +218,7 @@ def test_kernel_path_follows_the_table(name):
 def test_partners_are_the_nonzero_products(name):
     alg = kernel_algebra(name)
     d = range(alg.dimension)
-    assert alg.partners == tuple(tuple(j for j in d if alg.product(i, j)) for i in d)
+    assert alg.partners == tuple(tuple(j for j in d if product(alg, i, j)) for i in d)
 
 
 @st.composite
@@ -489,6 +489,27 @@ def test_inverse_is_two_sided(h2, a, b, c):
     assert inv * x == h2.unit(2)
 
 
+def gauss_jordan(matrix, rhs_columns, field):
+    """Oracle: solve matrix * X = B by dense Gauss-Jordan over the exact
+    field.  matrix is a list of row lists and rhs_columns lists the columns
+    of B.  Returns X as a list of rows, or raises SingularError.  Pivoting
+    takes the first nonzero entry; there is no rounding to worry about."""
+    n = len(matrix)
+    rows = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularError("singular linear system")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        inv = field.invert(rows[col][col])
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
 def dense_inverse(x):
     """Oracle: the d^n x d^n system Y x = 1 solved by Gauss-Jordan.  Raises
     SingularError when the system is singular."""
@@ -502,7 +523,7 @@ def dense_inverse(x):
             matrix[index[w]][col] = c
     unit = TensorElement.unit(alg, n)
     rhs = [unit.terms.get(w, zero) for w in words]
-    solution = solve_linear_system(matrix, [rhs], alg.field)
+    solution = gauss_jordan(matrix, [rhs], alg.field)
     return TensorElement(alg, n, {w: row[0] for w, row in zip(words, solution)})
 
 
@@ -597,13 +618,58 @@ def test_invert_structure_map(ext):
 
 
 def test_invert_singular_map(ext):
-    from qhsa.algebra import StructureMap
-
     crush = StructureMap(
         ext.algebra, 1, [ext.unit(1), TensorElement.zero(ext.algebra, 1)]
     )
     with pytest.raises(SingularError):
         invert_structure_map(crush)
+
+
+@st.composite
+def structure_maps(draw):
+    """A random d x d map, d = 1..6, over Q or Q(zeta_8), and its dense
+    matrix.  Entries are small, a + b zeta, and a third of the maps have one
+    column set to a combination of the others, so singular maps are drawn
+    often."""
+    field = draw(st.sampled_from([FieldSpec.rational(), FieldSpec.cyclotomic(8)]))
+    zeta = Cyclotomic.zeta(8) if field.kind == "cyclotomic" else 0
+    d = draw(st.integers(1, 6))
+    small = st.integers(-2, 2)
+    entry = st.builds(lambda a, b: a + b * zeta, small, small)
+    columns = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, d - 1))
+        weights = [draw(entry) if i != k else 0 for i in range(d)]
+        columns[k] = [sum(w * col[j] for w, col in zip(weights, columns)) for j in range(d)]
+    alg = GradedAlgebra(d, (0,) * d, (1,) + (0,) * (d - 1), {}, field)
+    images = [TensorElement(alg, 1, {(j,): c for j, c in enumerate(col)}) for col in columns]
+    matrix = [[col[j] for col in columns] for j in range(d)]
+    return StructureMap(alg, 1, images), matrix
+
+
+def compose(f, g):
+    """f . g for maps H -> H."""
+    return StructureMap(f.algebra, 1, [apply_map_legs(img, 0, f) for img in g.images])
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_maps())
+def test_structure_map_inverse_matches_gauss_jordan(case):
+    f, matrix = case
+    alg, field = f.algebra, f.algebra.field
+    d = alg.dimension
+    identity = [[field.one() if i == j else field.zero() for i in range(d)] for j in range(d)]
+    try:
+        expected = gauss_jordan(matrix, identity, field)
+    except SingularError:
+        with pytest.raises(SingularError, match="structure map is singular"):
+            invert_structure_map(f)
+        return
+    inverse = invert_structure_map(f)
+    assert inverse.images == tuple(
+        TensorElement(alg, 1, {(j,): expected[j][i] for j in range(d)}) for i in range(d)
+    )
+    assert compose(f, inverse) == identity_map(alg) == compose(inverse, f)
 
 
 # -- grading ------------------------------------------------------------------------

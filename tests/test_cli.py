@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import qhsa.drinfeld
 import qhsa.structure
 import qhsa.transforms
 from qhsa.cli import main
-from qhsa.scalars import MAX_CYCLOTOMIC_ORDER
+from qhsa.scalars import MAX_CYCLOTOMIC_ORDER, euler_phi
 from qhsa.structure import DRINFELD_PREMISES, SUITES
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
@@ -470,6 +472,23 @@ def test_hostile_input_is_a_one_line_input_error(tmp_path, capsys, case):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and len(captured.err) < 300
     assert "Traceback" not in captured.err
+
+
+def test_a_generic_coassociator_over_a_large_field_is_checked_in_time(tmp_path):
+    # the trivial document over Q(zeta_211) with Phi = c 1(x)1(x)1 for a
+    # seeded c of full degree: inverting c once for structure.phi-invertible
+    # took more than 100 s when the extended Euclid ran on Fractions
+    rng = random.Random(211)
+    c = "[" + ", ".join(str(rng.randint(-9, 9)) for _ in range(euler_phi(211))) + "]"
+    field = {"kind": "cyclotomic", "order": 211}
+    path = edited(tmp_path, "trivial.qhsa", field=field, phi=[[0, 0, 0, c]])
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["check", path, "--format", "json", "--output", str(out)])
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    entries = {e["check_id"]: e["status"] for e in json.loads(out.read_text())["entries"]}
+    assert entries["structure.phi-invertible"] == "pass"
 
 
 # -- drinfeld ----------------------------------------------------------------------
