@@ -14,7 +14,7 @@ simplification anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     SingularError,
@@ -26,7 +26,7 @@ from .algebra import (
     outer,
     permute_legs,
 )
-from .reporting import CheckReport, expect_equal
+from .reporting import CheckReport, expect_equal, expect_equal_per_basis
 from .structure import (
     QhsaStructure,
     VALIDATION_SUITES,
@@ -37,18 +37,10 @@ from .structure import (
     _require_r,
     _witness_entry,
     check_quasi_triangular,
-    m_alpha_s,
-    m_beta_s,
     mul_chain,
     validate_structure,
 )
-from .transforms import (
-    Twistor,
-    _compare_structures,
-    prime_structure,
-    twist_structure,
-    twisted_coassociator,
-)
+from .transforms import Twistor, _compare_structures, prime_structure, twist_structure
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,18 +158,15 @@ def check_alt_expressions(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     return report
 
 
-def verify_thm2(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
-    """Delta' is conjugation of Delta by F_D, plus both intertwining forms.
+def verify_thm2(H: QhsaStructure, D: DrinfeldData, twisted: QhsaStructure) -> CheckReport:
+    """Delta' is conjugation of Delta by F_D, read from the F_D-twisted
+    structure ``twisted`` over the whole basis, plus both intertwining forms.
 
-    Each runs a over the generators once its premises are known to pass:
-    ``algebra`` and ``structure`` for the intertwiners, and for the
-    conjugation also D itself, which ``drinfeld_construction`` records in
-    ``H.passed`` when its checks, F_D^{-1} F_D = 1 among them, pass.  Unit case:
-    Delta'(1) = 1 (x) 1 = Delta(1), as S(1) = 1, and F_D F_D^{-1} = 1.
-    Products: Delta' = (S (x) S) T Delta S^{-1} is a homomorphism, so
-    Delta'(ab) F = Delta'(a) F Delta(b) = F Delta(ab), likewise with
-    F^{-1} on the other side, and F Delta(a) F^{-1} F Delta(b) F^{-1} =
-    F Delta(ab) F^{-1} as F^{-1} F = 1.
+    The intertwiners run a over the generators once ``algebra`` and
+    ``structure`` are known to pass.  Unit case: Delta'(1) = 1 (x) 1 =
+    Delta(1), as S(1) = 1.  Products: Delta' = (S (x) S) T Delta S^{-1} is a
+    homomorphism, so Delta'(ab) F = Delta'(a) F Delta(b) = F Delta(ab),
+    likewise with F^{-1} on the other side.
     """
     report = CheckReport()
     domain = _known_domain(H, VALIDATION_SUITES)
@@ -194,11 +183,10 @@ def verify_thm2(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
         lambda A: ((a, D.f_d_inverse * delta_prime[a], delta[a] * D.f_d_inverse) for a in A),
         domain,
     )
-    _expect_over(
+    expect_equal_per_basis(
         report,
         "thm2.conjugation",
-        lambda A: ((a, delta_prime[a], D.f_d * delta[a] * D.f_d_inverse) for a in A),
-        _known_domain(H, VALIDATION_SUITES + (D,)),
+        ((a, delta_prime[a], twisted.delta.images[a]) for a in range(H.algebra.dimension)),
     )
     return report
 
@@ -210,26 +198,15 @@ def verify_lemma13(H: QhsaStructure, D: DrinfeldData) -> CheckReport:
     return report
 
 
-def verify_thm3(H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure) -> CheckReport:
+def verify_thm3(
+    H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure, twisted: QhsaStructure
+) -> CheckReport:
     """The primed structure equals the F_D-twisted one: coassociator and both
     canonical elements, plus the two product forms of the coassociator identity."""
     report = CheckReport()
-
-    phi_fd = twisted_coassociator(H, D.f_d, D.f_d_inverse)
-    expect_equal(report, "thm3.phi", primed.phi, phi_fd)
-
-    expect_equal(
-        report,
-        "thm3.alpha",
-        m_alpha_s(H, D.f_d_inverse),
-        H.s_of(H.beta).scaled(H.eps_alpha),
-    )
-    expect_equal(
-        report,
-        "thm3.beta",
-        m_beta_s(H, D.f_d),
-        H.s_of(H.alpha).scaled(H.eps_beta),
-    )
+    expect_equal(report, "thm3.phi", primed.phi, twisted.phi)
+    expect_equal(report, "thm3.alpha", twisted.alpha, primed.alpha.scaled(H.eps_alpha))
+    expect_equal(report, "thm3.beta", twisted.beta, primed.beta.scaled(H.eps_beta))
 
     lhs = mul_chain(
         primed.phi,
@@ -257,23 +234,19 @@ def verify_thm3(H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure) -> Che
     return report
 
 
-def verify_thm5(H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure) -> CheckReport:
+def verify_thm5(
+    H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure, twisted: QhsaStructure
+) -> CheckReport:
     """(S (x) S)R equals the F_D-twisted R-matrix; the exchange identity for
     gamma; and quasi-triangularity of the full primed structure."""
     report = CheckReport()
     if not _require_r(H, report, ("thm5.r", "eq.lem8", "prop8.quasi-triangular")):
         return report
-    r_prime = primed.r_matrix
-    expect_equal(
-        report,
-        "thm5.r",
-        r_prime,
-        permute_legs(D.f_d, (1, 0)) * H.r_matrix * D.f_d_inverse,
-    )
+    expect_equal(report, "thm5.r", primed.r_matrix, twisted.r_matrix)
     expect_equal(
         report,
         "eq.lem8",
-        r_prime * D.gamma,
+        primed.r_matrix * D.gamma,
         permute_legs(D.gamma, (1, 0)) * H.r_matrix,
     )
     sub = check_quasi_triangular(primed)
@@ -288,13 +261,25 @@ def verify_thm5(H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure) -> Che
 
 
 def verify_prime_equivalence(
-    H: QhsaStructure, D: DrinfeldData, primed: QhsaStructure
+    H: QhsaStructure, primed: QhsaStructure, twisted: QhsaStructure
 ) -> CheckReport:
     """Componentwise: the primed structure is exactly the structure twisted by
-    the normalized twistor eps(beta) F_D, including the R-matrix."""
+    eps(alpha) F_D, including the R-matrix.
+
+    ``twisted`` is the twist by F_D, with canonical elements alpha_F and
+    beta_F.  Scaling a twistor by c leaves Delta, Phi and R alone and sends
+    (alpha_F, beta_F) to (alpha_F / c, c beta_F); with c = eps(alpha) and
+    eps(alpha) eps(beta) = 1 that is (eps(beta) alpha_F, eps(alpha) beta_F).
+    This c is forced: by theorem 3, alpha_F = eps(alpha) S(beta) and
+    beta_F = eps(beta) S(alpha).  The twistor ``--emit-twist`` writes,
+    eps(beta) F_D, agrees with it only when eps(alpha)^2 = 1."""
     report = CheckReport()
-    twisted = twist_structure(H, Twistor(D.f_d_bar, D.f_d_bar_inverse))
-    _compare_structures(report, "drinfeld.prime-equivalence", primed, twisted)
+    scaled = replace(
+        twisted,
+        alpha=twisted.alpha.scaled(H.eps_beta),
+        beta=twisted.beta.scaled(H.eps_alpha),
+    )
+    _compare_structures(report, "drinfeld.prime-equivalence", primed, scaled)
     return report
 
 
@@ -304,10 +289,9 @@ def drinfeld_construction(H: QhsaStructure) -> tuple:
     and then gamma-bar against its second printed expression and its
     absorption identity, F_D^{-1} as a two-sided inverse of F_D, and the
     counit legs of F_D against eps(alpha).  The data comes back only when
-    every check passes, and then it joins ``H.passed``, the premise of the
-    reduced ``thm2.conjugation`` over this data.  A singular Phi or S leaves nothing
-    to build; the report is then ``validate_structure``'s, which says
-    which."""
+    every check passes.  H is left as it was: nothing joins ``H.passed``.
+    A singular Phi or S leaves nothing to build; the report is then
+    ``validate_structure``'s, which says which."""
     try:
         D = compute_drinfeld_twist(H)
     except SingularError:
@@ -326,21 +310,23 @@ def drinfeld_construction(H: QhsaStructure) -> tuple:
     _counit_legs_entry(report, "drinfeld.fd-counit", H, D.f_d, H.unit(1).scaled(D.eps_alpha))
     if not report.ok:
         return None, report
-    H.passed.add(D)
     return D, report
 
 
 def drinfeld_report(H: QhsaStructure) -> tuple:
     """The construction followed by the full theorem battery; returns
-    (DrinfeldData | None, CheckReport)."""
+    (DrinfeldData | None, CheckReport).  The primed structure and the
+    F_D-twisted one are each built once, and every comparison between them
+    reads these two."""
     D, report = drinfeld_construction(H)
     if D is None:
         return None, report
     primed = prime_structure(H)
+    twisted = twist_structure(H, Twistor(D.f_d, D.f_d_inverse))
     report.extend(verify_lemma13(H, D))
-    report.extend(verify_thm2(H, D))
+    report.extend(verify_thm2(H, D, twisted))
     report.extend(check_alt_expressions(H, D))
-    report.extend(verify_thm3(H, D, primed))
-    report.extend(verify_thm5(H, D, primed))
-    report.extend(verify_prime_equivalence(H, D, primed))
+    report.extend(verify_thm3(H, D, primed, twisted))
+    report.extend(verify_thm5(H, D, primed, twisted))
+    report.extend(verify_prime_equivalence(H, primed, twisted))
     return D, report

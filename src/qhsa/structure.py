@@ -179,12 +179,11 @@ class QhsaStructure:
 
     @cached_property
     def passed(self) -> set:
-        """The suites known to have passed on this structure: ``run_suites``
-        adds each suite that runs and passes, and ``drinfeld_construction``
-        adds the ``DrinfeldData`` it built when every construction check
-        passes.  A check
-        reduces its quantifier to the generators of the algebra only when its
-        premises are here, so a direct call on a fresh structure enumerates the basis."""
+        """The names of the suites known to have passed on this structure:
+        ``run_suites`` adds each suite that runs and passes, and nothing else
+        adds to it.  A check reduces its quantifier to the generators of the
+        algebra only when its premises are here, so a direct call on a fresh
+        structure enumerates the basis."""
         return set()
 
     @cached_property

@@ -94,16 +94,6 @@ def check_cocycle(H: QhsaStructure, F: Twistor) -> CheckReport:
     return report
 
 
-def twisted_coassociator(H: QhsaStructure, f: TensorElement, f_inv: TensorElement):
-    return mul_chain(
-        embed_legs(f, (0, 1), 3),
-        apply_map_legs(f, 0, H.delta),
-        H.phi,
-        apply_map_legs(f_inv, 1, H.delta),
-        embed_legs(f_inv, (1, 2), 3),
-    )
-
-
 def twist_structure(H: QhsaStructure, F: Twistor) -> QhsaStructure:
     """The twisted structure (Delta_F, epsilon, Phi_F, S, alpha_F, beta_F [, R_F]).
 
@@ -112,7 +102,13 @@ def twist_structure(H: QhsaStructure, F: Twistor) -> QhsaStructure:
     """
     f, f_inv = F.element, F.inverse
     delta_f = StructureMap(H.algebra, 2, [f * img * f_inv for img in H.delta.images])
-    phi_f = twisted_coassociator(H, f, f_inv)
+    phi_f = mul_chain(
+        embed_legs(f, (0, 1), 3),
+        apply_map_legs(f, 0, H.delta),
+        H.phi,
+        apply_map_legs(f_inv, 1, H.delta),
+        embed_legs(f_inv, (1, 2), 3),
+    )
     alpha_f = m_alpha_s(H, f_inv)
     beta_f = m_beta_s(H, f)
     r_f = None

@@ -523,6 +523,22 @@ def test_drinfeld_verify_and_emit(tmp_path):
     assert twist["normalization"] == {"eps_alpha": "1", "eps_beta": "1"}
 
 
+def test_a_valid_normalization_with_eps_alpha_2_passes_every_command(tmp_path):
+    """h2 with alpha scaled by 2 and beta by 1/2 is a valid structure with
+    eps(alpha) = 2: the primed structure is the twist by eps(alpha) F_D, and
+    the emitted twistor eps(beta) F_D has the same Delta, Phi and R."""
+    path = edited(tmp_path, "h2.qhsa", alpha=["2", "-2"], beta=["1/2", "1/2"])
+    twist_out = tmp_path / "h2-scaled-fd.twist"
+    assert main(["check", path]) == 0
+    assert main(["drinfeld", path, "--verify", "--emit-twist", str(twist_out)]) == 0
+    twist = json.loads(twist_out.read_text())
+    assert twist["normalization"] == {"eps_alpha": "2", "eps_beta": "1/2"}
+    for kind in ("opposite", "prime"):
+        assert main(["transform", path, kind, "--output", str(tmp_path / f"{kind}.qhsa")]) == 0
+    out = tmp_path / "twisted.qhsa"
+    assert main(["transform", path, "twist", "--twistor", str(twist_out), "--output", str(out)]) == 0
+
+
 def test_drinfeld_on_hopf_fixture_is_trivial(tmp_path):
     twist_out = tmp_path / "ext-fd.twist"
     code = main(["drinfeld", fx("ext.qhsa"), "--verify", "--emit-twist", str(twist_out)])

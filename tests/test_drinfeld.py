@@ -153,6 +153,24 @@ def test_fd_counit_legs_are_checked_against_eps_alpha(h2):
     data, report = drinfeld_construction(H)
     assert report.entry("drinfeld.fd-counit").status == "pass"
     assert apply_map_legs(data.f_d, 0, H.epsilon) == H.unit(1).scaled(half)
+    # the primed structure is the twist by eps(alpha) F_D, not by eps(beta) F_D
+    assert drinfeld_report(H)[1].ok
+
+
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-3, 5)])
+def test_every_normalization_of_alpha_and_beta_passes(fixture_structure, c):
+    """(c alpha, beta / c) is a valid structure whenever (alpha, beta) is,
+    with eps(alpha) scaled by c; the suites and the whole battery pass."""
+    field = fixture_structure.algebra.field
+    H = replace(
+        fixture_structure,
+        alpha=fixture_structure.alpha.scaled(field.from_fraction(c)),
+        beta=fixture_structure.beta.scaled(field.from_fraction(1 / c)),
+    )
+    assert all(report.ok for _, report, _ in run_suites(H))
+    data, report = drinfeld_report(H)
+    assert data is not None
+    assert report.ok, report.failed_ids()
 
 
 def test_full_battery_passes(fixture_structure):
@@ -202,7 +220,8 @@ def test_r_identities_skip_without_r(h2):
 def test_prime_equivalence_componentwise(fixture_structure):
     D = compute_drinfeld_twist(fixture_structure)
     primed = prime_structure(fixture_structure)
-    assert verify_prime_equivalence(fixture_structure, D, primed).ok
+    twisted = twist_structure(fixture_structure, Twistor(D.f_d, D.f_d_inverse))
+    assert verify_prime_equivalence(fixture_structure, primed, twisted).ok
 
 
 def test_battery_builds_the_primed_structure_and_its_phi_inverse_once(
@@ -421,5 +440,8 @@ def test_drinfeld_multiplication_counts_are_pinned(monkeypatch):
     # alternative forms made 122 calls in the construction and 243 in the
     # construction and battery together; summed over the lemma-11 middles
     # with every basis a in eq.8.1, eq.8.7 and theorem 2, 90 and 131.  The
-    # gates pass, so those checks run over the 3 generators of h2ext.
-    assert counts == [82, 117]
+    # gates pass, so those checks run over the 3 generators of h2ext: 82
+    # and 117.  The battery then built the F_D twist in pieces in theorems
+    # 2, 3 and 5 and again whole for the prime equivalence; built once and
+    # read by all four, it makes 105.
+    assert counts == [82, 105]

@@ -273,7 +273,7 @@ def test_r_checks_skip_the_ids_they_check(h2, ext):
             check_quasi_triangular(H),
             check_triangular(H),
             check_qqybe(H),
-            verify_thm5(H, D, prime_structure(H)),
+            verify_thm5(H, D, prime_structure(H), twist_structure(H, Twistor(D.f_d, D.f_d_inverse))),
             verify_twist_by_r(H),
         )
         return [[e.check_id for e in report.entries] for report in reports]
