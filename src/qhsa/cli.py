@@ -160,12 +160,10 @@ def cmd_drinfeld(args) -> int:
     elapsed = time.perf_counter() - start
 
     if data is not None and args.emit_twist:
-        twistor = Twistor(data.f_d_bar, data.f_d_bar_inverse)
+        # the strictly normalized twistor eps(beta) F_D, with counit legs 1
+        twistor = Twistor(data.f_d.scaled(H.eps_beta), data.f_d_inverse.scaled(H.eps_alpha))
         tdoc = twistor_to_document(
-            f"{name}-drinfeld",
-            H,
-            twistor,
-            normalization=(data.eps_alpha, data.eps_beta),
+            f"{name}-drinfeld", H, twistor, normalization=(H.eps_alpha, H.eps_beta)
         )
         Path(args.emit_twist).write_text(serialize_twistor_document(tdoc), encoding="utf-8")
 

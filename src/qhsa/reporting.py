@@ -73,11 +73,14 @@ def element_terms_json(element) -> list:
 
 def difference_witness(lhs, rhs, basis=None) -> dict:
     """The sorted terms of lhs - rhs, cut to the first WITNESS_TERMS; a cut
-    difference records its full length under ``difference_terms``."""
-    difference = element_terms_json(lhs - rhs)
-    witness = {"difference": difference[:WITNESS_TERMS]}
-    if len(difference) > WITNESS_TERMS:
-        witness["difference_terms"] = len(difference)
+    difference records its full length under ``difference_terms``.  Only the
+    terms kept are formatted, in the rows of ``element_terms_json``."""
+    difference = lhs - rhs
+    terms, fmt = difference.terms, difference.algebra.field.format
+    words = sorted(terms)
+    witness = {"difference": [[list(w), fmt(terms[w])] for w in words[:WITNESS_TERMS]]}
+    if len(words) > WITNESS_TERMS:
+        witness["difference_terms"] = len(words)
     if basis is not None:
         witness["basis"] = basis
     return witness

@@ -35,7 +35,6 @@ from .structure import (
     _require_r,
     m_alpha_s,
     m_beta_s,
-    mul_chain,
 )
 
 
@@ -102,12 +101,12 @@ def twist_structure(H: QhsaStructure, F: Twistor) -> QhsaStructure:
     """
     f, f_inv = F.element, F.inverse
     delta_f = StructureMap(H.algebra, 2, [f * img * f_inv for img in H.delta.images])
-    phi_f = mul_chain(
-        embed_legs(f, (0, 1), 3),
-        apply_map_legs(f, 0, H.delta),
-        H.phi,
-        apply_map_legs(f_inv, 1, H.delta),
-        embed_legs(f_inv, (1, 2), 3),
+    phi_f = (
+        embed_legs(f, (0, 1), 3)
+        * apply_map_legs(f, 0, H.delta)
+        * H.phi
+        * apply_map_legs(f_inv, 1, H.delta)
+        * embed_legs(f_inv, (1, 2), 3)
     )
     alpha_f = m_alpha_s(H, f_inv)
     beta_f = m_beta_s(H, f)
@@ -230,10 +229,13 @@ def tensor_product_structure(A: QhsaStructure, B: QhsaStructure) -> QhsaStructur
     Open item 1).
 
     The other factor must be an honest Hopf superalgebra (trivial Phi,
-    alpha = beta = 1), otherwise the output provably fails the antipode
-    axioms.  The general two-sided formula is out of reach of the
-    structure-constant data model, and this restricted product is all the
-    graded fixtures need.
+    alpha = beta = 1).  That restriction is this implementation's choice,
+    not a limit of the data model: with the antipode rule above, and Phi,
+    alpha and beta (and R, when both have one) interleaved from both
+    factors, h2 (x) h2, h2r (x) h2r, h2 (x) h2ext and h2ext (x) h2 pass
+    every default suite and the Drinfeld battery.  It is kept because taking
+    R from both factors would change the products of existing documents
+    whose other factor has an R-matrix, such as ext.
     """
     if A.algebra.field != B.algebra.field:
         raise AlgebraError("tensor product needs a common scalar field")

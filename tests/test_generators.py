@@ -125,7 +125,8 @@ class _Forgetful(set):
 def _full_enumeration(H):
     """H, freshly loaded, with every quantifier over the whole basis: Light's
     test over every middle factor is the full associativity check, and no
-    suite is ever recorded as passed."""
+    suite is ever recorded as passed, so no check reduces, the eta lemma's
+    reduction over eta included: its reports are the d^3 enumeration's."""
     H.algebra.__dict__["generators"] = tuple(range(H.algebra.dimension))
     H.__dict__["passed"] = _Forgetful()
     return H
@@ -193,7 +194,7 @@ def test_reduced_reports_equal_the_full_enumeration(name, table, index, value):
     checks reduce to the generators or enumerate the basis."""
     text = json.dumps(_document(name)) if table is None else _edited(name, table, index, value)
     _, H = load_structure(text)
-    if H.algebra_report.entry("algebra.unit").status == "pass":
+    if validate_algebra(H.algebra).entry("algebra.unit").status == "pass":
         assert H.algebra.generators == _greedy_generators(H.algebra)
         assert _spans_the_algebra(H.algebra, H.algebra.generators)
     _, fresh = load_structure(text)

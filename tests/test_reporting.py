@@ -4,7 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from qhsa.reporting import WITNESS_TERMS, CheckReport, expect_equal_per_basis
+from qhsa.reporting import WITNESS_TERMS, CheckReport, difference_witness, expect_equal_per_basis
+from qhsa.scalars import FieldSpec
 
 from conftest import elem
 
@@ -62,6 +63,21 @@ def test_a_long_difference_is_cut_with_its_full_count(h2ext):
     report = CheckReport()
     expect_equal_per_basis(report, "exact", [(0, exact, zero)])
     assert list(report.entry("exact").witness) == ["difference", "basis"]
+
+
+def test_a_cut_difference_formats_only_the_terms_it_keeps(monkeypatch, h2ext):
+    formatted = []
+    original = FieldSpec.format
+
+    def counting(self, value):
+        formatted.append(value)
+        return original(self, value)
+
+    monkeypatch.setattr(FieldSpec, "format", counting)
+    words = sorted(itertools.product(range(4), repeat=4))[:100]
+    witness = difference_witness(elem(h2ext, 4, {w: 1 for w in words}), elem(h2ext, 4, {}))
+    assert witness["difference_terms"] == 100
+    assert len(formatted) == WITNESS_TERMS
 
 
 def test_every_traced_name_resolves(monkeypatch):

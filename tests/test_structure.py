@@ -26,6 +26,7 @@ from qhsa.structure import (
     DEFAULT_SUITE_NAMES,
     DRINFELD_PREMISES,
     SUITES,
+    VALIDATION_SUITES,
     QhsaStructure,
     check_antipode_axioms,
     check_eta_lemma,
@@ -38,7 +39,6 @@ from qhsa.structure import (
     lemma11_sides,
     m_alpha_s,
     m_beta_s,
-    mul_chain,
     run_suites,
     validate_algebra,
     validate_structure,
@@ -227,11 +227,11 @@ def reference_pentagon_report(H):
     phi0, phi1, phi2, phi_x1, one_x_phi = H.phi_factors
     inv0, inv1, inv2, inv_x1, one_x_inv = H.phi_inv_factors
     report = CheckReport()
-    expect_equal(report, "eq.fii", mul_chain(phi0, phi2), mul_chain(phi_x1, phi1, one_x_phi))
-    expect_equal(report, "eq.6.1i", phi_x1, mul_chain(phi0, phi2, one_x_inv, inv1))
-    expect_equal(report, "eq.6.1ii", one_x_phi, mul_chain(inv1, inv_x1, phi0, phi2))
-    expect_equal(report, "eq.6.1iii", inv_x1, mul_chain(phi1, one_x_phi, inv2, inv0))
-    expect_equal(report, "eq.6.1iv", one_x_inv, mul_chain(inv2, inv0, phi_x1, phi1))
+    expect_equal(report, "eq.fii", phi0 * phi2, phi_x1 * phi1 * one_x_phi)
+    expect_equal(report, "eq.6.1i", phi_x1, phi0 * phi2 * one_x_inv * inv1)
+    expect_equal(report, "eq.6.1ii", one_x_phi, inv1 * inv_x1 * phi0 * phi2)
+    expect_equal(report, "eq.6.1iii", inv_x1, phi1 * one_x_phi * inv2 * inv0)
+    expect_equal(report, "eq.6.1iv", one_x_inv, inv2 * inv0 * phi_x1 * phi1)
     return report
 
 
@@ -528,10 +528,11 @@ def test_reduced_eta_agrees_with_the_full_enumeration(request, name):
 
 
 def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
-    """Exact tensor_multiply counts on a fresh h2ext.  The first lemma-11
-    call also inverts Phi and builds the cached middles, and the first eta
-    call builds the algebra report; second calls reuse all three."""
-    H = build_structure("h2ext")
+    """Exact tensor_multiply counts on a fresh h2ext, and on another once
+    the validation suites have passed.  The first lemma-11 call also inverts
+    Phi and builds the cached middles; the second reuses both.  On the fresh
+    structure both checks enumerate the whole basis, d^3 eta cases; after
+    validation they run over the generators, d |G| eta cases."""
     calls = []
     original = qhsa.algebra.tensor_multiply
 
@@ -540,16 +541,38 @@ def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
         return original(x, y)
 
     monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
-    counts = []
-    for check in (check_lemma11, check_lemma11, check_eta_lemma, check_eta_lemma):
-        calls.clear()
-        assert check(H).ok
-        counts.append(len(calls))
-    # the term-by-term lemma 11 made 3459 and 3456 calls, the d^3 eta 288 each
-    # time; the grouped lemma 11 with every basis product multiplied made 827
-    # and 800, and the eta lemma 288 then 72 while the algebra report was
-    # built from elements
-    assert counts == [283, 256, 72, 72]
+
+    def counts(H):
+        out = []
+        for check in (check_lemma11, check_lemma11, check_eta_lemma, check_eta_lemma):
+            calls.clear()
+            assert check(H).ok
+            out.append(len(calls))
+        return out
+
+    # the term-by-term lemma 11 made 3459 and 3456 calls; the grouped lemma
+    # 11 with every basis product multiplied made 827 and 800; the middles
+    # built e_p beta and S(e_p) alpha once per identity, 283 then 256
+    assert counts(build_structure("h2ext")) == [279, 256, 288, 288]
+    H = build_structure("h2ext")
+    run_suites(H, VALIDATION_SUITES)
+    assert counts(H) == [244, 224, 56, 56]
+
+
+def test_no_check_runs_a_premise_itself(monkeypatch):
+    """Every suite with premises, called directly on a fresh h2ext, reads
+    ``H.passed`` alone: it neither validates the algebra nor builds its
+    generators, so it enumerates the whole basis."""
+
+    def no_validation(algebra):
+        raise AssertionError("validate_algebra called")
+
+    monkeypatch.setattr(qhsa.structure, "validate_algebra", no_validation)
+    H = build_structure("h2ext")
+    for check, premises in SUITES.values():
+        if premises:
+            check(H)
+    assert "generators" not in vars(H.algebra)
 
 
 @pytest.mark.parametrize(
@@ -568,7 +591,7 @@ def test_algebra_report_makes_no_product(monkeypatch, build):
         raise AssertionError("tensor_multiply called")
 
     monkeypatch.setattr(qhsa.algebra, "tensor_multiply", no_product)
-    assert H.algebra_report.ok
+    assert validate_algebra(H.algebra).ok
 
 
 # -- metatheorems ------------------------------------------------------------------------
@@ -846,7 +869,8 @@ def test_algebra_report_witnesses_are_pinned(request, name):
     corrupt, expected = ALGEBRA_REPORT_CASES[name]
     H = corrupt(request.getfixturevalue)
     assert _entries(validate_algebra(H.algebra)) == expected
-    assert _entries(H.algebra_report) == expected
+    [(suite, report, _)] = run_suites(H, ["algebra"])
+    assert suite == "algebra" and _entries(report) == expected
 
 
 @pytest.mark.parametrize(
