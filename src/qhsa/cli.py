@@ -8,6 +8,11 @@ F_D, F_D^{-1}, optionally run the theorem battery and emit the twistor).
 Exit codes: 0 all checks passed, 1 a verified failure, 2 input or parse error.
 Input paths are resolved against the working directory, then the directory
 named by QHSA_FIXTURE_DIR, then the bundled fixtures.
+
+``main(argv)`` may be called any number of times in one process: the parser
+is built once, as ``PARSER`` when this module is imported, and ``--help``
+still reads the terminal width when it prints, since argparse builds a new
+formatter for each help text.
 """
 
 from __future__ import annotations
@@ -210,9 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, DocumentError, AlgebraError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -13,7 +14,7 @@ import qhsa.structure
 import qhsa.transforms
 from qhsa.cli import main
 from qhsa.scalars import MAX_CYCLOTOMIC_ORDER, euler_phi
-from qhsa.structure import DRINFELD_PREMISES, SUITES
+from qhsa.structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, SUITES
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
 
@@ -555,19 +556,23 @@ def test_drinfeld_without_verify_reports_construction_only(tmp_path):
     assert "thm3.phi" not in ids
 
 
-def test_drinfeld_without_verify_runs_no_battery(tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the theorem battery ran without --verify")
+BATTERY = (
+    "verify_lemma13",
+    "verify_thm2",
+    "check_alt_expressions",
+    "verify_thm3",
+    "verify_thm5",
+    "verify_prime_equivalence",
+)
 
-    for name in (
-        "verify_lemma13",
-        "verify_thm2",
-        "check_alt_expressions",
-        "verify_thm3",
-        "verify_thm5",
-        "verify_prime_equivalence",
-    ):
-        monkeypatch.setattr(qhsa.drinfeld, name, refuse)
+
+def refuse_battery(*args):
+    raise AssertionError("the theorem battery ran without --verify")
+
+
+def test_drinfeld_without_verify_runs_no_battery(tmp_path, monkeypatch):
+    for name in BATTERY:
+        monkeypatch.setattr(qhsa.drinfeld, name, refuse_battery)
     code, doc = run_json(tmp_path, "drinfeld", fx("h2r.qhsa"))
     assert code == 0
     assert [e["check_id"] for e in doc["entries"]] == [
@@ -630,6 +635,58 @@ def test_drinfeld_without_verify_needs_no_quasi_triangular_r(tmp_path):
     assert main(["check", path, "--suites", "quasi-triangular"]) == 1
     assert main(["drinfeld", path]) == 0
     assert main(["drinfeld", path, "--verify"]) == 1
+
+
+# -- one parser per process ----------------------------------------------------------
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["check", fx("h2.qhsa"), "--format", "json"]) == 0
+    assert main(["drinfeld", fx("h2.qhsa"), "--format", "json"]) == 0
+    assert len(built) == 0
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    assert main(["drinfeld", fx("h2r.qhsa")]) == 0
+    report = capsys.readouterr().out
+    twist = tmp_path / "T.twist"
+    assert main(["drinfeld", fx("h2r.qhsa"), "--verify", "--emit-twist", str(twist)]) == 0
+    assert "thm3" in capsys.readouterr().out
+    twist.unlink()
+    with monkeypatch.context() as patch:
+        for name in BATTERY:
+            patch.setattr(qhsa.drinfeld, name, refuse_battery)
+        assert main(["drinfeld", fx("h2r.qhsa")]) == 0
+    assert capsys.readouterr().out == report
+    assert list(tmp_path.iterdir()) == []
+
+    _, selected = run_json(tmp_path, "check", fx("h2.qhsa"), "--suites", "eta")
+    _, default = run_json(tmp_path, "check", fx("h2.qhsa"))
+    assert {e["suite"] for e in selected["entries"]} == {"eta"}
+    assert [*dict.fromkeys(e["suite"] for e in default["entries"])] == list(DEFAULT_SUITE_NAMES)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qhsa check ")
+    assert err.endswith("qhsa check: error: the following arguments are required: path\n")
+    assert main(["check", fx("h2.qhsa")]) == 0
+
+    for _ in range(2):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "qhsa 0.1.0\n"
 
 
 # -- entry point --------------------------------------------------------------------
