@@ -178,6 +178,21 @@ class QhsaStructure:
         return lemma11_middles(self)
 
     @cached_property
+    def lemma11_factors(self) -> dict:
+        """Per exchange identity, W = sum_v e_v (x) M_v (lone leg 0) or
+        sum_v M_v (x) e_v (lone leg 1) over the middles, and W embedded at
+        its legs in arity 3; see ``LEMMA11_FORMS``.  Read by lemma 11."""
+        factors = {}
+        for which, (lone, _, _, legs) in LEMMA11_FORMS.items():
+            terms = {}
+            for v, m in self.lemma11_middles[which].items():
+                for (k,), c in m.terms.items():
+                    terms[(v, k) if lone == 0 else (k, v)] = c
+            w = TensorElement._from_terms(self.algebra, 2, terms)
+            factors[which] = (w, embed_legs(w, legs, 3))
+        return factors
+
+    @cached_property
     def passed(self) -> set:
         """The names of the suites known to have passed on this structure:
         ``run_suites`` adds each suite that runs and passes, and nothing else
@@ -708,9 +723,9 @@ def lemma11_middles(H: QhsaStructure) -> dict:
     dict {v: M_v} over the values v of the lone leg.
 
     In each identity one leg of Phi (Phi^{-1} for 11iii and 11iv) stands
-    alone on one tensor side and carries the explicit sign: x in 11i and
-    11iii, z in 11ii and 11iv.  The other two legs p, q only ever appear
-    inside one factor (f(e_p) k) g(e_q), so their sum is taken once:
+    alone on one tensor side: x in 11i and 11iii, z in 11ii and 11iv.  The
+    other two legs p, q only ever appear inside one factor (f(e_p) k) g(e_q),
+    so their sum is taken once:
 
         11i    M_x = sum c_xyz (e_y beta) S(e_z)       over Phi
         11ii   M_z = sum c_xyz (S(e_x) alpha) e_y      over Phi
@@ -754,71 +769,52 @@ def lemma11_middles(H: QhsaStructure) -> dict:
     return middles
 
 
+# Per exchange identity: the leg of W holding the lone leg, which is also
+# the leg of a on the left side; whether W stands left of a there (and left
+# of x on the right side); the leg of x that S acts on; W's legs in arity 3.
+LEMMA11_FORMS = {
+    "11i": (0, True, 2, (0, 1)),
+    "11ii": (1, False, 0, (1, 2)),
+    "11iii": (0, False, 1, (0, 2)),
+    "11iv": (1, True, 1, (0, 2)),
+}
+
+
 def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
-    """Both sides of one of the four exchange identities, with every factor
-    order, bracketing and explicit sign factor as printed.  The sum over the
-    two legs of Phi that stay inside one factor is the stored middle M_v of
-    ``lemma11_middles``, so the sides run over (lone leg v, term of a) and
-    (v, Sweedler term) pairs; s[i] is the stored image S(e_i), and the
-    Sweedler legs of ``a`` come from the stored iterated coproduct.
+    """Both sides of one of the four exchange identities as Koszul products
+    (``tensor_multiply``), so every sign is the product's.  W and its
+    embedding W_pq are the cached ``lemma11_factors``, x is the stored
+    iterated coproduct of a with S on one leg, m_k contracts legs k, k+1:
 
-    Each term is outer(f, g) with one factor a product of two basis
-    elements, read from ``basis_products``.  When that product is zero the
-    term is skipped before the other factor is built: outer(0, g) = 0.
+        11i    W (a (x) 1)    x = (Delta (x) 1)Delta(a), S on leg 2    m_1(x W_01)
+        11ii   (1 (x) a) W    x = (1 (x) Delta)Delta(a), S on leg 0    m_0(W_12 x)
+        11iii  (a (x) 1) W    x = (Delta (x) 1)Delta(a), S on leg 1    m_1(W_02 x)
+        11iv   W (1 (x) a)    x = (1 (x) Delta)Delta(a), S on leg 1    m_0(x W_02)
+
+    These are the printed sides, with their factor order and explicit signs,
+    when the table is unital and associative (the products multiply by the
+    unit and rebracket) and Phi, alpha and beta are even with S
+    parity-preserving (so M_v has the parity of e_v): the premises
+    ``algebra`` and ``structure``, which ``run_suites`` runs first.
     """
-    if which not in ("11i", "11ii", "11iii", "11iv"):
+    if which not in LEMMA11_FORMS:
         raise AlgebraError(f"unknown identity {which!r}")
-    alg = H.algebra
-    par = alg.parity
-    e = [H.basis(i) for i in range(alg.dimension)]
-    ee = H.basis_products
-    s = H.antipode.images
-
-    iterated = H.delta_left3 if which in ("11i", "11iii") else H.delta_right3
-    sweedler = apply_map_legs(a, 0, iterated).terms
-    lhs = []  # (term, coefficient) pairs of each side
-    rhs = []
-    for v, m in H.lemma11_middles[which].items():
-        if which == "11i":
-            for (w,), ca in a.terms.items():
-                if ee[v][w].terms:
-                    sign = -1 if par[w] and par[v] else 1
-                    lhs.append((outer(ee[v][w], m), ca * sign))
-            for (u1, u2, u3), cu in sweedler.items():
-                if ee[u1][v].terms:
-                    sign = -1 if par[v] and par[u2] else 1
-                    rhs.append((outer(ee[u1][v], e[u2] * m * s[u3]), cu * sign))
-        elif which == "11ii":
-            for (w,), ca in a.terms.items():
-                if ee[w][v].terms:
-                    sign = -1 if par[w] and par[v] else 1
-                    lhs.append((outer(m, ee[w][v]), ca * sign))
-            for (u1, u2, u3), cu in sweedler.items():
-                if ee[v][u3].terms:
-                    sign = -1 if par[v] and par[u2] else 1
-                    rhs.append((outer(s[u1] * m * e[u2], ee[v][u3]), cu * sign))
-        elif which == "11iii":
-            for (w,), ca in a.terms.items():
-                if ee[w][v].terms:
-                    lhs.append((outer(ee[w][v], m), ca))
-            for (u1, u2, u3), cu in sweedler.items():
-                if ee[v][u1].terms:
-                    sign = -1 if par[v] and (par[u1] + par[u2]) % 2 else 1
-                    rhs.append((outer(ee[v][u1], s[u2] * m * e[u3]), cu * sign))
-        else:  # 11iv
-            for (w,), ca in a.terms.items():
-                if ee[v][w].terms:
-                    lhs.append((outer(m, ee[v][w]), ca))
-            for (u1, u2, u3), cu in sweedler.items():
-                if ee[u3][v].terms:
-                    sign = -1 if par[v] and (par[u2] + par[u3]) % 2 else 1
-                    rhs.append((outer(e[u1] * m * s[u2], ee[u3][v]), cu * sign))
-    return linear_combination(alg, 2, lhs), linear_combination(alg, 2, rhs)
+    lone, w_left, s_leg, _ = LEMMA11_FORMS[which]
+    w, w3 = H.lemma11_factors[which]
+    a2 = embed_legs(a, (lone,), 2)
+    iterated = H.delta_left3 if lone == 0 else H.delta_right3
+    x = apply_map_legs(apply_map_legs(a, 0, iterated), s_leg, H.antipode)
+    if w_left:
+        return w * a2, multiply_adjacent_legs(x * w3, 1 - lone)
+    return a2 * w, multiply_adjacent_legs(w3 * x, 1 - lone)
 
 
 def check_lemma11(H: QhsaStructure) -> CheckReport:
     """The four exchange identities, for every basis a (``lemma11_sides``).
-    Once ``algebra`` and ``structure`` are known to pass, a runs over the
+    Its Koszul products are the printed sides over a unital associative
+    table with Phi, alpha and beta even and S parity-preserving, which is
+    why ``run_suites`` runs it only after ``algebra`` and ``structure``
+    have passed.  Once they are known to pass, a runs over the
     generators only.  In 11i, with W = sum X (x) Y beta S(Z) over Phi (even),
     the sides are L(a) = W (a (x) 1) and R(a) = sum (a_1 (x) a_2) W
     (1 (x) S(a_3)) over (Delta (x) 1)Delta(a), with exactly the printed signs:

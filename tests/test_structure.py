@@ -290,7 +290,7 @@ def test_lemma11_unit_reduction(fixture_structure):
 
 
 def test_lemma11_exercises_odd_legs(h2ext):
-    # odd basis elements bring the printed sign factors into play
+    # odd basis elements bring the Koszul signs of the products into play
     for a in (1, 3):
         for which in ("11i", "11ii", "11iii", "11iv"):
             lhs, rhs = lemma11_sides(h2ext, which, h2ext.basis(a))
@@ -299,8 +299,9 @@ def test_lemma11_exercises_odd_legs(h2ext):
 
 def reference_lemma11_sides(H, which, a):
     """Both sides of one exchange identity, term by term over every word of
-    Phi (Phi^{-1}) exactly as printed: the reference that the grouped
-    ``lemma11_sides`` is compared against."""
+    Phi (Phi^{-1}) exactly as printed, with each explicit sign factor: the
+    reference that the Koszul products of ``lemma11_sides`` are compared
+    against."""
     alg = H.algebra
     par = alg.parity
     e = [H.basis(i) for i in range(alg.dimension)]
@@ -379,26 +380,48 @@ def test_lemma11_sides_match_the_reference_on_twists_of_an_odd_product(
     )
 
 
-def test_lemma11_sides_match_the_reference_on_a_failing_product(h2ext, ext):
+def test_lemma11_sides_match_the_reference_on_a_failing_product(h2ext, ext, ks3):
     # h2ext (x) ext fails all four identities through the odd (x) odd
-    # antipode sign (ROADMAP item 1); the grouped sides must fail the same way
+    # antipode sign (ROADMAP item 1); the product sides must fail the same way
     H = tensor_product_structure(h2ext, ext)
     assert check_lemma11(H).failed_ids() == ["eq.11i", "eq.11ii", "eq.11iii", "eq.11iv"]
     _assert_lemma11_sides_match_the_reference(H)
+    # k[S3] is not commutative, so with alpha or beta a transposition the
+    # sides fail on the order of the factors inside one leg, which no
+    # supercommutative input tests
+    transposition = elem(ks3, 1, {(1,): 1})
+    for name, failed in (("alpha", ["eq.11ii", "eq.11iii"]), ("beta", ["eq.11i", "eq.11iv"])):
+        H = replace(ks3, **{name: transposition})
+        assert check_lemma11(H).failed_ids() == failed, name
+        _assert_lemma11_sides_match_the_reference(H)
 
 
-@pytest.mark.parametrize("pair, row", [((2, 1), {3: 1}), ((1, 2), {3: 1}), ((3, 0), {1: 1})])
-def test_lemma11_sides_match_the_reference_on_one_sided_products(h2ext, pair, row):
-    # e_i e_j != 0 but e_j e_i = 0, with the lone leg of Phi (0 or 2) on
-    # either side: a zero-product skip that reads its factor in the wrong
-    # order drops terms that do not vanish
-    _assert_lemma11_sides_match_the_reference(_with_product(h2ext, pair, row))
+# Structures whose algebra or structure suite fails: the product form of
+# lemma 11 needs both, so run_suites reports the failed premise and skips
+# lemma 11 rather than report sides that are not the printed ones.  In the
+# one-sided products e_i e_j != 0 but e_j e_i = 0, and the table loses its
+# unit and associativity.
+LEMMA11_FAILED_PREMISES = {
+    "one-sided-2-1": (lambda fx: _with_product(fx("h2ext"), (2, 1), {3: 1}), "algebra"),
+    "one-sided-1-2": (lambda fx: _with_product(fx("h2ext"), (1, 2), {3: 1}), "algebra"),
+    "one-sided-3-0": (lambda fx: _with_product(fx("h2ext"), (3, 0), {1: 1}), "algebra"),
+    "h2ext-odd-beta": (lambda fx: ETA_AGREEMENT_CASES["h2ext-odd-beta"](fx), "structure"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA11_FAILED_PREMISES))
+def test_lemma11_is_skipped_when_a_premise_fails(request, name):
+    build, premise = LEMMA11_FAILED_PREMISES[name]
+    results = run_suites(build(request.getfixturevalue), ["lemma11"])
+    [(failed_suite, failed, _), (suite, skipped, _)] = results
+    assert (failed_suite, suite) == (premise, "lemma11") and not failed.ok
+    assert [e.status for e in skipped.entries] == ["skipped"]
 
 
 def test_lemma11_signs_on_a_twisted_odd_product(h2, ext_ext_graded):
     # h2 brings a nontrivial Phi and ext (x) ext nonzero odd products; a
-    # random twist mixes the two, so every explicit sign factor of
-    # lemma11_sides decides terms that do not vanish
+    # random twist mixes the two, so the Koszul signs of the lemma-11
+    # products decide terms that do not vanish
     P = tensor_product_structure(h2, ext_ext_graded)
     H = twist_structure(P, random_twistor(P, random.Random(3)))
     assert H.algebra.dimension == 8 and len(H.phi.terms) == 109
@@ -552,11 +575,15 @@ def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
 
     # the term-by-term lemma 11 made 3459 and 3456 calls; the grouped lemma
     # 11 with every basis product multiplied made 827 and 800; the middles
-    # built e_p beta and S(e_p) alpha once per identity, 283 then 256
-    assert counts(build_structure("h2ext")) == [279, 256, 288, 288]
+    # built e_p beta and S(e_p) alpha once per identity, 283 then 256; one
+    # (lone leg, Sweedler term) product per pair, 279 then 256.  As Koszul
+    # products each side is one product per identity and basis a, 4 * 4 * 2
+    # = 32 (4 * 3 * 2 = 24 over the 3 generators); the first call adds 20
+    # for the middles and, on the fresh structure, 3 for Phi^{-1}
+    assert counts(build_structure("h2ext")) == [55, 32, 288, 288]
     H = build_structure("h2ext")
     run_suites(H, VALIDATION_SUITES)
-    assert counts(H) == [244, 224, 56, 56]
+    assert counts(H) == [44, 24, 56, 56]
 
 
 def test_no_check_runs_a_premise_itself(monkeypatch):
