@@ -160,37 +160,58 @@ class QhsaStructure:
         return phi_x1 * phi1
 
     @cached_property
-    def basis_products(self) -> tuple:
-        """e_i e_j as arity-1 elements indexed [i][j], read off the product
-        table (an arity-1 product has no Koszul sign); zero products are
-        zero elements."""
-        alg = self.algebra
-        return tuple(
-            tuple(TensorElement._from_terms(alg, 1, {(k,): c for k, c in row}) for row in r)
-            for r in alg.product_rows
-        )
+    def lemma11_factors(self) -> dict:
+        """Per exchange identity, W and W embedded at its legs in arity 3
+        (``LEMMA11_FORMS``).  W is Phi (Phi^{-1} for 11iii and 11iv) with a
+        structure map on each inner leg and one adjacent contraction, where
+        B(e_p) = e_p beta and A(e_p) = S(e_p) alpha are each built once:
+
+            11i    m_1 (1 (x) B (x) S) Phi        11iii  m_1 (1 (x) A (x) 1) Phi^{-1}
+            11ii   m_0 (A (x) 1 (x) 1) Phi        11iv   m_0 (B (x) S (x) 1) Phi^{-1}
+
+        A map on a leg and an adjacent contraction make no sign, so by
+        linearity alone W is the printed sum over Phi (Phi^{-1}) on any
+        table, e.g. sum X (x) (Y beta) S(Z) for 11i.  Read by lemma 11."""
+        alg, s = self.algebra, self.antipode
+        b = StructureMap(alg, 1, [self.basis(p) * self.beta for p in range(alg.dimension)])
+        a = StructureMap(alg, 1, [img * self.alpha for img in s.images])
+        maps = {
+            "11i": (self.phi, {1: b, 2: s}),
+            "11ii": (self.phi, {0: a}),
+            "11iii": (self.phi_inv, {1: a}),
+            "11iv": (self.phi_inv, {0: b, 1: s}),
+        }
+        factors = {}
+        for which, (w, on_legs) in maps.items():
+            lone, _, _, legs = LEMMA11_FORMS[which]
+            for leg, f in on_legs.items():
+                w = apply_map_legs(w, leg, f)
+            w = multiply_adjacent_legs(w, 1 - lone)
+            factors[which] = (w, embed_legs(w, legs, 3))
+        return factors
 
     @cached_property
     def lemma11_middles(self) -> dict:
-        """Phi (Phi^{-1}) grouped by the lone leg of each exchange identity;
-        see ``lemma11_middles``.  Read by lemma 11 and by the Drinfeld sums
-        for F_D, F_D^{-1} and their alternative forms."""
-        return lemma11_middles(self)
+        """Each identity's W split at its lone leg: {v: M_v} with W =
+        sum_v e_v (x) M_v (lone leg 0: 11i, 11iii) or sum_v M_v (x) e_v
+        (lone leg 1: 11ii, 11iv), where
 
-    @cached_property
-    def lemma11_factors(self) -> dict:
-        """Per exchange identity, W = sum_v e_v (x) M_v (lone leg 0) or
-        sum_v M_v (x) e_v (lone leg 1) over the middles, and W embedded at
-        its legs in arity 3; see ``LEMMA11_FORMS``.  Read by lemma 11."""
-        factors = {}
-        for which, (lone, _, _, legs) in LEMMA11_FORMS.items():
-            terms = {}
-            for v, m in self.lemma11_middles[which].items():
-                for (k,), c in m.terms.items():
-                    terms[(v, k) if lone == 0 else (k, v)] = c
-            w = TensorElement._from_terms(self.algebra, 2, terms)
-            factors[which] = (w, embed_legs(w, legs, 3))
-        return factors
+            11i    M_x = sum c_xyz (e_y beta) S(e_z)       over Phi
+            11ii   M_z = sum c_xyz (S(e_x) alpha) e_y      over Phi
+            11iii  M_x = sum c_xyz (S(e_y) alpha) e_z      over Phi^{-1}
+            11iv   M_z = sum c_xyz (e_x beta) S(e_y)       over Phi^{-1}
+
+        Zero middles are left out.  Read by the Drinfeld sums for F_D,
+        F_D^{-1} and their alternative forms."""
+        middles = {}
+        for which, (lone, _, _, _) in LEMMA11_FORMS.items():
+            split = {}  # v -> {(k,): c}
+            for word, c in self.lemma11_factors[which][0].terms.items():
+                split.setdefault(word[lone], {})[(word[1 - lone],)] = c
+            middles[which] = {
+                v: TensorElement._from_terms(self.algebra, 1, terms) for v, terms in split.items()
+            }
+        return middles
 
     @cached_property
     def passed(self) -> set:
@@ -392,25 +413,28 @@ def validate_structure(H: QhsaStructure) -> CheckReport:
 
 def _hom_cases(H, f, js):
     """f(e_i e_j) against f(e_i) f(e_j) for j in js, labelled by the flat
-    index i*d + j."""
-    d = H.algebra.dimension
-    products = H.basis_products
+    index i*d + j.  f(e_i e_j) is read off the table row [i][j] (an arity-1
+    product has no Koszul sign) as the sum of c f(e_k) over its terms."""
+    alg = H.algebra
+    d, rows = alg.dimension, alg.product_rows
     for i in range(d):
         for j in js:
-            lhs = apply_map_legs(products[i][j], 0, f)
+            lhs = linear_combination(alg, f.out_arity, ((f.images[k], c) for k, c in rows[i][j]))
             yield i * d + j, lhs, f.images[i] * f.images[j]
 
 
 def _antihom_cases(H, js):
     """S(e_i e_j) against (-1)^{[i][j]} S(e_j) S(e_i) for j in js, labelled
-    [i, j]."""
-    par = H.algebra.parity
+    [i, j]; S(e_i e_j) is read off the table row [i][j] as in
+    ``_hom_cases``."""
+    alg = H.algebra
+    par, rows = alg.parity, alg.product_rows
     s = H.antipode.images
-    products = H.basis_products
-    for i in range(H.algebra.dimension):
+    for i in range(alg.dimension):
         for j in js:
             rhs = s[j] * s[i]
-            yield [i, j], H.s_of(products[i][j]), -rhs if par[i] and par[j] else rhs
+            lhs = linear_combination(alg, 1, ((s[k], c) for k, c in rows[i][j]))
+            yield [i, j], lhs, -rhs if par[i] and par[j] else rhs
 
 
 def _expect_reduced(report, check_id, reduced, full) -> bool:
@@ -716,57 +740,6 @@ def check_pentagon_consequences(H: QhsaStructure) -> CheckReport:
     expect_equal(report, "eq.6.1iii", inv_x1, phi1 * one_x_phi * n)
     expect_equal(report, "eq.6.1iv", one_x_inv, n * q)
     return report
-
-
-def lemma11_middles(H: QhsaStructure) -> dict:
-    """The arity-1 middles of the four exchange identities, per identity a
-    dict {v: M_v} over the values v of the lone leg.
-
-    In each identity one leg of Phi (Phi^{-1} for 11iii and 11iv) stands
-    alone on one tensor side: x in 11i and 11iii, z in 11ii and 11iv.  The
-    other two legs p, q only ever appear inside one factor (f(e_p) k) g(e_q),
-    so their sum is taken once:
-
-        11i    M_x = sum c_xyz (e_y beta) S(e_z)       over Phi
-        11ii   M_z = sum c_xyz (S(e_x) alpha) e_y      over Phi
-        11iii  M_x = sum c_xyz (S(e_y) alpha) e_z      over Phi^{-1}
-        11iv   M_z = sum c_xyz (e_x beta) S(e_y)       over Phi^{-1}
-
-    The sum over q moves into the right factor and the sum over p into M_v;
-    that is bilinearity of the product and holds for any table.  Zero
-    middles are left out.  Each f(e_p) k is built once: 11i and 11iv share
-    e_p beta, 11ii and 11iii share S(e_p) alpha.
-    """
-    alg = H.algebra
-    one = alg.field.one()
-    e = [H.basis(i) for i in range(alg.dimension)]
-    s = H.antipode.images
-    specs = {
-        "11i": (H.phi, 0, e, H.beta, s),
-        "11ii": (H.phi, 2, s, H.alpha, e),
-        "11iii": (H.phi_inv, 0, s, H.alpha, e),
-        "11iv": (H.phi_inv, 2, e, H.beta, s),
-    }
-    middles = {}
-    # keyed by the map, not the constant: alpha and beta may be one object
-    left_const = {}  # (left is e, p) -> f(e_p) k
-    for which, (coassociator, lone, left, const, right) in specs.items():
-        grouped = {}  # v -> p -> [(g(e_q), c)]
-        for word, c in coassociator.terms.items():
-            p, q = word[1:] if lone == 0 else word[:2]
-            grouped.setdefault(word[lone], {}).setdefault(p, []).append((right[q], c))
-        middles[which] = {}
-        for v, by_p in grouped.items():
-            pairs = []
-            for p, qs in by_p.items():
-                key = (left is e, p)
-                if key not in left_const:
-                    left_const[key] = left[p] * const
-                pairs.append((left_const[key] * linear_combination(alg, 1, qs), one))
-            m = linear_combination(alg, 1, pairs)
-            if m.terms:
-                middles[which][v] = m
-    return middles
 
 
 # Per exchange identity: the leg of W holding the lone leg, which is also

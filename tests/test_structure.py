@@ -553,7 +553,7 @@ def test_reduced_eta_agrees_with_the_full_enumeration(request, name):
 def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
     """Exact tensor_multiply counts on a fresh h2ext, and on another once
     the validation suites have passed.  The first lemma-11 call also inverts
-    Phi and builds the cached middles; the second reuses both.  On the fresh
+    Phi and builds the cached W per identity; the second reuses both.  On the fresh
     structure both checks enumerate the whole basis, d^3 eta cases; after
     validation they run over the generators, d |G| eta cases."""
     calls = []
@@ -579,11 +579,13 @@ def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
     # (lone leg, Sweedler term) product per pair, 279 then 256.  As Koszul
     # products each side is one product per identity and basis a, 4 * 4 * 2
     # = 32 (4 * 3 * 2 = 24 over the 3 generators); the first call adds 20
-    # for the middles and, on the fresh structure, 3 for Phi^{-1}
-    assert counts(build_structure("h2ext")) == [55, 32, 288, 288]
+    # for the middles and, on the fresh structure, 3 for Phi^{-1}.  W built
+    # from the maps B(e_p) = e_p beta and A(e_p) = S(e_p) alpha on the legs
+    # of Phi takes 2 d = 8 calls for the middles, not 20: 43 and 32
+    assert counts(build_structure("h2ext")) == [43, 32, 288, 288]
     H = build_structure("h2ext")
     run_suites(H, VALIDATION_SUITES)
-    assert counts(H) == [44, 24, 56, 56]
+    assert counts(H) == [32, 24, 56, 56]
 
 
 def test_no_check_runs_a_premise_itself(monkeypatch):
@@ -619,6 +621,34 @@ def test_algebra_report_makes_no_product(monkeypatch, build):
 
     monkeypatch.setattr(qhsa.algebra, "tensor_multiply", no_product)
     assert validate_algebra(H.algebra).ok
+
+
+def test_homomorphism_checks_build_fewer_than_d_squared_elements(monkeypatch):
+    """After the algebra suite, the homomorphism checks of h2ext (x) k[Z2]^3
+    (d = 32, |G| = 9) read e_i e_j off the table rows: they build no
+    element per pair (i, j), so fewer than d^2 arity-1 elements in all."""
+    H = build_structure("h2ext")
+    for _ in range(3):
+        H = tensor_product_structure(H, kz2_structure())
+    d = H.algebra.dimension
+    run_suites(H, ["algebra"])
+    assert (d, len(H.algebra.generators)) == (32, 9)
+
+    built = []
+    init, from_terms = TensorElement.__init__, TensorElement._from_terms
+
+    def counting_init(self, algebra, arity, terms):
+        built.append(arity)
+        init(self, algebra, arity, terms)
+
+    def counting_from_terms(algebra, arity, terms):
+        built.append(arity)
+        return from_terms(algebra, arity, terms)
+
+    monkeypatch.setattr(TensorElement, "__init__", counting_init)
+    monkeypatch.setattr(TensorElement, "_from_terms", staticmethod(counting_from_terms))
+    assert validate_structure(H).ok
+    assert built.count(1) < d * d
 
 
 # -- metatheorems ------------------------------------------------------------------------
@@ -748,6 +778,13 @@ WITNESS_CASES = [
         lambda H: _with_image(H, "delta", 1, {(0, 1): 2, (1, 0): 2}),
         "structure.delta-hom",
         {"difference": [[[0, 1], "-2"], [[1, 0], "-2"]], "basis": 3},
+    ),
+    (
+        "structure",
+        "h2",
+        lambda H: _with_image(H, "epsilon", 1, {(): 1}),  # eps(e1) raised from 0 to 1
+        "structure.epsilon-hom",
+        {"difference": [[[], "-1"]], "basis": 1},
     ),
     (
         "quasi-bialgebra",
