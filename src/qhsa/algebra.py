@@ -571,6 +571,18 @@ def multiply_adjacent_legs(x: TensorElement, leg: int) -> TensorElement:
     return TensorElement._from_terms(alg, x.arity - 1, out)
 
 
+def contract_legs(x: TensorElement, maps: dict, *legs: int) -> TensorElement:
+    """Apply the endomorphism maps[k] to leg k, then contract (l, l+1) for
+    each l in ``legs``, in order.  Neither step makes a sign, so this is the
+    printed sum over x on any table: e.g. with A(e_p) = S(e_p) alpha,
+    contract_legs(x, {0: A}, 0) is sum c S(x_1) alpha x_2."""
+    for leg, f in maps.items():
+        x = apply_map_legs(x, leg, f)
+    for leg in legs:
+        x = multiply_adjacent_legs(x, leg)
+    return x
+
+
 # -- exact linear algebra ---------------------------------------------------
 # One sparse elimination routine, ``_echelon_insert``, serves every exact
 # solve: structure maps (``solve_linear_system``), elements of H^(tensor n)

@@ -20,10 +20,9 @@ from .algebra import (
     SingularError,
     TensorElement,
     apply_map_legs,
+    contract_legs,
     embed_legs,
     linear_combination,
-    multiply_adjacent_legs,
-    outer,
     permute_legs,
 )
 from .reporting import CheckReport, expect_equal, expect_equal_per_basis
@@ -49,22 +48,19 @@ class DrinfeldData:
 
 
 def _gamma_post(H: QhsaStructure, w4: TensorElement) -> TensorElement:
-    """(m (x) m)(1 (x) alpha (x) 1 (x) alpha)(S (x) 1 (x) S (x) 1)
-    (1 (x) T (x) 1)(T (x) 1 (x) 1) applied to an arity-4 element."""
-    z = permute_legs(w4, (1, 2, 0, 3))
-    z = apply_map_legs(z, 0, H.antipode)
-    z = apply_map_legs(z, 2, H.antipode)
-    z = outer(H.unit(1), H.alpha, H.unit(1), H.alpha) * z
-    return multiply_adjacent_legs(multiply_adjacent_legs(z, 0), 1)
+    """(m (x) m)(A (x) 1 (x) A (x) 1)(1 (x) T (x) 1)(T (x) 1 (x) 1), A =
+    ``H.alpha_map``: the sum of S(w_1) alpha w_2 (x) S(w_0) alpha w_3 over
+    the words of the arity-4 w4, signed by the permutation alone."""
+    a = H.alpha_map
+    return contract_legs(permute_legs(w4, (1, 2, 0, 3)), {0: a, 2: a}, 0, 1)
 
 
 def _gamma_bar_post(H: QhsaStructure, w4: TensorElement) -> TensorElement:
-    """(m (x) m)(1 (x) beta S (x) 1 (x) beta S)(1 (x) T (x) 1)(1 (x) 1 (x) T)."""
-    z = permute_legs(w4, (0, 3, 1, 2))
-    z = apply_map_legs(z, 1, H.antipode)
-    z = apply_map_legs(z, 3, H.antipode)
-    z = outer(H.unit(1), H.beta, H.unit(1), H.beta) * z
-    return multiply_adjacent_legs(multiply_adjacent_legs(z, 0), 1)
+    """(m (x) m)(B (x) S (x) B (x) S)(1 (x) T (x) 1)(1 (x) 1 (x) T), B =
+    ``H.beta_map``: the sum of w_0 beta S(w_3) (x) w_1 beta S(w_2) over
+    the words of w4, signed by the permutation alone."""
+    b, s = H.beta_map, H.antipode
+    return contract_legs(permute_legs(w4, (0, 3, 1, 2)), {0: b, 1: s, 2: b, 3: s}, 0, 1)
 
 
 def compute_gamma(H: QhsaStructure) -> TensorElement:

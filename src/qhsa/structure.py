@@ -25,12 +25,12 @@ from .algebra import (
     TensorElement,
     _row_combination,
     apply_map_legs,
+    contract_legs,
     embed_legs,
     invert_structure_map,
     invert_tensor_element,
     linear_combination,
     multiply_adjacent_legs,
-    outer,
     permute_legs,
 )
 from .reporting import (
@@ -102,12 +102,10 @@ class QhsaStructure:
     @cached_property
     def ss_delta_t(self) -> StructureMap:
         """(S (x) S) applied to the opposite coproduct."""
-        images = []
-        for img in self.delta_t.images:
-            y = apply_map_legs(img, 0, self.antipode)
-            y = apply_map_legs(y, 1, self.antipode)
-            images.append(y)
-        return StructureMap(self.algebra, 2, images)
+        s = self.antipode
+        return StructureMap(
+            self.algebra, 2, [contract_legs(img, {0: s, 1: s}) for img in self.delta_t.images]
+        )
 
     @cached_property
     def delta_prime(self) -> StructureMap:
@@ -160,35 +158,46 @@ class QhsaStructure:
         return phi_x1 * phi1
 
     @cached_property
+    def alpha_map(self) -> StructureMap:
+        """A(e_p) = S(e_p) alpha, the map of every alpha sum."""
+        return StructureMap(self.algebra, 1, [img * self.alpha for img in self.antipode.images])
+
+    @cached_property
+    def beta_map(self) -> StructureMap:
+        """B(e_p) = e_p beta, the map of every beta sum."""
+        basis = (self.basis(p) for p in range(self.algebra.dimension))
+        return StructureMap(self.algebra, 1, [e * self.beta for e in basis])
+
+    @cached_property
     def lemma11_factors(self) -> dict:
-        """Per exchange identity, W and W embedded at its legs in arity 3
-        (``LEMMA11_FORMS``).  W is Phi (Phi^{-1} for 11iii and 11iv) with a
-        structure map on each inner leg and one adjacent contraction, where
-        B(e_p) = e_p beta and A(e_p) = S(e_p) alpha are each built once:
+        """Per exchange identity, W: Phi (Phi^{-1} for 11iii and 11iv) with a
+        structure map on each inner leg and one adjacent contraction
+        (``contract_legs``, with A = ``alpha_map`` and B = ``beta_map``):
 
             11i    m_1 (1 (x) B (x) S) Phi        11iii  m_1 (1 (x) A (x) 1) Phi^{-1}
             11ii   m_0 (A (x) 1 (x) 1) Phi        11iv   m_0 (B (x) S (x) 1) Phi^{-1}
 
         A map on a leg and an adjacent contraction make no sign, so by
         linearity alone W is the printed sum over Phi (Phi^{-1}) on any
-        table, e.g. sum X (x) (Y beta) S(Z) for 11i.  Read by lemma 11."""
-        alg, s = self.algebra, self.antipode
-        b = StructureMap(alg, 1, [self.basis(p) * self.beta for p in range(alg.dimension)])
-        a = StructureMap(alg, 1, [img * self.alpha for img in s.images])
+        table, e.g. sum X (x) (Y beta) S(Z) for 11i.  Read by lemma 11 and
+        split by ``lemma11_middles``."""
+        a, b, s = self.alpha_map, self.beta_map, self.antipode
         maps = {
             "11i": (self.phi, {1: b, 2: s}),
             "11ii": (self.phi, {0: a}),
             "11iii": (self.phi_inv, {1: a}),
             "11iv": (self.phi_inv, {0: b, 1: s}),
         }
-        factors = {}
-        for which, (w, on_legs) in maps.items():
-            lone, _, _, legs = LEMMA11_FORMS[which]
-            for leg, f in on_legs.items():
-                w = apply_map_legs(w, leg, f)
-            w = multiply_adjacent_legs(w, 1 - lone)
-            factors[which] = (w, embed_legs(w, legs, 3))
-        return factors
+        return {
+            which: contract_legs(w, on_legs, 1 - LEMMA11_FORMS[which][0])
+            for which, (w, on_legs) in maps.items()
+        }
+
+    @cached_property
+    def lemma11_embedded(self) -> dict:
+        """Each identity's W embedded at its legs in arity 3
+        (``LEMMA11_FORMS``); read by ``lemma11_sides`` alone."""
+        return {k: embed_legs(w, LEMMA11_FORMS[k][3], 3) for k, w in self.lemma11_factors.items()}
 
     @cached_property
     def lemma11_middles(self) -> dict:
@@ -206,7 +215,7 @@ class QhsaStructure:
         middles = {}
         for which, (lone, _, _, _) in LEMMA11_FORMS.items():
             split = {}  # v -> {(k,): c}
-            for word, c in self.lemma11_factors[which][0].terms.items():
+            for word, c in self.lemma11_factors[which].terms.items():
                 split.setdefault(word[lone], {})[(word[1 - lone],)] = c
             middles[which] = {
                 v: TensorElement._from_terms(self.algebra, 1, terms) for v, terms in split.items()
@@ -222,16 +231,6 @@ class QhsaStructure:
         (``_known``), and no check runs a premise itself, so a direct call
         on a fresh structure enumerates the basis."""
         return set()
-
-    @cached_property
-    def one_alpha(self) -> TensorElement:
-        """1 (x) alpha, the left factor of m_alpha_s."""
-        return outer(self.unit(1), self.alpha)
-
-    @cached_property
-    def one_beta(self) -> TensorElement:
-        """1 (x) beta, the left factor of m_beta_s."""
-        return outer(self.unit(1), self.beta)
 
     @cached_property
     def eps_alpha(self):
@@ -264,17 +263,15 @@ def arity4_factors(x: TensorElement, delta: StructureMap) -> tuple:
 
 
 def m_alpha_s(H: QhsaStructure, x: TensorElement) -> TensorElement:
-    """m . (1 (x) alpha)(S (x) 1) applied to an arity-2 element."""
-    z = apply_map_legs(x, 0, H.antipode)
-    z = H.one_alpha * z
-    return multiply_adjacent_legs(z, 0)
+    """m (A (x) 1) applied to an arity-2 element, A = ``H.alpha_map``: the
+    printed sum of c S(x_1) alpha x_2 on any table."""
+    return contract_legs(x, {0: H.alpha_map}, 0)
 
 
 def m_beta_s(H: QhsaStructure, x: TensorElement) -> TensorElement:
-    """m . (1 (x) beta)(1 (x) S) applied to an arity-2 element."""
-    z = apply_map_legs(x, 1, H.antipode)
-    z = H.one_beta * z
-    return multiply_adjacent_legs(z, 0)
+    """m (B (x) S) applied to an arity-2 element, B = ``H.beta_map``: the
+    printed sum of c x_1 beta S(x_2) on any table."""
+    return contract_legs(x, {0: H.beta_map, 1: H.antipode}, 0)
 
 
 # -- validation ---------------------------------------------------------------
@@ -593,18 +590,11 @@ def check_antipode_axioms(H: QhsaStructure) -> CheckReport:
         H,
     )
 
-    # sum S(X) alpha Y beta S(Z) over Phi
-    z = apply_map_legs(H.phi, 2, H.antipode)
-    z = outer(H.unit(1), H.alpha, H.beta) * z
-    z = apply_map_legs(z, 0, H.antipode)
-    z = multiply_adjacent_legs(multiply_adjacent_legs(z, 0), 0)
-    expect_equal(report, "eq.5ii1", z, H.unit(1))
-
-    # sum Xbar beta S(Ybar) alpha Zbar over Phi^{-1}
-    z = apply_map_legs(H.phi_inv, 1, H.antipode)
-    z = outer(H.unit(1), H.beta, H.alpha) * z
-    z = multiply_adjacent_legs(multiply_adjacent_legs(z, 0), 0)
-    expect_equal(report, "eq.5ii", z, H.unit(1))
+    # sum S(X) alpha Y beta S(Z) over Phi, sum Xbar beta S(Ybar) alpha Zbar over Phi^{-1}
+    maps = {0: H.alpha_map, 1: H.beta_map, 2: H.antipode}
+    expect_equal(report, "eq.5ii1", contract_legs(H.phi, maps, 0, 0), H.unit(1))
+    maps = {0: H.beta_map, 1: H.alpha_map}
+    expect_equal(report, "eq.5ii", contract_legs(H.phi_inv, maps, 0, 0), H.unit(1))
 
     one = alg.field.one()
     ok = H.eps_alpha * H.eps_beta == one and H.eps_of(H.alpha * H.beta) == one
@@ -756,8 +746,9 @@ LEMMA11_FORMS = {
 def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
     """Both sides of one of the four exchange identities as Koszul products
     (``tensor_multiply``), so every sign is the product's.  W and its
-    embedding W_pq are the cached ``lemma11_factors``, x is the stored
-    iterated coproduct of a with S on one leg, m_k contracts legs k, k+1:
+    embedding W_pq are the cached ``lemma11_factors`` and ``lemma11_embedded``,
+    x is the stored iterated coproduct of a with S on one leg, m_k contracts
+    legs k, k+1:
 
         11i    W (a (x) 1)    x = (Delta (x) 1)Delta(a), S on leg 2    m_1(x W_01)
         11ii   (1 (x) a) W    x = (1 (x) Delta)Delta(a), S on leg 0    m_0(W_12 x)
@@ -773,7 +764,7 @@ def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
     if which not in LEMMA11_FORMS:
         raise AlgebraError(f"unknown identity {which!r}")
     lone, w_left, s_leg, _ = LEMMA11_FORMS[which]
-    w, w3 = H.lemma11_factors[which]
+    w, w3 = H.lemma11_factors[which], H.lemma11_embedded[which]
     a2 = embed_legs(a, (lone,), 2)
     iterated = H.delta_left3 if lone == 0 else H.delta_right3
     x = apply_map_legs(apply_map_legs(a, 0, iterated), s_leg, H.antipode)
@@ -833,8 +824,9 @@ def _absorption_entry(report, check_id, H, contract, from_left):
     Once ``algebra`` and ``structure`` are known to pass (``_known``), two
     reductions take it from d^3 cases to d |G|.  Over eta: e_i (x) e_j =
     (e_i (x) 1)(1 (x) e_j) with no sign, and the contractions absorb the
-    outer factor: m(1(x)alpha)(S(x)1)(X (1 (x) y)) = m(1(x)alpha)(S(x)1)(X) y
-    and m(1(x)beta)(1(x)S)((x (x) 1) Y) = x m(1(x)beta)(1(x)S)(Y).  So for
+    outer factor: m(A (x) 1)(X (1 (x) y)) = m(A (x) 1)(X) y and
+    m(B (x) S)((x (x) 1) Y) = x m(B (x) S)(Y), with A and B the maps of
+    ``m_alpha_s`` and ``m_beta_s``.  So for
     each a the identity holds for every eta exactly when it holds for
     eta = e_i (x) 1 (from the left) or eta = 1 (x) e_j (from the right).
     Over a, which then runs over the generators:
@@ -866,9 +858,8 @@ def check_eta_lemma(H: QhsaStructure) -> CheckReport:
 
     The reduction over eta needs the unit, an even unit and associativity
     of H (and of H (x) H, which follows with the grading), which ``algebra``
-    establishes; a graded two-sided unit is even.  From the right it also
-    moves x past beta with no sign, so eq.lem5ii needs beta even as well,
-    which ``structure`` establishes (``structure.beta-even``).
+    establishes; a graded two-sided unit is even.  The contractions move
+    nothing past anything, so no parity of alpha or beta enters it.
     """
     report = CheckReport()
     _absorption_entry(report, "eq.lem5i", H, m_alpha_s, True)

@@ -20,6 +20,7 @@ from .algebra import (
     StructureMap,
     TensorElement,
     apply_map_legs,
+    contract_legs,
     embed_legs,
     interleave,
     interleave_sign,
@@ -164,15 +165,11 @@ def opposite_structure(H: QhsaStructure) -> QhsaStructure:
 def prime_structure(H: QhsaStructure) -> QhsaStructure:
     """(Delta', epsilon, Phi', S, S(beta), S(alpha) [, (S (x) S)R])."""
     H.antipode_inv  # fail early on a singular antipode
-    phi_p = permute_legs(H.phi, (2, 1, 0))
-    phi_p = apply_map_legs(phi_p, 0, H.antipode)
-    phi_p = apply_map_legs(phi_p, 1, H.antipode)
-    phi_p = apply_map_legs(phi_p, 2, H.antipode)
+    s = H.antipode
+    phi_p = contract_legs(permute_legs(H.phi, (2, 1, 0)), {0: s, 1: s, 2: s})
     alpha_p = H.s_of(H.beta)
     beta_p = H.s_of(H.alpha)
-    r_p = None
-    if H.has_r:
-        r_p = apply_map_legs(apply_map_legs(H.r_matrix, 0, H.antipode), 1, H.antipode)
+    r_p = contract_legs(H.r_matrix, {0: s, 1: s}) if H.has_r else None
     return replace(H, delta=H.delta_prime, phi=phi_p, alpha=alpha_p, beta=beta_p, r_matrix=r_p)
 
 

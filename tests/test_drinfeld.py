@@ -274,6 +274,25 @@ def test_pentagon_factors_are_built_once_per_structure(monkeypatch):
     assert sorted(embeddings) == [(0, 1, 2), (0, 1, 2), (1, 2, 3), (1, 2, 3)]
 
 
+def test_the_construction_builds_no_lemma11_embedding(monkeypatch):
+    """The Drinfeld sums read the lemma-11 middles, which split W; W's
+    arity-3 embeddings are read by lemma 11 alone, so the construction after
+    its premises, without the lemma11 suite, embeds nothing in arity 3."""
+    H = build_structure("h2ext")  # fresh, so nothing is cached yet
+    run_suites(H, DRINFELD_PREMISES)
+    arities = []
+
+    def embed_counting(x, positions, arity):
+        arities.append(arity)
+        return embed_legs(x, positions, arity)
+
+    for module in (qhsa.structure, qhsa.drinfeld, qhsa.transforms):
+        monkeypatch.setattr(module, "embed_legs", embed_counting)
+    data, report = drinfeld_construction(H)
+    assert data is not None and report.ok
+    assert arities and 3 not in arities
+
+
 def test_thm5_conjugates_the_zeta_coefficient(h2r):
     # F_D is the plus/minus-1 diagonal, so conjugation fixes R entry by entry
     D = compute_drinfeld_twist(h2r)
@@ -477,5 +496,9 @@ def test_drinfeld_multiplication_counts_are_pinned(monkeypatch):
     # S(e_p) alpha once per identity, not once per structure: 82.  Built
     # once per structure as the maps B(e_p) = e_p beta and A(e_p) = S(e_p)
     # alpha on the legs of Phi, d = 4 products each, the middles take 8
-    # calls where the grouped sums took 20: 66.
-    assert counts == [66, 105]
+    # calls where the grouped sums took 20: 66.  gamma, gamma-bar and their
+    # second forms contract maps on the legs, with no unit-padded alpha or
+    # beta to multiply, and so do alpha_F and beta_F of the F_D twist: one
+    # call fewer each.  The antipode suite of the gate already built A and
+    # B, so the construction no longer does: 54 and 99.
+    assert counts == [54, 99]

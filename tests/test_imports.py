@@ -1,0 +1,36 @@
+"""Every name a module of ``src/qhsa/`` imports is used in that module.
+
+No linter runs on the package, so this stdlib ``ast`` pass guards against
+imports left behind when code moves.  ``__init__.py`` is exempt: its imports
+are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "qhsa"
+
+
+def unused_imports(source: str) -> list:
+    """The names bound by the imports of ``source`` that no expression reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_imported_name_is_used():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_an_unused_import_is_found():
+    source = "from .algebra import outer, permute_legs\nimport json, os.path\nos.path\n"
+    assert unused_imports(source + "permute_legs(x)\n") == ["json", "outer"]

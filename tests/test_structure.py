@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -15,7 +16,9 @@ from qhsa.algebra import (
     apply_map_legs,
     linear_combination,
     outer,
+    permute_legs,
 )
+from qhsa.drinfeld import _gamma_bar_post, _gamma_post, drinfeld_report
 from qhsa.fixtures import (
     build_structure,
     h2_broken_antipode,
@@ -451,21 +454,72 @@ def test_eta_lemma_examples(h2, ext):
     assert m_alpha_s(ext, da * eta).is_zero()
 
 
-def test_eta_builds_its_constants_once_per_structure(monkeypatch):
+def test_alpha_and_beta_maps_are_built_once_per_structure(monkeypatch):
+    """A(e_p) = S(e_p) alpha and B(e_p) = e_p beta take d products each,
+    once per structure, however many suites and constructions read them."""
     H = build_structure("h2ext")  # fresh, so nothing is cached yet
-    calls = []
-    original = qhsa.structure.outer
+    built = []
+    original = qhsa.algebra.tensor_multiply
 
-    def counting(*elements):
-        calls.append(len(elements))
-        return original(*elements)
+    def counting(x, y):
+        # alpha beta itself is eq.eps-alpha-beta's product, not an image of B
+        if x is not H.alpha and (y is H.alpha or y is H.beta):
+            built.append("A" if y is H.alpha else "B")
+        return original(x, y)
 
-    monkeypatch.setattr(qhsa.structure, "outer", counting)
-    assert check_eta_lemma(H).ok
-    # 1 (x) alpha and 1 (x) beta, not one of each for every (a, i, j): 2 d^3 = 128
-    assert calls == [2, 2]
-    assert check_eta_lemma(H).ok
-    assert calls == [2, 2]
+    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    d = H.algebra.dimension
+    for _ in range(2):
+        assert all(report.ok for _, report, _ in run_suites(H))
+        data, report = drinfeld_report(H)
+        assert data is not None and report.ok
+        assert sorted(built) == ["A"] * d + ["B"] * d
+
+
+# 1 1 = -1 makes the unit a unit on neither side of 1, so a contraction that
+# pads alpha or beta with the unit and multiplies differs from the printed sum.
+CONTRACTION_CASES = {
+    "h2ext": lambda: build_structure("h2ext"),
+    "ext-unit-squared-negated": lambda: _with_product(build_structure("ext"), (0, 0), {0: -1}),
+    "trivial-unit-squared-negated": lambda: _with_product(
+        build_structure("trivial"), (0, 0), {0: -1}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACTION_CASES)
+def test_contractions_are_the_printed_sums_on_any_table(name):
+    """m_alpha_s, m_beta_s and the post-processing of gamma and gamma-bar
+    against their printed sums over seeded elements, built from arity-1
+    products, which carry no sign, in the printed bracketing."""
+    H = CONTRACTION_CASES[name]()
+    alg, e, s = H.algebra, H.basis, H.s_of
+    rng = random.Random(5)
+
+    def seeded(arity):
+        words = itertools.product(range(alg.dimension), repeat=arity)
+        return elem(H, arity, {w: rng.randint(-3, 3) for w in words})
+
+    def a(p):  # S(e_p) alpha
+        return s(e(p)) * H.alpha
+
+    def b(p):  # e_p beta
+        return e(p) * H.beta
+
+    def total(arity, pairs):
+        return linear_combination(alg, arity, pairs)
+
+    x = seeded(2)
+    terms = x.terms.items()
+    assert m_alpha_s(H, x) == total(1, ((a(i) * e(j), c) for (i, j), c in terms))
+    assert m_beta_s(H, x) == total(1, ((b(i) * s(e(j)), c) for (i, j), c in terms))
+    w4 = seeded(4)
+    terms = permute_legs(w4, (1, 2, 0, 3)).terms.items()
+    expected = total(2, ((outer(a(i) * e(j), a(k) * e(m)), c) for (i, j, k, m), c in terms))
+    assert _gamma_post(H, w4) == expected
+    terms = permute_legs(w4, (0, 3, 1, 2)).terms.items()
+    pairs = ((outer(b(i) * s(e(j)), b(k) * s(e(m))), c) for (i, j, k, m), c in terms)
+    assert _gamma_bar_post(H, w4) == total(2, pairs)
 
 
 def reference_eta_report(H):
@@ -581,11 +635,15 @@ def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
     # = 32 (4 * 3 * 2 = 24 over the 3 generators); the first call adds 20
     # for the middles and, on the fresh structure, 3 for Phi^{-1}.  W built
     # from the maps B(e_p) = e_p beta and A(e_p) = S(e_p) alpha on the legs
-    # of Phi takes 2 d = 8 calls for the middles, not 20: 43 and 32
-    assert counts(build_structure("h2ext")) == [43, 32, 288, 288]
+    # of Phi takes 2 d = 8 calls for the middles, not 20: 43 and 32.  The
+    # eta contractions apply A or B to a leg and contract, with no
+    # unit-padded alpha or beta to multiply: one product per case, the
+    # stacked Delta(a) eta, and none for the base contraction, so 2 d^3 =
+    # 128 and 2 d |G| = 24
+    assert counts(build_structure("h2ext")) == [43, 32, 128, 128]
     H = build_structure("h2ext")
     run_suites(H, VALIDATION_SUITES)
-    assert counts(H) == [32, 24, 56, 56]
+    assert counts(H) == [32, 24, 24, 24]
 
 
 def test_no_check_runs_a_premise_itself(monkeypatch):
