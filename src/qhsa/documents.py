@@ -158,27 +158,24 @@ def _parse_sparse(field, data, index_count, dimension, key):
     return tuple(sorted(rows, key=lambda r: r[:index_count]))
 
 
-def _parse_name(value) -> str:
-    if not isinstance(value, str) or not value:
+def _parse_header(data) -> tuple:
+    """The name, field and dimension that both document kinds open with."""
+    name, dim = data["name"], data["dimension"]
+    if not isinstance(name, str) or not name:
         raise DocumentError("name must be a nonempty string")
-    return value
-
-
-def _parse_dimension(value) -> int:
-    if not _is_int(value) or value < 1:
+    try:
+        field = FieldSpec.from_json(data["field"])
+    except ScalarError as exc:
+        raise DocumentError(f"field: {exc}")
+    if not _is_int(dim) or dim < 1:
         raise DocumentError("dimension must be a positive integer")
-    return value
+    return name, field, dim
 
 
 def parse_structure_document(text: str) -> StructureDocument:
     data = _load_json(text)
     _expect_keys(data, STRUCTURE_KEYS, [k for k in STRUCTURE_KEYS if k != "r"], "structure")
-    name = _parse_name(data["name"])
-    try:
-        field = FieldSpec.from_json(data["field"])
-    except ScalarError as exc:
-        raise DocumentError(f"field: {exc}")
-    dim = _parse_dimension(data["dimension"])
+    name, field, dim = _parse_header(data)
     parity = data["parity"]
     if (
         not isinstance(parity, list)
@@ -206,12 +203,7 @@ def parse_structure_document(text: str) -> StructureDocument:
 def parse_twistor_document(text: str) -> TwistorDocument:
     data = _load_json(text)
     _expect_keys(data, TWISTOR_KEYS, ["name", "field", "dimension", "element"], "twistor")
-    name = _parse_name(data["name"])
-    try:
-        field = FieldSpec.from_json(data["field"])
-    except ScalarError as exc:
-        raise DocumentError(f"field: {exc}")
-    dim = _parse_dimension(data["dimension"])
+    name, field, dim = _parse_header(data)
     norm = data.get("normalization")
     if norm is not None:
         _expect_keys(norm, ("eps_alpha", "eps_beta"), ("eps_alpha", "eps_beta"), "normalization")

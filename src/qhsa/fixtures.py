@@ -204,42 +204,42 @@ def twistor_one(H: QhsaStructure) -> Twistor:
     return Twistor(H.unit(2), H.unit(2))
 
 
-POSITIVE_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
+# structure name -> builder: the positive fixtures, then the negatives
+STRUCTURE_BUILDERS = {
+    "trivial": trivial_structure,
+    "ext": ext_structure,
+    "h2": h2_structure,
+    "h2r": h2r_structure,
+    "h2ext": h2ext_structure,
+    "h2-broken-pentagon": h2_broken_pentagon,
+    "h2-broken-antipode": h2_broken_antipode,
+}
 
-# negative name -> (builder, suite of the labeled check, labeled check id)
+# negative name -> (suite of the labeled check, labeled check id)
 NEGATIVE_FIXTURES = {
     "h2-broken-pentagon": ("quasi-bialgebra", "eq.fii"),
     "h2-broken-antipode": ("antipode", "eq.5ii"),
 }
 
-# twistor negative: fails exactly the cocycle identity
-NONCOCYCLE_TWISTOR = ("f-u11", "eq.ccc")
+POSITIVE_FIXTURES = tuple(name for name in STRUCTURE_BUILDERS if name not in NEGATIVE_FIXTURES)
+
+# twistor name -> (structure fixture it applies to, builder)
+TWISTOR_BUILDERS = {
+    "f-one": ("trivial", lambda: twistor_one(trivial_structure())),
+    "f-e11": ("h2", twistor_e11),
+    "f-e11-zeta4": ("h2r", lambda: twistor_e11(FieldSpec.cyclotomic(4))),
+    "f-theta": ("ext", twistor_theta),
+    "f-u11": ("h2ext", twistor_u11),
+}
+
+ALL_TWISTOR_NAMES = tuple(TWISTOR_BUILDERS)
 
 
 def build_structure(name: str) -> QhsaStructure:
-    builders = {
-        "trivial": trivial_structure,
-        "ext": ext_structure,
-        "h2": h2_structure,
-        "h2r": h2r_structure,
-        "h2ext": h2ext_structure,
-        "h2-broken-pentagon": h2_broken_pentagon,
-        "h2-broken-antipode": h2_broken_antipode,
-    }
-    return builders[name]()
+    return STRUCTURE_BUILDERS[name]()
 
 
 def build_twistor(name: str):
     """name -> (structure fixture it applies to, Twistor)."""
-    builders = {
-        "f-one": ("trivial", lambda: twistor_one(trivial_structure())),
-        "f-e11": ("h2", twistor_e11),
-        "f-e11-zeta4": ("h2r", lambda: twistor_e11(FieldSpec.cyclotomic(4))),
-        "f-theta": ("ext", twistor_theta),
-        "f-u11": ("h2ext", twistor_u11),
-    }
-    target, fn = builders[name]
+    target, fn = TWISTOR_BUILDERS[name]
     return target, fn()
-
-
-ALL_TWISTOR_NAMES = ("f-one", "f-e11", "f-e11-zeta4", "f-theta", "f-u11")

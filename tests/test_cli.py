@@ -492,6 +492,38 @@ def test_a_generic_coassociator_over_a_large_field_is_checked_in_time(tmp_path):
     assert entries["structure.phi-invertible"] == "pass"
 
 
+def test_a_large_sparse_table_is_checked_in_time(tmp_path):
+    # dimension 1000 with the one product e0 e0 = e0 and every other datum on
+    # e0 alone: the unit fails, so algebra.assoc enumerates all d^3 triples,
+    # which took about a minute when each zero triple was skipped one by one
+    d = 1000
+    zeros = ["0"] * (d - 1)
+    doc = {
+        "name": "sparse-1000",
+        "field": {"kind": "rational"},
+        "dimension": d,
+        "parity": [0] * d,
+        "unit": ["1", *zeros],
+        "mult": [[0, 0, 0, "1"]],
+        "delta": [[0, 0, 0, "1"]],
+        "epsilon": ["1", *zeros],
+        "antipode": [[0, 0, "1"]],
+        "phi": [[0, 0, 0, "1"]],
+        "alpha": ["1", *zeros],
+        "beta": ["1", *zeros],
+    }
+    path = tmp_path / "sparse-1000.qhsa"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, report = run_json(tmp_path, "check", str(path))
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    failed = [e["check_id"] for e in report["entries"] if e["status"] == "fail"]
+    assert failed == ["algebra.unit"]
+    statuses = {e["suite"]: e["status"] for e in report["entries"] if e["suite"] != "algebra"}
+    assert statuses == dict.fromkeys(DEFAULT_SUITE_NAMES[1:], "skipped")
+
+
 # -- drinfeld ----------------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from dataclasses import replace
 
@@ -14,6 +16,7 @@ from qhsa.algebra import (
     StructureMap,
     TensorElement,
     apply_map_legs,
+    embed_legs,
     linear_combination,
     outer,
     permute_legs,
@@ -208,6 +211,83 @@ def test_suites_skip_without_r(h2):
     assert all(e.status == "skipped" for e in report.entries)
     assert check_qqybe(h2).entries[0].status == "skipped"
     assert check_triangular(h2).entries[0].status == "skipped"
+
+
+def reference_hexagon_report(H):
+    """eq.6ii, eq.6iii and eq.7 with every product taken left to right as
+    printed: the reference that the suites, which share the hexagon chains,
+    are compared against."""
+    R, phi, phi_inv = H.r_matrix, H.phi, H.phi_inv
+    r01, r02, r12 = (embed_legs(R, legs, 3) for legs in ((0, 1), (0, 2), (1, 2)))
+
+    def chain(*factors):
+        return functools.reduce(operator.mul, factors)
+
+    def p(x, word):
+        return permute_legs(x, word)
+
+    report = CheckReport()
+    rhs = chain(p(phi_inv, (1, 2, 0)), r02, p(phi, (0, 2, 1)), r12, phi_inv)
+    expect_equal(report, "eq.6ii", apply_map_legs(R, 0, H.delta), rhs)
+    rhs = chain(p(phi, (2, 0, 1)), r02, p(phi_inv, (1, 0, 2)), r01, phi)
+    expect_equal(report, "eq.6iii", apply_map_legs(R, 1, H.delta), rhs)
+    lhs = chain(r01, p(phi_inv, (1, 2, 0)), r02, p(phi, (0, 2, 1)), r12, phi_inv)
+    rhs = chain(p(phi_inv, (2, 1, 0)), r12, p(phi, (2, 0, 1)), r02, p(phi_inv, (1, 0, 2)), r01)
+    expect_equal(report, "eq.7", lhs, rhs)
+    return report
+
+
+def _r_corruptions(name):
+    """The bundled ``name`` with each term of its R negated, doubled or
+    dropped, labelled by the word and the corruption."""
+    H = build_structure(name)
+    cases = {}
+    for word, c in H.r_matrix.terms.items():
+        for how, new in (("negated", -c), ("doubled", c + c), ("dropped", None)):
+            terms = {w: new if w == word else v for w, v in H.r_matrix.terms.items()}
+            terms = {w: v for w, v in terms.items() if v is not None}
+            r = TensorElement(H.algebra, 2, terms)
+            cases[f"{name}-{''.join(map(str, word))}-{how}"] = replace(H, r_matrix=r)
+    return cases
+
+
+HEXAGON_CASES = {
+    "h2r": build_structure("h2r"),
+    "ext": build_structure("ext"),
+    **_r_corruptions("h2r"),
+    **_r_corruptions("ext"),
+    "h2-unit-r": replace(build_structure("h2"), r_matrix=build_structure("h2").unit(2)),
+    # R on a non-commutative algebra: eq.7 fails, so its witness is compared
+    "ks3-r": replace(ks3_structure(), r_matrix=elem(ks3_structure(), 2, {(0, 0): 2, (1, 2): 1})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEXAGON_CASES))
+def test_hexagon_products_match_the_printed_chains(name):
+    H = HEXAGON_CASES[name]
+    hexagon = ("eq.6ii", "eq.6iii", "eq.7")
+    reports = (check_quasi_triangular(H), check_qqybe(H))
+    shared = [entry for report in reports for entry in _entries(report) if entry[0] in hexagon]
+    assert shared == _entries(reference_hexagon_report(H))
+
+
+def test_hexagon_suites_make_nineteen_products_on_h2r(monkeypatch):
+    H = build_structure("h2r")  # fresh, so nothing is cached yet
+    run_suites(H, VALIDATION_SUITES)
+    calls = []
+    original = qhsa.algebra.tensor_multiply
+
+    def counting(x, y):
+        calls.append(x.arity)
+        return original(x, y)
+
+    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    assert all(report.ok for _, report, _ in run_suites(H, ["quasi-triangular", "qqybe"]))
+    # the printed left-to-right chains make 4 arity-3 products for eq.6ii,
+    # 4 for eq.6iii and 10 for eq.7, 18 of 26 calls; the shared chains make
+    # 11, and eq.6i's arity-2 products stay
+    assert calls.count(3) == 11
+    assert len(calls) == 19
 
 
 # -- pentagon consequences ----------------------------------------------------------
@@ -973,6 +1053,25 @@ ALGEBRA_REPORT_CASES = {
                 "fail",
                 {"difference": [[[2], "2"], [[5], "-1"]], "basis": [1, 1, 2]},
             ),
+        ],
+    ),
+    # e_i e_j != 0 and e_j e_k = 0 at the first failing triple, so a loop
+    # over only the k with e_j e_k != 0 would miss it: the reduced route
+    # here, the full one (the unit fails) in the h2 case
+    "h2ext-zero-right-factor": (
+        lambda fx: _with_product(fx("h2ext"), (1, 3), {0: 1}),
+        [
+            ("algebra.grading", "pass", None),
+            ("algebra.unit", "pass", None),
+            ("algebra.assoc", "fail", {"difference": [[[0], "1"]], "basis": [1, 0, 3]}),
+        ],
+    ),
+    "h2-zero-right-factor": (
+        lambda fx: _with_product(fx("h2"), (0, 1), {0: 1}),
+        [
+            ("algebra.grading", "pass", None),
+            ("algebra.unit", "fail", {"difference": [[[0], "1"]], "basis": 0}),
+            ("algebra.assoc", "fail", {"difference": [[[0], "1"]], "basis": [0, 1, 0]}),
         ],
     ),
     "ks3-right-unit": (
