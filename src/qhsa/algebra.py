@@ -28,7 +28,7 @@ still returns a ``Cyclotomic``; only the constructors demote.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, partial
 from operator import getitem
 
 from .scalars import FieldSpec, canonical
@@ -53,10 +53,19 @@ class GradedAlgebra:
     tensor_multiply builds words by lookup.  ``monomial_signs[i][j]`` is 1
     where the coefficient is -1, and is None when no coefficient is; graded
     products of odd-carrying algebras have such signs.  Both are None for any
-    other table.  ``partners[i]`` lists the j with e_i e_j != 0, in order: the
-    legs the joined route of tensor_multiply walks from a leg e_i.
-    ``has_zero_products`` is True when some e_i e_j is 0; without one the
-    joined route would skip nothing, and tensor_multiply never takes it.
+    other table.  ``partners[i]`` lists the j with e_i e_j != 0, in order,
+    and ``partner_counts[i]`` is its length: the partner words of a word w,
+    the only words it has a nonzero product with, are the product of the
+    lists ``partners[i]`` over its legs i.  ``has_zero_products`` is True
+    when some e_i e_j is 0; without one there is nothing to skip.
+    ``has_odd`` is True when some basis element is odd; without one no
+    product has a Koszul sign and tensor_multiply builds no parity mask.
+
+    Three dicts memoize what tensor_multiply reads per word, each filled on
+    the first lookup of a word and dropped with the algebra: ``odd_legs`` and
+    ``odd_prefix``, its parity masks, and over a monomial table
+    ``monomial_rows``, the rows ``monomial_targets[i]`` of its legs (None
+    otherwise).
     """
 
     def __init__(self, dimension, parity, unit, mult, field: FieldSpec):
@@ -90,13 +99,18 @@ class GradedAlgebra:
             for i in range(dimension)
         )
         self.partners = tuple(tuple(j for j, row in enumerate(r) if row) for r in rows)
-        self.has_zero_products = any(len(legs) < dimension for legs in self.partners)
+        self.partner_counts = tuple(map(len, self.partners))
+        self.has_zero_products = any(n < dimension for n in self.partner_counts)
+        self.has_odd = any(parity)
+        self.odd_legs = _WordMemo(partial(_odd_legs, parity=parity))
+        self.odd_prefix = _WordMemo(partial(_odd_prefix, parity=parity))
         one = field.one()
-        self.monomial_targets = self.monomial_signs = None
+        self.monomial_targets = self.monomial_signs = self.monomial_rows = None
         if all(len(row) == 1 and row[0][1] in (one, -one) for r in rows for row in r if row):
-            self.monomial_targets = tuple(
+            self.monomial_targets = targets = tuple(
                 tuple(row[0][0] if row else None for row in r) for r in rows
             )
+            self.monomial_rows = _WordMemo(lambda word: tuple(map(targets.__getitem__, word)))
             signs = tuple(tuple(int(bool(row) and row[0][1] != one) for row in r) for r in rows)
             if any(map(any, signs)):
                 self.monomial_signs = signs
@@ -287,29 +301,52 @@ def _odd_prefix(word, parity) -> int:
     return mask
 
 
-# Above this many word pairs, and only over a table with a zero product,
-# tensor_multiply joins x with a trie of y instead of visiting every pair.
-# A small product has few zero pairs to skip.  Over a table with no zero
-# product (any group algebra) the trie would skip nothing and cost 5-15%
-# more, so ``GradedAlgebra.has_zero_products`` keeps such tables on the pair
-# loop at every size.  On the benchmark workloads a cutoff of 16 or 64 did
-# equally well, and 256 or 1024 a little worse.
+class _WordMemo(dict):
+    """word -> function(word), computed on the first lookup of the word."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, word):
+        value = self[word] = self.function(word)
+        return value
+
+
+# Each x word meets the y words of one of three routes, chosen per x word
+# by ``_routes``.  Over a table with a zero product, an x word whose partner
+# words number at most min(|y|, PROBE_CUTOFF) probes: it walks those words
+# and looks each one up in y, so it costs no more lookups than a walk of y
+# would.  Any other x word walks a trie of y into partner legs only when the
+# product has more than JOIN_CUTOFF word pairs, and otherwise visits every y
+# word: a small product has few zero pairs to skip.  Over a table with no
+# zero product (any group algebra) there is nothing to skip, and every x
+# word visits every y word; the trie would cost 5-15% more there.  A probe
+# pays for each partner word that y lacks, the trie only for the prefixes y
+# has.  On the products of a dimension-8 structure with a 180-term
+# coassociator, probing up to |y| partner words took the kernel 1.02-1.06
+# times as long as the trie alone, and probing up to 16 took 0.99-1.04
+# times.  On the benchmark workloads a JOIN_CUTOFF of 16 or 64 did equally
+# well, and 256 or 1024 a little worse.
 JOIN_CUTOFF = 64
+PROBE_CUTOFF = 16
 
 
-def _joined(ys, partners):
-    """The y entries each x word meets with no zero leg product, as a
+def _joined(words, partners):
+    """The y words each x word meets with no zero leg product, as a
     function of the x word.  y is indexed in a trie by its legs, and an x
     word walks from each leg e_i only into ``partners[i]``, so pairs with a
     zero leg are never visited (the trie join of Veldhuizen, "Leapfrog
     Triejoin", ICDT 2014, over basis words)."""
     trie = {}
-    for entry in ys:
-        *head, last = entry[0]
+    for word in words:
+        *head, last = word
         node = trie
         for j in head:
             node = node.setdefault(j, {})
-        node[last] = entry
+        node[last] = word
 
     def visit(wx):
         nodes = [trie]
@@ -321,44 +358,73 @@ def _joined(ys, partners):
     return visit
 
 
+def _routes(x, y):
+    """The y words each x word meets, as a function of the x word, for
+    both paths of tensor_multiply: the probe, the trie (built on first use)
+    or every y word, as the comment above JOIN_CUTOFF says.  Every route
+    skips only pairs whose product is zero."""
+    alg = x.algebra
+    terms = y.terms
+    if not alg.has_zero_products:
+        return lambda wx: terms
+    partners, counts = alg.partners, alg.partner_counts
+    size = len(terms)
+    probe = min(size, PROBE_CUTOFF)
+    joined = None
+
+    def visit(wx):
+        nonlocal joined
+        n = 1
+        for i in wx:
+            n *= counts[i]
+        if n <= probe:
+            return filter(terms.__contains__, itertools.product(*map(partners.__getitem__, wx)))
+        if len(x.terms) * size <= JOIN_CUTOFF:
+            return terms
+        if joined is None:
+            joined = _joined(terms, partners)
+        return joined(wx)
+
+    return visit
+
+
 def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
     """Graded product in H^(tensor n); see the module docstring for the sign.
 
     The exponent for words x and y is the number of legs j where x_j is odd
     and an odd number of y-legs lie left of j: the common bits of
-    ``_odd_legs(x)`` and ``_odd_prefix(y)``.  Each x word visits the y words
-    of one of two routes.  Up to JOIN_CUTOFF pairs, or over a table with no
-    zero product, it visits every y word; otherwise it visits only those
-    whose every leg is a partner of its own (``_joined``), so no pair with a
-    zero leg product is visited.  Both routes give the same terms.  Over a
-    monomial table a pair of words gives one word by lookup and costs one
-    scalar product, its sign adding the table's -1 entries; any other table
-    expands the precomputed rows leg by leg.
+    ``_odd_legs(x)`` and ``_odd_prefix(y)``.  Both are read from the
+    algebra's memos, which live as long as the algebra, and a y word's mask
+    only for an x word with an odd leg; over a purely even algebra no mask
+    is built at all.  Each x word meets the y words of one route
+    (``_routes``), chosen from the table and the operand sizes: it probes y
+    for its partner words when they number at most min(|y|, PROBE_CUTOFF);
+    otherwise it walks a trie of y above JOIN_CUTOFF word pairs, or visits
+    every y word; over a table with no zero product it always visits every
+    y word.  The routes give the same terms.  Over a monomial table a pair
+    of words gives one word by lookup and costs one scalar product, its sign
+    adding the table's -1 entries; any other table expands the precomputed
+    rows leg by leg.
     """
     x._require_same_shape(y)
     alg = x.algebra
-    par = alg.parity
-    ys = [(wy, _odd_prefix(wy, par), cy) for wy, cy in y.terms.items()]
-    if alg.has_zero_products and len(x.terms) * len(ys) > JOIN_CUTOFF:
-        visit = _joined(ys, alg.partners)
-    else:
-
-        def visit(wx):
-            return ys
-
-    targets = alg.monomial_targets
+    has_odd, legs, prefixes = alg.has_odd, alg.odd_legs, alg.odd_prefix
+    visit = _routes(x, y)
+    terms = y.terms
+    word_rows = alg.monomial_rows
     out = {}
-    if targets is not None:
+    if word_rows is not None:
         signs = alg.monomial_signs
         for wx, cx in x.terms.items():
-            rows = tuple(map(targets.__getitem__, wx))
+            rows = word_rows[wx]
             negated = signs and tuple(map(signs.__getitem__, wx))
-            odd = _odd_legs(wx, par)
-            for wy, prefix, cy in visit(wx):
+            odd = legs[wx] if has_odd else 0
+            for wy in visit(wx):
+                cy = terms[wy]
                 w = tuple(map(getitem, rows, wy))
                 if None in w:
                     continue
-                flips = (odd & prefix).bit_count()
+                flips = odd and (odd & prefixes[wy]).bit_count()
                 if negated:
                     flips += sum(map(getitem, negated, wy))
                 c = -(cx * cy) if flips & 1 else cx * cy
@@ -366,9 +432,11 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
     else:
         rows = alg.product_rows
         for wx, cx in x.terms.items():
-            odd = _odd_legs(wx, par)
-            for wy, prefix, cy in visit(wx):
-                partial = [((), -(cx * cy) if (odd & prefix).bit_count() & 1 else cx * cy)]
+            odd = legs[wx] if has_odd else 0
+            for wy in visit(wx):
+                cy = terms[wy]
+                flip = odd and (odd & prefixes[wy]).bit_count() & 1
+                partial = [((), -(cx * cy) if flip else cx * cy)]
                 for i, j in zip(wx, wy):
                     partial = [(w + (k,), c * ck) for w, c in partial for k, ck in rows[i][j]]
                 for w, c in partial:

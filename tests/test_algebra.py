@@ -272,23 +272,126 @@ def test_joined_route_matches_the_reference_product(name):
             assert x * y == oracle_multiply(x, y)
 
 
+def _partner_words(alg, wx):
+    return set(itertools.product(*(alg.partners[i] for i in wx)))
+
+
+def _expected_route(alg, wx, x, y):
+    """The route tensor_multiply must take for the x word wx."""
+    if not alg.has_zero_products:
+        return "every"
+    if len(_partner_words(alg, wx)) <= min(len(y.terms), algebra.PROBE_CUTOFF):
+        return "probe"
+    return "trie" if len(x.terms) * len(y.terms) > algebra.JOIN_CUTOFF else "every"
+
+
+def _route_cases(alg):
+    """Operand pairs of arity 4 with 9 x 9 word pairs, above JOIN_CUTOFF,
+    and 2 x 2, below it, and one whose y has as many words as the first
+    word's partner words, up to PROBE_CUTOFF, which is where the probe
+    stops.  The first and last words have the most and the fewest partner
+    words."""
+    words = list(itertools.product(range(alg.dimension), repeat=4))
+    one = alg.field.one()
+    edge = min(len(_partner_words(alg, words[0])), algebra.PROBE_CUTOFF)
+    for x_words, y_words in (
+        (words[:5] + words[-4:], words[:9]),
+        (words[:1] + words[-1:], words[:2]),
+        (words[:1] + words[-1:], words[:edge]),
+    ):
+        yield tuple(TensorElement(alg, 4, dict.fromkeys(w, one)) for w in (x_words, y_words))
+
+
+def _routes_taken(x, y):
+    """{x word: the route tensor_multiply takes for it, and the y words it
+    meets there}, read off ``algebra._routes``."""
+    visit = algebra._routes(x, y)
+    taken = {}
+    for wx in x.terms:
+        met = visit(wx)
+        route = "every" if met is y.terms else "trie" if isinstance(met, list) else "probe"
+        taken[wx] = route, set(met)
+    return taken
+
+
 @pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
 def test_joined_route_only_over_a_table_with_zero_products(monkeypatch, name):
+    """Each x word takes the route its partner words and the operand sizes
+    pick, and each route meets exactly the y words it should: a probe looks
+    up its partner words, the trie yields the y words among them, and the
+    full route every y word."""
     alg = kernel_algebra(name)
     assert alg.has_zero_products == (name not in NO_ZERO_PRODUCT)
+    assert alg.partner_counts == tuple(map(len, alg.partners))
     joins = []
     join = algebra._joined
 
-    def counted(ys, partners):
+    def counted(words, partners):
         joins.append(1)
-        return join(ys, partners)
+        return join(words, partners)
 
     monkeypatch.setattr(algebra, "_joined", counted)
-    words = list(itertools.product(range(alg.dimension), repeat=4))[:9]
-    x = TensorElement(alg, 4, dict.fromkeys(words, alg.field.one()))
-    assert len(words) ** 2 > algebra.JOIN_CUTOFF
-    assert x * x == oracle_multiply(x, x)
-    assert bool(joins) == alg.has_zero_products
+    routes = set()
+    for x, y in _route_cases(alg):
+        for wx, (route, met) in _routes_taken(x, y).items():
+            assert route == _expected_route(alg, wx, x, y)
+            expected = set(y.terms)
+            if route != "every":
+                expected &= _partner_words(alg, wx)
+            assert met == expected
+            routes.add(route)
+        assert x * y == oracle_multiply(x, y)
+    assert bool(joins) == ("trie" in routes)
+    assert alg.has_zero_products or routes == {"every"}
+
+
+def test_each_route_is_taken():
+    """h2 only probes (each leg has one partner), ext takes all three
+    routes, and k[Z2] (no zero product) visits every y word."""
+    seen = {}
+    for name in ("h2", "ext", "kz2"):
+        alg = kernel_algebra(name)
+        seen[name] = {
+            route for x, y in _route_cases(alg) for route, _ in _routes_taken(x, y).values()
+        }
+    assert seen == {"h2": {"probe"}, "ext": {"probe", "trie", "every"}, "kz2": {"every"}}
+
+
+@st.composite
+def chained_operands(draw, alg):
+    """Three elements a, b, c of one arity from 0 to 4, for the products
+    a * b, b * c and c * a: the words of each are y words in one product and
+    x words in the next.  b is drawn around the partner-word count of a word
+    of a, so that |y| falls on both sides of it, and holds that word's
+    partner words first, so that probes hit."""
+    n = draw(st.integers(0, 4))
+    word = st.tuples(*[st.integers(0, alg.dimension - 1)] * n)
+    coefficient = st.integers(-3, 3).filter(bool).map(alg.field.from_int)
+    pool = draw(st.lists(word, min_size=1, max_size=24, unique=True))
+    anchor = pool[0]
+    partners = sorted(itertools.product(*(alg.partners[i] for i in anchor)))
+    size = max(0, min(len(partners), 40) + draw(st.integers(-2, 2)))
+    b_words = list(dict.fromkeys(partners[:size] + pool))[:size]
+
+    def element(words):
+        return TensorElement(alg, n, {w: draw(coefficient) for w in words})
+
+    a = element(draw(st.lists(st.sampled_from(pool), max_size=12, unique=True)) + [anchor])
+    c = element(draw(st.lists(st.sampled_from(pool + b_words), max_size=24, unique=True)))
+    return a, element(b_words), c
+
+
+@pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_chained_products_match_the_reference(name, data):
+    # the kernel's memos of masks and rows live on the algebra, which every
+    # example shares, so a wrong entry from one product shows in a later one
+    alg = kernel_algebra(name)
+    a, b, c = data.draw(chained_operands(alg))
+    assert a * b == oracle_multiply(a, b)
+    assert b * c == oracle_multiply(b, c)
+    assert c * a == oracle_multiply(c, a)
 
 
 def test_cancelled_words_leave_the_product(ext):
@@ -453,6 +556,12 @@ def test_leg_out_of_range(ext):
 def test_multiply_adjacent_legs(ext):
     x = elem(ext, 2, {(1, 0): 2, (0, 1): 3})
     assert multiply_adjacent_legs(x, 0) == elem(ext, 1, {(1,): 5})
+
+
+@pytest.mark.parametrize("arity, leg", [(2, 1), (3, 2), (2, -1)])
+def test_multiply_adjacent_legs_names_the_legs_out_of_range(ext, arity, leg):
+    with pytest.raises(AlgebraError, match=rf"^cannot contract legs \({leg}, {leg + 1}\)$"):
+        multiply_adjacent_legs(ext.unit(arity), leg)
 
 
 # -- inversion ---------------------------------------------------------------------
@@ -689,6 +798,13 @@ def test_homogeneous_product_parity_is_additive(h2ext, wa, wb):
     assert prod.homogeneous_parity() == (
         x.homogeneous_parity() + y.homogeneous_parity()
     ) % 2
+
+
+@pytest.mark.parametrize("arity", range(4))
+def test_the_zero_element_is_even(h2ext, arity):
+    zero = TensorElement.zero(h2ext.algebra, arity)
+    assert zero.homogeneous_parity() == 0
+    assert zero.is_even()
 
 
 small_words3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))

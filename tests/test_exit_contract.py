@@ -130,3 +130,25 @@ def test_a_long_index_is_echoed_in_one_short_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "is not an integer" in err
     assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("spec", [{}, []], ids=["empty-object", "empty-list"])
+@pytest.mark.parametrize("kind", ["structure", "twistor"])
+def test_an_empty_field_spec_is_one_input_error(tmp_path, capsys, kind, spec):
+    """A field spec without a ``kind`` is refused as input, exit 2 with one
+    line, whether it is an object or not."""
+    source = FIXTURE_DIR / ("h2.qhsa" if kind == "structure" else "f-e11.twist")
+    doc = json.loads(source.read_text())
+    doc["field"] = spec
+    path = tmp_path / source.name
+    path.write_text(json.dumps(doc))
+    if kind == "structure":
+        argv = ["check", str(path)]
+    else:
+        h2 = str(FIXTURE_DIR / "h2.qhsa")
+        argv = ["transform", h2, "twist", "--twistor", str(path), "--output", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: field: invalid field spec {json.dumps(spec)}\n"
