@@ -115,17 +115,32 @@ def _expect_keys(data, allowed, required, what):
         raise DocumentError(f"missing {what} keys: {', '.join(missing)}")
 
 
-def _parse_scalar(field, value, where):
+def _scalar_parser(field):
+    """``field.parse`` that parses each distinct text once: a text -> value
+    dict for one document, dropped with it.  Values are immutable, so rows
+    share them; a failure is never stored, so it raises at every position."""
+    parsed = {}
+
+    def parse(text):
+        value = parsed.get(text) if type(text) is str else None
+        if value is None:  # a non-string raises here, before it is stored
+            value = parsed[text] = field.parse(text)
+        return value
+
+    return parse
+
+
+def _parse_scalar(parse, value, where):
     try:
-        return field.parse(value)
+        return parse(value)
     except ScalarError as exc:
         raise DocumentError(f"{where}: {exc}")
 
 
-def _parse_scalar_vector(field, data, length, key):
+def _parse_scalar_vector(parse, data, length, key):
     if not isinstance(data, list) or len(data) != length:
         raise DocumentError(f"{key} must be a list of {length} scalars")
-    return tuple(_parse_scalar(field, v, f"{key}[{i}]") for i, v in enumerate(data))
+    return tuple(_parse_scalar(parse, v, f"{key}[{i}]") for i, v in enumerate(data))
 
 
 def _is_int(value) -> bool:
@@ -133,7 +148,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_sparse(field, data, index_count, dimension, key):
+def _parse_sparse(parse, data, index_count, dimension, key):
     if not isinstance(data, list):
         raise DocumentError(f"{key} must be a list of index tuples")
     rows = []
@@ -154,7 +169,7 @@ def _parse_sparse(field, data, index_count, dimension, key):
         if word in seen:
             raise DocumentError(f"{where}: duplicate index tuple {word}")
         seen.add(word)
-        rows.append(word + (_parse_scalar(field, row[index_count], where),))
+        rows.append(word + (_parse_scalar(parse, row[index_count], where),))
     return tuple(sorted(rows, key=lambda r: r[:index_count]))
 
 
@@ -173,9 +188,12 @@ def _parse_header(data) -> tuple:
 
 
 def parse_structure_document(text: str) -> StructureDocument:
+    """Check ``text`` into a ``StructureDocument``, parsing each distinct
+    scalar text once (``_scalar_parser``); an invalid one is named at its first position."""
     data = _load_json(text)
     _expect_keys(data, STRUCTURE_KEYS, [k for k in STRUCTURE_KEYS if k != "r"], "structure")
     name, field, dim = _parse_header(data)
+    parse = _scalar_parser(field)
     parity = data["parity"]
     if (
         not isinstance(parity, list)
@@ -188,15 +206,15 @@ def parse_structure_document(text: str) -> StructureDocument:
         field=field,
         dimension=dim,
         parity=tuple(parity),
-        unit=_parse_scalar_vector(field, data["unit"], dim, "unit"),
-        mult=_parse_sparse(field, data["mult"], 3, dim, "mult"),
-        delta=_parse_sparse(field, data["delta"], 3, dim, "delta"),
-        epsilon=_parse_scalar_vector(field, data["epsilon"], dim, "epsilon"),
-        antipode=_parse_sparse(field, data["antipode"], 2, dim, "antipode"),
-        phi=_parse_sparse(field, data["phi"], 3, dim, "phi"),
-        alpha=_parse_scalar_vector(field, data["alpha"], dim, "alpha"),
-        beta=_parse_scalar_vector(field, data["beta"], dim, "beta"),
-        r=_parse_sparse(field, data["r"], 2, dim, "r") if "r" in data else None,
+        unit=_parse_scalar_vector(parse, data["unit"], dim, "unit"),
+        mult=_parse_sparse(parse, data["mult"], 3, dim, "mult"),
+        delta=_parse_sparse(parse, data["delta"], 3, dim, "delta"),
+        epsilon=_parse_scalar_vector(parse, data["epsilon"], dim, "epsilon"),
+        antipode=_parse_sparse(parse, data["antipode"], 2, dim, "antipode"),
+        phi=_parse_sparse(parse, data["phi"], 3, dim, "phi"),
+        alpha=_parse_scalar_vector(parse, data["alpha"], dim, "alpha"),
+        beta=_parse_scalar_vector(parse, data["beta"], dim, "beta"),
+        r=_parse_sparse(parse, data["r"], 2, dim, "r") if "r" in data else None,
     )
 
 
@@ -204,19 +222,20 @@ def parse_twistor_document(text: str) -> TwistorDocument:
     data = _load_json(text)
     _expect_keys(data, TWISTOR_KEYS, ["name", "field", "dimension", "element"], "twistor")
     name, field, dim = _parse_header(data)
+    parse = _scalar_parser(field)
     norm = data.get("normalization")
     if norm is not None:
         _expect_keys(norm, ("eps_alpha", "eps_beta"), ("eps_alpha", "eps_beta"), "normalization")
         norm = {
-            "eps_alpha": _parse_scalar(field, norm["eps_alpha"], "normalization.eps_alpha"),
-            "eps_beta": _parse_scalar(field, norm["eps_beta"], "normalization.eps_beta"),
+            "eps_alpha": _parse_scalar(parse, norm["eps_alpha"], "normalization.eps_alpha"),
+            "eps_beta": _parse_scalar(parse, norm["eps_beta"], "normalization.eps_beta"),
         }
     return TwistorDocument(
         name=name,
         field=field,
         dimension=dim,
-        element=_parse_sparse(field, data["element"], 2, dim, "element"),
-        inverse=_parse_sparse(field, data["inverse"], 2, dim, "inverse")
+        element=_parse_sparse(parse, data["element"], 2, dim, "element"),
+        inverse=_parse_sparse(parse, data["inverse"], 2, dim, "inverse")
         if "inverse" in data
         else None,
         normalization=norm,

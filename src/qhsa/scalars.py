@@ -19,8 +19,9 @@ Cyclotomics compare and hash alike, and ``FieldSpec.format`` prints a
 rational over Q(zeta_n) in the list form, so the form never shows in output;
 it only keeps the common rational products, the +-1 of a group-like table
 above all, on ``int`` arithmetic.  A ``Cyclotomic`` times, plus or minus a
-rational scales or shifts its numerators directly, and arithmetic between
-two ``Cyclotomic`` values returns a ``Cyclotomic`` even when the result is
+rational scales or shifts its numerators directly (times +-1 it comes back
+as itself or its negation, without arithmetic), and arithmetic between two
+``Cyclotomic`` values returns a ``Cyclotomic`` even when the result is
 rational.
 
 Reduction modulo Phi_n happens only where a polynomial enters, in
@@ -242,10 +243,14 @@ class Cyclotomic:
 
     def _scaled(self, value):
         """self * value for a rational value p/q in one pass over the
-        numerators; only a q above 1 costs a gcd over them.  The result is
-        gcd-normalised: p/g is prime to den/g and to q, and gcd(q, num)
-        divides q but no prime of den, since gcd(den, num) = 1."""
+        numerators; only a q above 1 costs a gcd over them, and times 1 or -1,
+        the most common factor, it is self or its negation, with no
+        arithmetic.  The result is gcd-normalised: p/g is prime to den/g and
+        to q, and gcd(q, num) divides q but no prime of den, since
+        gcd(den, num) = 1."""
         p, q = value.numerator, value.denominator
+        if q == 1 and (p == 1 or p == -1):
+            return self if p == 1 else -self
         g = gcd(p, self.den)  # p = 0 gives g = den: the zero (0, ..., 0)/1
         num, den = self.num, self.den // g * q
         if q != 1:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,14 +14,19 @@ from qhsa.documents import (
     serialize_twistor_document,
     twistor_to_document,
 )
+from qhsa.algebra import TensorElement
+from qhsa.cli import main
 from qhsa.fixtures import (
     ALL_TWISTOR_NAMES,
     NEGATIVE_FIXTURES,
     POSITIVE_FIXTURES,
     build_structure,
     build_twistor,
+    ext_structure,
+    h2_structure,
     twistor_e11,
 )
+from qhsa.scalars import Cyclotomic, FieldSpec
 from qhsa.transforms import (
     Twistor,
     check_twistor,
@@ -226,3 +232,86 @@ def test_cyclotomic_scalars_round_trip_bit_exactly(h2r):
     name, back = load_structure(text)
     assert structures_equal(back, h2r)
     assert serialize_structure(name, back) == text
+
+
+# -- one parse per distinct scalar text --------------------------------------------
+
+ZETA = FieldSpec.cyclotomic(20)
+ZETA_TWIST_COEFFICIENT = Cyclotomic(20, [0, 0, 0, 1]) + Cyclotomic(20, [0] * 7 + [1]) - 1  # z^3 + z^7 - 1
+
+
+def _zeta_documents():
+    """A Q(zeta_20) structure document, h2 twisted by 1 (x) 1 + c e1 (x) e1
+    and tensored with ext, and that twistor's document."""
+    h2 = h2_structure(ZETA, with_r=True)
+    F = Twistor(h2.unit(2) + TensorElement(h2.algebra, 2, {(1, 1): ZETA_TWIST_COEFFICIENT}))
+    product = tensor_product_structure(twist_structure(h2, F), ext_structure(field=ZETA))
+    twistor = twistor_to_document("f-zeta20", h2, F, normalization=(h2.eps_alpha, h2.eps_beta))
+    return serialize_structure("h2-zeta20-twisted-ext", product), serialize_twistor_document(twistor)
+
+
+def _scalar_texts(data):
+    """Every scalar text of a structure or twistor document, in document order."""
+    texts = []
+    for key, value in data.items():
+        if key == "normalization":
+            texts += value.values()
+        elif key not in ("name", "field", "dimension", "parity"):
+            texts += [row[-1] if isinstance(row, list) else row for row in value]
+    return texts
+
+
+@pytest.fixture
+def parsed_texts(monkeypatch):
+    """The texts ``FieldSpec.parse`` is called on, in call order."""
+    calls = []
+    original = FieldSpec.parse
+
+    def counting(self, text):
+        calls.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(FieldSpec, "parse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["structure", "twistor"])
+def test_each_distinct_scalar_text_is_parsed_once_per_document(kind, parsed_texts):
+    text = _zeta_documents()[kind == "twistor"]
+    parse = parse_twistor_document if kind == "twistor" else parse_structure_document
+    texts = _scalar_texts(json.loads(text))
+    assert len(set(texts)) < len(texts)
+    first = parse(text)
+    assert Counter(parsed_texts) == dict.fromkeys(texts, 1)
+    # nothing outlives a document: the same text parses every scalar again
+    assert parse(text) == first
+    assert Counter(parsed_texts) == dict.fromkeys(texts, 2)
+
+
+@pytest.mark.parametrize("kind", ["structure", "twistor"])
+@pytest.mark.parametrize(
+    "bad, expected",
+    [
+        ("x", "invalid rational 'x'"),
+        ("[1, 2", "unterminated coefficient list '[1, 2'"),
+        (7, "scalar must be a string, got 7"),
+        ([1], "scalar must be a string, got [1]"),
+    ],
+)
+def test_an_invalid_scalar_is_named_at_its_first_position(kind, bad, expected, tmp_path, capsys):
+    """An invalid scalar text, or a non-string, at two positions is one
+    error line naming the first, as when each entry was parsed on its own."""
+    structure, twistor = _zeta_documents()
+    data = json.loads(twistor if kind == "twistor" else structure)
+    first, second = ("element", "inverse") if kind == "twistor" else ("delta", "phi")
+    data[first][1][-1] = bad
+    data[second][0][-1] = bad
+    parse = parse_twistor_document if kind == "twistor" else parse_structure_document
+    with pytest.raises(DocumentError) as excinfo:
+        parse(json.dumps(data))
+    assert str(excinfo.value) == f"{first}[1]: {expected}"
+    if kind == "structure":
+        path = tmp_path / "bad.qhsa"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {first}[1]: {expected}\n"

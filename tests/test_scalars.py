@@ -292,7 +292,9 @@ def test_integer_arithmetic_agrees_with_fraction_oracle(case):
         assert (a.num, a.den) == ((0,) * euler_phi(n), 1)
 
 
-rational_operands = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-6, 6), rationals)
+rational_operands = st.one_of(
+    st.sampled_from([0, 1, -1, F(1), F(-1)]), st.integers(-6, 6), rationals
+)
 
 
 @settings(max_examples=100, deadline=None)
@@ -357,6 +359,28 @@ def test_arithmetic_between_cyclotomics_never_reduces(monkeypatch):
                 a * b, a + b, a - b, -a
         a * 3, a + 1, 2 - a, a * F(1, 2)
     assert calls == []
+
+
+def test_times_plus_or_minus_one_does_no_arithmetic(monkeypatch):
+    """x * 1 and 1 * x are x itself; x * -1 and -1 * x are -x, canonical.
+    With gcd raising, only a path that does no arithmetic gets through."""
+    values = [
+        Cyclotomic(n, [F(k, 3), 0, -2, F(1, 2), 5, 0, 1][: 2 * euler_phi(n)])
+        for n in (1, 4, 8, 20)
+        for k in (0, 1, -4)
+    ] + [Cyclotomic(8)]
+
+    def no_gcd(*args):
+        raise AssertionError("gcd called")
+
+    monkeypatch.setattr(qhsa.scalars, "gcd", no_gcd)
+    for x in values:
+        for one in (1, F(1)):
+            assert x * one is x and one * x is x
+        for minus_one in (-1, F(-1)):
+            for value in (x * minus_one, minus_one * x):
+                assert value == -x
+                assert_canonical(value)
 
 
 def test_field_order_guards():

@@ -1,0 +1,47 @@
+"""``tools/sweep.py``, the byte-identity sweep, on a three-job slice."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+
+_spec = importlib.util.spec_from_file_location("sweep", ROOT / "tools" / "sweep.py")
+sweep = sys.modules["sweep"] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
+_spec.loader.exec_module(sweep)
+
+
+def test_a_three_job_slice_gives_one_digest_line_per_job(tmp_path):
+    opposite = next(
+        job
+        for job in sweep.bench_jobs(tmp_path, seeds=(41,))
+        if job.argv[:3] == ("transform", "h2.qhsa", "opposite")
+    )
+    emit = [job for job in sweep.fixture_jobs(tmp_path, ["h2"]) if "--emit-twist" in job.argv]
+    jobs = [opposite] + emit  # the json and the text run of one drinfeld job
+    lines = sweep.sweep(jobs, ROOT / "src", tmp_path)
+    fields = [line.split("\t") for line in lines]
+    assert [f[0] for f in fields] == [sweep.job_id(job, tmp_path) for job in jobs]
+    assert str(tmp_path) not in "".join(lines) and "{work}/bundled-41/" in lines[0]
+    assert [f[1:2] for f in fields] == [["exit=0"]] * 3
+    empty = "stderr=" + sweep._hash(b"")
+    assert [f[3] for f in fields] == [empty] * 3
+    assert fields[0][4].startswith("h2-opposite.qhsa=") and not fields[0][4].endswith("=-")
+    # the two formats print different reports but write the same twistor
+    assert fields[1][2] != fields[2][2]
+    assert fields[1][4] == fields[2][4] and fields[1][4].startswith("h2-drinfeld.twist=")
+
+
+def test_timings_do_not_reach_the_digest():
+    report = {"fixture": "h2", "overall": "pass", "wall_time_seconds": {"algebra": 0.1}}
+    later = dict(report, wall_time_seconds={"algebra": 0.2})
+    assert sweep._stable_stdout(json.dumps(report)) == sweep._stable_stdout(json.dumps(later))
+    assert sweep._stable_stdout("not json\n") == "not json\n"
+
+
+def test_differences_pair_the_lines_that_differ():
+    mine = ["a\texit=0", "b\texit=0", "c\texit=1"]
+    theirs = ["a\texit=0", "b\texit=1", "c\texit=1"]
+    assert sweep.differences(mine, theirs) == [("b\texit=0", "b\texit=1")]
+    assert sweep.differences(mine, mine) == []

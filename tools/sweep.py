@@ -1,0 +1,179 @@
+"""Byte-identity sweep: run a fixed list of ``qhsa`` CLI jobs, one fresh
+process each, and print one digest line per job.
+
+Run from anywhere:
+
+    python3 tools/sweep.py                      # digest of this checkout
+    python3 tools/sweep.py --compare ../parent  # and diff against another checkout
+
+The job list is deterministic:
+
+- every job of the ``bench`` workloads (``bench/workloads.py``, imported
+  read-only) at the seeds in ``SEEDS``;
+- ``check``, ``validate``, ``drinfeld`` and ``drinfeld --verify
+  --emit-twist`` on each bundled fixture;
+- each of them once with ``--format json`` and once with ``--format text``.
+
+Inputs are generated once, by this checkout's ``qhsa``, into a temporary
+directory; with ``--compare`` the other checkout's CLI runs the same jobs on
+the same inputs.  A job's digest line holds its exit code and hashes of its
+stdout (a JSON report without ``wall_time_seconds``), its stderr and each
+file it writes (``--output``, ``--emit-twist``; ``-`` when it wrote none).
+The temporary directory reads ``{work}`` in job ids, stdout and stderr, so
+digests from separate runs compare.
+
+Exit status: 0, or 1 when ``--compare`` finds a job whose digest differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from workloads import WORKLOADS  # noqa: E402
+
+SEEDS = (41, 7)
+FORMATS = ("json", "text")
+WRITTEN = ("--output", "--emit-twist")  # options that name a file the job writes
+FIXTURE_DIR = ROOT / "src" / "qhsa" / "fixtures"
+
+
+@dataclass(frozen=True)
+class SweepJob:
+    group: str  # the job's working directory under the sweep's directory
+    argv: tuple
+
+
+def _with_format(argv, fmt):
+    """``argv`` with its ``--format`` option, if any, moved to the end and set to ``fmt``."""
+    argv = list(argv)
+    if "--format" in argv:
+        del argv[argv.index("--format") : argv.index("--format") + 2]
+    return tuple(argv) + ("--format", fmt)
+
+
+def fixture_jobs(work: Path, names=None) -> list:
+    """check, validate, drinfeld and drinfeld --verify --emit-twist on each
+    bundled fixture (all of them when ``names`` is None), in both formats."""
+    group = work / "fixtures"
+    group.mkdir(parents=True, exist_ok=True)
+    names = names or sorted(p.stem for p in FIXTURE_DIR.glob("*.qhsa"))
+    jobs = []
+    for name in names:
+        path = f"{name}.qhsa"
+        emit = str(group / f"{name}-drinfeld.twist")
+        for argv in (
+            ("check", path),
+            ("validate", path),
+            ("drinfeld", path),
+            ("drinfeld", path, "--verify", "--emit-twist", emit),
+        ):
+            jobs += [SweepJob("fixtures", _with_format(argv, fmt)) for fmt in FORMATS]
+    return jobs
+
+
+def bench_jobs(work: Path, seeds=SEEDS) -> list:
+    """Every job of every ``bench`` workload at each seed, in both formats,
+    in the workload's order: a later job may read what an earlier one wrote."""
+    jobs = []
+    for seed in seeds:
+        for name, build in WORKLOADS.items():
+            group = f"{name}-{seed}"
+            (work / group).mkdir(parents=True, exist_ok=True)
+            for job in build(work / group, seed):
+                jobs += [SweepJob(group, _with_format(job.argv, fmt)) for fmt in FORMATS]
+    return jobs
+
+
+def _hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _stable_stdout(text: str) -> str:
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return text
+    if isinstance(report, dict):
+        report.pop("wall_time_seconds", None)
+    return json.dumps(report)
+
+
+def job_id(job: SweepJob, work: Path) -> str:
+    return f"{job.group}: " + " ".join(job.argv).replace(str(work), "{work}")
+
+
+def run_job(job: SweepJob, src: Path, work: Path) -> str:
+    """Run ``job`` with the ``qhsa`` package under ``src`` in a fresh
+    interpreter and return its digest line."""
+    cwd = work / job.group
+    written = [cwd / job.argv[i + 1] for i, a in enumerate(job.argv) if a in WRITTEN]
+    for path in written:
+        path.unlink(missing_ok=True)
+    env = {k: v for k, v in os.environ.items() if k != "QHSA_FIXTURE_DIR"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhsa.cli", *job.argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    prefix = str(work)
+    stdout = _stable_stdout(proc.stdout.replace(prefix, "{work}"))
+    fields = [
+        job_id(job, work),
+        f"exit={proc.returncode}",
+        f"stdout={_hash(stdout.encode())}",
+        f"stderr={_hash(proc.stderr.replace(prefix, '{work}').encode())}",
+    ]
+    for path in written:
+        digest = _hash(path.read_bytes()) if path.exists() else "-"
+        fields.append(f"{path.name}={digest}")
+    return "\t".join(fields)
+
+
+def sweep(jobs, src: Path, work: Path) -> list:
+    return [run_job(job, src, work) for job in jobs]
+
+
+def differences(mine: list, theirs: list) -> list:
+    """The (mine, theirs) pairs of digest lines that differ, in job order."""
+    return [(a, b) for a, b in zip(mine, theirs) if a != b]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="DIR", help="another checkout to diff against")
+    args = parser.parse_args(argv)
+    other = args.compare and Path(args.compare).resolve() / "src"
+    if other and not (other / "qhsa" / "cli.py").is_file():
+        parser.error(f"no qhsa sources under {other}")
+    with tempfile.TemporaryDirectory(prefix="qhsa-sweep-") as tmp:
+        work = Path(tmp)
+        jobs = bench_jobs(work) + fixture_jobs(work)
+        mine = sweep(jobs, ROOT / "src", work)
+        sys.stdout.write("".join(line + "\n" for line in mine))
+        if not args.compare:
+            return 0
+        theirs = sweep(jobs, other, work)
+    diff = differences(mine, theirs)
+    for a, b in diff:
+        sys.stdout.write(f"differs:\n  this:  {a}\n  other: {b}\n")
+    sys.stdout.write(f"{len(diff)} of {len(jobs)} jobs differ from {args.compare}\n")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
