@@ -46,20 +46,21 @@ class GradedAlgebra:
     """Associative superalgebra given by a basis, parity vector, unit vector
     and sparse multiplication table (i, j) -> {k: coefficient}.
 
-    ``product_rows[i][j]`` is e_i e_j as a tuple of (k, coefficient) pairs,
-    built once from the cleaned table.  When every nonzero product is one
-    basis element with coefficient 1 or -1, the table is monomial:
-    ``monomial_targets[i][j]`` is that k (None for a zero product) and
-    tensor_multiply builds words by lookup.  ``monomial_signs[i][j]`` is 1
-    where the coefficient is -1, and is None when no coefficient is; graded
-    products of odd-carrying algebras have such signs.  Both are None for any
-    other table.  ``partners[i]`` lists the j with e_i e_j != 0, in order,
-    and ``partner_counts[i]`` is its length: the partner words of a word w,
-    the only words it has a nonzero product with, are the product of the
-    lists ``partners[i]`` over its legs i.  ``has_zero_products`` is True
-    when some e_i e_j is 0; without one there is nothing to skip.
-    ``has_odd`` is True when some basis element is odd; without one no
-    product has a Koszul sign and tensor_multiply builds no parity mask.
+    Only nonzero products are stored, so building costs O(d + their number).
+    ``product_rows[i]`` maps each j with e_i e_j != 0, in increasing j, to
+    e_i e_j as a tuple of (k, coefficient) pairs; a missing j is a zero
+    product.  When every nonzero product is one basis element with
+    coefficient 1 or -1, the table is monomial: ``monomial_targets[i]`` maps
+    the same j to that k, and tensor_multiply builds words by lookup (a zero
+    pair looks up None).  ``monomial_signs[i]`` maps them to 1 where the
+    coefficient is -1, and is None when no coefficient is; graded products
+    of odd-carrying algebras have such signs.  Both are None for any other
+    table.  ``partners[i]`` holds the keys of ``product_rows[i]`` and
+    ``partner_counts[i]`` their number: the partner words of a word w, the
+    only words it has a nonzero product with, are the product of the tuples
+    ``partners[i]`` over its legs i.  ``has_zero_products`` is True when
+    some e_i e_j is 0, and ``has_odd`` when some basis element is odd;
+    without one no product has a Koszul sign and no parity mask is built.
 
     Three dicts memoize what tensor_multiply reads per word, each filled on
     the first lookup of a word and dropped with the algebra: ``odd_legs`` and
@@ -94,25 +95,24 @@ class GradedAlgebra:
         self.unit = unit
         self.mult = table
         self.field = field
-        self.product_rows = rows = tuple(
-            tuple(tuple(table.get((i, j), {}).items()) for j in range(dimension))
-            for i in range(dimension)
-        )
-        self.partners = tuple(tuple(j for j, row in enumerate(r) if row) for r in rows)
+        self.product_rows = rows = tuple({} for _ in range(dimension))
+        for i, j in sorted(table):
+            rows[i][j] = tuple(table[i, j].items())
+        self.partners = tuple(map(tuple, rows))
         self.partner_counts = tuple(map(len, self.partners))
-        self.has_zero_products = any(n < dimension for n in self.partner_counts)
+        self.has_zero_products = len(table) < dimension * dimension
         self.has_odd = any(parity)
         self.odd_legs = _WordMemo(partial(_odd_legs, parity=parity))
         self.odd_prefix = _WordMemo(partial(_odd_prefix, parity=parity))
         one = field.one()
         self.monomial_targets = self.monomial_signs = self.monomial_rows = None
-        if all(len(row) == 1 and row[0][1] in (one, -one) for r in rows for row in r if row):
+        if all(len(row) == 1 and row[0][1] in (one, -one) for r in rows for row in r.values()):
             self.monomial_targets = targets = tuple(
-                tuple(row[0][0] if row else None for row in r) for r in rows
+                {j: row[0][0] for j, row in r.items()} for r in rows
             )
             self.monomial_rows = _WordMemo(lambda word: tuple(map(targets.__getitem__, word)))
-            signs = tuple(tuple(int(bool(row) and row[0][1] != one) for row in r) for r in rows)
-            if any(map(any, signs)):
+            signs = tuple({j: int(row[0][1] != one) for j, row in r.items()} for r in rows)
+            if any(any(r.values()) for r in signs):
                 self.monomial_signs = signs
 
     @cached_property
@@ -403,8 +403,9 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
     every y word; over a table with no zero product it always visits every
     y word.  The routes give the same terms.  Over a monomial table a pair
     of words gives one word by lookup and costs one scalar product, its sign
-    adding the table's -1 entries; any other table expands the precomputed
-    rows leg by leg.
+    adding the table's -1 entries; any other table expands the sparse rows
+    leg by leg.  A zero leg product, met only on the full route, looks up
+    None or expands to no term.
     """
     x._require_same_shape(y)
     alg = x.algebra
@@ -421,7 +422,7 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
             odd = legs[wx] if has_odd else 0
             for wy in visit(wx):
                 cy = terms[wy]
-                w = tuple(map(getitem, rows, wy))
+                w = tuple(map(dict.get, rows, wy))
                 if None in w:
                     continue
                 flips = odd and (odd & prefixes[wy]).bit_count()
@@ -438,7 +439,8 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
                 flip = odd and (odd & prefixes[wy]).bit_count() & 1
                 partial = [((), -(cx * cy) if flip else cx * cy)]
                 for i, j in zip(wx, wy):
-                    partial = [(w + (k,), c * ck) for w, c in partial for k, ck in rows[i][j]]
+                    row = rows[i].get(j, ())
+                    partial = [(w + (k,), c * ck) for w, c in partial for k, ck in row]
                 for w, c in partial:
                     out[w] = out[w] + c if w in out else c
     return TensorElement._from_terms(alg, x.arity, out)
@@ -632,7 +634,7 @@ def multiply_adjacent_legs(x: TensorElement, leg: int) -> TensorElement:
     rows = alg.product_rows
     out = {}
     for w, c in x.terms.items():
-        for k, ck in rows[w[leg]][w[leg + 1]]:
+        for k, ck in rows[w[leg]].get(w[leg + 1], ()):
             key = w[:leg] + (k,) + w[leg + 2 :]
             coeff = c * ck
             out[key] = out[key] + coeff if key in out else coeff
@@ -717,8 +719,8 @@ def solve_linear_system(columns, targets, field: FieldSpec) -> list:
 
 
 def _row_combination(pairs) -> dict:
-    """The sum of c * e_i e_j over (c, product_rows[i][j]) pairs, as
-    {k: coefficient} with zeros dropped."""
+    """The sum of c * row over (c, row) pairs, each row a product e_i e_j
+    read off ``product_rows``, as {k: coefficient} with zeros dropped."""
     out = {}
     for c, row in pairs:
         for k, ck in row:
@@ -745,7 +747,7 @@ def basis_generators(algebra: GradedAlgebra) -> tuple:
     echelon, generators = [], []
 
     def times(row, g):  # a vector of V times e_g
-        return _row_combination((c, rows[k][g]) for k, c in row.items())
+        return _row_combination((c, rows[k].get(g, ())) for k, c in row.items())
 
     def close(pending):
         while pending:

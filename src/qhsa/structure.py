@@ -307,10 +307,11 @@ def m_beta_s(H: QhsaStructure, x: TensorElement) -> TensorElement:
 def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
     """Grading additivity, two-sided unit, associativity.
 
-    The unit and associativity are compared on ``product_rows`` as sparse
-    dicts, with no element per case: an arity-1 product has no Koszul sign,
-    so e_i e_j is row [i][j].  When e_i e_j = 0, k runs over ``partners[j]``
-    only, so a triple whose two products are both zero is never visited.
+    The unit and associativity are compared on the sparse ``product_rows``,
+    with no element per case: an arity-1 product has no Koszul sign, so
+    e_i e_j is ``rows[i].get(j, ())``.  An i with an empty row is skipped,
+    and when e_i e_j = 0, k runs over ``partners[j]`` only, so a triple
+    whose two products are both zero is never visited.
     Only the first case that fails there is built from elements, so its
     witness is the difference of the elements, labelled i (``algebra.unit``)
     or [i, j, k] (``algebra.assoc``).
@@ -346,12 +347,12 @@ def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
     rows = algebra.product_rows
     dim = range(algebra.dimension)
     one = algebra.field.one()
-    unit_terms = [(u, k) for k, u in enumerate(algebra.unit) if u]
+    units = [(u, k) for k, u in enumerate(algebra.unit) if u]
 
     def unit_cases():
         for i in dim:
             for left in (True, False):
-                pairs = ((u, rows[k][i] if left else rows[i][k]) for u, k in unit_terms)
+                pairs = ((u, rows[k].get(i, ()) if left else rows[i].get(k, ())) for u, k in units)
                 if _row_combination(pairs) != {i: one}:
                     unit = TensorElement.unit(algebra, 1)
                     e = TensorElement.basis(algebra, (i,))
@@ -361,13 +362,15 @@ def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
     def assoc_cases(middle):
         for i in dim:
             row_i = rows[i]
+            if not row_i:
+                continue  # e_i x = 0 for every x, so both sides are 0
             for j in middle:
-                left = row_i[j]
+                left = row_i.get(j, ())
                 row_j = rows[j]
                 for k in dim if left else algebra.partners[j]:
-                    right = row_j[k]
-                    lhs = _row_combination((c, rows[m][k]) for m, c in left)
-                    if lhs != _row_combination((c, row_i[m]) for m, c in right):
+                    right = row_j.get(k, ())
+                    lhs = _row_combination((c, rows[m].get(k, ())) for m, c in left)
+                    if lhs != _row_combination((c, row_i.get(m, ())) for m, c in right):
                         ei, ej, ek = (TensorElement.basis(algebra, (t,)) for t in (i, j, k))
                         yield [i, j, k], ei * ej * ek, ei * (ej * ek)
                         return
@@ -437,19 +440,20 @@ def validate_structure(H: QhsaStructure) -> CheckReport:
 
 def _hom_cases(H, f, js):
     """f(e_i e_j) against f(e_i) f(e_j) for j in js, labelled by the flat
-    index i*d + j.  f(e_i e_j) is read off the table row [i][j] (an arity-1
+    index i*d + j.  f(e_i e_j) is read off the sparse table (an arity-1
     product has no Koszul sign) as the sum of c f(e_k) over its terms."""
     alg = H.algebra
     d, rows = alg.dimension, alg.product_rows
     for i in range(d):
         for j in js:
-            lhs = linear_combination(alg, f.out_arity, ((f.images[k], c) for k, c in rows[i][j]))
+            row = rows[i].get(j, ())
+            lhs = linear_combination(alg, f.out_arity, ((f.images[k], c) for k, c in row))
             yield i * d + j, lhs, f.images[i] * f.images[j]
 
 
 def _antihom_cases(H, js):
     """S(e_i e_j) against (-1)^{[i][j]} S(e_j) S(e_i) for j in js, labelled
-    [i, j]; S(e_i e_j) is read off the table row [i][j] as in
+    [i, j]; S(e_i e_j) is read off the sparse table as in
     ``_hom_cases``."""
     alg = H.algebra
     par, rows = alg.parity, alg.product_rows
@@ -457,7 +461,7 @@ def _antihom_cases(H, js):
     for i in range(alg.dimension):
         for j in js:
             rhs = s[j] * s[i]
-            lhs = linear_combination(alg, 1, ((s[k], c) for k, c in rows[i][j]))
+            lhs = linear_combination(alg, 1, ((s[k], c) for k, c in rows[i].get(j, ())))
             yield [i, j], lhs, -rhs if par[i] and par[j] else rhs
 
 

@@ -242,14 +242,8 @@ def tensor_product_structure(A: QhsaStructure, B: QhsaStructure) -> QhsaStructur
     if not a_trivial and not b_trivial:
         raise AlgebraError("tensor product needs at least one trivial coassociator")
     main, other, main_is_a = (A, B, True) if not a_trivial or b_trivial else (B, A, False)
-    if not (
-        other.phi == other.unit(3)
-        and other.alpha == other.unit(1)
-        and other.beta == other.unit(1)
-    ):
-        raise AlgebraError(
-            "the trivial-coassociator factor must have alpha = beta = 1"
-        )
+    if not (other.alpha == other.unit(1) and other.beta == other.unit(1)):
+        raise AlgebraError("the trivial-coassociator factor must have alpha = beta = 1")
 
     alg_a, alg_b = A.algebra, B.algebra
     db = alg_b.dimension

@@ -214,11 +214,66 @@ def test_kernel_path_follows_the_table(name):
     assert (alg.monomial_signs is not None) == (name in SIGNED_ALGEBRAS)
 
 
+def assert_tables_match_the_dense_oracle(alg):
+    """Every table the kernel reads equals the one read off the d x d grid
+    of products ``conftest.product``, in increasing j: the rows hold only
+    the nonzero e_i e_j, and over a monomial table the targets and signs
+    have the same keys."""
+    d = range(alg.dimension)
+    grid = [[product(alg, i, j) for j in d] for i in d]
+    nonzero = [[(j, p) for j, p in enumerate(row) if p] for row in grid]
+    assert [list(r.items()) for r in alg.product_rows] == [
+        [(j, tuple(p.items())) for j, p in row] for row in nonzero
+    ]
+    assert alg.partners == tuple(tuple(j for j, _ in row) for row in nonzero)
+    assert alg.partner_counts == tuple(map(len, nonzero))
+    assert alg.has_zero_products == any(not p for row in grid for p in row)
+    one = alg.field.one()
+    products = [p for row in nonzero for _, p in row]
+    if not all(len(p) == 1 and set(p.values()) <= {one, -one} for p in products):
+        assert alg.monomial_targets is None and alg.monomial_signs is None
+        return
+    targets = [[(j, k) for j, p in row for k in p] for row in nonzero]
+    signs = [[(j, int(c == -one)) for j, p in row for c in p.values()] for row in nonzero]
+    assert [list(r.items()) for r in alg.monomial_targets] == targets
+    if any(-one in p.values() for p in products):
+        assert [list(r.items()) for r in alg.monomial_signs] == signs
+    else:
+        assert alg.monomial_signs is None
+
+
 @pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
 def test_partners_are_the_nonzero_products(name):
-    alg = kernel_algebra(name)
-    d = range(alg.dimension)
-    assert alg.partners == tuple(tuple(j for j in d if product(alg, i, j)) for i in d)
+    # every sparse table of a kernel algebra against the dense oracle
+    assert_tables_match_the_dense_oracle(kernel_algebra(name))
+
+
+@st.composite
+def random_tables(draw):
+    """A table of dimension at most 12 with random nonzero pairs, entered in
+    a random order, each product one basis element with coefficient 1 or -1
+    when ``monomial`` is drawn, else up to three terms with any small
+    coefficient; a zero coefficient, which the algebra drops, may appear."""
+    d = draw(st.integers(1, 12))
+    index = st.integers(0, d - 1)
+    monomial = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(index, index), unique=True, max_size=d * d))
+    coefficient = st.sampled_from([1, -1] if monomial else [1, -1, 2, -3, Fraction(1, 2), 0])
+    size = st.integers(1, 1 if monomial else 3)
+    mult = {
+        pair: {k: draw(coefficient) for k in draw(st.lists(index, min_size=1, max_size=draw(size)))}
+        for pair in pairs
+    }
+    field = FieldSpec.rational()
+    parity = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    unit = [field.one()] + [field.zero()] * (d - 1)
+    return GradedAlgebra(d, parity, unit, mult, field)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alg=random_tables())
+def test_random_tables_match_the_dense_oracle(alg):
+    assert_tables_match_the_dense_oracle(alg)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,9 @@ import qhsa.algebra
 import qhsa.drinfeld
 import qhsa.structure
 import qhsa.transforms
+from qhsa.algebra import GradedAlgebra
 from qhsa.cli import main
-from qhsa.scalars import MAX_CYCLOTOMIC_ORDER, euler_phi
+from qhsa.scalars import MAX_CYCLOTOMIC_ORDER, FieldSpec, euler_phi
 from qhsa.structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, SUITES
 
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
@@ -492,14 +494,12 @@ def test_a_generic_coassociator_over_a_large_field_is_checked_in_time(tmp_path):
     assert entries["structure.phi-invertible"] == "pass"
 
 
-def test_a_large_sparse_table_is_checked_in_time(tmp_path):
-    # dimension 1000 with the one product e0 e0 = e0 and every other datum on
-    # e0 alone: the unit fails, so algebra.assoc enumerates all d^3 triples,
-    # which took about a minute when each zero triple was skipped one by one
-    d = 1000
+def one_product_document(tmp_path, d):
+    """A structure document of dimension d with the one product e0 e0 = e0
+    and every other datum on e0 alone, so its unit fails."""
     zeros = ["0"] * (d - 1)
     doc = {
-        "name": "sparse-1000",
+        "name": f"sparse-{d}",
         "field": {"kind": "rational"},
         "dimension": d,
         "parity": [0] * d,
@@ -512,8 +512,16 @@ def test_a_large_sparse_table_is_checked_in_time(tmp_path):
         "alpha": ["1", *zeros],
         "beta": ["1", *zeros],
     }
-    path = tmp_path / "sparse-1000.qhsa"
+    path = tmp_path / f"sparse-{d}.qhsa"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_a_large_sparse_table_is_checked_in_time(tmp_path):
+    # dimension 1000: the unit fails, so algebra.assoc enumerates all d^3
+    # triples, which took about a minute when each zero triple was skipped
+    # one by one
+    path = one_product_document(tmp_path, 1000)
     start = time.perf_counter()
     code, report = run_json(tmp_path, "check", str(path))
     assert time.perf_counter() - start < 10
@@ -522,6 +530,44 @@ def test_a_large_sparse_table_is_checked_in_time(tmp_path):
     assert failed == ["algebra.unit"]
     statuses = {e["suite"]: e["status"] for e in report["entries"] if e["suite"] != "algebra"}
     assert statuses == dict.fromkeys(DEFAULT_SUITE_NAMES[1:], "skipped")
+
+
+def test_a_hostile_sparse_table_costs_its_nonzero_products(tmp_path, monkeypatch):
+    # dimension 4000: the dense d x d product tables took 46 s and 367 MB to
+    # build under tracemalloc, and algebra.assoc visited every (i, j) pair.
+    # The algebra is built and checked in work linear in d and its one
+    # nonzero product: row lookups and row combinations are counted.
+    start = time.perf_counter()
+    d = 4000
+    field = FieldSpec.rational()
+    tracemalloc.start()
+    alg = GradedAlgebra(d, (0,) * d, (1,) + (0,) * (d - 1), {(0, 0): {0: 1}}, field)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+    lookups, combinations = [], []
+    row_combination = qhsa.structure._row_combination
+
+    class CountedRow(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return dict.get(self, key, default)
+
+    def counted(pairs):
+        combinations.append(1)
+        return row_combination(pairs)
+
+    monkeypatch.setattr(qhsa.structure, "_row_combination", counted)
+    alg.product_rows = tuple(map(CountedRow, alg.product_rows))
+    assert qhsa.structure.validate_algebra(alg).failed_ids() == ["algebra.unit"]
+    assert len(lookups) < 10 * d and len(combinations) < 10 * d
+
+    code, report = run_json(tmp_path, "check", str(one_product_document(tmp_path, d)))
+    assert code == 1
+    failed = [e["check_id"] for e in report["entries"] if e["status"] == "fail"]
+    assert failed[0] == "algebra.unit"
+    assert time.perf_counter() - start < 2
 
 
 # -- drinfeld ----------------------------------------------------------------------

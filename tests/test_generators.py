@@ -24,7 +24,7 @@ from qhsa.fixtures import build_structure
 from qhsa.structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, run_suites, validate_algebra
 from qhsa.transforms import Twistor, tensor_product_structure, twist_structure
 
-from conftest import elem, ks3_structure, kz2_structure
+from conftest import elem, ks3_structure, kz2_structure, product
 
 
 def _ext_ext_graded():
@@ -80,12 +80,12 @@ def _right_span(algebra, generators) -> list:
     """Independent dense vectors spanning the unit and its products on the
     right by the e_g, g in ``generators``: an oracle independent of the
     library's sparse echelon."""
-    d, field, rows = algebra.dimension, algebra.field, algebra.product_rows
+    d, field = algebra.dimension, algebra.field
 
     def times(v, g):
         out = [field.zero()] * d
         for k, c in enumerate(v):
-            for m, cm in rows[k][g]:
+            for m, cm in product(algebra, k, g).items():
                 out[m] = out[m] + c * cm
         return out
 
@@ -295,8 +295,10 @@ def test_reduced_checks_evaluate_generator_many_cases(monkeypatch):
 
     # two row combinations per unit case and per triple that is not zero on
     # both sides; the zero triples are skipped unbuilt
-    rows = H.algebra.product_rows
-    nonzero = sum(1 for i in range(d) for j in G for k in range(d) if rows[i][j] or rows[j][k])
+    alg = H.algebra
+    nonzero = sum(
+        1 for i in range(d) for j in G for k in range(d) if product(alg, i, j) or product(alg, j, k)
+    )
     assert len(combinations) == 2 * d + 2 * nonzero
     assert nonzero <= d * d * g < d**3
     per_generator = {

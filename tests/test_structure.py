@@ -1074,6 +1074,16 @@ ALGEBRA_REPORT_CASES = {
             ("algebra.assoc", "fail", {"difference": [[[0], "1"]], "basis": [0, 1, 0]}),
         ],
     ),
+    # e_i e_j = 0 and e_j e_k != 0 at the first failing triple, so a loop
+    # that skipped every j with e_i e_j = 0 would miss it (the unit fails)
+    "h2-zero-left-factor": (
+        lambda fx: _with_product(fx("h2"), (1, 0), {0: 1}),
+        [
+            ("algebra.grading", "pass", None),
+            ("algebra.unit", "fail", {"difference": [[[0], "1"]], "basis": 0}),
+            ("algebra.assoc", "fail", {"difference": [[[0], "-1"]], "basis": [0, 1, 0]}),
+        ],
+    ),
     "ks3-right-unit": (
         lambda fx: _with_product(fx("ks3"), (3, 0), {3: 2}),  # g 1 = 2 g
         [

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+from qhsa.structure import DEFAULT_SUITE_NAMES
+
 ROOT = Path(__file__).parent.parent
 
 _spec = importlib.util.spec_from_file_location("sweep", ROOT / "tools" / "sweep.py")
@@ -45,3 +47,16 @@ def test_differences_pair_the_lines_that_differ():
     theirs = ["a\texit=0", "b\texit=1", "c\texit=1"]
     assert sweep.differences(mine, theirs) == [("b\texit=0", "b\texit=1")]
     assert sweep.differences(mine, mine) == []
+
+
+def test_each_document_gets_every_suite_and_transform(tmp_path):
+    jobs = sweep.generated_jobs(tmp_path, dimensions=(5,))
+    assert [sweep.job_id(job, tmp_path) for job in jobs] == [
+        sweep.job_id(job, tmp_path).replace("h2", "sparse-5").replace("fixtures", "generated")
+        for job in sweep.fixture_jobs(tmp_path, ["h2"])
+    ]
+    assert {job.argv[3] for job in jobs if "--suites" in job.argv} == set(DEFAULT_SUITE_NAMES)
+    assert {job.argv[2] for job in jobs if job.argv[0] == "transform"} == {"opposite", "prime"}
+    # the one-product document fails its unit
+    [line] = sweep.sweep(jobs[:1], ROOT / "src", tmp_path)
+    assert line.split("\t")[:2] == ["generated: check sparse-5.qhsa --format json", "exit=1"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhsa.algebra import AlgebraError, SingularError
+from qhsa.algebra import AlgebraError, SingularError, TensorElement
 from qhsa.drinfeld import compute_drinfeld_twist, verify_thm5
 from qhsa.fixtures import (
     build_structure,
@@ -348,6 +348,21 @@ def test_ext_tensor_ext_signs_without_the_antipode(ext):
     assert report.entry("structure.delta-hom").status == "pass"
     assert report.entry("structure.epsilon-hom").status == "pass"
     assert check_quasi_bialgebra(T).ok
+
+
+def test_tensor_builds_three_arity_3_units(monkeypatch, h2, ext):
+    # one for each triviality test of Phi and one to lift h2's Phi; the
+    # trivial factor's Phi is not compared with its unit a second time
+    arities = []
+    unit = TensorElement.unit
+
+    def counted(algebra, arity):
+        arities.append(arity)
+        return unit(algebra, arity)
+
+    monkeypatch.setattr(TensorElement, "unit", staticmethod(counted))
+    tensor_product_structure(h2, ext)
+    assert arities.count(3) == 3
 
 
 def test_tensor_with_trivial_is_identity():

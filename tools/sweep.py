@@ -10,8 +10,11 @@ The job list is deterministic:
 
 - every job of the ``bench`` workloads (``bench/workloads.py``, imported
   read-only) at the seeds in ``SEEDS``;
-- ``check``, ``validate``, ``drinfeld`` and ``drinfeld --verify
-  --emit-twist`` on each bundled fixture;
+- ``check``, ``validate``, ``drinfeld``, ``drinfeld --verify
+  --emit-twist``, ``check --suites <suite>`` for each default suite and
+  ``transform opposite|prime`` on each bundled fixture and on generated
+  one-product documents (e0 e0 = e0, every other datum on e0 alone) of the
+  dimensions in ``ONE_PRODUCT_DIMENSIONS``;
 - each of them once with ``--format json`` and once with ``--format text``.
 
 Inputs are generated once, by this checkout's ``qhsa``, into a temporary
@@ -40,9 +43,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+from qhsa.structure import DEFAULT_SUITE_NAMES  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (41, 7)
+ONE_PRODUCT_DIMENSIONS = (50, 200)
+TRANSFORMS = ("opposite", "prime")
 FORMATS = ("json", "text")
 WRITTEN = ("--output", "--emit-twist")  # options that name a file the job writes
 FIXTURE_DIR = ROOT / "src" / "qhsa" / "fixtures"
@@ -62,24 +68,65 @@ def _with_format(argv, fmt):
     return tuple(argv) + ("--format", fmt)
 
 
-def fixture_jobs(work: Path, names=None) -> list:
-    """check, validate, drinfeld and drinfeld --verify --emit-twist on each
-    bundled fixture (all of them when ``names`` is None), in both formats."""
-    group = work / "fixtures"
-    group.mkdir(parents=True, exist_ok=True)
-    names = names or sorted(p.stem for p in FIXTURE_DIR.glob("*.qhsa"))
+def document_jobs(work: Path, group: str, stems) -> list:
+    """check, validate, drinfeld, drinfeld --verify --emit-twist, check
+    --suites <suite> for each default suite and transform opposite|prime on
+    each document ``<stem>.qhsa``, run from ``work/group``, in both formats."""
+    directory = work / group
+    directory.mkdir(parents=True, exist_ok=True)
     jobs = []
-    for name in names:
-        path = f"{name}.qhsa"
-        emit = str(group / f"{name}-drinfeld.twist")
-        for argv in (
+    for stem in stems:
+        path = f"{stem}.qhsa"
+        emit = str(directory / f"{stem}-drinfeld.twist")
+        argvs = [
             ("check", path),
             ("validate", path),
             ("drinfeld", path),
             ("drinfeld", path, "--verify", "--emit-twist", emit),
-        ):
-            jobs += [SweepJob("fixtures", _with_format(argv, fmt)) for fmt in FORMATS]
+            *(("check", path, "--suites", suite) for suite in DEFAULT_SUITE_NAMES),
+            *(
+                ("transform", path, kind, "--output", str(directory / f"{stem}-{kind}.qhsa"))
+                for kind in TRANSFORMS
+            ),
+        ]
+        jobs += [SweepJob(group, _with_format(argv, fmt)) for argv in argvs for fmt in FORMATS]
     return jobs
+
+
+def fixture_jobs(work: Path, names=None) -> list:
+    """``document_jobs`` on each bundled fixture (all of them when ``names``
+    is None), found by the CLI by its bare file name."""
+    names = names or sorted(p.stem for p in FIXTURE_DIR.glob("*.qhsa"))
+    return document_jobs(work, "fixtures", names)
+
+
+def one_product_document(d: int) -> dict:
+    """A structure document of dimension d with the one product e0 e0 = e0
+    and every other datum on e0 alone, so its unit fails."""
+    zeros = ["0"] * (d - 1)
+    return {
+        "name": f"sparse-{d}",
+        "field": {"kind": "rational"},
+        "dimension": d,
+        "parity": [0] * d,
+        "unit": ["1", *zeros],
+        "mult": [[0, 0, 0, "1"]],
+        "delta": [[0, 0, 0, "1"]],
+        "epsilon": ["1", *zeros],
+        "antipode": [[0, 0, "1"]],
+        "phi": [[0, 0, 0, "1"]],
+        "alpha": ["1", *zeros],
+        "beta": ["1", *zeros],
+    }
+
+
+def generated_jobs(work: Path, dimensions=ONE_PRODUCT_DIMENSIONS) -> list:
+    """``document_jobs`` on a one-product document of each dimension."""
+    directory = work / "generated"
+    directory.mkdir(parents=True, exist_ok=True)
+    for d in dimensions:
+        (directory / f"sparse-{d}.qhsa").write_text(json.dumps(one_product_document(d)))
+    return document_jobs(work, "generated", [f"sparse-{d}" for d in dimensions])
 
 
 def bench_jobs(work: Path, seeds=SEEDS) -> list:
@@ -162,7 +209,7 @@ def main(argv=None) -> int:
         parser.error(f"no qhsa sources under {other}")
     with tempfile.TemporaryDirectory(prefix="qhsa-sweep-") as tmp:
         work = Path(tmp)
-        jobs = bench_jobs(work) + fixture_jobs(work)
+        jobs = bench_jobs(work) + fixture_jobs(work) + generated_jobs(work)
         mine = sweep(jobs, ROOT / "src", work)
         sys.stdout.write("".join(line + "\n" for line in mine))
         if not args.compare:
