@@ -61,6 +61,9 @@ class GradedAlgebra:
     ``partners[i]`` over its legs i.  ``has_zero_products`` is True when
     some e_i e_j is 0, and ``has_odd`` when some basis element is odd;
     without one no product has a Koszul sign and no parity mask is built.
+    ``unit_support`` holds the (k, u_k) with u_k != 0, in increasing k: the
+    one scan of ``unit`` for its support, read by ``embed_legs`` (and so by
+    every power of the unit), ``basis_generators`` and ``validate_algebra``.
 
     Three dicts memoize what tensor_multiply reads per word, each filled on
     the first lookup of a word and dropped with the algebra: ``odd_legs`` and
@@ -93,6 +96,7 @@ class GradedAlgebra:
         self.dimension = dimension
         self.parity = parity
         self.unit = unit
+        self.unit_support = tuple((k, u) for k, u in enumerate(unit) if u != 0)
         self.mult = table
         self.field = field
         self.product_rows = rows = tuple({} for _ in range(dimension))
@@ -183,14 +187,10 @@ class TensorElement:
 
     @staticmethod
     def unit(algebra, arity):
-        support = [(k, c) for k, c in enumerate(algebra.unit) if c != 0]
-        terms = {}
-        for combo in itertools.product(support, repeat=arity):
-            coeff = algebra.field.one()
-            for _, c in combo:
-                coeff = coeff * c
-            terms[tuple(k for k, _ in combo)] = coeff
-        return TensorElement._from_terms(algebra, arity, terms)
+        """1^(tensor arity), |unit_support|^arity terms: the scalar 1 with
+        every leg filled by ``embed_legs``, the one expansion of the unit."""
+        one = TensorElement._from_terms(algebra, 0, {(): algebra.field.one()})
+        return embed_legs(one, (), arity)
 
     @staticmethod
     def basis(algebra, word):
@@ -524,10 +524,9 @@ def embed_legs(x: TensorElement, positions, arity: int) -> TensorElement:
         raise AlgebraError("positions out of range")
     alg = x.algebra
     free = [p for p in range(arity) if p not in positions]
-    support = [(k, c) for k, c in enumerate(alg.unit) if c != 0]
     out = {}
     for w, c in x.terms.items():
-        for combo in itertools.product(support, repeat=len(free)):
+        for combo in itertools.product(alg.unit_support, repeat=len(free)):
             new_word = [0] * arity
             coeff = c
             for p, leg in zip(positions, w):
@@ -755,7 +754,7 @@ def basis_generators(algebra: GradedAlgebra) -> tuple:
                 row = echelon[-1][1]
                 pending += [times(row, g) for g in generators]
 
-    close([{k: u for k, u in enumerate(algebra.unit) if u}])
+    close([dict(algebra.unit_support)])
     for i in range(d):
         if len(echelon) == d:
             break

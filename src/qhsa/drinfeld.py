@@ -215,13 +215,8 @@ def verify_thm5(
         permute_legs(D.gamma, (1, 0)) * H.r_matrix,
     )
     sub = check_quasi_triangular(primed)
-    if sub.ok:
-        report.add_pass("prop8.quasi-triangular")
-    else:
-        report.add_fail(
-            "prop8.quasi-triangular",
-            {"failed": sub.failed_ids()},
-        )
+    witness = None if sub.ok else {"failed": sub.failed_ids()}
+    _witness_entry(report, "prop8.quasi-triangular", witness)
     return report
 
 

@@ -206,6 +206,32 @@ def kernel_algebra(name):
     return _structure(name).algebra
 
 
+def unit_oracle(alg, n) -> dict:
+    """1^(tensor n) word by word: every word over the basis elements with a
+    nonzero unit coefficient, with the product of its legs' coefficients."""
+    support = [k for k, u in enumerate(alg.unit) if u != 0]
+    terms = {}
+    for word in itertools.product(support, repeat=n):
+        c = alg.field.one()
+        for k in word:
+            c = c * alg.unit[k]
+        terms[word] = c
+    return terms
+
+
+# a unit with three coefficients other than 1, and a zero one
+SCALED_UNIT = _rational_algebra((0, 0, 0, 0), (2, Fraction(-1, 3), 0, 5), {})
+
+
+@pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS + ("scaled-unit",))
+def test_unit_powers_match_the_itertools_oracle(name):
+    alg = SCALED_UNIT if name == "scaled-unit" else kernel_algebra(name)
+    for n in range(5):
+        unit = TensorElement.unit(alg, n)
+        assert unit.arity == n and unit.terms == unit_oracle(alg, n)
+        assert len(unit.terms) == len(alg.unit_support) ** n
+
+
 @pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
 def test_kernel_path_follows_the_table(name):
     alg = kernel_algebra(name)

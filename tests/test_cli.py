@@ -517,6 +517,48 @@ def one_product_document(tmp_path, d):
     return path
 
 
+def diagonal_document(tmp_path, d):
+    """A structure document of dimension d with unit e_0 + ... + e_(d-1),
+    e_i e_i = e_i, Delta(e_i) = e_i (x) e_i, S = 1 and the one-term Phi
+    e0 (x) e0 (x) e0: its arity-3 unit has d^3 terms."""
+    ones = ["1"] * d
+    doc = {
+        "name": f"diagonal-{d}",
+        "field": {"kind": "rational"},
+        "dimension": d,
+        "parity": [0] * d,
+        "unit": ones,
+        "mult": [[i, i, i, "1"] for i in range(d)],
+        "delta": [[i, i, i, "1"] for i in range(d)],
+        "epsilon": ones,
+        "antipode": [[i, i, "1"] for i in range(d)],
+        "phi": [[0, 0, 0, "1"]],
+        "alpha": ones,
+        "beta": ones,
+    }
+    path = tmp_path / f"diagonal-{d}.qhsa"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_a_hostile_tensor_factor_is_refused_without_building_its_unit(tmp_path, capsys):
+    # Phi is trivial only with d^3 terms, so a one-term Phi is refused with
+    # no unit built; comparing it with the arity-3 unit took 2 s and a
+    # 160-200 MB peak at d = 100, and ran out of memory at d = 400
+    path = diagonal_document(tmp_path, 400)
+    argv = ["transform", fx("h2.qhsa"), "tensor", "--other", str(path)]
+    start = time.perf_counter()
+    tracemalloc.start()
+    code = main([*argv, "--output", str(tmp_path / "product.qhsa")])
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 8 * 2**20
+    assert code == 2
+    error = "error: tensor product needs at least one trivial coassociator\n"
+    assert capsys.readouterr().err == error
+
+
 def test_a_large_sparse_table_is_checked_in_time(tmp_path):
     # dimension 1000: the unit fails, so algebra.assoc enumerates all d^3
     # triples, which took about a minute when each zero triple was skipped

@@ -60,3 +60,26 @@ def test_each_document_gets_every_suite_and_transform(tmp_path):
     # the one-product document fails its unit
     [line] = sweep.sweep(jobs[:1], ROOT / "src", tmp_path)
     assert line.split("\t")[:2] == ["generated: check sparse-5.qhsa --format json", "exit=1"]
+
+
+def test_tensor_jobs_pair_the_fixtures_and_the_diagonal_document(tmp_path):
+    jobs = sweep.tensor_jobs(tmp_path, ["h2", "ext"], dimension=5)
+    pairs = [(job.argv[1], job.argv[4]) for job in jobs[::2]]
+    h2, ext, diagonal = "h2.qhsa", "ext.qhsa", "diagonal-5.qhsa"
+    assert pairs == [
+        (h2, h2),
+        (h2, ext),
+        (ext, h2),
+        (ext, ext),
+        (diagonal, h2),
+        (h2, diagonal),
+        (diagonal, ext),
+        (ext, diagonal),
+    ]
+    assert [job.argv[-1] for job in jobs] == ["json", "text"] * len(pairs)
+    assert len(sweep.tensor_jobs(tmp_path)) == 2 * (len(sweep.fixture_names()) ** 2 + 4)
+    # both coassociators are nontrivial, so the product is refused
+    [line] = sweep.sweep(jobs[10:11], ROOT / "src", tmp_path)
+    error = b"error: tensor product needs at least one trivial coassociator\n"
+    assert line.split("\t")[1:4:2] == ["exit=2", "stderr=" + sweep._hash(error)]
+    assert line.split("\t")[4] == "h2-diagonal-5.qhsa=-"

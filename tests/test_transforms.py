@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhsa.algebra import AlgebraError, SingularError, TensorElement
+from qhsa.algebra import AlgebraError, SingularError, TensorElement, interleave
 from qhsa.drinfeld import compute_drinfeld_twist, verify_thm5
 from qhsa.fixtures import (
     build_structure,
@@ -350,9 +350,10 @@ def test_ext_tensor_ext_signs_without_the_antipode(ext):
     assert check_quasi_bialgebra(T).ok
 
 
-def test_tensor_builds_three_arity_3_units(monkeypatch, h2, ext):
-    # one for each triviality test of Phi and one to lift h2's Phi; the
-    # trivial factor's Phi is not compared with its unit a second time
+def test_tensor_builds_two_arity_3_units(monkeypatch, h2, ext):
+    # one for each factor whose Phi has |support(1)|^3 terms, h2's 8 and
+    # ext's 1, to test it for triviality; the product's Phi interleaves the
+    # two factors' Phi and builds no unit
     arities = []
     unit = TensorElement.unit
 
@@ -362,7 +363,30 @@ def test_tensor_builds_three_arity_3_units(monkeypatch, h2, ext):
 
     monkeypatch.setattr(TensorElement, "unit", staticmethod(counted))
     tensor_product_structure(h2, ext)
-    assert arities.count(3) == 3
+    assert arities.count(3) == 2
+
+
+def _lift(x, hopf, algebra, hopf_first):
+    """The product's element as first built: x interleaved with the Hopf
+    factor's unit of the same arity, on the Hopf factor's side."""
+    unit = hopf.unit(x.arity)
+    return interleave(unit, x, algebra) if hopf_first else interleave(x, unit, algebra)
+
+
+@pytest.mark.parametrize("with_r", [False, True])
+def test_a_hopf_factor_with_a_two_term_unit_lifts_the_other_factor(with_r):
+    # k^{Z2}: h2 with Phi = 1 (x) 1 (x) 1 and alpha = beta = 1; its unit
+    # e0 + e1 has two terms, so its trivial Phi has 8
+    field = FieldSpec.cyclotomic(4) if with_r else None
+    h2 = h2_structure(field, with_r=with_r)
+    kz2 = replace(h2, phi=h2.unit(3), alpha=h2.unit(1), beta=h2.unit(1), r_matrix=None)
+    assert len(kz2.phi.terms) == len(kz2.algebra.unit_support) ** 3 == 8
+    for hopf_first in (True, False):
+        T = tensor_product_structure(*((kz2, h2) if hopf_first else (h2, kz2)))
+        lifted = (_lift(x, kz2, T.algebra, hopf_first) for x in (h2.phi, h2.alpha, h2.beta))
+        assert (T.phi, T.alpha, T.beta) == tuple(lifted)
+        assert T.r_matrix == (_lift(h2.r_matrix, kz2, T.algebra, hopf_first) if with_r else None)
+        assert suites_ok(T)
 
 
 def test_tensor_with_trivial_is_identity():

@@ -15,6 +15,10 @@ The job list is deterministic:
   ``transform opposite|prime`` on each bundled fixture and on generated
   one-product documents (e0 e0 = e0, every other datum on e0 alone) of the
   dimensions in ``ONE_PRODUCT_DIMENSIONS``;
+- ``transform A tensor --other B`` for every ordered pair of bundled
+  fixtures, and for a generated diagonal document (unit e_0 + ... + e_(d-1),
+  e_i e_i = e_i, a one-term Phi) of dimension ``DIAGONAL_DIMENSION`` on
+  each side of h2 and of ext;
 - each of them once with ``--format json`` and once with ``--format text``.
 
 Inputs are generated once, by this checkout's ``qhsa``, into a temporary
@@ -48,6 +52,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (41, 7)
 ONE_PRODUCT_DIMENSIONS = (50, 200)
+DIAGONAL_DIMENSION = 50
 TRANSFORMS = ("opposite", "prime")
 FORMATS = ("json", "text")
 WRITTEN = ("--output", "--emit-twist")  # options that name a file the job writes
@@ -93,11 +98,15 @@ def document_jobs(work: Path, group: str, stems) -> list:
     return jobs
 
 
+def fixture_names() -> list:
+    """The bundled structure fixtures, which the CLI finds by bare file name."""
+    return sorted(p.stem for p in FIXTURE_DIR.glob("*.qhsa"))
+
+
 def fixture_jobs(work: Path, names=None) -> list:
     """``document_jobs`` on each bundled fixture (all of them when ``names``
-    is None), found by the CLI by its bare file name."""
-    names = names or sorted(p.stem for p in FIXTURE_DIR.glob("*.qhsa"))
-    return document_jobs(work, "fixtures", names)
+    is None)."""
+    return document_jobs(work, "fixtures", names or fixture_names())
 
 
 def one_product_document(d: int) -> dict:
@@ -127,6 +136,48 @@ def generated_jobs(work: Path, dimensions=ONE_PRODUCT_DIMENSIONS) -> list:
     for d in dimensions:
         (directory / f"sparse-{d}.qhsa").write_text(json.dumps(one_product_document(d)))
     return document_jobs(work, "generated", [f"sparse-{d}" for d in dimensions])
+
+
+def diagonal_document(d: int) -> dict:
+    """A structure document of dimension d with unit e_0 + ... + e_(d-1),
+    e_i e_i = e_i, Delta(e_i) = e_i (x) e_i, S = 1 and the one-term Phi
+    e0 (x) e0 (x) e0, so its arity-3 unit has d^3 terms and its Phi is not
+    trivial."""
+    ones = ["1"] * d
+    diagonal = [[i, i, i, "1"] for i in range(d)]
+    return {
+        "name": f"diagonal-{d}",
+        "field": {"kind": "rational"},
+        "dimension": d,
+        "parity": [0] * d,
+        "unit": ones,
+        "mult": diagonal,
+        "delta": diagonal,
+        "epsilon": ones,
+        "antipode": [[i, i, "1"] for i in range(d)],
+        "phi": [[0, 0, 0, "1"]],
+        "alpha": ones,
+        "beta": ones,
+    }
+
+
+def tensor_jobs(work: Path, names=None, dimension=DIAGONAL_DIMENSION) -> list:
+    """``transform A tensor --other B`` for every ordered pair (A, B) of the
+    bundled fixtures ``names`` (all of them when None), then for a diagonal
+    document of ``dimension`` before and after h2 and ext, in both formats."""
+    directory = work / "tensor"
+    directory.mkdir(parents=True, exist_ok=True)
+    diagonal = f"diagonal-{dimension}"
+    (directory / f"{diagonal}.qhsa").write_text(json.dumps(diagonal_document(dimension)))
+    names = names or fixture_names()
+    pairs = [(a, b) for a in names for b in names]
+    pairs += [pair for name in ("h2", "ext") for pair in ((diagonal, name), (name, diagonal))]
+    jobs = []
+    for a, b in pairs:
+        output = str(directory / f"{a}-{b}.qhsa")
+        argv = ("transform", f"{a}.qhsa", "tensor", "--other", f"{b}.qhsa", "--output", output)
+        jobs += [SweepJob("tensor", _with_format(argv, fmt)) for fmt in FORMATS]
+    return jobs
 
 
 def bench_jobs(work: Path, seeds=SEEDS) -> list:
@@ -209,7 +260,7 @@ def main(argv=None) -> int:
         parser.error(f"no qhsa sources under {other}")
     with tempfile.TemporaryDirectory(prefix="qhsa-sweep-") as tmp:
         work = Path(tmp)
-        jobs = bench_jobs(work) + fixture_jobs(work) + generated_jobs(work)
+        jobs = bench_jobs(work) + fixture_jobs(work) + generated_jobs(work) + tensor_jobs(work)
         mine = sweep(jobs, ROOT / "src", work)
         sys.stdout.write("".join(line + "\n" for line in mine))
         if not args.compare:
