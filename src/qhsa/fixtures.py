@@ -1,5 +1,8 @@
 """Programmatic builders for the bundled fixtures and twistors.
 
+A builder writes its structure's document rows, the ``(i, j, k, scalar)``
+tuples of a ``qhsa.documents.StructureDocument``, and builds the structure
+with ``document_to_structure``, the same path that reads a ``.qhsa`` file.
 The data files under ``qhsa/fixtures/`` are generated from these builders and
 kept byte-identical to them (there is a test for that).  Positive fixtures,
 in increasing order of spice:
@@ -20,75 +23,53 @@ Negatives are labeled with the single check they are built to violate.
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
+from itertools import product
 
-from .algebra import GradedAlgebra, StructureMap, TensorElement
-from .scalars import FieldSpec
+from .algebra import GradedAlgebra, TensorElement
+from .documents import StructureDocument, document_to_structure
+from .scalars import Cyclotomic, FieldSpec
 from .structure import QhsaStructure
 from .transforms import Twistor, tensor_product_structure
 
 
-def _map_from_rows(algebra, out_arity, rows):
-    """rows: {basis index: {word: coefficient}} with plain ints/Fractions."""
-    field = algebra.field
-    images = []
-    for i in range(algebra.dimension):
-        terms = {
-            tuple(word): field.from_fraction(Fraction(c))
-            for word, c in rows.get(i, {}).items()
-        }
-        images.append(TensorElement(algebra, out_arity, terms))
-    return StructureMap(algebra, out_arity, images)
-
-
-def _element(algebra, arity, terms):
-    field = algebra.field
-    return TensorElement(
-        algebra,
-        arity,
-        {tuple(w): field.from_fraction(Fraction(c)) for w, c in terms.items()},
-    )
-
-
 def trivial_structure(field=None) -> QhsaStructure:
-    field = field or FieldSpec.rational()
-    one = field.one()
-    alg = GradedAlgebra(1, (0,), (one,), {(0, 0): {0: one}}, field)
-    return QhsaStructure(
-        alg,
-        _map_from_rows(alg, 2, {0: {(0, 0): 1}}),
-        _map_from_rows(alg, 0, {0: {(): 1}}),
-        _map_from_rows(alg, 1, {0: {(0,): 1}}),
-        _element(alg, 3, {(0, 0, 0): 1}),
-        _element(alg, 1, {(0,): 1}),
-        _element(alg, 1, {(0,): 1}),
+    return document_to_structure(
+        StructureDocument(
+            name="trivial",
+            field=field or FieldSpec.rational(),
+            dimension=1,
+            parity=(0,),
+            unit=(1,),
+            mult=((0, 0, 0, 1),),
+            delta=((0, 0, 0, 1),),
+            epsilon=(1,),
+            antipode=((0, 0, 1),),
+            phi=((0, 0, 0, 1),),
+            alpha=(1,),
+            beta=(1,),
+        )
     )
 
 
 def ext_structure(field=None) -> QhsaStructure:
     """Exterior algebra on one odd theta: basis (1, theta), theta^2 = 0, with
     the R-matrix 1 (x) 1 + theta (x) theta."""
-    field = field or FieldSpec.rational()
-    one = field.one()
-    alg = GradedAlgebra(
-        2,
-        (0, 1),
-        (one, field.zero()),
-        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}},
-        field,
-    )
-    delta = _map_from_rows(alg, 2, {0: {(0, 0): 1}, 1: {(1, 0): 1, (0, 1): 1}})
-    epsilon = _map_from_rows(alg, 0, {0: {(): 1}, 1: {}})
-    antipode = _map_from_rows(alg, 1, {0: {(0,): 1}, 1: {(1,): -1}})
-    return QhsaStructure(
-        alg,
-        delta,
-        epsilon,
-        antipode,
-        _element(alg, 3, {(0, 0, 0): 1}),
-        _element(alg, 1, {(0,): 1}),
-        _element(alg, 1, {(0,): 1}),
-        _element(alg, 2, {(0, 0): 1, (1, 1): 1}),
+    return document_to_structure(
+        StructureDocument(
+            name="ext",
+            field=field or FieldSpec.rational(),
+            dimension=2,
+            parity=(0, 1),
+            unit=(1, 0),
+            mult=((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)),
+            delta=((0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 0, 1)),
+            epsilon=(1, 0),
+            antipode=((0, 0, 1), (1, 1, -1)),
+            phi=((0, 0, 0, 1),),
+            alpha=(1, 0),
+            beta=(1, 0),
+            r=((0, 0, 1), (1, 1, 1)),
+        )
     )
 
 
@@ -97,39 +78,29 @@ def h2_structure(field=None, with_r=False) -> QhsaStructure:
     coassociator.  The R-matrix needs zeta_4, so it only exists over a
     cyclotomic field of order divisible by 4."""
     field = field or FieldSpec.rational()
-    one = field.one()
-    alg = GradedAlgebra(
-        2,
-        (0, 0),
-        (one, one),
-        {(0, 0): {0: one}, (1, 1): {1: one}},
-        field,
-    )
-    delta = _map_from_rows(alg, 2, {0: {(0, 0): 1, (1, 1): 1}, 1: {(0, 1): 1, (1, 0): 1}})
-    epsilon = _map_from_rows(alg, 0, {0: {(): 1}, 1: {}})
-    antipode = _map_from_rows(alg, 1, {0: {(0,): 1}, 1: {(1,): 1}})
-    phi_terms = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                phi_terms[(a, b, c)] = -1 if a and b and c else 1
-    phi = _element(alg, 3, phi_terms)
-    alpha = _element(alg, 1, {(0,): 1, (1,): -1})
-    beta = _element(alg, 1, {(0,): 1, (1,): 1})
     r = None
     if with_r:
         if field.kind != "cyclotomic" or field.order % 4 != 0:
             raise ValueError("the h2 R-matrix needs zeta_4 in the field")
-        zeta_power = field.order // 4
-        from .scalars import Cyclotomic
-
-        z4 = Cyclotomic(field.order, [0] * zeta_power + [1])
-        r = TensorElement(
-            alg,
-            2,
-            {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): z4},
+        z4 = Cyclotomic(field.order, [0] * (field.order // 4) + [1])
+        r = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, z4))
+    return document_to_structure(
+        StructureDocument(
+            name="h2r" if with_r else "h2",
+            field=field,
+            dimension=2,
+            parity=(0, 0),
+            unit=(1, 1),
+            mult=((0, 0, 0, 1), (1, 1, 1, 1)),
+            delta=((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)),
+            epsilon=(1, 0),
+            antipode=((0, 0, 1), (1, 1, 1)),
+            phi=tuple(w + (-1 if w == (1, 1, 1) else 1,) for w in product((0, 1), repeat=3)),
+            alpha=(1, -1),
+            beta=(1, 1),
+            r=r,
         )
-    return QhsaStructure(alg, delta, epsilon, antipode, phi, alpha, beta, r)
+    )
 
 
 def h2r_structure() -> QhsaStructure:
@@ -146,19 +117,14 @@ def h2_broken_pentagon() -> QhsaStructure:
     """h2 with the coassociator support moved off the diagonal: the pentagon
     breaks, and with it everything the sign of phi(1,1,1) feeds."""
     H = h2_structure()
-    phi_terms = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                phi_terms[(a, b, c)] = 1
-    phi_terms[(1, 1, 0)] = -1
-    return replace(H, phi=_element(H.algebra, 3, phi_terms))
+    phi = {w: -1 if w == (1, 1, 0) else 1 for w in product((0, 1), repeat=3)}
+    return replace(H, phi=TensorElement(H.algebra, 3, phi))
 
 
 def h2_broken_antipode() -> QhsaStructure:
     """h2 with alpha flattened to 1; the canonical-element axioms fail."""
     H = h2_structure()
-    return replace(H, alpha=_element(H.algebra, 1, {(0,): 1, (1,): 1}))
+    return replace(H, alpha=TensorElement(H.algebra, 1, {(0,): 1, (1,): 1}))
 
 
 def ext_broken_grading() -> GradedAlgebra:
@@ -180,13 +146,13 @@ def ext_broken_grading() -> GradedAlgebra:
 def twistor_e11(field=None) -> Twistor:
     """1 (x) 1 + e1 (x) e1 on h2 (or h2r when built over Q(zeta_4))."""
     H = h2_structure(field)
-    return Twistor(H.unit(2) + _element(H.algebra, 2, {(1, 1): 1}))
+    return Twistor(H.unit(2) + TensorElement(H.algebra, 2, {(1, 1): 1}))
 
 
 def twistor_theta() -> Twistor:
     """1 (x) 1 + theta (x) theta on ext; coincides with the R-matrix."""
     H = ext_structure()
-    return Twistor(H.unit(2) + _element(H.algebra, 2, {(1, 1): 1}))
+    return Twistor(H.unit(2) + TensorElement(H.algebra, 2, {(1, 1): 1}))
 
 
 def twistor_u11() -> Twistor:
@@ -197,7 +163,7 @@ def twistor_u11() -> Twistor:
     the idempotent basis, and diagonal twistors are automatically cocycles).
     """
     H = h2ext_structure()
-    return Twistor(H.unit(2) + _element(H.algebra, 2, {(3, 3): 1}))
+    return Twistor(H.unit(2) + TensorElement(H.algebra, 2, {(3, 3): 1}))
 
 
 def twistor_one(H: QhsaStructure) -> Twistor:

@@ -1,5 +1,7 @@
 import json
+import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,31 @@ def test_bundled_twistors_match_builders(tname):
     H = build_structure(target)
     on_disk = (FIXTURE_DIR / f"{tname}.twist").read_text(encoding="utf-8")
     assert on_disk == serialize_twistor_document(twistor_to_document(tname, H, F))
+
+
+def _bundled_over(name, field):
+    """The bundled ``<name>.qhsa`` loaded with its field replaced by ``field``
+    (a cyclotomic document accepts the bare rationals as they are)."""
+    data = json.loads((FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8"))
+    data["field"] = field.to_json()
+    return load_structure(json.dumps(data))[1]
+
+
+@pytest.mark.parametrize("order", [8, 20])
+def test_builders_over_a_cyclotomic_field_match_the_bundled_rows(order):
+    field = FieldSpec.cyclotomic(order)
+    h2 = _bundled_over("h2", field)
+    assert structures_equal(h2_structure(field), h2)
+    assert structures_equal(ext_structure(field), _bundled_over("ext", field))
+    zeta4 = math.prod([Cyclotomic(order, [0, 1])] * (order // 4))  # zeta_n^(n/4)
+    r = TensorElement(h2.algebra, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): zeta4})
+    assert structures_equal(h2_structure(field, with_r=True), replace(h2, r_matrix=r))
+
+
+@pytest.mark.parametrize("field", [FieldSpec.rational(), FieldSpec.cyclotomic(6)])
+def test_the_h2_r_matrix_needs_zeta4(field):
+    with pytest.raises(ValueError, match="zeta_4"):
+        h2_structure(field, with_r=True)
 
 
 # the bundled structures, their opposite and primed structures, the bundled

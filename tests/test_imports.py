@@ -1,4 +1,5 @@
-"""Every name a module of ``src/qhsa/`` imports is used in that module.
+"""Every name a module of ``src/qhsa/`` imports is used in that module, and
+the CLI does not import the fixture builders.
 
 No linter runs on the package, so this stdlib ``ast`` pass guards against
 imports left behind when code moves.  ``__init__.py`` is exempt: its imports
@@ -6,6 +7,9 @@ are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "qhsa"
@@ -34,3 +38,12 @@ def test_every_imported_name_is_used():
 def test_an_unused_import_is_found():
     source = "from .algebra import outer, permute_legs\nimport json, os.path\nos.path\n"
     assert unused_imports(source + "permute_legs(x)\n") == ["json", "outer"]
+
+
+def test_the_cli_does_not_load_the_fixture_builders():
+    """The CLI reads the bundled fixtures as documents, so no CLI job runs
+    the builders of ``qhsa.fixtures``."""
+    probe = "import sys, qhsa.cli; print('qhsa.fixtures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "False\n")

@@ -83,3 +83,60 @@ def test_tensor_jobs_pair_the_fixtures_and_the_diagonal_document(tmp_path):
     error = b"error: tensor product needs at least one trivial coassociator\n"
     assert line.split("\t")[1:4:2] == ["exit=2", "stderr=" + sweep._hash(error)]
     assert line.split("\t")[4] == "h2-diagonal-5.qhsa=-"
+
+
+def test_twist_jobs_pair_each_fixture_with_the_twistors_of_its_field_and_dimension(tmp_path):
+    assert sweep.twist_pairs() == [
+        ("ext", "f-e11"),
+        ("ext", "f-theta"),
+        ("h2", "f-e11"),
+        ("h2", "f-theta"),
+        ("h2-broken-antipode", "f-e11"),
+        ("h2-broken-antipode", "f-theta"),
+        ("h2-broken-pentagon", "f-e11"),
+        ("h2-broken-pentagon", "f-theta"),
+        ("h2ext", "f-u11"),
+        ("h2r", "f-e11-zeta4"),
+        ("trivial", "f-one"),
+    ]
+    jobs = sweep.twist_jobs(tmp_path, ["h2"])
+    assert [job.argv[:5] for job in jobs[::2]] == [
+        ("transform", "h2.qhsa", "twist", "--twistor", f"{t}.twist") for t in ("f-e11", "f-theta")
+    ]
+    assert [job.argv[-1] for job in jobs] == ["json", "text"] * 2
+    [line] = sweep.sweep(jobs[:1], ROOT / "src", tmp_path)
+    assert line.split("\t")[1] == "exit=0" and not line.endswith("=-")
+
+
+def _paths_that_differ(a, b, path=()):
+    """The JSON paths at which a and b differ; a list of another length
+    differs at its own path."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [p for k in a for p in _paths_that_differ(a[k], b[k], path + (k,))]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in _paths_that_differ(x, y, path + (i,))]
+    return [] if a == b else [path]
+
+
+def test_each_corruption_changes_its_fixture_at_one_json_path(tmp_path):
+    count = 0
+    for name in sweep.fixture_names():
+        original = json.loads((sweep.FIXTURE_DIR / f"{name}.qhsa").read_text())
+        for suffix, corrupted in sweep.corruptions(original).items():
+            [changed] = _paths_that_differ(original, corrupted)
+            assert changed[0] == suffix.split("-")[0]
+            count += 1
+    jobs = sweep.corruption_jobs(tmp_path)
+    assert count == len(list((tmp_path / "corrupted").glob("*.qhsa"))) == 125
+    assert len(jobs) == 3 * 125
+    h2 = json.loads((sweep.FIXTURE_DIR / "h2.qhsa").read_text())
+    corrupted = sweep.corruptions(h2)
+    assert corrupted["phi-negated"]["phi"][0] == [0, 0, 0, "-1"]
+    assert corrupted["phi-doubled"]["phi"][0] == [0, 0, 0, "2"]
+    assert corrupted["phi-dropped"]["phi"] == h2["phi"][1:]
+    assert corrupted["alpha-raised"]["alpha"] == ["2", "-1"]
+    assert corrupted["parity-flipped"]["parity"] == [1, 0]
+    r = sweep.corruptions(json.loads((sweep.FIXTURE_DIR / "h2r.qhsa").read_text()))
+    assert r["r-negated"]["r"][0] == [0, 0, "[-1, 0]"]
+    assert [job.argv[0] for job in jobs[:3]] == ["check", "drinfeld", "transform"]
+    assert {job.argv[-1] for job in jobs} == {"json"}

@@ -19,7 +19,12 @@ The job list is deterministic:
   fixtures, and for a generated diagonal document (unit e_0 + ... + e_(d-1),
   e_i e_i = e_i, a one-term Phi) of dimension ``DIAGONAL_DIMENSION`` on
   each side of h2 and of ext;
-- each of them once with ``--format json`` and once with ``--format text``.
+- ``transform D twist --twistor T`` for every bundled fixture D and bundled
+  twistor T that declare the same field and dimension;
+- each of them once with ``--format json`` and once with ``--format text``;
+- ``check``, ``drinfeld --verify --emit-twist`` and ``transform prime``,
+  with ``--format json``, on every one-entry corruption of each bundled
+  fixture (``corruptions``).
 
 Inputs are generated once, by this checkout's ``qhsa``, into a temporary
 directory; with ``--compare`` the other checkout's CLI runs the same jobs on
@@ -47,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+from qhsa.scalars import FieldSpec  # noqa: E402
 from qhsa.structure import DEFAULT_SUITE_NAMES  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -57,6 +63,8 @@ TRANSFORMS = ("opposite", "prime")
 FORMATS = ("json", "text")
 WRITTEN = ("--output", "--emit-twist")  # options that name a file the job writes
 FIXTURE_DIR = ROOT / "src" / "qhsa" / "fixtures"
+ROW_KEYS = ("mult", "delta", "antipode", "phi", "r")  # the sparse rows a corruption edits
+VECTOR_KEYS = ("unit", "epsilon", "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,17 @@ def _with_format(argv, fmt):
     return tuple(argv) + ("--format", fmt)
 
 
+def _emit_argv(directory: Path, stem: str) -> tuple:
+    """``drinfeld --verify`` on ``<stem>.qhsa``, writing its twistor into ``directory``."""
+    emit = str(directory / f"{stem}-drinfeld.twist")
+    return ("drinfeld", f"{stem}.qhsa", "--verify", "--emit-twist", emit)
+
+
+def _transform_argv(directory: Path, stem: str, kind: str) -> tuple:
+    output = str(directory / f"{stem}-{kind}.qhsa")
+    return ("transform", f"{stem}.qhsa", kind, "--output", output)
+
+
 def document_jobs(work: Path, group: str, stems) -> list:
     """check, validate, drinfeld, drinfeld --verify --emit-twist, check
     --suites <suite> for each default suite and transform opposite|prime on
@@ -82,17 +101,13 @@ def document_jobs(work: Path, group: str, stems) -> list:
     jobs = []
     for stem in stems:
         path = f"{stem}.qhsa"
-        emit = str(directory / f"{stem}-drinfeld.twist")
         argvs = [
             ("check", path),
             ("validate", path),
             ("drinfeld", path),
-            ("drinfeld", path, "--verify", "--emit-twist", emit),
+            _emit_argv(directory, stem),
             *(("check", path, "--suites", suite) for suite in DEFAULT_SUITE_NAMES),
-            *(
-                ("transform", path, kind, "--output", str(directory / f"{stem}-{kind}.qhsa"))
-                for kind in TRANSFORMS
-            ),
+            *(_transform_argv(directory, stem, kind) for kind in TRANSFORMS),
         ]
         jobs += [SweepJob(group, _with_format(argv, fmt)) for argv in argvs for fmt in FORMATS]
     return jobs
@@ -180,6 +195,80 @@ def tensor_jobs(work: Path, names=None, dimension=DIAGONAL_DIMENSION) -> list:
     return jobs
 
 
+def _header(path: Path) -> tuple:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    return data["field"], data["dimension"]
+
+
+def twist_pairs(names=None) -> list:
+    """(D, T) for each bundled fixture D in ``names`` (all of them when None)
+    and each bundled twistor T that declares the same field and dimension."""
+    twistors = sorted(p.stem for p in FIXTURE_DIR.glob("*.twist"))
+    return [
+        (d, t)
+        for d in names or fixture_names()
+        for t in twistors
+        if _header(FIXTURE_DIR / f"{d}.qhsa") == _header(FIXTURE_DIR / f"{t}.twist")
+    ]
+
+
+def twist_jobs(work: Path, names=None) -> list:
+    """``transform D twist --twistor T`` for each of ``twist_pairs(names)``,
+    in both formats."""
+    directory = work / "twist"
+    directory.mkdir(parents=True, exist_ok=True)
+    jobs = []
+    for d, t in twist_pairs(names):
+        output = str(directory / f"{d}-{t}.qhsa")
+        argv = ("transform", f"{d}.qhsa", "twist", "--twistor", f"{t}.twist", "--output", output)
+        jobs += [SweepJob("twist", _with_format(argv, fmt)) for fmt in FORMATS]
+    return jobs
+
+
+def corruptions(doc: dict) -> dict:
+    """stem suffix -> a copy of the structure document ``doc`` with one entry
+    changed: the scalar of the first row of each of ``ROW_KEYS`` negated, then
+    doubled, then that row dropped; entry 0 of each of ``VECTOR_KEYS`` raised
+    by 1; ``parity[0]`` flipped.  Scalars are read and written by the field's
+    own ``parse`` and ``format``."""
+    field = FieldSpec.from_json(doc["field"])
+    out = {}
+    for key in ROW_KEYS:
+        if key not in doc:
+            continue
+        first, rest = doc[key][0], doc[key][1:]
+        value = field.parse(first[-1])
+        for kind, changed in (("negated", -value), ("doubled", 2 * value)):
+            out[f"{key}-{kind}"] = {**doc, key: [first[:-1] + [field.format(changed)], *rest]}
+        out[f"{key}-dropped"] = {**doc, key: rest}
+    for key in VECTOR_KEYS:
+        raised = field.format(field.parse(doc[key][0]) + 1)
+        out[f"{key}-raised"] = {**doc, key: [raised, *doc[key][1:]]}
+    out["parity-flipped"] = {**doc, "parity": [1 - doc["parity"][0], *doc["parity"][1:]]}
+    return out
+
+
+def corruption_jobs(work: Path, names=None) -> list:
+    """``check``, ``drinfeld --verify --emit-twist`` and ``transform prime``
+    on each of the ``corruptions`` of each bundled fixture in ``names`` (all
+    of them when None), written as ``<fixture>-<suffix>.qhsa``, in json."""
+    directory = work / "corrupted"
+    directory.mkdir(parents=True, exist_ok=True)
+    jobs = []
+    for name in names or fixture_names():
+        doc = json.loads((FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8"))
+        for suffix, corrupted in corruptions(doc).items():
+            stem = f"{name}-{suffix}"
+            (directory / f"{stem}.qhsa").write_text(json.dumps(corrupted))
+            argvs = (
+                ("check", f"{stem}.qhsa"),
+                _emit_argv(directory, stem),
+                _transform_argv(directory, stem, "prime"),
+            )
+            jobs += [SweepJob("corrupted", _with_format(argv, "json")) for argv in argvs]
+    return jobs
+
+
 def bench_jobs(work: Path, seeds=SEEDS) -> list:
     """Every job of every ``bench`` workload at each seed, in both formats,
     in the workload's order: a later job may read what an earlier one wrote."""
@@ -260,7 +349,14 @@ def main(argv=None) -> int:
         parser.error(f"no qhsa sources under {other}")
     with tempfile.TemporaryDirectory(prefix="qhsa-sweep-") as tmp:
         work = Path(tmp)
-        jobs = bench_jobs(work) + fixture_jobs(work) + generated_jobs(work) + tensor_jobs(work)
+        jobs = [
+            *bench_jobs(work),
+            *fixture_jobs(work),
+            *generated_jobs(work),
+            *tensor_jobs(work),
+            *twist_jobs(work),
+            *corruption_jobs(work),
+        ]
         mine = sweep(jobs, ROOT / "src", work)
         sys.stdout.write("".join(line + "\n" for line in mine))
         if not args.compare:
