@@ -1,14 +1,15 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from qhsa.algebra import GradedAlgebra, StructureMap, TensorElement
+from qhsa.algebra import GradedAlgebra, StructureMap, TensorElement, interleave, outer
 from qhsa.fixtures import build_structure
 from qhsa.scalars import FieldSpec
 from qhsa.structure import QhsaStructure
-from qhsa.transforms import tensor_product_structure
+from qhsa.transforms import Twistor, tensor_product_structure, twist_structure
 
 
 @pytest.fixture(scope="session")
@@ -36,13 +37,36 @@ def h2ext():
     return build_structure("h2ext")
 
 
-@pytest.fixture(scope="session")
-def ext_ext_graded(ext):
-    """ext (x) ext with the graded antipode S_A (x) S_B built by hand: -1 on
-    theta (x) 1 and 1 (x) theta, +1 on theta (x) theta (flat index 3)."""
-    T = tensor_product_structure(ext, ext)
-    images = [elem(T, 1, {(k,): c}) for k, c in enumerate((1, -1, -1, 1))]
+def _odd_product(A, B, signed):
+    """A (x) B with its antipode rebuilt here from interleave(S_A(a), S_B(b)),
+    times (-1)^{|a||b|} when ``signed``."""
+    T = tensor_product_structure(A, B)
+    par_a, par_b = A.algebra.parity, B.algebra.parity
+    images = [
+        -s if signed and par_a[i] and par_b[j] else s
+        for i, sa in enumerate(A.antipode.images)
+        for j, sb in enumerate(B.antipode.images)
+        for s in (interleave(sa, sb, T.algebra),)
+    ]
     return replace(T, antipode=StructureMap(T.algebra, 1, images))
+
+
+def ext_ext_graded_structure():
+    """ext (x) ext with the graded antipode S_A (x) S_B: -1 on theta (x) 1
+    and 1 (x) theta, +1 on theta (x) theta (flat index 3)."""
+    return _odd_product(build_structure("ext"), build_structure("ext"), signed=False)
+
+
+def signed_odd_product(A, B):
+    """A (x) B with the antipode (-1)^{|a||b|} S_A(a) (x) S_B(b), which is
+    not an antihomomorphism once both factors have an odd element: a
+    failing structure whatever ``tensor_product_structure`` builds."""
+    return _odd_product(A, B, signed=True)
+
+
+@pytest.fixture(scope="session")
+def ext_ext_graded():
+    return ext_ext_graded_structure()
 
 
 def kz2_structure():
@@ -99,6 +123,27 @@ def ks3_structure():
         element(1, (0,)),
         element(1, (0,)),
     )
+
+
+@lru_cache(maxsize=None)
+def ks3_twist(s, t):
+    """k[S3] with the R-matrix 1 (x) 1 (it is cocommutative), and F = 1 (x) 1
+    + (g_s - 1) (x) (g_t - 1) (Drinfeld, "Quasi-Hopf algebras", 1990): even,
+    with both counit legs 1, and no cocycle when g_s and g_t do not commute.
+    Built once per (s, t)."""
+    H = ks3_structure()
+    one = H.unit(1)
+    H = replace(H, r_matrix=H.unit(2))
+    return H, Twistor(H.unit(2) + outer(H.basis(s) - one, H.basis(t) - one))
+
+
+@lru_cache(maxsize=None)
+def twisted_ks3(s, t):
+    """k[S3] twisted by the F of ``ks3_twist(s, t)``: not supercommutative,
+    with a Phi of 20 terms and R = F_21 F^{-1}, so the order of Phi, R, F_D
+    and Delta(a) in a product shows.  Built once per (s, t), so that the
+    reports of its checks can be kept with it."""
+    return twist_structure(*ks3_twist(s, t))
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ from qhsa.algebra import (
     apply_map_legs,
     embed_legs,
     invert_tensor_element,
-    linear_combination,
 )
 from qhsa.drinfeld import (
     check_alt_expressions,
@@ -34,7 +33,6 @@ from qhsa.drinfeld import (
     verify_prime_equivalence,
 )
 from qhsa.fixtures import build_structure, h2_broken_pentagon, h2_structure
-from qhsa.reporting import expect_equal
 from qhsa.scalars import FieldSpec
 from qhsa.structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, run_suites
 from qhsa.transforms import (
@@ -45,6 +43,7 @@ from qhsa.transforms import (
     twist_structure,
 )
 from conftest import elem
+from printed import Printed, agree
 
 ALL_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
 BUNDLED_STRUCTURES = ALL_FIXTURES + ("h2-broken-pentagon", "h2-broken-antipode")
@@ -329,70 +328,33 @@ def test_twisted_structure_has_its_own_drinfeld_twist(h2ext):
     assert report.ok, report.failed_ids()
 
 
-# -- the Phi-sums against the per-word formulas -------------------------------------
+# -- the Phi-sums against their printed forms -----------------------------------------
 
 
-def reference_drinfeld_sums(H, gamma, gamma_bar):
-    """F_D, F_D^{-1}, and the alternative closed forms of each, as sums over
-    every word of Phi or Phi^{-1} with each arity-1 middle built word by word
-    in its printed bracketing."""
-    s = H.antipode.images
-    e = [H.basis(i) for i in range(H.algebra.dimension)]
-    ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
-
-    def delta_prime(h):
-        return apply_map_legs(h, 0, H.delta_prime)
-
-    def total(coassociator, term):
-        pairs = ((term(*word), c) for word, c in coassociator.terms.items())
-        return linear_combination(H.algebra, 2, pairs)
-
-    return {
-        "f_d": total(
-            H.phi, lambda x, y, z: ss_delta_t[x] * gamma * H.coproduct(e[y] * H.beta * s[z])
-        ),
-        "f_d_inverse": total(
-            H.phi_inv, lambda x, y, z: delta[x] * gamma_bar * delta_prime(s[y] * H.alpha * e[z])
-        ),
-        "altexpr.fd": total(
-            H.phi_inv, lambda x, y, z: delta_prime(e[x] * H.beta * s[y]) * gamma * delta[z]
-        ),
-        "altexpr.fd-inverse": total(
-            H.phi, lambda x, y, z: H.coproduct(s[x] * H.alpha * e[y]) * gamma_bar * ss_delta_t[z]
-        ),
-    }
-
-
-def _assert_drinfeld_sums_match_the_reference(H, monkeypatch):
+def _assert_drinfeld_sums_match_the_reference(H):
+    """F_D, F_D^{-1} and their alternative forms are the printed sums."""
+    printed = Printed(H)
     D = compute_drinfeld_twist(H)
-    sums = {"f_d": D.f_d, "f_d_inverse": D.f_d_inverse}
-
-    def recording(report, check_id, lhs, rhs):
-        sums[check_id] = lhs
-        return expect_equal(report, check_id, lhs, rhs)
-
-    monkeypatch.setattr(qhsa.drinfeld, "expect_equal", recording)
-    check_alt_expressions(H, D)
-    assert sums == reference_drinfeld_sums(H, D.gamma, D.gamma_bar)
+    assert (D.f_d, D.f_d_inverse) == (printed.f_d, printed.f_d_inverse)
+    assert agree(check_alt_expressions(H, D), printed) == ["altexpr.fd", "altexpr.fd-inverse"]
 
 
 @pytest.mark.parametrize("name", BUNDLED_STRUCTURES)
-def test_drinfeld_sums_match_the_reference_on_bundled_fixtures(name, monkeypatch):
-    _assert_drinfeld_sums_match_the_reference(build_structure(name), monkeypatch)
+def test_drinfeld_sums_match_the_reference_on_bundled_fixtures(name):
+    _assert_drinfeld_sums_match_the_reference(build_structure(name))
 
 
 @pytest.mark.parametrize("order", [8, 20])
-def test_drinfeld_sums_match_the_reference_over_cyclotomic_fields(order, monkeypatch):
+def test_drinfeld_sums_match_the_reference_over_cyclotomic_fields(order):
     H = h2_structure(FieldSpec.cyclotomic(order), with_r=True)
-    _assert_drinfeld_sums_match_the_reference(H, monkeypatch)
+    _assert_drinfeld_sums_match_the_reference(H)
 
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_drinfeld_sums_match_the_reference_on_twists_of_h2ext(h2ext, seed):
     H = twist_structure(h2ext, random_twistor(h2ext, random.Random(seed)))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_drinfeld_sums_match_the_reference(H, monkeypatch)
+    _assert_drinfeld_sums_match_the_reference(H)
 
 
 @settings(max_examples=4, deadline=None)
@@ -402,8 +364,7 @@ def test_drinfeld_sums_match_the_reference_on_twists_of_an_odd_product(
 ):
     P = tensor_product_structure(h2, ext_ext_graded)
     H = twist_structure(P, random_twistor(P, random.Random(seed)))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_drinfeld_sums_match_the_reference(H, monkeypatch)
+    _assert_drinfeld_sums_match_the_reference(H)
 
 
 def _ks3_with_random_parts(seed, fixture):
@@ -454,14 +415,13 @@ RANDOM_PHI_CASES["ext-ext-odd"] = _ext_ext_with_odd_parts
 
 
 @pytest.mark.parametrize("case", sorted(RANDOM_PHI_CASES))
-def test_drinfeld_sums_match_the_reference_over_a_random_phi(request, case, monkeypatch):
+def test_drinfeld_sums_match_the_reference_over_a_random_phi(request, case):
     # The sums are linear algebra, so they must match for any invertible Phi
     # and any alpha, beta, quasi-Hopf or not.  On h2, ext and their graded
     # products, which are supercommutative, the middles of two identities
     # can be swapped without changing F_D; over k[S3], which is not, and
     # with a Phi that has no symmetry, they cannot.
-    H = RANDOM_PHI_CASES[case](request.getfixturevalue)
-    _assert_drinfeld_sums_match_the_reference(H, monkeypatch)
+    _assert_drinfeld_sums_match_the_reference(RANDOM_PHI_CASES[case](request.getfixturevalue))
 
 
 def test_drinfeld_multiplication_counts_are_pinned(monkeypatch):

@@ -1,8 +1,9 @@
 """Quantifying over algebra generators: the generating set, Light's
-associativity test and the reduced "for all a in H" checks, against the full
-enumeration of the basis."""
+associativity test and the reduced "for all a in H" checks, against the
+printed forms of ``printed.py``, which enumerate the whole basis."""
 
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -12,27 +13,46 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import qhsa.structure
-from qhsa.algebra import StructureMap
-from qhsa.documents import load_structure, report_document, serialize_structure
+from qhsa.documents import load_structure, serialize_structure
 from qhsa.drinfeld import (
+    check_alt_expressions,
     compute_drinfeld_twist,
     drinfeld_construction,
     drinfeld_report,
     verify_thm2,
 )
-from qhsa.fixtures import build_structure
-from qhsa.structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, run_suites, validate_algebra
-from qhsa.transforms import Twistor, tensor_product_structure, twist_structure
+from qhsa.fixtures import build_structure, build_twistor
+from qhsa.reporting import CheckReport
+from qhsa.structure import (
+    DEFAULT_SUITE_NAMES,
+    DRINFELD_PREMISES,
+    SUITES,
+    VALIDATION_SUITES,
+    run_suites,
+    validate_algebra,
+)
+from qhsa.transforms import (
+    Twistor,
+    check_cocycle,
+    check_prop6,
+    check_twistor,
+    random_twistor,
+    tensor_product_structure,
+    twist_composition_check,
+    twist_structure,
+    verify_twist_by_r,
+)
 
-from conftest import elem, ks3_structure, kz2_structure, product
-
-
-def _ext_ext_graded():
-    """ext (x) ext with the graded antipode S_A (x) S_B (see conftest)."""
-    T = tensor_product_structure(build_structure("ext"), build_structure("ext"))
-    images = [elem(T, 1, {(k,): c}) for k, c in enumerate((1, -1, -1, 1))]
-    return replace(T, antipode=StructureMap(T.algebra, 1, images))
-
+from conftest import (
+    ext_ext_graded_structure,
+    ks3_structure,
+    ks3_twist,
+    kz2_structure,
+    product,
+    signed_odd_product,
+    twisted_ks3,
+)
+from printed import CHECKS, Printed, agree
 
 STRUCTURES = {
     "trivial": lambda: build_structure("trivial"),
@@ -41,22 +61,72 @@ STRUCTURES = {
     "h2r": lambda: build_structure("h2r"),
     "h2ext": lambda: build_structure("h2ext"),
     "ks3": ks3_structure,
-    "ext-ext": _ext_ext_graded,
-    "h2ext-ext": lambda: tensor_product_structure(
-        build_structure("h2ext"), build_structure("ext")
-    ),
+    "ext-ext": ext_ext_graded_structure,
+    # S(a (x) b) = (-1)^{|a||b|} S(a) (x) S(b) fails structure.antipode-antihom
+    "h2ext-ext": lambda: signed_odd_product(build_structure("h2ext"), build_structure("ext")),
     "h2ext-kz2": lambda: tensor_product_structure(build_structure("h2ext"), kz2_structure()),
 }
+
+
+def _h2_ext_ext():
+    return tensor_product_structure(build_structure("h2"), ext_ext_graded_structure())
+
+
+def _twist(H, F):
+    return twist_structure(H, F), (H, F)
+
+
+def _seeded_twist(build):
+    def make(n):
+        H = build()
+        return _twist(H, random_twistor(H, random.Random(n)))
+
+    return make
+
+
+def _bundled_twistor(name):
+    return lambda n: _twist(build_structure(build_twistor(name)[0]), build_twistor(name)[1])
+
+
+def _bad_inverse(n):
+    """1 (x) 1 + theta (x) theta on ext, declared its own inverse."""
+    F = build_twistor("f-theta")[1]
+    return _twist(build_structure("ext"), Twistor(F.element, F.element))
+
+
+def _ks3_twist(s, t):
+    return lambda n: (twisted_ks3(s, t), ks3_twist(s, t))
+
+
+# name -> n -> (example, (H, F) or None): a structure, or H twisted by F,
+# and then the transform checks run on H and F as well
+EXAMPLES = {
+    **{name: (lambda n, build=build: (build(), None)) for name, build in STRUCTURES.items()},
+    **{
+        name: (lambda n, name=name: (build_structure(name), None))
+        for name in ("h2-broken-pentagon", "h2-broken-antipode")
+    },
+    "kz2": lambda n: (kz2_structure(), None),
+    "h2ext-twist": _seeded_twist(lambda: build_structure("h2ext")),
+    "h2-ext-ext-twist": _seeded_twist(_h2_ext_ext),
+    **{
+        name: _bundled_twistor(name)
+        for name in ("f-one", "f-e11", "f-e11-zeta4", "f-theta", "f-u11")
+    },
+    "f-theta-bad-inverse": _bad_inverse,  # fails twistor.invertible
+    # not supercommutative, with a nontrivial Phi and R: the order of Phi, R,
+    # F_D and Delta(a) in a product shows
+    "ks3-twist-1-2": _ks3_twist(1, 2),
+    "ks3-twist-2-5": _ks3_twist(2, 5),
+}
+# dimension 6 and 8 with a dense Phi or Phi^{-1}: one run of each costs as
+# much as a dozen others, so they run only as explicit examples (n = 3)
+HEAVY = ("h2-ext-ext-twist", "ks3-twist-1-2", "ks3-twist-2-5")
 # the tables one entry of which an example changes; "alpha" and "beta" move a
 # canonical element off the centre, which the eta lemma and lemma 11 see, and
 # "mult-term" sets a product coefficient that may be zero, which can keep
 # the unit and break associativity
 TABLES = ("mult", "mult-term", "delta", "antipode", "phi", "alpha", "beta")
-
-
-@lru_cache(maxsize=None)
-def _document(name):
-    return json.loads(serialize_structure(name, STRUCTURES[name]()))
 
 
 def _rank(vectors, field) -> int:
@@ -115,46 +185,10 @@ def _greedy_generators(algebra) -> tuple:
     return tuple(generators)
 
 
-class _Forgetful(set):
-    """A ``passed`` record that keeps nothing, so no check ever reduces."""
-
-    def add(self, name):
-        pass
-
-
-def _full_enumeration(H):
-    """H, freshly loaded, with every quantifier over the whole basis: Light's
-    test over every middle factor is the full associativity check, and no
-    suite is ever recorded as passed, so no check reduces, the eta lemma's
-    reduction over eta included: its reports are the d^3 enumeration's."""
-    H.algebra.__dict__["generators"] = tuple(range(H.algebra.dimension))
-    H.__dict__["passed"] = _Forgetful()
-    return H
-
-
-def _reports(H) -> list:
-    """The JSON reports of ``check``, of plain ``drinfeld`` when its premises
-    pass and of ``drinfeld --verify`` when every suite passes, without their
-    timings."""
-
-    def text(results):
-        doc = report_document("x", results, "0")
-        del doc["wall_time_seconds"]
-        return json.dumps(doc)
-
-    results = run_suites(H)
-    out = [text(results)]
-    if all(report.ok for name, report, _ in results if name in DRINFELD_PREMISES):
-        out.append(text([("drinfeld", drinfeld_construction(H)[1], 0)]))
-    if all(report.ok for _, report, _ in results):
-        out.append(text([("drinfeld", drinfeld_report(H)[1], 0)]))
-    return out
-
-
-def _edited(name, table, index, value):
-    """The document of ``name`` with entry ``index`` of ``table`` set to
-    ``value``; a row of a sparse table is dropped when ``value`` is None."""
-    doc = json.loads(json.dumps(_document(name)))
+def _edited(H, table, index, value):
+    """The document of H with entry ``index`` of ``table`` set to ``value``;
+    a row of a sparse table is dropped when ``value`` is None."""
+    doc = json.loads(serialize_structure("x", H))
     if doc["field"]["kind"] != "rational" and value is not None:
         value = f"[{value}]"
     if table == "mult-term":  # the coefficient of e_k in e_i e_j
@@ -174,31 +208,112 @@ def _edited(name, table, index, value):
     return json.dumps(doc)
 
 
+@lru_cache(maxsize=None)
+def _library_reports(H) -> tuple:
+    """The reports of the ten suites on H, then of ``drinfeld_report`` when
+    every default suite passes, of ``drinfeld_construction`` when only its
+    premises do, and of ``check_alt_expressions`` when they do not but Phi
+    and S are invertible; with the Drinfeld data, or None.  Kept per
+    structure: the twisted k[S3] are built once each, and the property
+    reads the run that their pinned test made."""
+    results = run_suites(H, tuple(SUITES))
+
+    def passed(names):
+        return all(report.ok for name, report, _ in results if name in names)
+
+    D, report = None, CheckReport()
+    if passed(DRINFELD_PREMISES):
+        D, report = (drinfeld_report if passed(DEFAULT_SUITE_NAMES) else drinfeld_construction)(H)
+    elif passed(VALIDATION_SUITES):
+        D = compute_drinfeld_twist(H)
+        report = check_alt_expressions(H, D)
+    return [report for _, report, _ in results] + [report], D
+
+
+def _assert_printed(H):
+    """Every report of H agrees with the printed forms, and gamma, gamma-bar,
+    F_D and F_D^{-1} are the printed sums."""
+    printed = Printed(H)
+    reports, D = _library_reports(H)
+    for report in reports:
+        agree(report, printed)
+    if D is not None:
+        sums = (printed.gamma, printed.gamma_bar, printed.f_d, printed.f_d_inverse)
+        assert (D.gamma, D.gamma_bar, D.f_d, D.f_d_inverse) == sums
+
+
+def test_k_s3_twisted_by_a_non_cocycle_passes_everything():
+    """F = 1 (x) 1 + (g_s - 1) (x) (g_t - 1) is a twistor and not a cocycle
+    for the transpositions g_1, g_2 and g_2, g_5; k[S3] twisted by it has a
+    Phi of 20 terms and passes all ten suites and the Drinfeld battery."""
+    for s, t in ((1, 2), (2, 5)):
+        H, F = ks3_twist(s, t)
+        assert check_twistor(H, F).ok
+        assert check_cocycle(H, F).failed_ids() == ["eq.ccc"]
+        T = twisted_ks3(s, t)
+        assert len(T.phi.terms) == 20
+        reports, D = _library_reports(T)
+        assert D is not None and all(report.ok for report in reports)
+
+
+def _explicit_examples(test):
+    for name in EXAMPLES:
+        test = example(name=name, n=3, table=None, value=None)(test)
+    return test
+
+
 @seed(20261018)
 @settings(max_examples=80, deadline=None)
+@_explicit_examples
 # e_2 e_3 = e_5 in h2ext (x) k[Z2] keeps the unit but not associativity, and
 # closing under left products would pick other generators than the right ones
-@example(name="h2ext-kz2", table="mult-term", index=2 + 3 * 8 + 5 * 64, value=None)
+@example(name="h2ext-kz2", n=2 + 3 * 8 + 5 * 64, table="mult-term", value=None)
 # k[S3] without one product row: Light's test first fails at [3, 2, 1], the
 # full enumeration at [1, 3, 1]
-@example(name="ks3", table="mult", index=19831, value=None)
+@example(name="ks3", n=19831, table="mult", value=None)
 @given(
-    name=st.sampled_from(sorted(STRUCTURES)),
+    name=st.sampled_from(sorted(set(EXAMPLES) - set(HEAVY))),
+    n=st.integers(0, 10**6),
     table=st.sampled_from(TABLES + (None,)),
-    index=st.integers(0, 10**6),
     value=st.sampled_from([None, "2", "-1", "1/2", "3"]),
 )
-def test_reduced_reports_equal_the_full_enumeration(name, table, index, value):
-    """Every report of a structure near a fixture, with one entry of one
-    table changed (or none, when ``table`` is None), is the same whether the
-    checks reduce to the generators or enumerate the basis."""
-    text = json.dumps(_document(name)) if table is None else _edited(name, table, index, value)
-    _, H = load_structure(text)
-    if validate_algebra(H.algebra).entry("algebra.unit").status == "pass":
-        assert H.algebra.generators == _greedy_generators(H.algebra)
-        assert _spans_the_algebra(H.algebra, H.algebra.generators)
-    _, fresh = load_structure(text)
-    assert _reports(H) == _reports(_full_enumeration(fresh))
+def test_reduced_reports_equal_the_full_enumeration(name, n, table, value):
+    """On an example, or on it with one entry of one table changed (``table``
+    not None), every check the library runs, reduced to the generators where
+    its premises pass, has the status, label and difference of its printed
+    form, which enumerates the basis; with a twistor, so does every transform
+    check.  Where the unit passes, the generators are the greedy ones."""
+    X, twist = EXAMPLES[name](n)
+    if table is not None:
+        X = load_structure(_edited(X, table, n, value))[1]
+    if validate_algebra(X.algebra).entry("algebra.unit").status == "pass":
+        assert X.algebra.generators == _greedy_generators(X.algebra)
+        assert _spans_the_algebra(X.algebra, X.algebra.generators)
+    _assert_printed(X)
+    if twist is not None and table is None:
+        H, F = twist
+        G = F.transpose()
+        printed = Printed(H, F, G)
+        for report in (
+            check_twistor(H, F),
+            check_cocycle(H, F),
+            twist_composition_check(H, F, G),
+            check_prop6(H, F),
+            verify_twist_by_r(H),
+        ):
+            agree(report, printed)
+
+
+def test_the_printed_forms_are_the_library_check_ids():
+    """The ids of h2r's ten suites, its Drinfeld battery and the transform
+    checks with a twistor are those of the printed forms, each once;
+    twistor.invertible is reported only when it fails."""
+    H, F = build_structure("h2r"), build_twistor("f-e11-zeta4")[1]
+    reports = [report for _, report, _ in run_suites(H, tuple(SUITES))]
+    reports += [drinfeld_report(H)[1], check_twistor(H, F), check_cocycle(H, F)]
+    reports += [twist_composition_check(H, F, F), check_prop6(H, F), verify_twist_by_r(H)]
+    emitted = [e.check_id for report in reports for e in report.entries]
+    assert sorted(emitted + ["twistor.invertible"]) == sorted(CHECKS)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
@@ -226,12 +341,12 @@ def test_light_test_on_a_nonassociative_table_keeps_the_full_witness():
     """h2ext with (e1 (x) theta)^2 = e0 (x) 1 keeps its unit but is not
     associative; Light's test over the generators finds that, and the
     witness is the first failing basis triple of the full enumeration."""
-    doc = json.loads(json.dumps(_document("h2ext")))
+    doc = json.loads(serialize_structure("h2ext", build_structure("h2ext")))
     doc["mult"].append([3, 3, 0, "1"])
-    reduced, full = (load_structure(json.dumps(doc))[1] for _ in range(2))
-    report = validate_algebra(reduced.algebra)
+    H = load_structure(json.dumps(doc))[1]
+    report = validate_algebra(H.algebra)
     assert report.failed_ids() == ["algebra.assoc"]
-    assert report == validate_algebra(_full_enumeration(full).algebra)
+    assert agree(report, Printed(H)) == ["algebra.grading", "algebra.unit", "algebra.assoc"]
 
 
 def test_conjugation_compares_every_basis_element_with_the_twist_of_its_data():

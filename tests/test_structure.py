@@ -1,6 +1,4 @@
-import functools
 import itertools
-import operator
 import random
 from dataclasses import replace
 
@@ -10,27 +8,17 @@ from hypothesis import strategies as st
 
 import qhsa.algebra
 import qhsa.structure
-from qhsa.algebra import (
-    AlgebraError,
-    GradedAlgebra,
-    StructureMap,
-    TensorElement,
-    apply_map_legs,
-    embed_legs,
-    linear_combination,
-    outer,
-    permute_legs,
-)
+from qhsa.algebra import GradedAlgebra, StructureMap, TensorElement
 from qhsa.drinfeld import _gamma_bar_post, _gamma_post, drinfeld_report
 from qhsa.fixtures import (
     build_structure,
     h2_broken_antipode,
     h2_broken_pentagon,
 )
-from qhsa.reporting import CheckReport, expect_equal, expect_equal_per_basis
 from qhsa.structure import (
     DEFAULT_SUITE_NAMES,
     DRINFELD_PREMISES,
+    LEMMA11_FORMS,
     SUITES,
     VALIDATION_SUITES,
     QhsaStructure,
@@ -51,7 +39,8 @@ from qhsa.structure import (
 )
 from qhsa.transforms import random_twistor, tensor_product_structure, twist_structure
 
-from conftest import elem, ks3_structure, kz2_structure
+from conftest import elem, ks3_structure, kz2_structure, signed_odd_product
+from printed import Printed, agree
 
 ALL_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
 
@@ -213,30 +202,6 @@ def test_suites_skip_without_r(h2):
     assert check_triangular(h2).entries[0].status == "skipped"
 
 
-def reference_hexagon_report(H):
-    """eq.6ii, eq.6iii and eq.7 with every product taken left to right as
-    printed: the reference that the suites, which share the hexagon chains,
-    are compared against."""
-    R, phi, phi_inv = H.r_matrix, H.phi, H.phi_inv
-    r01, r02, r12 = (embed_legs(R, legs, 3) for legs in ((0, 1), (0, 2), (1, 2)))
-
-    def chain(*factors):
-        return functools.reduce(operator.mul, factors)
-
-    def p(x, word):
-        return permute_legs(x, word)
-
-    report = CheckReport()
-    rhs = chain(p(phi_inv, (1, 2, 0)), r02, p(phi, (0, 2, 1)), r12, phi_inv)
-    expect_equal(report, "eq.6ii", apply_map_legs(R, 0, H.delta), rhs)
-    rhs = chain(p(phi, (2, 0, 1)), r02, p(phi_inv, (1, 0, 2)), r01, phi)
-    expect_equal(report, "eq.6iii", apply_map_legs(R, 1, H.delta), rhs)
-    lhs = chain(r01, p(phi_inv, (1, 2, 0)), r02, p(phi, (0, 2, 1)), r12, phi_inv)
-    rhs = chain(p(phi_inv, (2, 1, 0)), r12, p(phi, (2, 0, 1)), r02, p(phi_inv, (1, 0, 2)), r01)
-    expect_equal(report, "eq.7", lhs, rhs)
-    return report
-
-
 def _r_corruptions(name):
     """The bundled ``name`` with each term of its R negated, doubled or
     dropped, labelled by the word and the corruption."""
@@ -265,10 +230,9 @@ HEXAGON_CASES = {
 @pytest.mark.parametrize("name", sorted(HEXAGON_CASES))
 def test_hexagon_products_match_the_printed_chains(name):
     H = HEXAGON_CASES[name]
-    hexagon = ("eq.6ii", "eq.6iii", "eq.7")
-    reports = (check_quasi_triangular(H), check_qqybe(H))
-    shared = [entry for report in reports for entry in _entries(report) if entry[0] in hexagon]
-    assert shared == _entries(reference_hexagon_report(H))
+    printed = Printed(H)
+    compared = agree(check_quasi_triangular(H), printed) + agree(check_qqybe(H), printed)
+    assert compared == ["eq.6i", "eq.6ii", "eq.6iii", "eq.r-counit", "eq.7"]
 
 
 def test_hexagon_suites_make_nineteen_products_on_h2r(monkeypatch):
@@ -303,21 +267,6 @@ def test_pentagon_consequences_fail_on_corruption():
     assert set(report.failed_ids()) == {"eq.6.1i", "eq.6.1ii", "eq.6.1iii", "eq.6.1iv"}
 
 
-def reference_pentagon_report(H):
-    """eq.fii and eq.6.1i-iv with every product taken left to right as
-    printed: the reference that the suites, which share the products P, Q
-    and N, are compared against."""
-    phi0, phi1, phi2, phi_x1, one_x_phi = H.phi_factors
-    inv0, inv1, inv2, inv_x1, one_x_inv = H.phi_inv_factors
-    report = CheckReport()
-    expect_equal(report, "eq.fii", phi0 * phi2, phi_x1 * phi1 * one_x_phi)
-    expect_equal(report, "eq.6.1i", phi_x1, phi0 * phi2 * one_x_inv * inv1)
-    expect_equal(report, "eq.6.1ii", one_x_phi, inv1 * inv_x1 * phi0 * phi2)
-    expect_equal(report, "eq.6.1iii", inv_x1, phi1 * one_x_phi * inv2 * inv0)
-    expect_equal(report, "eq.6.1iv", one_x_inv, inv2 * inv0 * phi_x1 * phi1)
-    return report
-
-
 PENTAGON_CASES = {
     **{name: (lambda fx, name=name: fx(name)) for name in ALL_FIXTURES},
     "h2-broken-pentagon": lambda fx: h2_broken_pentagon(),
@@ -335,9 +284,14 @@ def _twisted_odd_product(h2, ext_ext_graded, seed):
 @pytest.mark.parametrize("name", sorted(PENTAGON_CASES))
 def test_pentagon_products_match_the_printed_chains(request, name):
     H = PENTAGON_CASES[name](request.getfixturevalue)
-    expected = _entries(reference_pentagon_report(H))
-    fii = [entry for entry in _entries(check_quasi_bialgebra(H)) if entry[0] == "eq.fii"]
-    assert fii + _entries(check_pentagon_consequences(H)) == expected
+    printed = Printed(H)
+    assert "eq.fii" in agree(check_quasi_bialgebra(H), printed)
+    assert agree(check_pentagon_consequences(H), printed) == [
+        "eq.6.1i",
+        "eq.6.1ii",
+        "eq.6.1iii",
+        "eq.6.1iv",
+    ]
 
 
 def test_pentagon_makes_eleven_arity4_products(monkeypatch):
@@ -380,68 +334,17 @@ def test_lemma11_exercises_odd_legs(h2ext):
             assert lhs == rhs, (which, a)
 
 
-def reference_lemma11_sides(H, which, a):
-    """Both sides of one exchange identity, term by term over every word of
-    Phi (Phi^{-1}) exactly as printed, with each explicit sign factor: the
-    reference that the Koszul products of ``lemma11_sides`` are compared
-    against."""
-    alg = H.algebra
-    par = alg.parity
-    e = [H.basis(i) for i in range(alg.dimension)]
-    s = H.antipode.images
-
-    words = (H.phi if which in ("11i", "11ii") else H.phi_inv).terms
-    iterated = H.delta_left3 if which in ("11i", "11iii") else H.delta_right3
-    sweedler = apply_map_legs(a, 0, iterated)
-
-    lhs = []
-    rhs = []
-    for (x, y, z), c in words.items():
-        if which == "11i":
-            ybsz = e[y] * H.beta * s[z]
-            for (w,), ca in a.terms.items():
-                sign = -1 if par[w] and par[x] else 1
-                lhs.append((outer(e[x] * e[w], ybsz), c * ca * sign))
-            for (u1, u2, u3), cu in sweedler.terms.items():
-                sign = -1 if par[x] and par[u2] else 1
-                term = outer(e[u1] * e[x], e[u2] * ybsz * s[u3])
-                rhs.append((term, c * cu * sign))
-        elif which == "11ii":
-            sxay = s[x] * H.alpha * e[y]
-            for (w,), ca in a.terms.items():
-                sign = -1 if par[w] and par[z] else 1
-                lhs.append((outer(sxay, e[w] * e[z]), c * ca * sign))
-            for (u1, u2, u3), cu in sweedler.terms.items():
-                sign = -1 if par[z] and par[u2] else 1
-                term = outer(s[u1] * sxay * e[u2], e[z] * e[u3])
-                rhs.append((term, c * cu * sign))
-        elif which == "11iii":
-            syaz = s[y] * H.alpha * e[z]
-            for (w,), ca in a.terms.items():
-                lhs.append((outer(e[w] * e[x], syaz), c * ca))
-            for (u1, u2, u3), cu in sweedler.terms.items():
-                sign = -1 if par[x] and (par[u1] + par[u2]) % 2 else 1
-                term = outer(e[x] * e[u1], s[u2] * syaz * e[u3])
-                rhs.append((term, c * cu * sign))
-        elif which == "11iv":
-            xbsy = e[x] * H.beta * s[y]
-            for (w,), ca in a.terms.items():
-                lhs.append((outer(xbsy, e[z] * e[w]), c * ca))
-            for (u1, u2, u3), cu in sweedler.terms.items():
-                sign = -1 if par[z] and (par[u2] + par[u3]) % 2 else 1
-                term = outer(e[u1] * xbsy * s[u2], e[u3] * e[z])
-                rhs.append((term, c * cu * sign))
-        else:
-            raise AlgebraError(f"unknown identity {which!r}")
-    return linear_combination(alg, 2, lhs), linear_combination(alg, 2, rhs)
-
-
 def _assert_lemma11_sides_match_the_reference(H):
-    d = H.algebra.dimension
-    for which in ("11i", "11ii", "11iii", "11iv"):
-        for label, a in [("1", H.unit(1))] + [(i, H.basis(i)) for i in range(d)]:
-            sides = lemma11_sides(H, which, a)
-            assert sides == reference_lemma11_sides(H, which, a), (which, label)
+    """The sides of each exchange identity at every e_a are the printed
+    ones, and at the unit their combination."""
+    printed = Printed(H)
+    for which in LEMMA11_FORMS:
+        sides = [printed.lemma11_sides(which, a) for a in range(H.algebra.dimension)]
+        for a, printed_sides in enumerate(sides):
+            assert lemma11_sides(H, which, H.basis(a)) == printed_sides, (which, a)
+        units = H.algebra.unit_support
+        at_unit = tuple(printed.total(2, ((sides[k][n], u) for k, u in units)) for n in (0, 1))
+        assert lemma11_sides(H, which, H.unit(1)) == at_unit, (which, "1")
 
 
 @settings(max_examples=12, deadline=None)
@@ -464,9 +367,9 @@ def test_lemma11_sides_match_the_reference_on_twists_of_an_odd_product(
 
 
 def test_lemma11_sides_match_the_reference_on_a_failing_product(h2ext, ext, ks3):
-    # h2ext (x) ext fails all four identities through the odd (x) odd
-    # antipode sign (ROADMAP item 1); the product sides must fail the same way
-    H = tensor_product_structure(h2ext, ext)
+    # with the antipode (-1)^{|a||b|} S(a) (x) S(b), h2ext (x) ext fails all
+    # four identities; the product sides must fail the same way
+    H = signed_odd_product(h2ext, ext)
     assert check_lemma11(H).failed_ids() == ["eq.11i", "eq.11ii", "eq.11iii", "eq.11iv"]
     _assert_lemma11_sides_match_the_reference(H)
     # k[S3] is not commutative, so with alpha or beta a transposition the
@@ -570,72 +473,31 @@ CONTRACTION_CASES = {
 @pytest.mark.parametrize("name", CONTRACTION_CASES)
 def test_contractions_are_the_printed_sums_on_any_table(name):
     """m_alpha_s, m_beta_s and the post-processing of gamma and gamma-bar
-    against their printed sums over seeded elements, built from arity-1
-    products, which carry no sign, in the printed bracketing."""
+    against their printed sums over seeded elements (``printed.py``), built
+    from arity-1 products, which carry no sign, in the printed bracketing."""
     H = CONTRACTION_CASES[name]()
-    alg, e, s = H.algebra, H.basis, H.s_of
-    rng = random.Random(5)
+    printed, rng = Printed(H), random.Random(5)
 
     def seeded(arity):
-        words = itertools.product(range(alg.dimension), repeat=arity)
+        words = itertools.product(range(H.algebra.dimension), repeat=arity)
         return elem(H, arity, {w: rng.randint(-3, 3) for w in words})
 
-    def a(p):  # S(e_p) alpha
-        return s(e(p)) * H.alpha
-
-    def b(p):  # e_p beta
-        return e(p) * H.beta
-
-    def total(arity, pairs):
-        return linear_combination(alg, arity, pairs)
-
-    x = seeded(2)
-    terms = x.terms.items()
-    assert m_alpha_s(H, x) == total(1, ((a(i) * e(j), c) for (i, j), c in terms))
-    assert m_beta_s(H, x) == total(1, ((b(i) * s(e(j)), c) for (i, j), c in terms))
-    w4 = seeded(4)
-    terms = permute_legs(w4, (1, 2, 0, 3)).terms.items()
-    expected = total(2, ((outer(a(i) * e(j), a(k) * e(m)), c) for (i, j, k, m), c in terms))
-    assert _gamma_post(H, w4) == expected
-    terms = permute_legs(w4, (0, 3, 1, 2)).terms.items()
-    pairs = ((outer(b(i) * s(e(j)), b(k) * s(e(m))), c) for (i, j, k, m), c in terms)
-    assert _gamma_bar_post(H, w4) == total(2, pairs)
-
-
-def reference_eta_report(H):
-    """eq.lem5i and eq.lem5ii over all d^3 cases (a, i, j) with
-    eta = e_i (x) e_j: the reference that the reduced check is compared
-    against."""
-    report = CheckReport()
-    d = range(H.algebra.dimension)
-    for check_id, contract, from_left in (
-        ("eq.lem5i", m_alpha_s, True),
-        ("eq.lem5ii", m_beta_s, False),
-    ):
-
-        def cases():
-            for i in d:
-                for j in d:
-                    eta = H.basis(i, j)
-                    base = contract(H, eta)
-                    for a, da in enumerate(H.delta.images):
-                        stacked = da * eta if from_left else eta * da
-                        rhs = base.scaled(H.epsilon.images[a].scalar_value())
-                        yield [a, i, j], contract(H, stacked), rhs
-
-        expect_equal_per_basis(report, check_id, cases())
-    return report
+    x, w4 = seeded(2), seeded(4)
+    assert m_alpha_s(H, x) == printed.m_alpha(x)
+    assert m_beta_s(H, x) == printed.m_beta(x)
+    assert _gamma_post(H, w4) == printed.gamma_post(w4)
+    assert _gamma_bar_post(H, w4) == printed.gamma_bar_post(w4)
 
 
 def _entries(report):
     return [(e.check_id, e.status, e.witness) for e in report.entries]
 
 
-# Structures on which the reduced eta check must agree with the d^3
-# enumeration, each built from the conftest fixtures: the bundled positive
-# fixtures and both negative documents, both ladder rung shapes, and
-# corruptions in alpha, beta, Delta, S and in the product table (the last
-# makes the algebra report fail, so the d^3 cases run).
+# Structures on which the reduced eta check must agree with its printed
+# form, the d^3 enumeration, each built from the conftest fixtures: the
+# bundled positive fixtures and both negative documents, both ladder rung
+# shapes, and corruptions in alpha, beta, Delta, S and in the product table
+# (the last makes the algebra report fail, so the d^3 cases run).
 ETA_AGREEMENT_CASES = {
     **{name: (lambda fx, name=name: fx(name)) for name in ALL_FIXTURES},
     "h2-broken-antipode": lambda fx: h2_broken_antipode(),
@@ -672,12 +534,12 @@ ETA_FAILED_PREMISES = {
 @pytest.mark.parametrize("name", sorted(ETA_AGREEMENT_CASES))
 def test_reduced_eta_agrees_with_the_full_enumeration(request, name):
     H = ETA_AGREEMENT_CASES[name](request.getfixturevalue)
-    expected = _entries(reference_eta_report(H))
-    assert _entries(check_eta_lemma(H)) == expected
+    printed = Printed(H)
+    assert agree(check_eta_lemma(H), printed) == ["eq.lem5i", "eq.lem5ii"]
     results = run_suites(H, ["eta"])
     if name not in ETA_FAILED_PREMISES:
         [(suite, report, _)] = results
-        assert suite == "eta" and _entries(report) == expected
+        assert suite == "eta" and agree(report, printed) == ["eq.lem5i", "eq.lem5ii"]
         return
     [(premise, failed, _), (suite, skipped, _)] = results
     assert (premise, suite) == (ETA_FAILED_PREMISES[name], "eta") and not failed.ok
