@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, partial
+from math import prod
 from operator import getitem
 
 from .scalars import FieldSpec, canonical
@@ -65,11 +66,15 @@ class GradedAlgebra:
     one scan of ``unit`` for its support, read by ``embed_legs`` (and so by
     every power of the unit), ``basis_generators`` and ``validate_algebra``.
 
-    Three dicts memoize what tensor_multiply reads per word, each filled on
-    the first lookup of a word and dropped with the algebra: ``odd_legs`` and
-    ``odd_prefix``, its parity masks, and over a monomial table
-    ``monomial_rows``, the rows ``monomial_targets[i]`` of its legs (None
-    otherwise).
+    Dicts on the algebra memoize what tensor_multiply reads per word, and
+    are dropped with it: ``odd_legs`` and ``odd_prefix``, its parity masks,
+    filled on the first lookup of a word; ``partner_word_counts``, the
+    number of its partner words, filled on its first visit as an x word;
+    over a monomial table ``monomial_rows``, the rows
+    ``monomial_targets[i]`` of its legs (None otherwise), filled when it
+    walks y on a later visit; and ``probe_plans``, its product with each of
+    its partner words (``_plan``), filled on its second probe.
+    ``unit_powers`` holds each 1^(tensor n) built by ``TensorElement.unit``.
     """
 
     def __init__(self, dimension, parity, unit, mult, field: FieldSpec):
@@ -108,6 +113,7 @@ class GradedAlgebra:
         self.has_odd = any(parity)
         self.odd_legs = _WordMemo(partial(_odd_legs, parity=parity))
         self.odd_prefix = _WordMemo(partial(_odd_prefix, parity=parity))
+        self.partner_word_counts, self.probe_plans, self.unit_powers = {}, {}, {}
         one = field.one()
         self.monomial_targets = self.monomial_signs = self.monomial_rows = None
         if all(len(row) == 1 and row[0][1] in (one, -one) for r in rows for row in r.values()):
@@ -188,9 +194,13 @@ class TensorElement:
     @staticmethod
     def unit(algebra, arity):
         """1^(tensor arity), |unit_support|^arity terms: the scalar 1 with
-        every leg filled by ``embed_legs``, the one expansion of the unit."""
-        one = TensorElement._from_terms(algebra, 0, {(): algebra.field.one()})
-        return embed_legs(one, (), arity)
+        every leg filled by ``embed_legs``, the one expansion of the unit,
+        built once per arity and algebra (``unit_powers``)."""
+        powers = algebra.unit_powers
+        if arity not in powers:
+            one = TensorElement._from_terms(algebra, 0, {(): algebra.field.one()})
+            powers[arity] = embed_legs(one, (), arity)
+        return powers[arity]
 
     @staticmethod
     def basis(algebra, word):
@@ -315,21 +325,29 @@ class _WordMemo(dict):
         return value
 
 
-# Each x word meets the y words of one of three routes, chosen per x word
-# by ``_routes``.  Over a table with a zero product, an x word whose partner
-# words number at most min(|y|, PROBE_CUTOFF) probes: it walks those words
-# and looks each one up in y, so it costs no more lookups than a walk of y
-# would.  Any other x word walks a trie of y into partner legs only when the
-# product has more than JOIN_CUTOFF word pairs, and otherwise visits every y
-# word: a small product has few zero pairs to skip.  Over a table with no
-# zero product (any group algebra) there is nothing to skip, and every x
-# word visits every y word; the trie would cost 5-15% more there.  A probe
-# pays for each partner word that y lacks, the trie only for the prefixes y
-# has.  On the products of a dimension-8 structure with a 180-term
-# coassociator, probing up to |y| partner words took the kernel 1.02-1.06
-# times as long as the trie alone, and probing up to 16 took 0.99-1.04
-# times.  On the benchmark workloads a JOIN_CUTOFF of 16 or 64 did equally
-# well, and 256 or 1024 a little worse.
+# Each x word meets the y words of one route, chosen per x word by
+# tensor_multiply.  A word with a probe plan (``_plan``) looks each of its
+# partner words up in y.  Any other word with at most min(|y|,
+# PROBE_CUTOFF) partner words probes: it walks the partner words y holds,
+# so it costs no more lookups than a walk of y would.  Its second probe
+# plans all of them, and the algebra keeps that plan.  The first keeps
+# nothing, because a unit of many terms times a small element probes each
+# of its words once.  On ``check`` of a dimension-60 diagonal document,
+# keeping those plans took 1.6 times as long and 163 MB at the peak against
+# 91 MB, and building plans for them without keeping any made the kernel
+# 1.25 times as slow as the walk.  Any other word walks a trie of y into
+# partner legs when the product has more than JOIN_CUTOFF word pairs, and
+# otherwise visits every y word: a small product has few zero pairs to
+# skip.  Over a table with no zero product (any group algebra) there is
+# nothing to skip, and such a word visits every y word; the trie would cost
+# 5-15% more there.  Walked words meet about one nonzero pair each on
+# ``transform tensor`` of h2ext and k[Z2], where planning them too made the
+# kernel 1.17 times as slow.  A probe pays for each partner word that y
+# lacks, the trie only for the prefixes y has.  On the products of a
+# dimension-8 structure with a 180-term coassociator, probing up to |y|
+# partner words took the kernel 1.02-1.06 times as long as the trie alone,
+# and probing up to 16 took 0.99-1.04 times.  On the benchmark workloads a
+# JOIN_CUTOFF of 16 or 64 did equally well, and 256 or 1024 a little worse.
 JOIN_CUTOFF = 64
 PROBE_CUTOFF = 16
 
@@ -358,34 +376,38 @@ def _joined(words, partners):
     return visit
 
 
-def _routes(x, y):
-    """The y words each x word meets, as a function of the x word, for
-    both paths of tensor_multiply: the probe, the trie (built on first use)
-    or every y word, as the comment above JOIN_CUTOFF says.  Every route
-    skips only pairs whose product is zero."""
-    alg = x.algebra
-    terms = y.terms
-    if not alg.has_zero_products:
-        return lambda wx: terms
-    partners, counts = alg.partners, alg.partner_counts
-    size = len(terms)
-    probe = min(size, PROBE_CUTOFF)
-    joined = None
-
-    def visit(wx):
-        nonlocal joined
-        n = 1
-        for i in wx:
-            n *= counts[i]
-        if n <= probe:
-            return filter(terms.__contains__, itertools.product(*map(partners.__getitem__, wx)))
-        if len(x.terms) * size <= JOIN_CUTOFF:
-            return terms
-        if joined is None:
-            joined = _joined(terms, partners)
-        return joined(wx)
-
-    return visit
+def _plan(alg, wx, words) -> tuple:
+    """(wy, product) for each y word of ``words`` whose product with the x
+    word wx is not zero, in the order of ``words``, with both signs folded
+    in: the Koszul flip and, over a monomial table, the table's -1 entries.
+    Over a monomial table the product is (w, negate), the one word of the
+    pair and whether its sign is -1; over any other table it is a tuple of
+    (w, signed coefficient) pairs, the sparse rows expanded leg by leg."""
+    odd = alg.odd_legs[wx] if alg.has_odd else 0
+    prefixes = alg.odd_prefix
+    plan = []
+    if alg.monomial_targets is not None:
+        rows = tuple(map(alg.monomial_targets.__getitem__, wx))
+        signs = alg.monomial_signs
+        negated = signs and tuple(map(signs.__getitem__, wx))
+        for wy in words:
+            w = tuple(map(dict.get, rows, wy))
+            if None in w:
+                continue
+            flips = odd and (odd & prefixes[wy]).bit_count()
+            if negated:
+                flips += sum(map(getitem, negated, wy))
+            plan.append((wy, (w, flips & 1)))
+    else:
+        rows = alg.product_rows
+        for wy in words:
+            product = [((), -1 if odd and (odd & prefixes[wy]).bit_count() & 1 else 1)]
+            for i, j in zip(wx, wy):
+                row = rows[i].get(j, ())
+                product = [(w + (k,), c * ck) for w, c in product for k, ck in row]
+            if product:
+                plan.append((wy, tuple(product)))
+    return tuple(plan)
 
 
 def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -393,56 +415,79 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
 
     The exponent for words x and y is the number of legs j where x_j is odd
     and an odd number of y-legs lie left of j: the common bits of
-    ``_odd_legs(x)`` and ``_odd_prefix(y)``.  Both are read from the
-    algebra's memos, which live as long as the algebra, and a y word's mask
-    only for an x word with an odd leg; over a purely even algebra no mask
-    is built at all.  Each x word meets the y words of one route
-    (``_routes``), chosen from the table and the operand sizes: it probes y
-    for its partner words when they number at most min(|y|, PROBE_CUTOFF);
-    otherwise it walks a trie of y above JOIN_CUTOFF word pairs, or visits
-    every y word; over a table with no zero product it always visits every
-    y word.  The routes give the same terms.  Over a monomial table a pair
-    of words gives one word by lookup and costs one scalar product, its sign
-    adding the table's -1 entries; any other table expands the sparse rows
-    leg by leg.  A zero leg product, met only on the full route, looks up
-    None or expands to no term.
+    ``_odd_legs(x)`` and ``_odd_prefix(y)``, read from the algebra's memos;
+    over a purely even algebra no mask is built at all.  Each x word takes
+    one route, chosen once here as the comment above JOIN_CUTOFF says: its
+    probe plan, a probe of y for its partner words, the trie of y (built
+    once per product, on first need) or every y word.  A plan costs one
+    lookup in y per partner word and one scalar product per word y holds.
+    A word's second probe builds its plan (``_plan``) and the algebra keeps
+    it; its first probe, the trie and the full route walk y.  Over a
+    monomial table a walk gives each pair of words one word by lookup, a
+    zero pair looking up None, and over any other table it goes through
+    ``_plan`` and keeps nothing.  Every route gives the same terms.
     """
     x._require_same_shape(y)
     alg = x.algebra
-    has_odd, legs, prefixes = alg.has_odd, alg.odd_legs, alg.odd_prefix
-    visit = _routes(x, y)
     terms = y.terms
-    word_rows = alg.monomial_rows
+    get = terms.get
+    plans, counts = alg.probe_plans, alg.partner_word_counts
+    partners, partner_counts = alg.partners, alg.partner_counts
+    has_odd, legs, prefixes = alg.has_odd, alg.odd_legs, alg.odd_prefix
+    targets, word_rows, signs = alg.monomial_targets, alg.monomial_rows, alg.monomial_signs
+    probe = min(len(terms), PROBE_CUTOFF)
+    join = alg.has_zero_products and len(x.terms) * len(terms) > JOIN_CUTOFF
+    joined = None
     out = {}
-    if word_rows is not None:
-        signs = alg.monomial_signs
-        for wx, cx in x.terms.items():
-            rows = word_rows[wx]
+    for wx, cx in x.terms.items():
+        plan = plans.get(wx)
+        if plan is None:
+            n = seen = counts.get(wx)
+            if n is None:
+                n = counts[wx] = prod(map(partner_counts.__getitem__, wx))
+            if n <= probe:
+                words = itertools.product(*map(partners.__getitem__, wx))
+                if seen is None:
+                    walk = filter(terms.__contains__, words)
+                else:
+                    plan = plans[wx] = _plan(alg, wx, words)
+            elif join:
+                joined = joined or _joined(terms, partners)
+                walk = joined(wx)
+            else:
+                walk = terms
+            if plan is None and targets is None:
+                plan = _plan(alg, wx, walk)
+        if plan is None:
+            # a walk over a monomial table; a word's first visit builds its
+            # rows without keeping them, so words met once fill no memo
+            rows = tuple(map(targets.__getitem__, wx)) if seen is None else word_rows[wx]
             negated = signs and tuple(map(signs.__getitem__, wx))
             odd = legs[wx] if has_odd else 0
-            for wy in visit(wx):
-                cy = terms[wy]
+            for wy in walk:
                 w = tuple(map(dict.get, rows, wy))
                 if None in w:
                     continue
                 flips = odd and (odd & prefixes[wy]).bit_count()
                 if negated:
                     flips += sum(map(getitem, negated, wy))
+                cy = terms[wy]
                 c = -(cx * cy) if flips & 1 else cx * cy
                 out[w] = out[w] + c if w in out else c
-    else:
-        rows = alg.product_rows
-        for wx, cx in x.terms.items():
-            odd = legs[wx] if has_odd else 0
-            for wy in visit(wx):
-                cy = terms[wy]
-                flip = odd and (odd & prefixes[wy]).bit_count() & 1
-                partial = [((), -(cx * cy) if flip else cx * cy)]
-                for i, j in zip(wx, wy):
-                    row = rows[i].get(j, ())
-                    partial = [(w + (k,), c * ck) for w, c in partial for k, ck in row]
-                for w, c in partial:
+        elif targets is not None:
+            for wy, (w, negate) in plan:
+                cy = get(wy)
+                if cy is not None:
+                    c = -(cx * cy) if negate else cx * cy
                     out[w] = out[w] + c if w in out else c
+        else:
+            for wy, product in plan:
+                cy = get(wy)
+                if cy is not None:
+                    c = cx * cy
+                    for w, ck in product:
+                        v = c * ck
+                        out[w] = out[w] + v if w in out else v
     return TensorElement._from_terms(alg, x.arity, out)
 
 

@@ -230,6 +230,7 @@ def test_unit_powers_match_the_itertools_oracle(name):
         unit = TensorElement.unit(alg, n)
         assert unit.arity == n and unit.terms == unit_oracle(alg, n)
         assert len(unit.terms) == len(alg.unit_support) ** n
+        assert TensorElement.unit(alg, n) is unit  # built once per arity
 
 
 @pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
@@ -357,13 +358,22 @@ def _partner_words(alg, wx):
     return set(itertools.product(*(alg.partners[i] for i in wx)))
 
 
+def fresh_algebra(alg):
+    """A copy of alg whose memos are empty: no word has been visited,
+    probed or planned yet, whatever products other tests made over alg."""
+    return GradedAlgebra(alg.dimension, alg.parity, alg.unit, alg.mult, alg.field)
+
+
 def _expected_route(alg, wx, x, y):
-    """The route tensor_multiply must take for the x word wx."""
-    if not alg.has_zero_products:
-        return "every"
+    """The route tensor_multiply must take for the x word wx, read off the
+    algebra's memos before the product."""
+    if wx in alg.probe_plans:
+        return "plan"
     if len(_partner_words(alg, wx)) <= min(len(y.terms), algebra.PROBE_CUTOFF):
         return "probe"
-    return "trie" if len(x.terms) * len(y.terms) > algebra.JOIN_CUTOFF else "every"
+    if alg.has_zero_products and len(x.terms) * len(y.terms) > algebra.JOIN_CUTOFF:
+        return "trie"
+    return "every"
 
 
 def _route_cases(alg):
@@ -383,59 +393,188 @@ def _route_cases(alg):
         yield tuple(TensorElement(alg, 4, dict.fromkeys(w, one)) for w in (x_words, y_words))
 
 
-def _routes_taken(x, y):
-    """{x word: the route tensor_multiply takes for it, and the y words it
-    meets there}, read off ``algebra._routes``."""
-    visit = algebra._routes(x, y)
+class _LoggedTerms(dict):
+    """An operand's terms that log what the kernel reads of them into
+    ``log``: each x word as the kernel reaches it, each y word it looks up
+    (``in`` or ``get``), and a walk over all of y."""
+
+    def __init__(self, terms, log):
+        super().__init__(terms)
+        self.log = log
+
+    def items(self):
+        for wx, cx in super().items():
+            self.log.append(("x", wx))
+            yield wx, cx
+
+    def __contains__(self, wy):
+        self.log.append(("look", wy))
+        return super().__contains__(wy)
+
+    def get(self, wy, default=None):
+        self.log.append(("look", wy))
+        return super().get(wy, default)
+
+    def __iter__(self):
+        self.log.append(("all", None))
+        return super().__iter__()
+
+
+def _routes_taken(monkeypatch, x, y):
+    """The product x * y, {x word: the route tensor_multiply takes for it,
+    the y words it looks up and the y words it meets} and the tries it
+    builds.  Both operands log the kernel's reads (``_LoggedTerms``), and
+    ``algebra._joined`` is wrapped to record each trie and the y words
+    each x word meets in it.  A plan and a probe meet the partner words
+    they look up that y holds; the full route walks all of y, and the
+    trie meets the words it yields."""
+    alg = x.algebra
+    planned = set(alg.probe_plans)
+    log, visited, tries = [], {}, []
+    join = algebra._joined
+
+    def recorded_join(words, partners):
+        tries.append(words)
+        visit = join(list(dict.keys(words)), partners)  # unlogged
+
+        def recorded_visit(wx):
+            visited[wx] = visit(wx)
+            return visited[wx]
+
+        return recorded_visit
+
+    logged = [object.__new__(TensorElement) for _ in (x, y)]
+    for el, source in zip(logged, (x, y)):
+        el.algebra, el.arity, el.terms = alg, source.arity, _LoggedTerms(source.terms, log)
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_joined", recorded_join)
+        product = logged[0] * logged[1]
+    reads = {}
+    for kind, word in log:
+        if kind == "x":
+            reads[word] = current = []
+        else:
+            current.append((kind, word))
     taken = {}
-    for wx in x.terms:
-        met = visit(wx)
-        route = "every" if met is y.terms else "trie" if isinstance(met, list) else "probe"
-        taken[wx] = route, set(met)
-    return taken
+    for wx, events in reads.items():
+        looked = {wy for kind, wy in events if kind == "look"}
+        if ("all", None) in events:
+            route, met = "every", set(y.terms)
+        elif wx in visited:
+            route, met = "trie", set(visited[wx])
+        else:
+            route, met = "plan" if wx in planned else "probe", looked & set(y.terms)
+        taken[wx] = route, looked, met
+    return product, taken, len(tries)
 
 
 @pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
 def test_joined_route_only_over_a_table_with_zero_products(monkeypatch, name):
-    """Each x word takes the route its partner words and the operand sizes
-    pick, and each route meets exactly the y words it should: a probe looks
-    up its partner words, the trie yields the y words among them, and the
-    full route every y word."""
-    alg = kernel_algebra(name)
+    """Each x word takes the route its memos, partner words and the operand
+    sizes pick, and each route meets exactly the y words it should: a plan,
+    a probe and the trie their partner words that y holds, the full route
+    every y word.  A plan and a probe look up each of their partner words,
+    the trie and the full route only words they meet.  The cases run twice on a
+    fresh algebra, so the second round reads the plans the first kept, and
+    a probe keeps its plan when it is not the word's first.  The trie is
+    built at most once per product, and only when a word takes it; over a
+    table with no zero product no word does, while words with few partner
+    words still probe and plan."""
+    alg = fresh_algebra(kernel_algebra(name))
     assert alg.has_zero_products == (name not in NO_ZERO_PRODUCT)
     assert alg.partner_counts == tuple(map(len, alg.partners))
-    joins = []
-    join = algebra._joined
-
-    def counted(words, partners):
-        joins.append(1)
-        return join(words, partners)
-
-    monkeypatch.setattr(algebra, "_joined", counted)
     routes = set()
-    for x, y in _route_cases(alg):
-        for wx, (route, met) in _routes_taken(x, y).items():
-            assert route == _expected_route(alg, wx, x, y)
-            expected = set(y.terms)
-            if route != "every":
-                expected &= _partner_words(alg, wx)
-            assert met == expected
+    for x, y in [*_route_cases(alg), *_route_cases(alg)]:
+        expected = {wx: _expected_route(alg, wx, x, y) for wx in x.terms}
+        seen = set(alg.partner_word_counts)
+        product, taken, tries = _routes_taken(monkeypatch, x, y)
+        assert taken.keys() == x.terms.keys()
+        for wx, (route, looked, met) in taken.items():
+            partner_words = _partner_words(alg, wx)
+            assert route == expected[wx]
+            assert met == (set(y.terms) if route == "every" else set(y.terms) & partner_words)
+            if route in ("plan", "probe"):
+                assert looked == partner_words
+            else:
+                assert looked <= met
+            if route == "probe":
+                assert (wx in alg.probe_plans) == (wx in seen)
             routes.add(route)
-        assert x * y == oracle_multiply(x, y)
-    assert bool(joins) == ("trie" in routes)
-    assert alg.has_zero_products or routes == {"every"}
+        assert tries == ("trie" in {route for route, _, _ in taken.values()})
+        assert product == oracle_multiply(x, y)
+    assert alg.has_zero_products or "trie" not in routes
 
 
-def test_each_route_is_taken():
-    """h2 only probes (each leg has one partner), ext takes all three
-    routes, and k[Z2] (no zero product) visits every y word."""
+def test_each_route_is_taken(monkeypatch):
+    """Over two rounds of the route cases on a fresh algebra, h2 only
+    probes and plans (each leg has one partner), ext takes all four routes,
+    and k[Z2] (no zero product) visits every y word, except where y holds
+    all 16 partner words of an arity-4 word: there it probes and plans."""
     seen = {}
     for name in ("h2", "ext", "kz2"):
-        alg = kernel_algebra(name)
+        alg = fresh_algebra(kernel_algebra(name))
         seen[name] = {
-            route for x, y in _route_cases(alg) for route, _ in _routes_taken(x, y).values()
+            route
+            for x, y in [*_route_cases(alg), *_route_cases(alg)]
+            for route, _, _ in _routes_taken(monkeypatch, x, y)[1].values()
         }
-    assert seen == {"h2": {"probe"}, "ext": {"probe", "trie", "every"}, "kz2": {"every"}}
+    assert seen == {
+        "h2": {"probe", "plan"},
+        "ext": {"probe", "plan", "trie", "every"},
+        "kz2": {"probe", "plan", "every"},
+    }
+
+
+def assert_plans_follow_their_lifecycle(x, y):
+    """x * y twice over an algebra with empty memos: the first product
+    keeps no plan, the second plans exactly the x words with at most
+    min(|y|, PROBE_CUTOFF) partner words, both equal the reference, and
+    each plan lists every partner word of its word, in itertools.product
+    order, with the signed product of the two basis words."""
+    alg = x.algebra
+    assert not alg.probe_plans and not alg.partner_word_counts
+    first = x * y
+    assert alg.probe_plans == {}
+    second = x * y
+    probe = min(len(y.terms), algebra.PROBE_CUTOFF)
+    assert set(alg.probe_plans) == {w for w in x.terms if len(_partner_words(alg, w)) <= probe}
+    assert first == second == oracle_multiply(x, y)
+    one = alg.field.one()
+    for wx, plan in alg.probe_plans.items():
+        assert [wy for wy, _ in plan] == list(itertools.product(*(alg.partners[i] for i in wx)))
+        for wy, product in plan:
+            if alg.monomial_rows is not None:
+                w, negate = product
+                product = ((w, -one if negate else one),)
+            basis = (TensorElement.basis(alg, w) for w in (wx, wy))
+            assert TensorElement(alg, len(wx), dict(product)) == oracle_multiply(*basis)
+
+
+@pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_plans_follow_their_lifecycle(name, data):
+    alg = fresh_algebra(kernel_algebra(name))
+    assert_plans_follow_their_lifecycle(*data.draw(kernel_operands(alg)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_plans_follow_their_lifecycle_on_random_tables(data):
+    # odd parities, -1 entries and rows of several terms
+    alg = data.draw(random_tables())
+    assert_plans_follow_their_lifecycle(*data.draw(kernel_operands(alg)))
+
+
+def test_a_unit_times_a_one_term_coassociator_plans_nothing():
+    """The arity-3 unit of a diagonal algebra (e_i e_i = e_i, unit the sum
+    of the e_i) times a one-term Phi: each of the d^3 unit words has one
+    partner word and probes once, so no plan is kept."""
+    d = 20
+    alg = _rational_algebra((0,) * d, (1,) * d, {(i, i): {i: 1} for i in range(d)})
+    phi = TensorElement(alg, 3, {(0, 0, 0): alg.field.one()})
+    assert TensorElement.unit(alg, 3) * phi == phi
+    assert len(alg.partner_word_counts) == d**3 and alg.probe_plans == {}
 
 
 @st.composite
@@ -466,8 +605,9 @@ def chained_operands(draw, alg):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_chained_products_match_the_reference(name, data):
-    # the kernel's memos of masks and rows live on the algebra, which every
-    # example shares, so a wrong entry from one product shows in a later one
+    # the kernel's memos of masks, rows and plans live on the algebra, which
+    # every example shares, so a wrong entry from one product shows in a
+    # later one
     alg = kernel_algebra(name)
     a, b, c = data.draw(chained_operands(alg))
     assert a * b == oracle_multiply(a, b)

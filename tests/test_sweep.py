@@ -140,3 +140,13 @@ def test_each_corruption_changes_its_fixture_at_one_json_path(tmp_path):
     assert r["r-negated"]["r"][0] == [0, 0, "[-1, 0]"]
     assert [job.argv[0] for job in jobs[:3]] == ["check", "drinfeld", "transform"]
     assert {job.argv[-1] for job in jobs} == {"json"}
+
+
+def test_the_diagonal_document_is_checked_in_both_formats(tmp_path):
+    jobs = sweep.diagonal_jobs(tmp_path, dimension=5)
+    assert [job.argv for job in jobs] == [
+        ("check", "diagonal-5.qhsa", "--format", "json"),
+        ("check", "diagonal-5.qhsa", "--format", "text"),
+    ]
+    [line] = sweep.sweep(jobs[:1], ROOT / "src", tmp_path)
+    assert line.split("\t")[:2] == ["diagonal: check diagonal-5.qhsa --format json", "exit=1"]

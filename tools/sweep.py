@@ -19,6 +19,8 @@ The job list is deterministic:
   fixtures, and for a generated diagonal document (unit e_0 + ... + e_(d-1),
   e_i e_i = e_i, a one-term Phi) of dimension ``DIAGONAL_DIMENSION`` on
   each side of h2 and of ext;
+- ``check`` on the diagonal document of dimension ``DIAGONAL_DIMENSION``,
+  where each word of the arity-3 unit meets the one-term Phi once;
 - ``transform D twist --twistor T`` for every bundled fixture D and bundled
   twistor T that declare the same field and dimension;
 - each of them once with ``--format json`` and once with ``--format text``;
@@ -195,6 +197,15 @@ def tensor_jobs(work: Path, names=None, dimension=DIAGONAL_DIMENSION) -> list:
     return jobs
 
 
+def diagonal_jobs(work: Path, dimension=DIAGONAL_DIMENSION) -> list:
+    """``check`` on a diagonal document of ``dimension``, in both formats."""
+    directory = work / "diagonal"
+    directory.mkdir(parents=True, exist_ok=True)
+    stem = f"diagonal-{dimension}"
+    (directory / f"{stem}.qhsa").write_text(json.dumps(diagonal_document(dimension)))
+    return [SweepJob("diagonal", ("check", f"{stem}.qhsa", "--format", fmt)) for fmt in FORMATS]
+
+
 def _header(path: Path) -> tuple:
     data = json.loads(path.read_text(encoding="utf-8"))
     return data["field"], data["dimension"]
@@ -354,6 +365,7 @@ def main(argv=None) -> int:
             *fixture_jobs(work),
             *generated_jobs(work),
             *tensor_jobs(work),
+            *diagonal_jobs(work),
             *twist_jobs(work),
             *corruption_jobs(work),
         ]
