@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, partial
 from math import prod
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .scalars import FieldSpec, canonical
 
@@ -63,8 +63,8 @@ class GradedAlgebra:
     some e_i e_j is 0, and ``has_odd`` when some basis element is odd;
     without one no product has a Koszul sign and no parity mask is built.
     ``unit_support`` holds the (k, u_k) with u_k != 0, in increasing k: the
-    one scan of ``unit`` for its support, read by ``embed_legs`` (and so by
-    every power of the unit), ``basis_generators`` and ``validate_algebra``.
+    one scan of ``unit`` for its support, read by ``basis_generators`` and
+    ``validate_algebra``, and in canonical form the terms of 1^(tensor 1).
 
     Dicts on the algebra memoize what tensor_multiply reads per word, and
     are dropped with it: ``odd_legs`` and ``odd_prefix``, its parity masks,
@@ -74,7 +74,8 @@ class GradedAlgebra:
     ``monomial_targets[i]`` of its legs (None otherwise), filled when it
     walks y on a later visit; and ``probe_plans``, its product with each of
     its partner words (``_plan``), filled on its second probe.
-    ``unit_powers`` holds each 1^(tensor n) built by ``TensorElement.unit``.
+    ``unit_powers`` holds the terms of 1^(tensor n), ``placements`` and
+    ``permutation_signs`` the plans of ``embed_legs`` and ``permute_legs``.
     """
 
     def __init__(self, dimension, parity, unit, mult, field: FieldSpec):
@@ -113,8 +114,10 @@ class GradedAlgebra:
         self.has_odd = any(parity)
         self.odd_legs = _WordMemo(partial(_odd_legs, parity=parity))
         self.odd_prefix = _WordMemo(partial(_odd_prefix, parity=parity))
-        self.partner_word_counts, self.probe_plans, self.unit_powers = {}, {}, {}
+        self.partner_word_counts, self.probe_plans = {}, {}
         one = field.one()
+        self.unit_powers = {0: {(): one}, 1: {(k,): canonical(u) for k, u in self.unit_support}}
+        self.placements, self.permutation_signs = _WordMemo(_placement), _WordMemo(_permutation)
         self.monomial_targets = self.monomial_signs = self.monomial_rows = None
         if all(len(row) == 1 and row[0][1] in (one, -one) for r in rows for row in r.values()):
             self.monomial_targets = targets = tuple(
@@ -193,14 +196,15 @@ class TensorElement:
 
     @staticmethod
     def unit(algebra, arity):
-        """1^(tensor arity), |unit_support|^arity terms: the scalar 1 with
-        every leg filled by ``embed_legs``, the one expansion of the unit,
-        built once per arity and algebra (``unit_powers``)."""
+        """1^(tensor arity) on the algebra's one copy of its terms: 1^(tensor
+        arity - 1) with the unit on one more leg, by ``embed_legs``."""
         powers = algebra.unit_powers
         if arity not in powers:
-            one = TensorElement._from_terms(algebra, 0, {(): algebra.field.one()})
-            powers[arity] = embed_legs(one, (), arity)
-        return powers[arity]
+            below = TensorElement.unit(algebra, arity - 1)
+            powers[arity] = embed_legs(below, range(arity - 1), arity).terms
+        x = object.__new__(TensorElement)
+        x.algebra, x.arity, x.terms = algebra, arity, powers[arity]
+        return x
 
     @staticmethod
     def basis(algebra, word):
@@ -312,7 +316,7 @@ def _odd_prefix(word, parity) -> int:
 
 
 class _WordMemo(dict):
-    """word -> function(word), computed on the first lookup of the word."""
+    """key -> function(key), computed on the first lookup of the key."""
 
     __slots__ = ("function",)
 
@@ -320,8 +324,8 @@ class _WordMemo(dict):
         super().__init__()
         self.function = function
 
-    def __missing__(self, word):
-        value = self[word] = self.function(word)
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
         return value
 
 
@@ -502,31 +506,37 @@ def linear_combination(algebra: GradedAlgebra, arity: int, pairs) -> TensorEleme
     return TensorElement._from_terms(algebra, arity, out)
 
 
+def _koszul_sign(odd, word) -> int:
+    """The parity of the pairs of legs in the mask ``odd`` that ``word`` swaps."""
+    legs = [leg for leg in word if odd >> leg & 1]
+    return sum(a > b for i, a in enumerate(legs) for b in legs[i + 1 :]) & 1
+
+
+def _permutation(word) -> tuple:
+    """The getter of the new word (``itemgetter`` of one index would return
+    it bare) and the ``_koszul_sign`` table by odd-leg mask."""
+    if sorted(word) != list(range(len(word))):
+        raise AlgebraError(f"{word} is not a permutation of 0..{len(word) - 1}")
+    signs = _WordMemo(partial(_koszul_sign, word=word))
+    return (itemgetter(*word) if len(word) > 1 else tuple), signs
+
+
 def permute_legs(x: TensorElement, word) -> TensorElement:
     """Rearrange legs so position i holds original leg word[i] (0-based).
 
     The Koszul sign counts pairs of odd legs whose order flips; it equals the
     product of transposition signs along any adjacent-swap decomposition.
+    Its table reads the word's ``odd_legs`` mask where some element is odd.
     """
     n = x.arity
     word = tuple(word)
-    if sorted(word) != list(range(n)):
+    if len(word) != n:
         raise AlgebraError(f"{word} is not a permutation of 0..{n - 1}")
-    pos = [0] * n
-    for p, leg in enumerate(word):
-        pos[leg] = p
-    par = x.algebra.parity
-    out = {}
-    for w, c in x.terms.items():
-        odd = [i for i in range(n) if par[w[i]]]
-        sign = 0
-        for a in range(len(odd)):
-            for b in range(a + 1, len(odd)):
-                if pos[odd[a]] > pos[odd[b]]:
-                    sign ^= 1
-        new_word = tuple(w[word[p]] for p in range(n))
-        out[new_word] = -c if sign else c
-    return TensorElement._from_terms(x.algebra, n, out)
+    alg = x.algebra
+    place, signs = alg.permutation_signs[word]
+    odd, legs = alg.has_odd, alg.odd_legs
+    out = {place(w): -c if odd and signs[legs[w]] else c for w, c in x.terms.items()}
+    return TensorElement._from_terms(alg, n, out)
 
 
 def interleave_sign(x_word, y_word, x_parity, y_parity) -> int:
@@ -557,30 +567,28 @@ def interleave(x: TensorElement, y: TensorElement, algebra: GradedAlgebra) -> Te
     return TensorElement._from_terms(algebra, x.arity, out)
 
 
+def _placement(key):
+    """The getter of the embedded word from ``word + fill`` (``tuple`` if it is that)."""
+    positions, arity = key
+    if list(positions) != sorted(set(positions)):
+        raise AlgebraError("positions must be strictly increasing")
+    if arity < len(positions) or positions and not (0 <= positions[0] and positions[-1] < arity):
+        raise AlgebraError("positions out of range")
+    order = positions + tuple(p for p in range(arity) if p not in positions)
+    indices = sorted(range(arity), key=order.__getitem__)
+    return tuple if indices == list(range(arity)) else itemgetter(*indices)
+
+
 def embed_legs(x: TensorElement, positions, arity: int) -> TensorElement:
-    """Place legs of x at the given strictly increasing 0-based positions,
-    filling the rest with the unit.  The unit is even, so no sign arises."""
+    """Place legs of x at the given strictly increasing 0-based positions and
+    the terms of 1^(tensor k) on the k others: the unit is even, so no sign."""
     positions = tuple(positions)
     if len(positions) != x.arity:
         raise AlgebraError("positions must match the arity of x")
-    if list(positions) != sorted(set(positions)):
-        raise AlgebraError("positions must be strictly increasing")
-    if positions and not (0 <= positions[0] and positions[-1] < arity):
-        raise AlgebraError("positions out of range")
     alg = x.algebra
-    free = [p for p in range(arity) if p not in positions]
-    out = {}
-    for w, c in x.terms.items():
-        for combo in itertools.product(alg.unit_support, repeat=len(free)):
-            new_word = [0] * arity
-            coeff = c
-            for p, leg in zip(positions, w):
-                new_word[p] = leg
-            for p, (k, ck) in zip(free, combo):
-                new_word[p] = k
-                coeff = coeff * ck
-            key = tuple(new_word)
-            out[key] = out[key] + coeff if key in out else coeff
+    place = alg.placements[positions, arity]
+    fills = TensorElement.unit(alg, arity - x.arity).terms.items()
+    out = {place(w + u): c if f == 1 else c * f for w, c in x.terms.items() for u, f in fills}
     return TensorElement._from_terms(alg, arity, out)
 
 

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
 
 from .algebra import GradedAlgebra, StructureMap, TensorElement
 from .scalars import FieldSpec, ScalarError, echo
@@ -417,8 +419,37 @@ def report_document(fixture_name, suite_results, engine_version) -> dict:
     }
 
 
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` at depth ``indent``, without the pure-Python
+    encoder: ``json.dumps`` writes only empty, non-finite and other values."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int or kind is float and isfinite(value):
+        return repr(value)
+    inner = indent + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
+        items = (f"{inner}{_string(k)}: {_json_text(v, inner)}" for k, v in value.items())
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if (kind is list or kind is tuple) and value:
+        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in value) + f"\n{indent}]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+_REPORT = '{\n  "fixture": %s,\n  "engine_version": %s,\n  "overall": %s,\n  "entries": %s,\n  "wall_time_seconds": %s\n}\n'
+_ENTRY = '    {\n      "suite": %s,\n      "check_id": %s,\n      "status": %s\n    }'
+
+
 def serialize_report(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"`` for a ``report_document``, whose keys
+    and those of an entry with no witness or detail fill ``_REPORT`` and ``_ENTRY``."""
+    rows = [
+        _ENTRY % tuple(map(_string, e.values())) if len(e) == 3 else "    " + _json_text(e, "    ")
+        for e in doc["entries"]
+    ]
+    head = map(_string, (doc["fixture"], doc["engine_version"], doc["overall"]))
+    entries = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return _REPORT % (*head, entries, _json_text(doc["wall_time_seconds"], "  "))
 
 
 def format_report_text(doc: dict) -> str:

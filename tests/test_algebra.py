@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -230,7 +232,7 @@ def test_unit_powers_match_the_itertools_oracle(name):
         unit = TensorElement.unit(alg, n)
         assert unit.arity == n and unit.terms == unit_oracle(alg, n)
         assert len(unit.terms) == len(alg.unit_support) ** n
-        assert TensorElement.unit(alg, n) is unit  # built once per arity
+        assert TensorElement.unit(alg, n).terms is unit.terms  # built once per arity
 
 
 @pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
@@ -738,6 +740,114 @@ def test_subscript_convention_matches_transposition_composition(h2ext):
         word[src], word[src + 1] = word[src + 1], word[src]
         stepwise = permute_legs(stepwise, tuple(word))
     assert direct == stepwise
+
+
+# -- leg plans: embed_legs and permute_legs against their oracles --------------------
+
+PLAN_ALGEBRAS = MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS + ("scaled-unit",)
+
+
+def sample_element(alg, arity, rng):
+    """Five random words of ``arity`` with rational coefficients, and one
+    with an odd element on every leg when the algebra has one."""
+    d = range(alg.dimension)
+    words = [tuple(rng.choice(d) for _ in range(arity)) for _ in range(5)]
+    terms = {w: rng.choice([1, -2, Fraction(1, 3)]) for w in words}
+    odd = [i for i in d if alg.parity[i]]
+    if odd:
+        terms[tuple(rng.choice(odd) for _ in range(arity))] = 3
+    return TensorElement(alg, arity, terms)
+
+
+def embed_oracle(x, positions, arity):
+    """x on ``positions`` and each word of the unit's support on the other
+    legs, one ``itertools.product`` combination at a time."""
+    alg = x.algebra
+    support = [(k, u) for k, u in enumerate(alg.unit) if u != 0]
+    free = [p for p in range(arity) if p not in positions]
+    terms = {}
+    for w, c in x.terms.items():
+        for combo in itertools.product(support, repeat=len(free)):
+            word, coeff = [None] * arity, c
+            for p, leg in zip(positions, w):
+                word[p] = leg
+            for p, (k, u) in zip(free, combo):
+                word[p], coeff = k, coeff * u
+            terms[tuple(word)] = coeff
+    return TensorElement(alg, arity, terms)
+
+
+def permute_oracle(x, word):
+    """Each term moved by ``word``, negated when ``word`` puts an odd number
+    of pairs of its odd legs in the other order."""
+    position = {leg: p for p, leg in enumerate(word)}
+    par = x.algebra.parity
+    terms = {}
+    for w, c in x.terms.items():
+        odd = [leg for leg in range(x.arity) if par[w[leg]]]
+        flips = sum(position[a] > position[b] for a, b in itertools.combinations(odd, 2))
+        terms[tuple(w[leg] for leg in word)] = -c if flips % 2 else c
+    return TensorElement(x.algebra, x.arity, terms)
+
+
+def assert_leg_plans_match_the_oracles(alg, rng):
+    """Every positions tuple up to arity 4, () and arities 0 and 1 among
+    them, and every permutation up to arity 5; each is asked twice, so the
+    second call reads the plan the first one made."""
+    for arity in range(5):
+        for m in range(arity + 1):
+            for positions in itertools.combinations(range(arity), m):
+                x = sample_element(alg, m, rng)
+                expected = embed_oracle(x, positions, arity)
+                assert embed_legs(x, positions, arity) == expected
+                assert embed_legs(x, list(positions), arity) == expected
+    for arity in range(6):
+        x = sample_element(alg, arity, rng)
+        for word in itertools.permutations(range(arity)):
+            expected = permute_oracle(x, word)
+            assert permute_legs(x, word) == expected == permute_legs(x, list(word))
+    assert alg.has_odd or not alg.odd_legs  # a purely even algebra reads no mask
+
+
+@pytest.mark.parametrize("name", PLAN_ALGEBRAS)
+def test_leg_plans_match_the_oracles(name):
+    alg = SCALED_UNIT if name == "scaled-unit" else kernel_algebra(name)
+    assert_leg_plans_match_the_oracles(alg, random.Random(name))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alg=random_tables(), seed=st.integers(0, 2**16))
+def test_leg_plans_match_the_oracles_on_random_tables(alg, seed):
+    assert_leg_plans_match_the_oracles(alg, random.Random(seed))
+
+
+def test_leg_plans_reject_what_they_cannot_place(ext):
+    x = ext.unit(2)
+    for word in [(0,), (0, 1, 2), (1, 1)]:
+        with pytest.raises(AlgebraError, match="not a permutation"):
+            permute_legs(x, word)
+    with pytest.raises(AlgebraError, match="out of range"):
+        embed_legs(ext.unit(0), (), -1)
+    assert permute_legs(x, (1, 0)) == x and embed_legs(ext.unit(0), (), 2) == x
+
+
+def test_an_algebra_and_its_memos_are_freed_without_the_cycle_collector():
+    def build():
+        # Cl_1: an odd theta, so permutations fill their sign tables
+        alg = _rational_algebra(*SMALL_ALGEBRAS["cl1"])
+        x = TensorElement(alg, 2, {(1, 0): 1, (1, 1): 2})
+        units = [TensorElement.unit(alg, n) for n in range(4)]
+        embed_legs(x, (0, 2), 3) * units[3]
+        permute_legs(x, (1, 0))
+        assert sorted(alg.unit_powers) == [0, 1, 2, 3]
+        assert alg.placements and all(signs for _, signs in alg.permutation_signs.values())
+        return weakref.ref(alg)
+
+    gc.disable()
+    try:
+        assert build()() is None
+    finally:
+        gc.enable()
 
 
 # -- applying structure maps ----------------------------------------------------------

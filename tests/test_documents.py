@@ -5,13 +5,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qhsa import cli
 from qhsa.documents import (
     DocumentError,
     document_to_twistor,
     load_structure,
     parse_structure_document,
     parse_twistor_document,
+    serialize_report,
     serialize_structure,
     serialize_twistor_document,
     twistor_to_document,
@@ -342,3 +346,87 @@ def test_an_invalid_scalar_is_named_at_its_first_position(kind, bad, expected, t
         path.write_text(json.dumps(data))
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {first}[1]: {expected}\n"
+
+
+# -- report writer -------------------------------------------------------------------
+
+# non-ASCII text, quotes, backslashes and control characters, and any other
+# character hypothesis draws
+_TEXT = st.text(st.sampled_from('aZ0 é€"\\\n\t\x00\x1f\x7f\u2028\U0001d11e') | st.characters())
+_FLOATS = st.sampled_from([0.0, 1e-06, 123.456789]) | st.floats(allow_nan=False, allow_infinity=False)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+# entries keep the key order of ``report_document``, which the writer relies on
+_ENTRIES = st.builds(
+    lambda suite, check_id, status, more: {"suite": suite, "check_id": check_id, "status": status}
+    | {key: value for key, value in zip(("witness", "detail"), more) if value is not ...},
+    _TEXT,
+    _TEXT,
+    st.sampled_from(["pass", "fail", "skipped"]),
+    st.tuples(st.just(...) | _JSON, st.just(...) | _JSON),
+)
+_REPORTS = st.builds(
+    lambda fixture, version, overall, entries, times: {
+        "fixture": fixture,
+        "engine_version": version,
+        "overall": overall,
+        "entries": entries,
+        "wall_time_seconds": times,
+    },
+    _TEXT,
+    _TEXT,
+    st.sampled_from(["pass", "fail"]),
+    st.lists(_ENTRIES, max_size=4),
+    st.dictionaries(_TEXT, _FLOATS, max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_REPORTS)
+@example(
+    {
+        "fixture": 'n\u00e9 "x" \\ \x01',
+        "engine_version": "0.1.0",
+        "overall": "fail",
+        "entries": [
+            {"suite": "s", "check_id": "a", "status": "pass"},
+            {
+                "suite": "s",
+                "check_id": "b",
+                "status": "fail",
+                "witness": {"difference": [[[0, (1, 2)], "-1/2"]], "ok": [True, False, None]},
+                "detail": {"empty": [[], {}, ()], "floats": [0.0, 1e-06, 123.456789]},
+            },
+        ],
+        "wall_time_seconds": {"algebra": 1e-06, "\u00e9": 0.0},
+    }
+)
+def test_the_report_writer_writes_what_json_dumps_writes(doc):
+    assert serialize_report(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_every_bundled_report_is_written_as_json_dumps_writes_it(monkeypatch, capsys, tmp_path):
+    # the bundled fixtures, the two negative ones among them, their twists and
+    # the ext (x) ext product, whose antipode check fails
+    docs = []
+
+    def capture(doc):
+        docs.append(doc)
+        return serialize_report(doc)
+
+    monkeypatch.setattr(cli, "serialize_report", capture)
+    for name in sorted(p.stem for p in cli.BUNDLED_DIR.glob("*.qhsa")):
+        for argv in (["check", f"{name}.qhsa"], ["drinfeld", f"{name}.qhsa", "--verify"]):
+            main(argv + ["--format", "json"])
+    output = str(tmp_path / "ext-ext.qhsa")
+    main(["transform", "ext.qhsa", "tensor", "--other", "ext.qhsa", "--output", output, "--format", "json"])
+    capsys.readouterr()
+    assert len(docs) == 15 and set(NEGATIVE_FIXTURES) <= {doc["fixture"] for doc in docs}
+    assert any(e.get("witness") for doc in docs for e in doc["entries"])
+    for doc in docs:
+        assert serialize_report(doc) == json.dumps(doc, indent=2) + "\n"

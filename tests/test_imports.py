@@ -47,3 +47,20 @@ def test_the_cli_does_not_load_the_fixture_builders():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert (out.returncode, out.stdout) == (0, "False\n")
+
+
+def test_the_package_imports_itself_only_by_relative_name():
+    """``tools/abtest.py`` imports a copy of another checkout's package
+    under another name, which works only while no module imports ``qhsa``
+    by its absolute name."""
+    absolute = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            absolute += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "qhsa"]
+    assert absolute == []

@@ -5,6 +5,7 @@ import json
 import sys
 from pathlib import Path
 
+from qhsa.cli import main
 from qhsa.structure import DEFAULT_SUITE_NAMES
 
 ROOT = Path(__file__).parent.parent
@@ -150,3 +151,33 @@ def test_the_diagonal_document_is_checked_in_both_formats(tmp_path):
     ]
     [line] = sweep.sweep(jobs[:1], ROOT / "src", tmp_path)
     assert line.split("\t")[:2] == ["diagonal: check diagonal-5.qhsa --format json", "exit=1"]
+
+
+def test_a_report_written_otherwise_than_json_dumps_writes_it_hashes_apart():
+    report = {"fixture": "café", "overall": "pass", "wall_time_seconds": {"algebra": 0.1}}
+    written = json.dumps(report, indent=2) + "\n"
+    raw = written.replace("\\u00e9", "é")  # the same report, its name not escaped
+    assert json.loads(raw) == json.loads(written)
+    assert sweep._stable_stdout(raw) != sweep._stable_stdout(written)
+    assert sweep._stable_stdout(written) == json.dumps({"fixture": "café", "overall": "pass"})
+
+
+def test_escaped_jobs_check_and_verify_copies_whose_name_needs_escaping(tmp_path, monkeypatch, capsys):
+    jobs = sweep.escaped_jobs(tmp_path)
+    assert [job.argv[:2] for job in jobs[::2]] == [
+        (command, f"{name}-escaped.qhsa")
+        for name in ("h2r", "ext")
+        for command in ("check", "drinfeld")
+    ]
+    assert [job.argv[-1] for job in jobs] == ["json", "text"] * 4
+    for name in ("h2r", "ext"):
+        doc = json.loads((tmp_path / "escaped" / f"{name}-escaped.qhsa").read_text())
+        assert doc["name"] == f'{name} café "quoted" back\\slash'
+    [line] = sweep.sweep(jobs[:1], ROOT / "src", tmp_path)
+    monkeypatch.chdir(tmp_path / "escaped")
+    assert main(["check", "h2r-escaped.qhsa", "--format", "json"]) == 0
+    report = capsys.readouterr().out
+    # the report carries the name escaped as json.dumps escapes it, unmarked
+    assert '  "fixture": "h2r caf\\u00e9 \\"quoted\\" back\\\\slash",\n' in report
+    stdout = sweep._hash(sweep._stable_stdout(report).encode())
+    assert line.split("\t")[1:3] == ["exit=0", f"stdout={stdout}"]

@@ -23,6 +23,8 @@ The job list is deterministic:
   where each word of the arity-3 unit meets the one-term Phi once;
 - ``transform D twist --twistor T`` for every bundled fixture D and bundled
   twistor T that declare the same field and dimension;
+- ``check`` and ``drinfeld --verify --emit-twist`` on copies of the
+  ``ESCAPED_FIXTURES`` whose ``name`` needs escaping in JSON (``ESCAPED_NAME``);
 - each of them once with ``--format json`` and once with ``--format text``;
 - ``check``, ``drinfeld --verify --emit-twist`` and ``transform prime``,
   with ``--format json``, on every one-entry corruption of each bundled
@@ -33,6 +35,8 @@ directory; with ``--compare`` the other checkout's CLI runs the same jobs on
 the same inputs.  A job's digest line holds its exit code and hashes of its
 stdout (a JSON report without ``wall_time_seconds``), its stderr and each
 file it writes (``--output``, ``--emit-twist``; ``-`` when it wrote none).
+A report that ``json.dumps(report, indent=2)`` would not write byte for byte
+hashes apart from one that it would.
 The temporary directory reads ``{work}`` in job ids, stdout and stderr, so
 digests from separate runs compare.
 
@@ -67,6 +71,8 @@ WRITTEN = ("--output", "--emit-twist")  # options that name a file the job write
 FIXTURE_DIR = ROOT / "src" / "qhsa" / "fixtures"
 ROW_KEYS = ("mult", "delta", "antipode", "phi", "r")  # the sparse rows a corruption edits
 VECTOR_KEYS = ("unit", "epsilon", "alpha", "beta")
+ESCAPED_FIXTURES = ("h2r", "ext")
+ESCAPED_NAME = 'caf\u00e9 "quoted" back\\slash'  # non-ASCII, a quote and a backslash
 
 
 @dataclass(frozen=True)
@@ -236,6 +242,22 @@ def twist_jobs(work: Path, names=None) -> list:
     return jobs
 
 
+def escaped_jobs(work: Path, names=ESCAPED_FIXTURES) -> list:
+    """``check`` and ``drinfeld --verify --emit-twist`` on a copy of each
+    bundled fixture in ``names`` named ``<fixture> ESCAPED_NAME``, in both
+    formats: reports, twistors and text all write the name."""
+    directory = work / "escaped"
+    directory.mkdir(parents=True, exist_ok=True)
+    jobs = []
+    for name in names:
+        doc = json.loads((FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8"))
+        stem = f"{name}-escaped"
+        (directory / f"{stem}.qhsa").write_text(json.dumps({**doc, "name": f"{name} {ESCAPED_NAME}"}))
+        argvs = (("check", f"{stem}.qhsa"), _emit_argv(directory, stem))
+        jobs += [SweepJob("escaped", _with_format(argv, fmt)) for argv in argvs for fmt in FORMATS]
+    return jobs
+
+
 def corruptions(doc: dict) -> dict:
     """stem suffix -> a copy of the structure document ``doc`` with one entry
     changed: the scalar of the first row of each of ``ROW_KEYS`` negated, then
@@ -298,13 +320,18 @@ def _hash(data: bytes) -> str:
 
 
 def _stable_stdout(text: str) -> str:
+    """A JSON report without ``wall_time_seconds``, marked when its text is
+    not what ``json.dumps(report, indent=2)`` writes, so that a change in how
+    a report is written (an escape, say) changes the digest; any other text
+    as it is."""
     try:
         report = json.loads(text)
     except ValueError:
         return text
+    written = json.dumps(report, indent=2) + "\n" == text
     if isinstance(report, dict):
         report.pop("wall_time_seconds", None)
-    return json.dumps(report)
+    return json.dumps(report) if written else "not indent-2: " + json.dumps(report)
 
 
 def job_id(job: SweepJob, work: Path) -> str:
@@ -367,6 +394,7 @@ def main(argv=None) -> int:
             *tensor_jobs(work),
             *diagonal_jobs(work),
             *twist_jobs(work),
+            *escaped_jobs(work),
             *corruption_jobs(work),
         ]
         mine = sweep(jobs, ROOT / "src", work)
