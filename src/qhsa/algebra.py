@@ -28,7 +28,7 @@ still returns a ``Cyclotomic``; only the constructors demote.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import prod
 from operator import getitem, itemgetter
 
@@ -52,30 +52,27 @@ class GradedAlgebra:
     e_i e_j as a tuple of (k, coefficient) pairs; a missing j is a zero
     product.  When every nonzero product is one basis element with
     coefficient 1 or -1, the table is monomial: ``monomial_targets[i]`` maps
-    the same j to that k, and tensor_multiply builds words by lookup (a zero
-    pair looks up None).  ``monomial_signs[i]`` maps them to 1 where the
-    coefficient is -1, and is None when no coefficient is; graded products
-    of odd-carrying algebras have such signs.  Both are None for any other
-    table.  ``partners[i]`` holds the keys of ``product_rows[i]`` and
-    ``partner_counts[i]`` their number: the partner words of a word w, the
-    only words it has a nonzero product with, are the product of the tuples
-    ``partners[i]`` over its legs i.  ``has_zero_products`` is True when
-    some e_i e_j is 0, and ``has_odd`` when some basis element is odd;
-    without one no product has a Koszul sign and no parity mask is built.
-    ``unit_support`` holds the (k, u_k) with u_k != 0, in increasing k: the
-    one scan of ``unit`` for its support, read by ``basis_generators`` and
-    ``validate_algebra``, and in canonical form the terms of 1^(tensor 1).
+    the same j to that k, and tensor_multiply builds words by lookup.
+    ``monomial_signs[i]`` maps them to 1 where the coefficient is -1, and is
+    None when no coefficient is; graded products of odd-carrying algebras
+    have such signs.  Both are None for any other table.  ``partners[i]``
+    holds the keys of ``product_rows[i]`` and ``partner_counts[i]`` their
+    number: the partner words of a word w, the only words it has a nonzero
+    product with, are the product of the tuples ``partners[i]`` over its
+    legs i.  ``has_odd`` is True when some basis
+    element is odd; without one no product has a Koszul sign and no parity
+    mask is built.  ``unit_support`` holds the (k, u_k) with u_k != 0, in
+    increasing k: the one scan of ``unit`` for its support, read by
+    ``basis_generators`` and ``validate_algebra``, and in canonical form the
+    terms of 1^(tensor 1).
 
     Dicts on the algebra memoize what tensor_multiply reads per word, and
     are dropped with it: ``odd_legs`` and ``odd_prefix``, its parity masks,
     filled on the first lookup of a word; ``partner_word_counts``, the
     number of its partner words, filled on its first visit as an x word;
-    over a monomial table ``monomial_rows``, the rows
-    ``monomial_targets[i]`` of its legs (None otherwise), filled when it
-    walks y on a later visit; and ``probe_plans``, its product with each of
-    its partner words (``_plan``), filled on its second probe.
-    ``unit_powers`` holds the terms of 1^(tensor n), ``placements`` and
-    ``permutation_signs`` the plans of ``embed_legs`` and ``permute_legs``.
+    and ``probe_plans``, its product with each of its partner words
+    (``_plan``), filled on its second probe.  ``unit_powers`` holds the
+    terms of 1^(tensor n).
     """
 
     def __init__(self, dimension, parity, unit, mult, field: FieldSpec):
@@ -110,20 +107,15 @@ class GradedAlgebra:
             rows[i][j] = tuple(table[i, j].items())
         self.partners = tuple(map(tuple, rows))
         self.partner_counts = tuple(map(len, self.partners))
-        self.has_zero_products = len(table) < dimension * dimension
         self.has_odd = any(parity)
         self.odd_legs = _WordMemo(partial(_odd_legs, parity=parity))
         self.odd_prefix = _WordMemo(partial(_odd_prefix, parity=parity))
         self.partner_word_counts, self.probe_plans = {}, {}
         one = field.one()
         self.unit_powers = {0: {(): one}, 1: {(k,): canonical(u) for k, u in self.unit_support}}
-        self.placements, self.permutation_signs = _WordMemo(_placement), _WordMemo(_permutation)
-        self.monomial_targets = self.monomial_signs = self.monomial_rows = None
+        self.monomial_targets = self.monomial_signs = None
         if all(len(row) == 1 and row[0][1] in (one, -one) for r in rows for row in r.values()):
-            self.monomial_targets = targets = tuple(
-                {j: row[0][0] for j, row in r.items()} for r in rows
-            )
-            self.monomial_rows = _WordMemo(lambda word: tuple(map(targets.__getitem__, word)))
+            self.monomial_targets = tuple({j: row[0][0] for j, row in r.items()} for r in rows)
             signs = tuple({j: int(row[0][1] != one) for j, row in r.items()} for r in rows)
             if any(any(r.values()) for r in signs):
                 self.monomial_signs = signs
@@ -330,63 +322,53 @@ class _WordMemo(dict):
 
 
 # Each x word meets the y words of one route, chosen per x word by
-# tensor_multiply.  A word with a probe plan (``_plan``) looks each of its
-# partner words up in y.  Any other word with at most min(|y|,
-# PROBE_CUTOFF) partner words probes: it walks the partner words y holds,
-# so it costs no more lookups than a walk of y would.  Its second probe
-# plans all of them, and the algebra keeps that plan.  The first keeps
-# nothing, because a unit of many terms times a small element probes each
-# of its words once.  On ``check`` of a dimension-60 diagonal document,
-# keeping those plans took 1.6 times as long and 163 MB at the peak against
-# 91 MB, and building plans for them without keeping any made the kernel
-# 1.25 times as slow as the walk.  Any other word walks a trie of y into
-# partner legs when the product has more than JOIN_CUTOFF word pairs, and
-# otherwise visits every y word: a small product has few zero pairs to
-# skip.  Over a table with no zero product (any group algebra) there is
-# nothing to skip, and such a word visits every y word; the trie would cost
-# 5-15% more there.  Walked words meet about one nonzero pair each on
+# tensor_multiply from the algebra's memos and the operands alone.  A word
+# with a probe plan (``_plan``) looks each of its partner words up in y.
+# Any other word with at most min(|y|, PROBE_CUTOFF) partner words probes:
+# it walks the partner words y holds, so it costs no more lookups than a
+# walk of y would.  Its second probe plans all of them, and the algebra
+# keeps that plan.  The first keeps nothing, because a unit of many terms
+# times a small element probes each of its words once.  On ``check`` of a
+# dimension-60 diagonal document, keeping those plans took 1.6 times as
+# long and 163 MB at the peak against 91 MB, and building plans for them
+# without keeping any made the kernel 1.25 times as slow as the walk.  A
+# probe pays for each partner word that y lacks, the trie only for the
+# prefixes y has.  On the products of a dimension-8 structure with a
+# 180-term coassociator, probing up to |y| partner words took the kernel
+# 1.02-1.06 times as long as the trie alone, and probing up to 16 took
+# 0.99-1.04 times, and on its suites and battery the unbounded probe kept
+# 20 times as many plan entries and took 2.6 times the peak memory.  Any
+# other word walks the trie of y (``_trie``) leg by leg, from each node
+# only into the branches that are partners of its own leg, so it meets only
+# prefixes y holds and never a pair with a zero leg product (the trie join
+# of Veldhuizen, "Leapfrog Triejoin", ICDT 2014, over basis words).  It
+# keeps nothing: such words meet about one nonzero pair each on
 # ``transform tensor`` of h2ext and k[Z2], where planning them too made the
-# kernel 1.17 times as slow.  A probe pays for each partner word that y
-# lacks, the trie only for the prefixes y has.  On the products of a
-# dimension-8 structure with a 180-term coassociator, probing up to |y|
-# partner words took the kernel 1.02-1.06 times as long as the trie alone,
-# and probing up to 16 took 0.99-1.04 times.  On the benchmark workloads a
-# JOIN_CUTOFF of 16 or 64 did equally well, and 256 or 1024 a little worse.
-JOIN_CUTOFF = 64
+# kernel 1.17 times as slow.  The kernel walks the trie with plain loops:
+# most tries hold a few words, and a function call per word and a list
+# comprehension per leg made the ``ladder`` workload about 3% slower.
 PROBE_CUTOFF = 16
 
 
-def _joined(words, partners):
-    """The y words each x word meets with no zero leg product, as a
-    function of the x word.  y is indexed in a trie by its legs, and an x
-    word walks from each leg e_i only into ``partners[i]``, so pairs with a
-    zero leg are never visited (the trie join of Veldhuizen, "Leapfrog
-    Triejoin", ICDT 2014, over basis words)."""
+def _trie(words) -> dict:
+    """The words indexed by their legs: nested dicts, one level per leg,
+    whose last level maps the last leg to the word itself."""
     trie = {}
     for word in words:
-        *head, last = word
         node = trie
-        for j in head:
+        for j in word[:-1]:
             node = node.setdefault(j, {})
-        node[last] = word
-
-    def visit(wx):
-        nodes = [trie]
-        for i in wx:
-            legs = partners[i]
-            nodes = [n[j] for n in nodes for j in legs if j in n]
-        return nodes
-
-    return visit
+        node[word[-1]] = word
+    return trie
 
 
 def _plan(alg, wx, words) -> tuple:
-    """(wy, product) for each y word of ``words`` whose product with the x
-    word wx is not zero, in the order of ``words``, with both signs folded
-    in: the Koszul flip and, over a monomial table, the table's -1 entries.
-    Over a monomial table the product is (w, negate), the one word of the
-    pair and whether its sign is -1; over any other table it is a tuple of
-    (w, signed coefficient) pairs, the sparse rows expanded leg by leg."""
+    """(wy, product) for each of ``words``, partner words of the x word wx,
+    in their order, with both signs folded in: the Koszul flip and, over a
+    monomial table, the table's -1 entries.  Over a monomial table the
+    product is (w, negate), the one word of the pair and whether its sign
+    is -1; over any other table it is a tuple of (w, signed coefficient)
+    pairs, the sparse rows expanded leg by leg."""
     odd = alg.odd_legs[wx] if alg.has_odd else 0
     prefixes = alg.odd_prefix
     plan = []
@@ -395,9 +377,7 @@ def _plan(alg, wx, words) -> tuple:
         signs = alg.monomial_signs
         negated = signs and tuple(map(signs.__getitem__, wx))
         for wy in words:
-            w = tuple(map(dict.get, rows, wy))
-            if None in w:
-                continue
+            w = tuple(map(getitem, rows, wy))
             flips = odd and (odd & prefixes[wy]).bit_count()
             if negated:
                 flips += sum(map(getitem, negated, wy))
@@ -407,10 +387,8 @@ def _plan(alg, wx, words) -> tuple:
         for wy in words:
             product = [((), -1 if odd and (odd & prefixes[wy]).bit_count() & 1 else 1)]
             for i, j in zip(wx, wy):
-                row = rows[i].get(j, ())
-                product = [(w + (k,), c * ck) for w, c in product for k, ck in row]
-            if product:
-                plan.append((wy, tuple(product)))
+                product = [(w + (k,), c * ck) for w, c in product for k, ck in rows[i][j]]
+            plan.append((wy, tuple(product)))
     return tuple(plan)
 
 
@@ -420,28 +398,31 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
     The exponent for words x and y is the number of legs j where x_j is odd
     and an odd number of y-legs lie left of j: the common bits of
     ``_odd_legs(x)`` and ``_odd_prefix(y)``, read from the algebra's memos;
-    over a purely even algebra no mask is built at all.  Each x word takes
-    one route, chosen once here as the comment above JOIN_CUTOFF says: its
-    probe plan, a probe of y for its partner words, the trie of y (built
-    once per product, on first need) or every y word.  A plan costs one
-    lookup in y per partner word and one scalar product per word y holds.
-    A word's second probe builds its plan (``_plan``) and the algebra keeps
-    it; its first probe, the trie and the full route walk y.  Over a
-    monomial table a walk gives each pair of words one word by lookup, a
-    zero pair looking up None, and over any other table it goes through
-    ``_plan`` and keeps nothing.  Every route gives the same terms.
+    over a purely even algebra no mask is built at all.  An empty y gives
+    zero at once.  Otherwise each x word takes one route, by the rule in the
+    comment above ``PROBE_CUTOFF``: its probe plan if it has one; else a
+    probe of y for its partner words when it has at most min(|y|,
+    PROBE_CUTOFF) of them; else the trie of y, built once per product on
+    first need.  A plan costs one lookup in y
+    per partner word and one scalar product per word y holds.  A word's
+    second probe builds its plan (``_plan``) and the algebra keeps it; its
+    first probe and the trie walk y, meeting only partner words.  Over a
+    monomial table a walk gives each pair of words one word by lookup, and
+    over any other table it goes through ``_plan`` and keeps nothing.  Every
+    route gives the same terms.
     """
     x._require_same_shape(y)
     alg = x.algebra
     terms = y.terms
+    if not terms:
+        return TensorElement._from_terms(alg, x.arity, {})
     get = terms.get
+    probe = min(len(terms), PROBE_CUTOFF)
     plans, counts = alg.probe_plans, alg.partner_word_counts
     partners, partner_counts = alg.partners, alg.partner_counts
     has_odd, legs, prefixes = alg.has_odd, alg.odd_legs, alg.odd_prefix
-    targets, word_rows, signs = alg.monomial_targets, alg.monomial_rows, alg.monomial_signs
-    probe = min(len(terms), PROBE_CUTOFF)
-    join = alg.has_zero_products and len(x.terms) * len(terms) > JOIN_CUTOFF
-    joined = None
+    targets, signs = alg.monomial_targets, alg.monomial_signs
+    rows_of, trie = alg.product_rows, None
     out = {}
     for wx, cx in x.terms.items():
         plan = plans.get(wx)
@@ -449,29 +430,30 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
             n = seen = counts.get(wx)
             if n is None:
                 n = counts[wx] = prod(map(partner_counts.__getitem__, wx))
-            if n <= probe:
+            if n > probe:
+                trie = trie or _trie(terms)
+                walk = [trie]
+                for i in wx:
+                    row, nodes, walk = rows_of[i], walk, []
+                    for node in nodes:
+                        for j in node:
+                            if j in row:
+                                walk.append(node[j])
+            else:
                 words = itertools.product(*map(partners.__getitem__, wx))
                 if seen is None:
                     walk = filter(terms.__contains__, words)
                 else:
                     plan = plans[wx] = _plan(alg, wx, words)
-            elif join:
-                joined = joined or _joined(terms, partners)
-                walk = joined(wx)
-            else:
-                walk = terms
             if plan is None and targets is None:
                 plan = _plan(alg, wx, walk)
         if plan is None:
-            # a walk over a monomial table; a word's first visit builds its
-            # rows without keeping them, so words met once fill no memo
-            rows = tuple(map(targets.__getitem__, wx)) if seen is None else word_rows[wx]
+            # a walk over a monomial table
+            rows = tuple(map(targets.__getitem__, wx))
             negated = signs and tuple(map(signs.__getitem__, wx))
             odd = legs[wx] if has_odd else 0
             for wy in walk:
-                w = tuple(map(dict.get, rows, wy))
-                if None in w:
-                    continue
+                w = tuple(map(getitem, rows, wy))
                 flips = odd and (odd & prefixes[wy]).bit_count()
                 if negated:
                     flips += sum(map(getitem, negated, wy))
@@ -512,9 +494,11 @@ def _koszul_sign(odd, word) -> int:
     return sum(a > b for i, a in enumerate(legs) for b in legs[i + 1 :]) & 1
 
 
+@lru_cache(maxsize=None)
 def _permutation(word) -> tuple:
     """The getter of the new word (``itemgetter`` of one index would return
-    it bare) and the ``_koszul_sign`` table by odd-leg mask."""
+    it bare) and the ``_koszul_sign`` table by odd-leg mask, made once per
+    word: neither depends on the algebra."""
     if sorted(word) != list(range(len(word))):
         raise AlgebraError(f"{word} is not a permutation of 0..{len(word) - 1}")
     signs = _WordMemo(partial(_koszul_sign, word=word))
@@ -526,14 +510,15 @@ def permute_legs(x: TensorElement, word) -> TensorElement:
 
     The Koszul sign counts pairs of odd legs whose order flips; it equals the
     product of transposition signs along any adjacent-swap decomposition.
-    Its table reads the word's ``odd_legs`` mask where some element is odd.
+    Its table (``_permutation``) reads the word's ``odd_legs`` mask where
+    some element is odd.
     """
     n = x.arity
     word = tuple(word)
     if len(word) != n:
         raise AlgebraError(f"{word} is not a permutation of 0..{n - 1}")
     alg = x.algebra
-    place, signs = alg.permutation_signs[word]
+    place, signs = _permutation(word)
     odd, legs = alg.has_odd, alg.odd_legs
     out = {place(w): -c if odd and signs[legs[w]] else c for w, c in x.terms.items()}
     return TensorElement._from_terms(alg, n, out)
@@ -567,9 +552,11 @@ def interleave(x: TensorElement, y: TensorElement, algebra: GradedAlgebra) -> Te
     return TensorElement._from_terms(algebra, x.arity, out)
 
 
-def _placement(key):
-    """The getter of the embedded word from ``word + fill`` (``tuple`` if it is that)."""
-    positions, arity = key
+@lru_cache(maxsize=None)
+def _placement(positions, arity):
+    """The getter of the embedded word from ``word + fill`` (``tuple`` if it
+    is that), made once per (positions, arity): it does not depend on the
+    algebra."""
     if list(positions) != sorted(set(positions)):
         raise AlgebraError("positions must be strictly increasing")
     if arity < len(positions) or positions and not (0 <= positions[0] and positions[-1] < arity):
@@ -586,7 +573,7 @@ def embed_legs(x: TensorElement, positions, arity: int) -> TensorElement:
     if len(positions) != x.arity:
         raise AlgebraError("positions must match the arity of x")
     alg = x.algebra
-    place = alg.placements[positions, arity]
+    place = _placement(positions, arity)
     fills = TensorElement.unit(alg, arity - x.arity).terms.items()
     out = {place(w + u): c if f == 1 else c * f for w, c in x.terms.items() for u, f in fills}
     return TensorElement._from_terms(alg, arity, out)

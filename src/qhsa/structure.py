@@ -878,11 +878,12 @@ VALIDATION_SUITES = ("algebra", "structure")
 DRINFELD_PREMISES = VALIDATION_SUITES + ("quasi-bialgebra", "antipode")
 
 # Each suite, in report order, with the suites that must pass before it is
-# well posed.  The premises also license the reductions: outside the two
-# validation suites, a check that quantifies over the generators
-# (``GradedAlgebra.generators``) does so only when ``algebra`` and
-# ``structure`` are in ``QhsaStructure.passed`` (``_known``), which
-# ``run_suites`` fills by running the premises first.
+# well posed: every premise, transitively, each after its own premises and
+# each listed in ``SUITES`` before the suite.  The premises also license
+# the reductions: outside the two validation suites, a check that
+# quantifies over the generators (``GradedAlgebra.generators``) does so
+# only when ``algebra`` and ``structure`` are in ``QhsaStructure.passed``
+# (``_known``), which ``run_suites`` fills by running the premises first.
 SUITES = {
     "algebra": (lambda H: validate_algebra(H.algebra), ()),
     "structure": (validate_structure, ("algebra",)),
@@ -903,20 +904,24 @@ DEFAULT_SUITE_NAMES = tuple(name for name in SUITES if name != "triangular")
 def run_suites(H: QhsaStructure, names=DEFAULT_SUITE_NAMES):
     """Run the named suites; returns [(name, CheckReport, seconds)].
 
-    Each suite runs at most once, after its premises in ``SUITES``.  A suite
-    with a premise that did not pass is not run: it reports ``skipped:
-    validation failed earlier``.  A failed suite is reported where it ran,
-    whether it was selected or ran as a premise; any other selected suite
-    is reported where it is first named.  So a run whose premises pass
-    reports exactly the selected suites, each once.
+    Each suite runs at most once, after its premises in ``SUITES``, which
+    list every premise transitively, each after its own premises; so one
+    loop over a suite's premises and then the suite runs them in order.  A
+    suite with a premise that did not pass is not run: it reports
+    ``skipped: validation failed earlier``.  A failed suite is reported
+    where it ran, whether it was selected or ran as a premise; any other
+    selected suite is reported where it is first named.  So a run whose
+    premises pass reports exactly the selected suites, each once.  The run
+    keeps no reference to H once it returns.
     """
     runs = {}  # name -> (report, seconds, ran and passed)
     results = []
-
-    def run(name):
-        if name not in runs:
+    for selected in names:
+        for name in (*SUITES[selected][1], selected):
+            if name in runs:
+                continue
             fn, premises = SUITES[name]
-            well_posed = all(run(p)[2] for p in premises)
+            well_posed = all(runs[p][2] for p in premises)
             start = time.perf_counter()
             if well_posed:
                 report = fn(H)
@@ -928,10 +933,7 @@ def run_suites(H: QhsaStructure, names=DEFAULT_SUITE_NAMES):
                 H.passed.add(name)
             if not report.ok:
                 results.append((name, report, runs[name][1]))
-        return runs[name]
-
-    for name in names:
-        report, seconds, _ = run(name)
-        if report.ok and name not in (n for n, _, _ in results):
-            results.append((name, report, seconds))
+        report, seconds, _ = runs[selected]
+        if report.ok and selected not in (n for n, _, _ in results):
+            results.append((selected, report, seconds))
     return results

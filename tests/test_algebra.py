@@ -29,6 +29,7 @@ from qhsa.algebra import (
     outer,
     permute_legs,
 )
+from qhsa.cli import main
 from qhsa.documents import document_to_twistor, load_structure, parse_twistor_document
 from qhsa.drinfeld import compute_drinfeld_twist
 from qhsa.fixtures import (
@@ -189,8 +190,6 @@ MONOMIAL_ALGEBRAS = (
 # (1 (x) theta)(theta (x) 1) = -(theta (x) theta) puts a -1 into ext (x) ext
 SIGNED_ALGEBRAS = ("ext-ext", "cl1-minus")
 GENERAL_ALGEBRAS = ("kz2-2g", "kz2-g-1g", "cl1", "h2-2e1")
-# every e_i e_j is nonzero
-NO_ZERO_PRODUCT = ("kz2", "kz2-2g", "kz2-g-1g", "cl1", "cl1-minus", "ks3", "kz2-kz2")
 
 
 def _hopf(H):
@@ -256,7 +255,6 @@ def assert_tables_match_the_dense_oracle(alg):
     ]
     assert alg.partners == tuple(tuple(j for j, _ in row) for row in nonzero)
     assert alg.partner_counts == tuple(map(len, nonzero))
-    assert alg.has_zero_products == any(not p for row in grid for p in row)
     one = alg.field.one()
     products = [p for row in nonzero for _, p in row]
     if not all(len(p) == 1 and set(p.values()) <= {one, -one} for p in products):
@@ -307,9 +305,10 @@ def test_random_tables_match_the_dense_oracle(alg):
 
 @st.composite
 def kernel_operands(draw, alg):
-    """Two elements of one arity with up to 40 terms each, so that products
-    take both routes of tensor_multiply: up to JOIN_CUTOFF word pairs and
-    beyond it."""
+    """Two elements of one arity with up to 40 terms each, either of them
+    possibly zero, so that x words fall on both sides of min(|y|,
+    PROBE_CUTOFF) partner words and products take every route of
+    tensor_multiply."""
     n = draw(st.integers(1, 4))
     word = st.tuples(*[st.integers(0, alg.dimension - 1)] * n)
     field = alg.field
@@ -335,29 +334,34 @@ def test_kernel_matches_the_reference_product(name, data):
     assert TensorElement(alg, x.arity, product.terms) == product
 
 
+def _partner_words(alg, wx):
+    return set(itertools.product(*(alg.partners[i] for i in wx)))
+
+
 @pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
 def test_joined_route_matches_the_reference_product(name):
-    # seeded operands of up to 40 terms in arity 3 and 4, taken where their
-    # product has more than JOIN_CUTOFF word pairs and so the joined route
+    # seeded operands of up to 40 terms in arity 3 and 4, y of up to 40 and
+    # of 4 words: an x word with more than min(|y|, PROBE_CUTOFF) partner
+    # words takes the trie, which every algebra here meets unless each leg
+    # has one partner (h2 and its relatives, whose distinct idempotents
+    # multiply to 0)
     alg = kernel_algebra(name)
     rng = random.Random(name)
+    trie = False
     for n in (3, 4):
         words = list(itertools.product(range(alg.dimension), repeat=n))
         size = min(40, len(words))
-        if size * size <= algebra.JOIN_CUTOFF:
-            continue  # arity 3 over a 2-dimensional algebra has 8 words
-        for _ in range(3):
+        for y_size in (size, 4) * 3:
             x, y = (
                 TensorElement(
                     alg, n, {w: alg.field.from_int(rng.choice((-2, -1, 1, 3))) for w in pair}
                 )
-                for pair in (rng.sample(words, size), rng.sample(words, size))
+                for pair in (rng.sample(words, size), rng.sample(words, y_size))
             )
             assert x * y == oracle_multiply(x, y)
-
-
-def _partner_words(alg, wx):
-    return set(itertools.product(*(alg.partners[i] for i in wx)))
+            probe = min(y_size, algebra.PROBE_CUTOFF)
+            trie |= any(len(_partner_words(alg, wx)) > probe for wx in x.terms)
+    assert trie == (max(alg.partner_counts) > 1)
 
 
 def fresh_algebra(alg):
@@ -366,39 +370,40 @@ def fresh_algebra(alg):
     return GradedAlgebra(alg.dimension, alg.parity, alg.unit, alg.mult, alg.field)
 
 
-def _expected_route(alg, wx, x, y):
+def _expected_route(alg, wx, y):
     """The route tensor_multiply must take for the x word wx, read off the
-    algebra's memos before the product."""
+    algebra's memos before the product and the size of y alone."""
     if wx in alg.probe_plans:
         return "plan"
     if len(_partner_words(alg, wx)) <= min(len(y.terms), algebra.PROBE_CUTOFF):
         return "probe"
-    if alg.has_zero_products and len(x.terms) * len(y.terms) > algebra.JOIN_CUTOFF:
-        return "trie"
-    return "every"
+    return "trie"
 
 
 def _route_cases(alg):
-    """Operand pairs of arity 4 with 9 x 9 word pairs, above JOIN_CUTOFF,
-    and 2 x 2, below it, and one whose y has as many words as the first
-    word's partner words, up to PROBE_CUTOFF, which is where the probe
-    stops.  The first and last words have the most and the fewest partner
-    words."""
+    """Operand pairs of arity 4: 9 x words against 9 y words and 2 against
+    2, and two whose y has as many words as the first word's partner words,
+    up to PROBE_CUTOFF, which is where the probe stops, and one fewer.  When
+    that word has more than PROBE_CUTOFF partner words (256 at most here),
+    one more y has as many words as it has partner words, so the bound and
+    not |y| sends it to the trie.  The first and last words have the most
+    and the fewest partner words."""
     words = list(itertools.product(range(alg.dimension), repeat=4))
     one = alg.field.one()
-    edge = min(len(_partner_words(alg, words[0])), algebra.PROBE_CUTOFF)
-    for x_words, y_words in (
-        (words[:5] + words[-4:], words[:9]),
-        (words[:1] + words[-1:], words[:2]),
-        (words[:1] + words[-1:], words[:edge]),
-    ):
+    partners = len(_partner_words(alg, words[0]))
+    edge = min(partners, algebra.PROBE_CUTOFF)
+    cases = [(words[:5] + words[-4:], words[:9]), (words[:1] + words[-1:], words[:2])]
+    cases += [(words[:1] + words[-1:], words[:size]) for size in (edge, edge - 1) if size]
+    if algebra.PROBE_CUTOFF < partners <= 256:
+        cases.append((words[:1] + words[-1:], words[:partners]))
+    for x_words, y_words in cases:
         yield tuple(TensorElement(alg, 4, dict.fromkeys(w, one)) for w in (x_words, y_words))
 
 
 class _LoggedTerms(dict):
     """An operand's terms that log what the kernel reads of them into
     ``log``: each x word as the kernel reaches it, each y word it looks up
-    (``in`` or ``get``), and a walk over all of y."""
+    (``in`` or ``get``) or reads (``[]``), and a walk over all of y."""
 
     def __init__(self, terms, log):
         super().__init__(terms)
@@ -417,6 +422,10 @@ class _LoggedTerms(dict):
         self.log.append(("look", wy))
         return super().get(wy, default)
 
+    def __getitem__(self, wy):
+        self.log.append(("read", wy))
+        return super().__getitem__(wy)
+
     def __iter__(self):
         self.log.append(("all", None))
         return super().__iter__()
@@ -424,32 +433,30 @@ class _LoggedTerms(dict):
 
 def _routes_taken(monkeypatch, x, y):
     """The product x * y, {x word: the route tensor_multiply takes for it,
-    the y words it looks up and the y words it meets} and the tries it
-    builds.  Both operands log the kernel's reads (``_LoggedTerms``), and
-    ``algebra._joined`` is wrapped to record each trie and the y words
-    each x word meets in it.  A plan and a probe meet the partner words
-    they look up that y holds; the full route walks all of y, and the
-    trie meets the words it yields."""
+    the y words it looks up and the y words it meets} and the number of
+    tries it builds.  Both operands log the kernel's reads
+    (``_LoggedTerms``), and ``algebra._trie`` is wrapped to count the tries
+    and build them from an unlogged copy of y.  A word meets the words of y
+    it looks up or reads.  A word planned before the product takes its
+    plan; a word that looks up every one of its partner words probes; any
+    other word walks the trie (it has more partner words than y has words,
+    or more than PROBE_CUTOFF, and y holds fewer than all of them in the
+    cases here, so it looks up fewer than all); a word that walks all of y, which no
+    route does, is logged as "every"."""
     alg = x.algebra
     planned = set(alg.probe_plans)
-    log, visited, tries = [], {}, []
-    join = algebra._joined
+    log, tries = [], []
+    trie = algebra._trie
 
-    def recorded_join(words, partners):
+    def recorded_trie(words):
         tries.append(words)
-        visit = join(list(dict.keys(words)), partners)  # unlogged
-
-        def recorded_visit(wx):
-            visited[wx] = visit(wx)
-            return visited[wx]
-
-        return recorded_visit
+        return trie(list(dict.keys(words)))
 
     logged = [object.__new__(TensorElement) for _ in (x, y)]
     for el, source in zip(logged, (x, y)):
         el.algebra, el.arity, el.terms = alg, source.arity, _LoggedTerms(source.terms, log)
     with monkeypatch.context() as patch:
-        patch.setattr(algebra, "_joined", recorded_join)
+        patch.setattr(algebra, "_trie", recorded_trie)
         product = logged[0] * logged[1]
     reads = {}
     for kind, word in log:
@@ -460,58 +467,55 @@ def _routes_taken(monkeypatch, x, y):
     taken = {}
     for wx, events in reads.items():
         looked = {wy for kind, wy in events if kind == "look"}
+        met = {wy for _, wy in events} & set(y.terms)
         if ("all", None) in events:
-            route, met = "every", set(y.terms)
-        elif wx in visited:
-            route, met = "trie", set(visited[wx])
+            route = "every"
+        elif wx in planned:
+            route = "plan"
         else:
-            route, met = "plan" if wx in planned else "probe", looked & set(y.terms)
+            route = "probe" if looked == _partner_words(alg, wx) else "trie"
         taken[wx] = route, looked, met
     return product, taken, len(tries)
 
 
 @pytest.mark.parametrize("name", MONOMIAL_ALGEBRAS + GENERAL_ALGEBRAS)
 def test_joined_route_only_over_a_table_with_zero_products(monkeypatch, name):
-    """Each x word takes the route its memos, partner words and the operand
-    sizes pick, and each route meets exactly the y words it should: a plan,
-    a probe and the trie their partner words that y holds, the full route
-    every y word.  A plan and a probe look up each of their partner words,
-    the trie and the full route only words they meet.  The cases run twice on a
-    fresh algebra, so the second round reads the plans the first kept, and
-    a probe keeps its plan when it is not the word's first.  The trie is
-    built at most once per product, and only when a word takes it; over a
-    table with no zero product no word does, while words with few partner
-    words still probe and plan."""
+    """Each x word takes the route its memos and partner words and the size
+    of y pick (``_expected_route``), whatever the table, and each route
+    meets exactly the partner words of its word that y holds.  A plan and a
+    probe look up each of their partner words, the trie only words it
+    meets, and no word walks all of y.  The cases run twice on a fresh
+    algebra, so the second round reads the plans the first kept, and a
+    probe keeps its plan when it is not the word's first.  The trie is
+    built at most once per product, and only when a word takes it.  The
+    trie serves tables with no zero product too."""
     alg = fresh_algebra(kernel_algebra(name))
-    assert alg.has_zero_products == (name not in NO_ZERO_PRODUCT)
     assert alg.partner_counts == tuple(map(len, alg.partners))
-    routes = set()
     for x, y in [*_route_cases(alg), *_route_cases(alg)]:
-        expected = {wx: _expected_route(alg, wx, x, y) for wx in x.terms}
+        expected = {wx: _expected_route(alg, wx, y) for wx in x.terms}
         seen = set(alg.partner_word_counts)
         product, taken, tries = _routes_taken(monkeypatch, x, y)
         assert taken.keys() == x.terms.keys()
         for wx, (route, looked, met) in taken.items():
             partner_words = _partner_words(alg, wx)
             assert route == expected[wx]
-            assert met == (set(y.terms) if route == "every" else set(y.terms) & partner_words)
+            assert met == set(y.terms) & partner_words
             if route in ("plan", "probe"):
                 assert looked == partner_words
             else:
                 assert looked <= met
             if route == "probe":
                 assert (wx in alg.probe_plans) == (wx in seen)
-            routes.add(route)
         assert tries == ("trie" in {route for route, _, _ in taken.values()})
         assert product == oracle_multiply(x, y)
-    assert alg.has_zero_products or "trie" not in routes
 
 
 def test_each_route_is_taken(monkeypatch):
     """Over two rounds of the route cases on a fresh algebra, h2 only
-    probes and plans (each leg has one partner), ext takes all four routes,
-    and k[Z2] (no zero product) visits every y word, except where y holds
-    all 16 partner words of an arity-4 word: there it probes and plans."""
+    probes and plans (each leg has one partner); ext and k[Z2] (no zero
+    product) take all three routes: the trie where y has fewer words than an
+    arity-4 word has partner words (16 over k[Z2]), a probe and then a plan
+    where it has as many."""
     seen = {}
     for name in ("h2", "ext", "kz2"):
         alg = fresh_algebra(kernel_algebra(name))
@@ -522,30 +526,31 @@ def test_each_route_is_taken(monkeypatch):
         }
     assert seen == {
         "h2": {"probe", "plan"},
-        "ext": {"probe", "plan", "trie", "every"},
-        "kz2": {"probe", "plan", "every"},
+        "ext": {"probe", "plan", "trie"},
+        "kz2": {"probe", "plan", "trie"},
     }
 
 
 def assert_plans_follow_their_lifecycle(x, y):
     """x * y twice over an algebra with empty memos: the first product
     keeps no plan, the second plans exactly the x words with at most
-    min(|y|, PROBE_CUTOFF) partner words, both equal the reference, and
-    each plan lists every partner word of its word, in itertools.product
-    order, with the signed product of the two basis words."""
+    min(|y|, PROBE_CUTOFF) partner words (none when y is zero), both equal the reference, and each
+    plan lists every partner word of its word, in itertools.product order,
+    with the signed product of the two basis words."""
     alg = x.algebra
     assert not alg.probe_plans and not alg.partner_word_counts
     first = x * y
     assert alg.probe_plans == {}
     second = x * y
     probe = min(len(y.terms), algebra.PROBE_CUTOFF)
-    assert set(alg.probe_plans) == {w for w in x.terms if len(_partner_words(alg, w)) <= probe}
+    probing = {w for w in x.terms if len(_partner_words(alg, w)) <= probe}
+    assert set(alg.probe_plans) == (probing if y.terms else set())
     assert first == second == oracle_multiply(x, y)
     one = alg.field.one()
     for wx, plan in alg.probe_plans.items():
         assert [wy for wy, _ in plan] == list(itertools.product(*(alg.partners[i] for i in wx)))
         for wy, product in plan:
-            if alg.monomial_rows is not None:
+            if alg.monomial_targets is not None:
                 w, negate = product
                 product = ((w, -one if negate else one),)
             basis = (TensorElement.basis(alg, w) for w in (wx, wy))
@@ -577,6 +582,22 @@ def test_a_unit_times_a_one_term_coassociator_plans_nothing():
     phi = TensorElement(alg, 3, {(0, 0, 0): alg.field.one()})
     assert TensorElement.unit(alg, 3) * phi == phi
     assert len(alg.partner_word_counts) == d**3 and alg.probe_plans == {}
+
+
+@pytest.mark.parametrize("name", ["ext", "kz2-g-1g"])
+def test_a_product_with_zero_is_zero_before_any_route(name):
+    """x * 0 and 0 * x at arities 0 to 4, over a monomial table and a table
+    with a two-term row: an empty y gives zero before any x word is
+    counted, probed or walked, even the empty word of arity 0."""
+    alg = fresh_algebra(kernel_algebra(name))
+    one = alg.field.one()
+    for n in range(5):
+        words = itertools.product(range(alg.dimension), repeat=n)
+        x = TensorElement(alg, n, dict.fromkeys(words, one))
+        zero = TensorElement.zero(alg, n)
+        for product in (x * zero, zero * x, x * zero):
+            assert product.arity == n and product.is_zero()
+    assert not alg.partner_word_counts and not alg.probe_plans
 
 
 @st.composite
@@ -831,21 +852,56 @@ def test_leg_plans_reject_what_they_cannot_place(ext):
     assert permute_legs(x, (1, 0)) == x and embed_legs(ext.unit(0), (), 2) == x
 
 
-def test_an_algebra_and_its_memos_are_freed_without_the_cycle_collector():
+# CLI jobs, with their exit codes, that run the suites, the Drinfeld battery
+# and three transforms, each building several algebras; h2ext (x) ext fails
+# its antipode checks (ROADMAP item 1, the odd (x) odd antipode)
+FREED_JOBS = (
+    (("check", "h2ext.qhsa"), 0),
+    (("drinfeld", "h2r.qhsa", "--verify"), 0),
+    (("transform", "h2ext.qhsa", "tensor", "--other", "ext.qhsa", "--output", "out.qhsa"), 1),
+    (("transform", "ext.qhsa", "opposite", "--output", "out.qhsa"), 0),
+    (("transform", "h2.qhsa", "twist", "--twistor", "f-e11.twist", "--output", "out.qhsa"), 0),
+)
+
+
+def test_an_algebra_and_its_memos_are_freed_without_the_cycle_collector(
+    monkeypatch, tmp_path, capsys
+):
+    """With ``gc`` disabled, an algebra whose kernel and leg memos are all
+    filled, and every algebra each of ``FREED_JOBS`` builds, is freed by
+    reference counting alone once nothing outside refers to it."""
+
     def build():
-        # Cl_1: an odd theta, so permutations fill their sign tables
+        # Cl_1: an odd theta, so products and permutations read parity masks
         alg = _rational_algebra(*SMALL_ALGEBRAS["cl1"])
         x = TensorElement(alg, 2, {(1, 0): 1, (1, 1): 2})
         units = [TensorElement.unit(alg, n) for n in range(4)]
         embed_legs(x, (0, 2), 3) * units[3]
+        y = TensorElement(alg, 1, {(0,): 1, (1,): 1})
+        for _ in range(2):  # a probe and then a plan
+            y * y
         permute_legs(x, (1, 0))
         assert sorted(alg.unit_powers) == [0, 1, 2, 3]
-        assert alg.placements and all(signs for _, signs in alg.permutation_signs.values())
+        assert alg.odd_legs and alg.odd_prefix and alg.partner_word_counts and alg.probe_plans
         return weakref.ref(alg)
 
+    built = []
+    init = GradedAlgebra.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(GradedAlgebra, "__init__", recorded)
+    monkeypatch.chdir(tmp_path)
     gc.disable()
     try:
         assert build()() is None
+        for argv, code in FREED_JOBS:
+            built.clear()
+            assert main(list(argv)) == code
+            capsys.readouterr()
+            assert built and [ref() for ref in built] == [None] * len(built), argv
     finally:
         gc.enable()
 

@@ -37,7 +37,12 @@ from qhsa.structure import (
     validate_algebra,
     validate_structure,
 )
-from qhsa.transforms import random_twistor, tensor_product_structure, twist_structure
+from qhsa.transforms import (
+    random_twistor,
+    tensor_product_structure,
+    twist_structure,
+    verify_twist_by_r,
+)
 
 from conftest import elem, ks3_structure, kz2_structure, signed_odd_product
 from printed import Printed, agree
@@ -200,6 +205,45 @@ def test_suites_skip_without_r(h2):
     assert all(e.status == "skipped" for e in report.entries)
     assert check_qqybe(h2).entries[0].status == "skipped"
     assert check_triangular(h2).entries[0].status == "skipped"
+
+
+# each check that needs R, with the ids it reports as skipped without one
+R_CHECKS = {
+    "validate_structure": (
+        validate_structure,
+        ["structure.r-even", "structure.r-invertible"],
+    ),
+    "check_quasi_triangular": (
+        check_quasi_triangular,
+        ["eq.6i", "eq.6ii", "eq.6iii", "eq.r-counit"],
+    ),
+    "check_triangular": (check_triangular, ["eq.triangular"]),
+    "check_qqybe": (check_qqybe, ["eq.7"]),
+    "verify_twist_by_r": (
+        verify_twist_by_r,
+        ["twist-by-r.delta", "twist-by-r.phi", "twist-by-r.r", "twist-by-r.alpha-beta"],
+    ),
+    "drinfeld_report": (
+        lambda H: drinfeld_report(H)[1],
+        ["thm5.r", "eq.lem8", "prop8.quasi-triangular", "drinfeld.prime-equivalence.r"],
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(R_CHECKS))
+@pytest.mark.parametrize("name", ["ext", "h2r"])
+def test_each_r_check_reports_the_same_ids_with_and_without_r(name, check):
+    # each id is written twice, once where the check skips it and once where
+    # it records its result, so the two must name the same ids in one order
+    fn, skipped = R_CHECKS[check]
+    H = build_structure(name)
+    with_r = fn(H).entries
+    without_r = fn(replace(H, r_matrix=None)).entries
+    assert [e.check_id for e in without_r] == [e.check_id for e in with_r]
+    no_r = [e.check_id for e in without_r if e.detail == {"reason": "no R-matrix"}]
+    assert no_r == skipped
+    assert all(e.status != "skipped" for e in with_r if e.check_id in skipped)
+    assert all(e.status == "skipped" for e in without_r if e.check_id in skipped)
 
 
 def _r_corruptions(name):
@@ -688,6 +732,16 @@ def test_every_premise_is_a_suite_listed_earlier():
         assert all(p in names[:position] for p in premises), name
     assert DEFAULT_SUITE_NAMES == tuple(n for n in names if n != "triangular")
     assert DRINFELD_PREMISES == DEFAULT_SUITE_NAMES[:4]
+
+
+def test_each_premise_tuple_is_transitively_closed():
+    # run_suites runs a suite's premises in the order of its tuple, with no
+    # recursion, so every premise of a premise must come earlier in it
+    names = list(SUITES)
+    for position, (name, (_, premises)) in enumerate(SUITES.items()):
+        assert set(premises) <= set(names[:position]), name
+        for index, premise in enumerate(premises):
+            assert set(SUITES[premise][1]) <= set(premises[:index]), (name, premise)
 
 
 def test_each_suite_runs_once_after_its_premises(monkeypatch, h2):

@@ -128,13 +128,16 @@ def test_each_corruption_changes_its_fixture_at_one_json_path(tmp_path):
             assert changed[0] == suffix.split("-")[0]
             count += 1
     jobs = sweep.corruption_jobs(tmp_path)
-    assert count == len(list((tmp_path / "corrupted").glob("*.qhsa"))) == 125
-    assert len(jobs) == 3 * 125
+    assert count == len(list((tmp_path / "corrupted").glob("*.qhsa"))) == 230
+    assert len(jobs) == 3 * 230
     h2 = json.loads((sweep.FIXTURE_DIR / "h2.qhsa").read_text())
     corrupted = sweep.corruptions(h2)
     assert corrupted["phi-negated"]["phi"][0] == [0, 0, 0, "-1"]
     assert corrupted["phi-doubled"]["phi"][0] == [0, 0, 0, "2"]
     assert corrupted["phi-dropped"]["phi"] == h2["phi"][1:]
+    assert corrupted["phi-last-negated"]["phi"] == h2["phi"][:-1] + [[1, 1, 1, "1"]]
+    assert corrupted["phi-last-dropped"]["phi"] == h2["phi"][:-1]
+    assert corrupted["alpha-last-raised"]["alpha"] == ["1", "0"]
     assert corrupted["alpha-raised"]["alpha"] == ["2", "-1"]
     assert corrupted["parity-flipped"]["parity"] == [1, 0]
     r = sweep.corruptions(json.loads((sweep.FIXTURE_DIR / "h2r.qhsa").read_text()))

@@ -258,26 +258,41 @@ def escaped_jobs(work: Path, names=ESCAPED_FIXTURES) -> list:
     return jobs
 
 
+def _ends(entries) -> list:
+    """(stem label, index) of the first of ``entries`` and, when there is
+    more than one, of the last."""
+    return [("", 0)] + ([("-last", len(entries) - 1)] if len(entries) > 1 else [])
+
+
 def corruptions(doc: dict) -> dict:
     """stem suffix -> a copy of the structure document ``doc`` with one entry
     changed: the scalar of the first row of each of ``ROW_KEYS`` negated, then
     doubled, then that row dropped; entry 0 of each of ``VECTOR_KEYS`` raised
-    by 1; ``parity[0]`` flipped.  Scalars are read and written by the field's
-    own ``parse`` and ``format``."""
+    by 1; ``parity[0]`` flipped.  Each is also made on the last row or entry
+    where there is more than one, its suffix marked ``-last``.  Scalars are
+    read and written by the field's own ``parse`` and ``format``."""
     field = FieldSpec.from_json(doc["field"])
     out = {}
     for key in ROW_KEYS:
         if key not in doc:
             continue
-        first, rest = doc[key][0], doc[key][1:]
-        value = field.parse(first[-1])
-        for kind, changed in (("negated", -value), ("doubled", 2 * value)):
-            out[f"{key}-{kind}"] = {**doc, key: [first[:-1] + [field.format(changed)], *rest]}
-        out[f"{key}-dropped"] = {**doc, key: rest}
+        rows = doc[key]
+        for label, i in _ends(rows):
+            row, before, after = rows[i], rows[:i], rows[i + 1 :]
+            value = field.parse(row[-1])
+            for kind, changed in (("negated", -value), ("doubled", 2 * value)):
+                changed_row = row[:-1] + [field.format(changed)]
+                out[f"{key}{label}-{kind}"] = {**doc, key: [*before, changed_row, *after]}
+            out[f"{key}{label}-dropped"] = {**doc, key: before + after}
     for key in VECTOR_KEYS:
-        raised = field.format(field.parse(doc[key][0]) + 1)
-        out[f"{key}-raised"] = {**doc, key: [raised, *doc[key][1:]]}
-    out["parity-flipped"] = {**doc, "parity": [1 - doc["parity"][0], *doc["parity"][1:]]}
+        vector = doc[key]
+        for label, i in _ends(vector):
+            raised = field.format(field.parse(vector[i]) + 1)
+            out[f"{key}{label}-raised"] = {**doc, key: [*vector[:i], raised, *vector[i + 1 :]]}
+    parity = doc["parity"]
+    for label, i in _ends(parity):
+        flipped = [*parity[:i], 1 - parity[i], *parity[i + 1 :]]
+        out[f"parity{label}-flipped"] = {**doc, "parity": flipped}
     return out
 
 
