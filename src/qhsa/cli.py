@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: ``validate`` (algebra + structure layers), ``check`` (validation
-plus the identity suites), ``transform`` (twist / opposite / prime / tensor,
-writing the result and verifying it), ``drinfeld`` (build gamma, gamma-bar,
-F_D, F_D^{-1}, optionally run the theorem battery and emit the twistor).
+Subcommands: ``validate`` (``check --suites algebra,structure``), ``check``
+(validation plus the identity suites), ``transform`` (twist / opposite /
+prime / tensor, writing the result and verifying it), ``drinfeld`` (build
+gamma, gamma-bar, F_D, F_D^{-1}, optionally run the theorem battery and emit
+the twistor).
 
 Exit codes: 0 all checks passed, 1 a verified failure, 2 input or parse error.
 Input paths are resolved against the working directory, then the directory
@@ -105,12 +106,6 @@ def _parse_suites(value):
     return names
 
 
-def cmd_validate(args) -> int:
-    name, H = load_structure(_read(args.path))
-    results = run_suites(H, VALIDATION_SUITES)
-    return _emit_report(args, name, results, args.output)
-
-
 def cmd_check(args) -> int:
     name, H = load_structure(_read(args.path))
     names = DEFAULT_SUITE_NAMES if args.suites is None else _parse_suites(args.suites)
@@ -139,13 +134,11 @@ def cmd_transform(args) -> int:
             if all(report.ok for _, report, _ in results):
                 raise
             return _refuse(args, name, "structure", results)
-    elif args.kind == "tensor":
+    else:  # tensor: argparse restricts the kind to these four
         if not args.other:
             raise DocumentError("transform tensor needs --other")
         _, B = load_structure(_read(args.other))
         out = tensor_product_structure(H, B)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DocumentError(f"unknown transform {args.kind!r}")
 
     text = serialize_structure(name, out)
     Path(args.output).write_text(text, encoding="utf-8")
@@ -190,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", parents=[common], help="algebra and structure layers only")
     p.add_argument("path")
     p.add_argument("--output", help="write the report here instead of stdout")
-    p.set_defaults(fn=cmd_validate)
+    p.set_defaults(fn=cmd_check, suites=",".join(VALIDATION_SUITES))
 
     p = sub.add_parser("check", parents=[common], help="run check suites")
     p.add_argument("path")

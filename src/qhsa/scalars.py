@@ -24,22 +24,23 @@ as itself or its negation, without arithmetic), and arithmetic between two
 ``Cyclotomic`` values returns a ``Cyclotomic`` even when the result is
 rational.
 
-Reduction modulo Phi_n happens only where a polynomial enters, in
-``Cyclotomic(order, coeffs)`` through ``reduce_mod_cyclotomic``.  Add,
-subtract and negate stay below degree phi(n) and only renormalise the gcd;
-multiply convolves the numerators and folds zeta^k, phi(n) <= k <= 2 phi(n) - 2,
-back into low degrees with a per-order table of reduced integer rows.
-Inversion is an extended Euclid by pseudo-remainders on the numerators, so
-no arithmetic operation forms a ``Fraction``.
+Reduction modulo Phi_n is one integer fold, ``_fold``, which adds the
+numerator of each zeta^k, phi(n) <= k < max(n, 2 phi(n) - 1), times its
+reduced integer row (``_fold_rows``) into the low degrees.  The constructor
+clears denominators with one lcm and calls ``reduce_mod_cyclotomic``, which
+applies zeta^n = 1 and folds; multiply convolves the numerators and folds.
+Add, subtract and negate stay below degree phi(n) and only renormalise the
+gcd.  Inversion is an extended Euclid by pseudo-remainders on the
+numerators, so no arithmetic operation forms a ``Fraction``.
 
-Input bounds: a field's order is at most ``MAX_CYCLOTOMIC_ORDER``; the
-numerator and the denominator of a rational in scalar text have at most
-``MAX_RATIONAL_DIGITS`` digits each.  Both raise ``ScalarError``, which the
-CLI reports as an input error.  Add, subtract and multiply cost O(phi(n)^2)
-integer operations.  Inversion costs far more, as its integers grow with
-phi(n): a value with phi(n) one-digit coefficients inverted in 0.1 ms at
-phi(n) = 8, 0.02 s at 100, 0.3 s at 210 and 5-9 s at 400 (2-core Xeon,
-Python 3.11).
+Input bounds: a field's order is at most ``MAX_CYCLOTOMIC_ORDER``; a
+rational in scalar text is written in ASCII digits, and its numerator and
+its denominator have at most ``MAX_RATIONAL_DIGITS`` digits each.  Both
+raise ``ScalarError``, which the CLI reports as an input error.  Add,
+subtract and multiply cost O(phi(n)^2) integer operations.  Inversion costs
+far more, as its integers grow with phi(n): a value with phi(n) one-digit
+coefficients inverted in 0.1 ms at phi(n) = 8, 0.02 s at 100, 0.3 s at 210
+and 5-9 s at 400 (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -59,10 +60,7 @@ class ScalarError(ValueError):
 MAX_CYCLOTOMIC_ORDER = 1000
 MAX_RATIONAL_DIGITS = 1000
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z", re.ASCII)  # \d: ASCII digits only
 
 
 def _poly_trim(coeffs):
@@ -130,14 +128,15 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _fold_rows(n: int) -> tuple:
-    """zeta_n^k for phi(n) <= k <= 2 phi(n) - 2, reduced mod Phi_n, as sparse
-    integer rows ((i, c), ...) over the degrees i < phi(n)."""
+    """zeta_n^k for phi(n) <= k < max(n, 2 phi(n) - 1), reduced mod Phi_n, as
+    sparse integer rows ((i, c), ...) over the degrees i < phi(n): every
+    degree a product, or a polynomial reduced by zeta^n = 1, reaches."""
     modulus = cyclotomic_polynomial(n)
     phi = len(modulus) - 1
     base = [-c for c in modulus[:phi]]  # zeta^phi, since Phi_n is monic
     row = base
     rows = []
-    for _ in range(phi - 1):
+    for _ in range(max(n, 2 * phi - 1) - phi):
         rows.append(tuple((i, c) for i, c in enumerate(row) if c))
         top = row[-1]
         row = [0] + row[:-1]
@@ -146,19 +145,30 @@ def _fold_rows(n: int) -> tuple:
     return tuple(rows)
 
 
-def reduce_mod_cyclotomic(coeffs, n: int) -> tuple:
-    """Reduce a polynomial in zeta_n modulo Phi_n; returns exactly phi(n) coefficients."""
-    modulus = cyclotomic_polynomial(n)
-    deg = len(modulus) - 1
-    work = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    for i in range(len(work) - 1, deg - 1, -1):
-        q = work[i]  # Phi_n is monic
-        if q:
-            for j, c in enumerate(modulus):
-                work[i - deg + j] -= q * c
-    work = work[:deg]
-    work.extend([_ZERO] * (deg - len(work)))
-    return tuple(work)
+def _fold(num: list, n: int) -> None:
+    """Fold the integer numerators of degree phi(n) and up, in place, into
+    the degrees below phi(n) with ``_fold_rows(n)``, and drop them."""
+    rows = _fold_rows(n)
+    phi = euler_phi(n)
+    for k in range(phi, len(num)):
+        c = num[k]
+        if c:
+            for i, r in rows[k - phi]:
+                num[i] += c * r
+    del num[phi:]
+
+
+def reduce_mod_cyclotomic(num, n: int) -> list:
+    """Integer numerators of a polynomial in zeta_n, of any length, reduced
+    modulo Phi_n: zeta^n = 1 takes them below degree n, then ``_fold`` below
+    phi(n).  Returns exactly phi(n) numerators."""
+    phi = euler_phi(n)  # an order below 1 raises here
+    work = list(num[:n])
+    for k in range(n, len(num)):
+        work[k % n] += num[k]
+    work += [0] * (phi - len(work))
+    _fold(work, n)
+    return work
 
 
 def _from_parts(order: int, num: tuple, den: int) -> "Cyclotomic":
@@ -186,23 +196,11 @@ class Cyclotomic:
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs=()):
-        coeffs = reduce_mod_cyclotomic(coeffs, order)
+    def __new__(cls, order: int, coeffs=()):
+        """sum_k coeffs[k] zeta^k, for any number of ints and Fractions."""
         den = lcm(*(c.denominator for c in coeffs))
-        self.order = order
-        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self.den = den
-
-    @staticmethod
-    def constant(order: int, value) -> "Cyclotomic":
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-        tail = (0,) * (euler_phi(order) - 1)
-        return _from_parts(order, (value.numerator,) + tail, value.denominator)
-
-    @staticmethod
-    def zeta(order: int) -> "Cyclotomic":
-        return Cyclotomic(order, (_ZERO, _ONE))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return _normalised(order, reduce_mod_cyclotomic(num, order), den)
 
     @property
     def coeffs(self) -> tuple:
@@ -295,21 +293,16 @@ class Cyclotomic:
         right = [(j, b) for j, b in enumerate(other.num) if b]
         if not right:
             return other
-        top = 0  # highest degree the convolution reaches
+        top = 0  # the highest degree of a nonzero numerator of self
         for i, a in enumerate(self.num):
             if a:
                 top = i
                 for j, b in right:
                     out[i + j] += a * b
-        top += right[-1][0]
-        if top >= phi:
-            rows = _fold_rows(self.order)
-            for k in range(phi, top + 1):
-                c = out[k]
-                if c:
-                    for i, r in rows[k - phi]:
-                        out[i] += c * r
-        del out[phi:]
+        if top + right[-1][0] >= phi:  # the convolution reaches degree phi
+            _fold(out, self.order)
+        else:
+            del out[phi:]
         return _normalised(self.order, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -484,7 +477,7 @@ class FieldSpec:
             return canonical(value.inverse())
         if value == 0:
             raise ScalarError("zero has no inverse")
-        return rational(_ONE / value)  # a Fraction quotient: int / int is a float
+        return rational(Fraction(value.denominator, value.numerator))
 
     def parse(self, text: str) -> Scalar:
         """Parse the canonical text encoding; cyclotomic documents also accept
@@ -510,8 +503,8 @@ class FieldSpec:
         """Canonical text encoding; bit-exact round trip with parse."""
         if self.kind == "rational":
             return str(value)
-        if not isinstance(value, Cyclotomic):
-            value = Cyclotomic.constant(self.order, value)
+        if not isinstance(value, Cyclotomic):  # a rational, in its canonical form
+            return f"[{value}" + ", 0" * (euler_phi(self.order) - 1) + "]"
         return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
 
     def to_json(self) -> dict:

@@ -1,7 +1,10 @@
+import importlib.util
 import itertools
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,13 @@ from qhsa.fixtures import build_structure
 from qhsa.scalars import FieldSpec
 from qhsa.structure import QhsaStructure
 from qhsa.transforms import Twistor, tensor_product_structure, twist_structure
+
+# tools/sweep.py, the byte-identity sweep, whose generated documents the CLI tests share
+_spec = importlib.util.spec_from_file_location(
+    "sweep", Path(__file__).parent.parent / "tools" / "sweep.py"
+)
+sweep = sys.modules["sweep"] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
+_spec.loader.exec_module(sweep)
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,8 @@ from qhsa.cli import main
 from qhsa.scalars import MAX_CYCLOTOMIC_ORDER, FieldSpec, euler_phi
 from qhsa.structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, SUITES
 
+from conftest import sweep
+
 FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
 
 
@@ -437,6 +439,8 @@ HOSTILE_EDITS = {
         cyclotomic_field("1" + "0" * 5000),
     ),
     "5000-digit-scalar": ("h2.qhsa", '"unit": ["1",', '"unit": ["1' + "0" * 4999 + '",'),
+    "arabic-indic-digit-scalar": ("h2.qhsa", '"unit": ["1",', '"unit": ["\\u0663",'),
+    "fullwidth-digit-scalar": ("h2.qhsa", '"unit": ["1",', '"unit": ["\\uff13/\\uff14",'),
     "bool-dimension": ("trivial.qhsa", '"dimension": 1,', '"dimension": true,'),
     "bool-twistor-dimension": ("f-one.twist", '"dimension": 1,', '"dimension": true,'),
     "bool-index": ("h2.qhsa", '[1, 1, 1, "1"]', '[true, true, 1, "1"]'),
@@ -494,49 +498,10 @@ def test_a_generic_coassociator_over_a_large_field_is_checked_in_time(tmp_path):
     assert entries["structure.phi-invertible"] == "pass"
 
 
-def one_product_document(tmp_path, d):
-    """A structure document of dimension d with the one product e0 e0 = e0
-    and every other datum on e0 alone, so its unit fails."""
-    zeros = ["0"] * (d - 1)
-    doc = {
-        "name": f"sparse-{d}",
-        "field": {"kind": "rational"},
-        "dimension": d,
-        "parity": [0] * d,
-        "unit": ["1", *zeros],
-        "mult": [[0, 0, 0, "1"]],
-        "delta": [[0, 0, 0, "1"]],
-        "epsilon": ["1", *zeros],
-        "antipode": [[0, 0, "1"]],
-        "phi": [[0, 0, 0, "1"]],
-        "alpha": ["1", *zeros],
-        "beta": ["1", *zeros],
-    }
-    path = tmp_path / f"sparse-{d}.qhsa"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-def diagonal_document(tmp_path, d):
-    """A structure document of dimension d with unit e_0 + ... + e_(d-1),
-    e_i e_i = e_i, Delta(e_i) = e_i (x) e_i, S = 1 and the one-term Phi
-    e0 (x) e0 (x) e0: its arity-3 unit has d^3 terms."""
-    ones = ["1"] * d
-    doc = {
-        "name": f"diagonal-{d}",
-        "field": {"kind": "rational"},
-        "dimension": d,
-        "parity": [0] * d,
-        "unit": ones,
-        "mult": [[i, i, i, "1"] for i in range(d)],
-        "delta": [[i, i, i, "1"] for i in range(d)],
-        "epsilon": ones,
-        "antipode": [[i, i, "1"] for i in range(d)],
-        "phi": [[0, 0, 0, "1"]],
-        "alpha": ones,
-        "beta": ones,
-    }
-    path = tmp_path / f"diagonal-{d}.qhsa"
+def written(tmp_path, doc):
+    """The path of ``doc``, a generated document of ``tools/sweep.py``,
+    written under ``tmp_path`` as ``<name>.qhsa``."""
+    path = tmp_path / f"{doc['name']}.qhsa"
     path.write_text(json.dumps(doc))
     return path
 
@@ -545,7 +510,7 @@ def test_a_hostile_tensor_factor_is_refused_without_building_its_unit(tmp_path, 
     # Phi is trivial only with d^3 terms, so a one-term Phi is refused with
     # no unit built; comparing it with the arity-3 unit took 2 s and a
     # 160-200 MB peak at d = 100, and ran out of memory at d = 400
-    path = diagonal_document(tmp_path, 400)
+    path = written(tmp_path, sweep.diagonal_document(400))
     argv = ["transform", fx("h2.qhsa"), "tensor", "--other", str(path)]
     start = time.perf_counter()
     tracemalloc.start()
@@ -563,7 +528,7 @@ def test_a_large_sparse_table_is_checked_in_time(tmp_path):
     # dimension 1000: the unit fails, so algebra.assoc enumerates all d^3
     # triples, which took about a minute when each zero triple was skipped
     # one by one
-    path = one_product_document(tmp_path, 1000)
+    path = written(tmp_path, sweep.one_product_document(1000))
     start = time.perf_counter()
     code, report = run_json(tmp_path, "check", str(path))
     assert time.perf_counter() - start < 10
@@ -605,7 +570,7 @@ def test_a_hostile_sparse_table_costs_its_nonzero_products(tmp_path, monkeypatch
     assert qhsa.structure.validate_algebra(alg).failed_ids() == ["algebra.unit"]
     assert len(lookups) < 10 * d and len(combinations) < 10 * d
 
-    code, report = run_json(tmp_path, "check", str(one_product_document(tmp_path, d)))
+    code, report = run_json(tmp_path, "check", str(written(tmp_path, sweep.one_product_document(d))))
     assert code == 1
     failed = [e["check_id"] for e in report["entries"] if e["status"] == "fail"]
     assert failed[0] == "algebra.unit"

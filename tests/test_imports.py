@@ -1,9 +1,9 @@
-"""Every name a module of ``src/qhsa/`` imports is used in that module, and
+"""Every name a module of ``src/qhsa/`` imports is used in that module, the
+package root re-exports nothing, so a module loads only what it imports, and
 the CLI does not import the fixture builders.
 
 No linter runs on the package, so this stdlib ``ast`` pass guards against
-imports left behind when code moves.  ``__init__.py`` is exempt: its imports
-are the package's re-exports.
+imports left behind when code moves.  ``__init__.py`` is held to it too.
 """
 
 import ast
@@ -29,8 +29,8 @@ def unused_imports(source: str) -> list:
 
 
 def test_every_imported_name_is_used():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "__init__.py" in modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
 
@@ -38,6 +38,20 @@ def test_every_imported_name_is_used():
 def test_an_unused_import_is_found():
     source = "from .algebra import outer, permute_legs\nimport json, os.path\nos.path\n"
     assert unused_imports(source + "permute_legs(x)\n") == ["json", "outer"]
+
+
+def loaded_modules(module: str) -> list:
+    """The ``qhsa`` modules a fresh interpreter holds after ``import module``."""
+    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'qhsa'))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout)
+
+
+def test_a_module_loads_only_the_modules_it_imports():
+    assert loaded_modules("qhsa.scalars") == ["qhsa", "qhsa.scalars"]
+    assert loaded_modules("qhsa.algebra") == ["qhsa", "qhsa.algebra", "qhsa.scalars"]
 
 
 def test_the_cli_does_not_load_the_fixture_builders():

@@ -1,18 +1,14 @@
 """``tools/sweep.py``, the byte-identity sweep, on a three-job slice."""
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 from qhsa.cli import main
-from qhsa.structure import DEFAULT_SUITE_NAMES
+from qhsa.structure import SUITES
+
+from conftest import sweep
 
 ROOT = Path(__file__).parent.parent
-
-_spec = importlib.util.spec_from_file_location("sweep", ROOT / "tools" / "sweep.py")
-sweep = sys.modules["sweep"] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
-_spec.loader.exec_module(sweep)
 
 
 def test_a_three_job_slice_gives_one_digest_line_per_job(tmp_path):
@@ -56,7 +52,7 @@ def test_each_document_gets_every_suite_and_transform(tmp_path):
         sweep.job_id(job, tmp_path).replace("h2", "sparse-5").replace("fixtures", "generated")
         for job in sweep.fixture_jobs(tmp_path, ["h2"])
     ]
-    assert {job.argv[3] for job in jobs if "--suites" in job.argv} == set(DEFAULT_SUITE_NAMES)
+    assert {job.argv[3] for job in jobs if "--suites" in job.argv} == set(SUITES)
     assert {job.argv[2] for job in jobs if job.argv[0] == "transform"} == {"opposite", "prime"}
     # the one-product document fails its unit
     [line] = sweep.sweep(jobs[:1], ROOT / "src", tmp_path)

@@ -11,8 +11,9 @@ The job list is deterministic:
 - every job of the ``bench`` workloads (``bench/workloads.py``, imported
   read-only) at the seeds in ``SEEDS``;
 - ``check``, ``validate``, ``drinfeld``, ``drinfeld --verify
-  --emit-twist``, ``check --suites <suite>`` for each default suite and
-  ``transform opposite|prime`` on each bundled fixture and on generated
+  --emit-twist``, ``check --suites <suite>`` for each suite in ``SUITES``,
+  the opt-in ``triangular`` included, and ``transform opposite|prime`` on
+  each bundled fixture and on generated
   one-product documents (e0 e0 = e0, every other datum on e0 alone) of the
   dimensions in ``ONE_PRODUCT_DIMENSIONS``;
 - ``transform A tensor --other B`` for every ordered pair of bundled
@@ -59,7 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from qhsa.scalars import FieldSpec  # noqa: E402
-from qhsa.structure import DEFAULT_SUITE_NAMES  # noqa: E402
+from qhsa.structure import SUITES  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (41, 7)
@@ -102,8 +103,9 @@ def _transform_argv(directory: Path, stem: str, kind: str) -> tuple:
 
 def document_jobs(work: Path, group: str, stems) -> list:
     """check, validate, drinfeld, drinfeld --verify --emit-twist, check
-    --suites <suite> for each default suite and transform opposite|prime on
-    each document ``<stem>.qhsa``, run from ``work/group``, in both formats."""
+    --suites <suite> for each suite, triangular included, and transform
+    opposite|prime on each document ``<stem>.qhsa``, run from
+    ``work/group``, in both formats."""
     directory = work / group
     directory.mkdir(parents=True, exist_ok=True)
     jobs = []
@@ -114,7 +116,7 @@ def document_jobs(work: Path, group: str, stems) -> list:
             ("validate", path),
             ("drinfeld", path),
             _emit_argv(directory, stem),
-            *(("check", path, "--suites", suite) for suite in DEFAULT_SUITE_NAMES),
+            *(("check", path, "--suites", suite) for suite in SUITES),
             *(_transform_argv(directory, stem, kind) for kind in TRANSFORMS),
         ]
         jobs += [SweepJob(group, _with_format(argv, fmt)) for argv in argvs for fmt in FORMATS]
