@@ -10,6 +10,12 @@ Exit codes: 0 all checks passed, 1 a verified failure, 2 input or parse error.
 Input paths are resolved against the working directory, then the directory
 named by QHSA_FIXTURE_DIR, then the bundled fixtures.
 
+Importing this module loads what every command needs: ``scalars``,
+``algebra``, ``reporting``, ``structure`` and ``documents``.  ``transform``
+and ``drinfeld`` import ``qhsa.transforms`` and ``qhsa.drinfeld`` at the top
+of their own functions, so ``check`` and ``validate`` load neither, and
+``transform`` never loads ``qhsa.drinfeld``.
+
 ``main(argv)`` may be called any number of times in one process: the parser
 is built once, as ``PARSER`` when this module is imported, and ``--help``
 still reads the terminal width when it prints, since argparse builds a new
@@ -38,16 +44,14 @@ from .documents import (
     serialize_twistor_document,
     twistor_to_document,
 )
-from .drinfeld import drinfeld_construction, drinfeld_report
 from .scalars import echo
-from .structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, SUITES, VALIDATION_SUITES, run_suites
-from .transforms import (
+from .structure import (
+    DEFAULT_SUITE_NAMES,
+    DRINFELD_PREMISES,
+    SUITES,
+    VALIDATION_SUITES,
     Twistor,
-    check_twistor,
-    opposite_structure,
-    prime_structure,
-    tensor_product_structure,
-    twist_structure,
+    run_suites,
 )
 
 EXIT_OK = 0
@@ -114,6 +118,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .transforms import (
+        check_twistor,
+        opposite_structure,
+        prime_structure,
+        tensor_product_structure,
+        twist_structure,
+    )
+
     name, H = load_structure(_read(args.path))
     if args.kind == "twist":
         if not args.twistor:
@@ -147,6 +159,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_drinfeld(args) -> int:
+    from .drinfeld import drinfeld_construction, drinfeld_report
+
     name, H = load_structure(_read(args.path))
     base = run_suites(H, DEFAULT_SUITE_NAMES if args.verify else DRINFELD_PREMISES)
     if not all(report.ok for _, report, _ in base):

@@ -35,14 +35,12 @@ optionally ``inverse`` (both [[i, j, scalar]]) and a ``normalization`` block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
 
 from .algebra import GradedAlgebra, StructureMap, TensorElement
 from .scalars import FieldSpec, ScalarError, echo
-from .structure import QhsaStructure
-from .transforms import Twistor
+from .structure import QhsaStructure, Twistor
 
 
 class DocumentError(ValueError):
@@ -68,31 +66,64 @@ STRUCTURE_KEYS = (
 TWISTOR_KEYS = ("name", "field", "dimension", "element", "inverse", "normalization")
 
 
-@dataclass
 class StructureDocument:
-    name: str
-    field: FieldSpec
-    dimension: int
-    parity: tuple
-    unit: tuple
-    mult: tuple  # ((i, j, k, scalar), ...)
-    delta: tuple
-    epsilon: tuple
-    antipode: tuple  # ((i, j, scalar), ...)
-    phi: tuple
-    alpha: tuple
-    beta: tuple
-    r: tuple | None = None
+    def __init__(
+        self,
+        name: str,
+        field: FieldSpec,
+        dimension: int,
+        parity: tuple,
+        unit: tuple,
+        mult: tuple,  # ((i, j, k, scalar), ...)
+        delta: tuple,
+        epsilon: tuple,
+        antipode: tuple,  # ((i, j, scalar), ...)
+        phi: tuple,
+        alpha: tuple,
+        beta: tuple,
+        r: tuple | None = None,
+    ):
+        self.name = name
+        self.field = field
+        self.dimension = dimension
+        self.parity = parity
+        self.unit = unit
+        self.mult = mult
+        self.delta = delta
+        self.epsilon = epsilon
+        self.antipode = antipode
+        self.phi = phi
+        self.alpha = alpha
+        self.beta = beta
+        self.r = r
+
+    def __eq__(self, other):
+        if type(other) is not StructureDocument:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class TwistorDocument:
-    name: str
-    field: FieldSpec
-    dimension: int
-    element: tuple
-    inverse: tuple | None = None
-    normalization: dict | None = None
+    def __init__(
+        self,
+        name: str,
+        field: FieldSpec,
+        dimension: int,
+        element: tuple,
+        inverse: tuple | None = None,
+        normalization: dict | None = None,
+    ):
+        self.name = name
+        self.field = field
+        self.dimension = dimension
+        self.element = element
+        self.inverse = inverse
+        self.normalization = normalization
+
+    def __eq__(self, other):
+        if type(other) is not TwistorDocument:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def _load_json(text: str):

@@ -14,8 +14,6 @@ simplification anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .algebra import (
     SingularError,
     TensorElement,
@@ -39,12 +37,23 @@ from .structure import (
 from .transforms import Twistor, _compare_structures, prime_structure, twist_structure
 
 
-@dataclass(frozen=True, eq=False)
 class DrinfeldData:
-    gamma: TensorElement
-    gamma_bar: TensorElement
-    f_d: TensorElement
-    f_d_inverse: TensorElement
+    """gamma, gamma-bar, F_D and F_D^{-1}.  Immutable; equality is identity."""
+
+    def __init__(
+        self,
+        gamma: TensorElement,
+        gamma_bar: TensorElement,
+        f_d: TensorElement,
+        f_d_inverse: TensorElement,
+    ):
+        vars(self).update(gamma=gamma, gamma_bar=gamma_bar, f_d=f_d, f_d_inverse=f_d_inverse)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: DrinfeldData is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: DrinfeldData is immutable")
 
 
 def _gamma_post(H: QhsaStructure, w4: TensorElement) -> TensorElement:
@@ -234,8 +243,7 @@ def verify_prime_equivalence(
     beta_F = eps(beta) S(alpha).  The twistor ``--emit-twist`` writes,
     eps(beta) F_D, agrees with it only when eps(alpha)^2 = 1."""
     report = CheckReport()
-    scaled = replace(
-        twisted,
+    scaled = twisted.replace(
         alpha=twisted.alpha.scaled(H.eps_beta),
         beta=twisted.beta.scaled(H.eps_alpha),
     )

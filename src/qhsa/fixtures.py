@@ -22,7 +22,6 @@ Negatives are labeled with the single check they are built to violate.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import product
 
 from .algebra import GradedAlgebra, TensorElement
@@ -118,13 +117,13 @@ def h2_broken_pentagon() -> QhsaStructure:
     breaks, and with it everything the sign of phi(1,1,1) feeds."""
     H = h2_structure()
     phi = {w: -1 if w == (1, 1, 0) else 1 for w in product((0, 1), repeat=3)}
-    return replace(H, phi=TensorElement(H.algebra, 3, phi))
+    return H.replace(phi=TensorElement(H.algebra, 3, phi))
 
 
 def h2_broken_antipode() -> QhsaStructure:
     """h2 with alpha flattened to 1; the canonical-element axioms fail."""
     H = h2_structure()
-    return replace(H, alpha=TensorElement(H.algebra, 1, {(0,): 1, (1,): 1}))
+    return H.replace(alpha=TensorElement(H.algebra, 1, {(0,): 1, (1,): 1}))
 
 
 def ext_broken_grading() -> GradedAlgebra:

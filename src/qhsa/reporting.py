@@ -8,19 +8,24 @@ terms, so a witness stays a few kilobytes whatever the dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 # Above the longest difference that the bundled fixtures, their corruptions
 # and the benchmark jobs produce (25 terms), so those reports are unchanged.
 WITNESS_TERMS = 64
 
 
-@dataclass
 class CheckEntry:
-    check_id: str
-    status: str  # "pass" | "fail" | "skipped"
-    witness: dict | None = None
-    detail: dict | None = None
+    def __init__(
+        self, check_id: str, status: str, witness: dict | None = None, detail: dict | None = None
+    ):
+        self.check_id = check_id
+        self.status = status  # "pass" | "fail" | "skipped"
+        self.witness = witness
+        self.detail = detail
+
+    def __eq__(self, other):
+        if type(other) is not CheckEntry:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json(self) -> dict:
         data = {"check_id": self.check_id, "status": self.status}
@@ -31,9 +36,14 @@ class CheckEntry:
         return data
 
 
-@dataclass
 class CheckReport:
-    entries: list = field(default_factory=list)
+    def __init__(self, entries: list | None = None):
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if type(other) is not CheckReport:
+            return NotImplemented
+        return self.entries == other.entries
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ that fails runs the full basis, so its witness is the enumeration's.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .algebra import (
@@ -42,23 +41,52 @@ from .reporting import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class QhsaStructure:
     """The full tuple (algebra, Delta, epsilon, S, Phi, alpha, beta [, R]).
 
-    Immutable; change a component with ``dataclasses.replace``.  Derived data
-    (inverses, transposed and primed coproducts) is computed on first use and
-    cached.  Equality is identity: ``StructureMap`` is unhashable.
+    Immutable: setting or deleting an attribute raises ``AttributeError``.
+    ``replace`` builds a new structure with some components changed.  Derived
+    data (inverses, transposed and primed coproducts) is computed on first
+    use and cached in the instance ``__dict__`` by ``cached_property``, so a
+    new structure starts with none of it.  Equality is identity:
+    ``StructureMap`` is unhashable.
     """
 
-    algebra: GradedAlgebra
-    delta: StructureMap
-    epsilon: StructureMap
-    antipode: StructureMap
-    phi: TensorElement
-    alpha: TensorElement
-    beta: TensorElement
-    r_matrix: TensorElement | None = None
+    COMPONENTS = ("algebra", "delta", "epsilon", "antipode", "phi", "alpha", "beta", "r_matrix")
+
+    def __init__(
+        self,
+        algebra: GradedAlgebra,
+        delta: StructureMap,
+        epsilon: StructureMap,
+        antipode: StructureMap,
+        phi: TensorElement,
+        alpha: TensorElement,
+        beta: TensorElement,
+        r_matrix: TensorElement | None = None,
+    ):
+        vars(self).update(
+            algebra=algebra,
+            delta=delta,
+            epsilon=epsilon,
+            antipode=antipode,
+            phi=phi,
+            alpha=alpha,
+            beta=beta,
+            r_matrix=r_matrix,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: QhsaStructure is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: QhsaStructure is immutable")
+
+    def replace(self, **changes) -> "QhsaStructure":
+        """A new structure with the components named in ``changes`` replaced
+        and the rest shared; no derived data is carried over."""
+        components = {name: getattr(self, name) for name in self.COMPONENTS}
+        return QhsaStructure(**{**components, **changes})
 
     # -- conveniences --------------------------------------------------------
 
@@ -272,6 +300,32 @@ class QhsaStructure:
 
     def s_of(self, x: TensorElement) -> TensorElement:
         return apply_map_legs(x, 0, self.antipode)
+
+
+class Twistor:
+    """An element of H (x) H meant to be even and invertible with both counit
+    legs equal to 1, as ``qhsa.transforms.check_twistor`` verifies.
+    ``inverse`` is the declared one, or is computed on first use
+    (SingularError if there is none).  It is defined here, beside the
+    structure, so that ``qhsa.documents`` reads a twistor document without
+    loading the transforms; ``qhsa.transforms.Twistor`` is this class."""
+
+    def __init__(self, element: TensorElement, inverse: TensorElement | None = None):
+        if element.arity != 2:
+            raise AlgebraError("a twistor has arity 2")
+        self.element = element
+        self.declared_inverse = inverse
+
+    @cached_property
+    def inverse(self) -> TensorElement:
+        if self.declared_inverse is not None:
+            return self.declared_inverse
+        return invert_tensor_element(self.element)
+
+    def transpose(self) -> "Twistor":
+        return Twistor(
+            permute_legs(self.element, (1, 0)), permute_legs(self.inverse, (1, 0))
+        )
 
 
 # -- recurring contraction patterns ------------------------------------------

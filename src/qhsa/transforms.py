@@ -10,9 +10,6 @@ outputs with the usual check suites rather than trusting these formulas.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from functools import cached_property
-
 from .algebra import (
     AlgebraError,
     GradedAlgebra,
@@ -24,12 +21,12 @@ from .algebra import (
     embed_legs,
     interleave,
     interleave_sign,
-    invert_tensor_element,
     permute_legs,
 )
 from .reporting import CheckReport, element_terms_json, expect_equal, expect_equal_per_basis
 from .structure import (
     QhsaStructure,
+    Twistor,
     _counit_legs_entry,
     _even_entry,
     _inverse_witness,
@@ -37,29 +34,6 @@ from .structure import (
     m_alpha_s,
     m_beta_s,
 )
-
-
-class Twistor:
-    """An element of H (x) H meant to be even and invertible with both counit
-    legs equal to 1, as ``check_twistor`` verifies.  ``inverse`` is the
-    declared one, or is computed on first use (SingularError if there is none)."""
-
-    def __init__(self, element: TensorElement, inverse: TensorElement | None = None):
-        if element.arity != 2:
-            raise AlgebraError("a twistor has arity 2")
-        self.element = element
-        self.declared_inverse = inverse
-
-    @cached_property
-    def inverse(self) -> TensorElement:
-        if self.declared_inverse is not None:
-            return self.declared_inverse
-        return invert_tensor_element(self.element)
-
-    def transpose(self) -> "Twistor":
-        return Twistor(
-            permute_legs(self.element, (1, 0)), permute_legs(self.inverse, (1, 0))
-        )
 
 
 def check_twistor(H: QhsaStructure, F: Twistor) -> CheckReport:
@@ -114,7 +88,7 @@ def twist_structure(H: QhsaStructure, F: Twistor) -> QhsaStructure:
     r_f = None
     if H.has_r:
         r_f = permute_legs(f, (1, 0)) * H.r_matrix * f_inv
-    return replace(H, delta=delta_f, phi=phi_f, alpha=alpha_f, beta=beta_f, r_matrix=r_f)
+    return H.replace(delta=delta_f, phi=phi_f, alpha=alpha_f, beta=beta_f, r_matrix=r_f)
 
 
 def _compare_structures(report, prefix, A: QhsaStructure, B: QhsaStructure):
@@ -151,8 +125,7 @@ def opposite_structure(H: QhsaStructure) -> QhsaStructure:
     alpha_t = apply_map_legs(H.alpha, 0, sinv)
     beta_t = apply_map_legs(H.beta, 0, sinv)
     r_t = permute_legs(H.r_matrix, (1, 0)) if H.has_r else None
-    return replace(
-        H,
+    return H.replace(
         delta=H.delta_t,
         phi=phi_t,
         antipode=sinv,
@@ -170,7 +143,7 @@ def prime_structure(H: QhsaStructure) -> QhsaStructure:
     alpha_p = H.s_of(H.beta)
     beta_p = H.s_of(H.alpha)
     r_p = contract_legs(H.r_matrix, {0: s, 1: s}) if H.has_r else None
-    return replace(H, delta=H.delta_prime, phi=phi_p, alpha=alpha_p, beta=beta_p, r_matrix=r_p)
+    return H.replace(delta=H.delta_prime, phi=phi_p, alpha=alpha_p, beta=beta_p, r_matrix=r_p)
 
 
 def verify_twist_by_r(H: QhsaStructure) -> CheckReport:

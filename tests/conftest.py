@@ -1,7 +1,6 @@
 import importlib.util
 import itertools
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -58,7 +57,7 @@ def _odd_product(A, B, signed):
         for j, sb in enumerate(B.antipode.images)
         for s in (interleave(sa, sb, T.algebra),)
     ]
-    return replace(T, antipode=StructureMap(T.algebra, 1, images))
+    return T.replace(antipode=StructureMap(T.algebra, 1, images))
 
 
 def ext_ext_graded_structure():
@@ -143,7 +142,7 @@ def ks3_twist(s, t):
     Built once per (s, t)."""
     H = ks3_structure()
     one = H.unit(1)
-    H = replace(H, r_matrix=H.unit(2))
+    H = H.replace(r_matrix=H.unit(2))
     return H, Twistor(H.unit(2) + outer(H.basis(s) - one, H.basis(t) - one))
 
 

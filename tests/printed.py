@@ -23,7 +23,6 @@ transform ids need twistors: ``Printed(H, F, G)`` for ``check_twistor``,
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import mul
@@ -389,8 +388,7 @@ class Printed:
         (1 (x) F^{-1}), S, sum S(fbar_1) alpha fbar_2, sum f_1 beta S(f_2),
         F_21 R F^{-1})."""
         f01, f_inv12 = embed_legs(f, (0, 1), 3), embed_legs(f_inv, (1, 2), 3)
-        return replace(
-            self.H,
+        return self.H.replace(
             delta=StructureMap(self.alg, 2, [chain(f, da, f_inv) for da in self.coproducts]),
             phi=chain(f01, self.dl(f, 0), self.phi, self.dl(f_inv, 1), f_inv12),
             alpha=self.m_alpha(f_inv),
@@ -401,8 +399,7 @@ class Printed:
     def opposite(self):
         """(T Delta, eps, Phi^{-1}_321, S^{-1}, S^{-1}(alpha), S^{-1}(beta), R_21)."""
         H, s_inv = self.H, self.s_inv
-        return replace(
-            H,
+        return H.replace(
             delta=StructureMap(self.alg, 2, [permute_legs(da, (1, 0)) for da in self.coproducts]),
             phi=permute_legs(self.inv, (2, 1, 0)),
             antipode=s_inv,
@@ -419,8 +416,7 @@ class Printed:
         def on_each_leg(x):
             return reduce(lambda y, leg: apply_map_legs(y, leg, H.antipode), range(x.arity), x)
 
-        return replace(
-            H,
+        return H.replace(
             delta=StructureMap(self.alg, 2, self.delta_primes),
             phi=on_each_leg(permute_legs(self.phi, (2, 1, 0))),
             alpha=on_each_leg(H.beta),
@@ -434,7 +430,7 @@ class Printed:
         by F_D with alpha scaled by eps(beta) and beta by eps(alpha)."""
         tw, H = self.f_d_twisted, self.H
         alpha, beta = tw.alpha.scaled(self.scalar(H.beta)), tw.beta.scaled(self.scalar(H.alpha))
-        return self.primed, replace(tw, alpha=alpha, beta=beta)
+        return self.primed, tw.replace(alpha=alpha, beta=beta)
 
     @cached_property
     def twist_pairs(self):

@@ -2,7 +2,6 @@ import gc
 import itertools
 import random
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -195,7 +194,7 @@ GENERAL_ALGEBRAS = ("kz2-2g", "kz2-g-1g", "cl1", "h2-2e1")
 def _hopf(H):
     """H with Phi, alpha and beta made trivial, so that it may be the second
     factor of a product structure; only its product table is used."""
-    return replace(H, phi=H.unit(3), alpha=H.unit(1), beta=H.unit(1))
+    return H.replace(phi=H.unit(3), alpha=H.unit(1), beta=H.unit(1))
 
 
 @cache

@@ -12,7 +12,6 @@ import pytest
 import qhsa.algebra
 import qhsa.drinfeld
 import qhsa.structure
-import qhsa.transforms
 from qhsa.algebra import GradedAlgebra
 from qhsa.cli import main
 from qhsa.scalars import MAX_CYCLOTOMIC_ORDER, FieldSpec, euler_phi
@@ -385,7 +384,7 @@ def test_twist_inverts_only_the_twisted_coassociator(tmp_path, monkeypatch):
         arities.append(x.arity)
         return original(x)
 
-    for module in (qhsa.algebra, qhsa.structure, qhsa.transforms):
+    for module in (qhsa.algebra, qhsa.structure):
         monkeypatch.setattr(module, "invert_tensor_element", counting)
     out = tmp_path / "h2ext-twisted.qhsa"
     argv = ["transform", fx("h2ext.qhsa"), "twist", "--twistor", fx("f-u11.twist")]

@@ -6,7 +6,6 @@ coefficient functions of the idempotent basis (no tensor engine involved).
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -162,8 +161,7 @@ def test_every_normalization_of_alpha_and_beta_passes(fixture_structure, c):
     """(c alpha, beta / c) is a valid structure whenever (alpha, beta) is,
     with eps(alpha) scaled by c; the suites and the whole battery pass."""
     field = fixture_structure.algebra.field
-    H = replace(
-        fixture_structure,
+    H = fixture_structure.replace(
         alpha=fixture_structure.alpha.scaled(field.from_fraction(c)),
         beta=fixture_structure.beta.scaled(field.from_fraction(1 / c)),
     )
@@ -379,8 +377,7 @@ def _ks3_with_random_parts(seed, fixture):
         return elem(ks3, arity, {w: rng.choice((-2, -1, 1, 2)) for w in words})
 
     while True:
-        H = replace(
-            ks3,
+        H = ks3.replace(
             phi=ks3.phi + perturbation(3, 2),
             alpha=ks3.alpha + perturbation(1, 1),
             beta=ks3.beta + perturbation(1, 1),
@@ -402,8 +399,7 @@ def _ext_ext_with_odd_parts(fixture):
     m_1((1 (x) 1 (x) S)Phi (1 (x) beta (x) 1)) for 11i, in place of its
     map form fails here, for each of the four identities."""
     T = fixture("ext_ext_graded")
-    return replace(
-        T,
+    return T.replace(
         phi=T.phi + elem(T, 3, {(0, 0, 2): 1}),
         alpha=T.alpha + elem(T, 1, {(1,): 1}),
         beta=T.beta + elem(T, 1, {(1,): 1}),

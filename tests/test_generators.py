@@ -5,7 +5,6 @@ printed forms of ``printed.py``, which enumerate the whole basis."""
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 import qhsa.structure
 from qhsa.documents import load_structure, serialize_structure
 from qhsa.drinfeld import (
+    DrinfeldData,
     check_alt_expressions,
     compute_drinfeld_twist,
     drinfeld_construction,
@@ -357,7 +357,7 @@ def test_conjugation_compares_every_basis_element_with_the_twist_of_its_data():
     structure.  The construction leaves ``H.passed`` holding suite names only."""
 
     def off(H, D):
-        return replace(D, f_d_inverse=D.f_d_inverse + H.basis(1, 1))
+        return DrinfeldData(D.gamma, D.gamma_bar, D.f_d, D.f_d_inverse + H.basis(1, 1))
 
     def thm2(H, D):
         return verify_thm2(H, D, twist_structure(H, Twistor(D.f_d, D.f_d_inverse)))

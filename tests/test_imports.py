@@ -1,6 +1,8 @@
 """Every name a module of ``src/qhsa/`` imports is used in that module, the
 package root re-exports nothing, so a module loads only what it imports, and
-the CLI does not import the fixture builders.
+the CLI does not import the fixture builders.  ``import qhsa.cli`` loads only
+what every command needs, with no ``dataclasses``, and each command loads
+only the modules it runs.
 
 No linter runs on the package, so this stdlib ``ast`` pass guards against
 imports left behind when code moves.  ``__init__.py`` is held to it too.
@@ -11,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "qhsa"
 
@@ -40,18 +44,58 @@ def test_an_unused_import_is_found():
     assert unused_imports(source + "permute_legs(x)\n") == ["json", "outer"]
 
 
+def fresh_modules(code: str, cwd=None) -> tuple:
+    """(what ``code`` printed, every module name in ``sys.modules``) of a
+    fresh interpreter that runs ``code`` with this checkout's ``src`` first
+    on its path."""
+    probe = f"{code}\nimport sys\nprint(sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    env.pop("QHSA_FIXTURE_DIR", None)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    *printed, modules = out.stdout.splitlines()
+    return printed, set(ast.literal_eval(modules))
+
+
 def loaded_modules(module: str) -> list:
     """The ``qhsa`` modules a fresh interpreter holds after ``import module``."""
-    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'qhsa'))"
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    return ast.literal_eval(out.stdout)
+    return sorted(m for m in fresh_modules(f"import {module}")[1] if m.split(".")[0] == "qhsa")
 
 
 def test_a_module_loads_only_the_modules_it_imports():
     assert loaded_modules("qhsa.scalars") == ["qhsa", "qhsa.scalars"]
     assert loaded_modules("qhsa.algebra") == ["qhsa", "qhsa.algebra", "qhsa.scalars"]
+
+
+# what every command needs, and so all that ``import qhsa.cli`` loads
+CLI_MODULES = ["algebra", "cli", "documents", "reporting", "scalars", "structure"]
+
+
+def test_the_cli_loads_only_what_every_command_needs():
+    """``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) costs every
+    process about 10 ms, and no module of the package uses it."""
+    _, modules = fresh_modules("import qhsa.cli")
+    assert {"dataclasses", "inspect"} & modules == set()
+    assert loaded_modules("qhsa.cli") == ["qhsa"] + [f"qhsa.{m}" for m in CLI_MODULES]
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["check", "h2.qhsa"], {"qhsa.drinfeld", "qhsa.transforms"}),
+        (["validate", "h2ext.qhsa"], {"qhsa.drinfeld", "qhsa.transforms"}),
+        (["transform", "h2.qhsa", "twist", "--twistor", "f-e11.twist"], {"qhsa.drinfeld"}),
+    ],
+    ids=["check", "validate", "twist"],
+)
+def test_a_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
+    argv = argv + ["--output", str(tmp_path / "out")]
+    code = f"from qhsa.cli import main\nprint(main({argv!r}))"
+    printed, modules = fresh_modules(code, cwd=tmp_path)
+    assert printed[-1] == "0"
+    assert unloaded & modules == set()
 
 
 def test_the_cli_does_not_load_the_fixture_builders():

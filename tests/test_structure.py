@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +43,7 @@ from qhsa.transforms import (
     verify_twist_by_r,
 )
 
-from conftest import elem, ks3_structure, kz2_structure, signed_odd_product
+from conftest import elem, ks3_structure, ks3_twist, kz2_structure, signed_odd_product
 from printed import Printed, agree
 
 ALL_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
@@ -69,7 +68,7 @@ def test_odd_to_even_coproduct_fails_parity(ext):
         2,
         [ext.delta.images[0], elem(ext, 2, {(1, 1): 1})],  # Delta(theta) := theta (x) theta
     )
-    report = validate_structure(replace(ext, delta=bad_delta))
+    report = validate_structure(ext.replace(delta=bad_delta))
     entry = report.entry("structure.delta-parity")
     assert entry.status == "fail"
     assert entry.witness["basis"] == 1
@@ -84,7 +83,7 @@ def test_antipode_antihomomorphism_sign(ext_ext_graded):
     images = list(graded.antipode.images)
     images[3] = -images[3]
     ungraded = validate_structure(
-        replace(graded, antipode=StructureMap(graded.algebra, 1, images))
+        graded.replace(antipode=StructureMap(graded.algebra, 1, images))
     )
     assert ungraded.failed_ids() == ["structure.antipode-antihom"]
     assert ungraded.entry("structure.antipode-antihom").witness["basis"] == [1, 2]
@@ -96,7 +95,7 @@ def test_h2ext_ungraded_antipode_is_an_automorphism_twist(h2ext):
     # structure layer cannot see it and only eq.5i1 and eq.5i fail
     images = list(h2ext.antipode.images)
     images[3] = elem(h2ext, 1, {(3,): 1})
-    bad = replace(h2ext, antipode=StructureMap(h2ext.algebra, 1, images))
+    bad = h2ext.replace(antipode=StructureMap(h2ext.algebra, 1, images))
     assert validate_structure(bad).ok
     assert check_antipode_axioms(bad).failed_ids() == ["eq.5i1", "eq.5i"]
 
@@ -170,7 +169,7 @@ def test_ext_r_matrix_is_quasi_triangular_and_triangular(ext):
 
 
 def test_trivial_r_matrix(trivial):
-    H = replace(trivial, r_matrix=trivial.unit(2))
+    H = trivial.replace(r_matrix=trivial.unit(2))
     assert check_quasi_triangular(H).ok
     assert check_triangular(H).ok
     assert check_qqybe(H).ok
@@ -184,7 +183,7 @@ def test_h2r_is_quasi_triangular_but_not_triangular(h2r):
 
 
 def test_h2_with_unit_r_fails_hexagon(h2):
-    H = replace(h2, r_matrix=h2.unit(2))
+    H = h2.replace(r_matrix=h2.unit(2))
     report = check_quasi_triangular(H)
     entry = report.entry("eq.6ii")
     assert entry.status == "fail"
@@ -194,7 +193,7 @@ def test_h2_with_unit_r_fails_hexagon(h2):
 
 def test_r_counit_witnesses_each_leg(ext):
     # both legs are 2 (x) 1, so their difference would be an empty witness
-    report = check_quasi_triangular(replace(ext, r_matrix=ext.r_matrix.scaled(2)))
+    report = check_quasi_triangular(ext.replace(r_matrix=ext.r_matrix.scaled(2)))
     entry = report.entry("eq.r-counit")
     assert entry.status == "fail"
     assert entry.witness == {"eps-left": [[[0], "2"]], "eps-right": [[[0], "2"]]}
@@ -238,7 +237,7 @@ def test_each_r_check_reports_the_same_ids_with_and_without_r(name, check):
     fn, skipped = R_CHECKS[check]
     H = build_structure(name)
     with_r = fn(H).entries
-    without_r = fn(replace(H, r_matrix=None)).entries
+    without_r = fn(H.replace(r_matrix=None)).entries
     assert [e.check_id for e in without_r] == [e.check_id for e in with_r]
     no_r = [e.check_id for e in without_r if e.detail == {"reason": "no R-matrix"}]
     assert no_r == skipped
@@ -256,7 +255,7 @@ def _r_corruptions(name):
             terms = {w: new if w == word else v for w, v in H.r_matrix.terms.items()}
             terms = {w: v for w, v in terms.items() if v is not None}
             r = TensorElement(H.algebra, 2, terms)
-            cases[f"{name}-{''.join(map(str, word))}-{how}"] = replace(H, r_matrix=r)
+            cases[f"{name}-{''.join(map(str, word))}-{how}"] = H.replace(r_matrix=r)
     return cases
 
 
@@ -265,9 +264,9 @@ HEXAGON_CASES = {
     "ext": build_structure("ext"),
     **_r_corruptions("h2r"),
     **_r_corruptions("ext"),
-    "h2-unit-r": replace(build_structure("h2"), r_matrix=build_structure("h2").unit(2)),
+    "h2-unit-r": build_structure("h2").replace(r_matrix=build_structure("h2").unit(2)),
     # R on a non-commutative algebra: eq.7 fails, so its witness is compared
-    "ks3-r": replace(ks3_structure(), r_matrix=elem(ks3_structure(), 2, {(0, 0): 2, (1, 2): 1})),
+    "ks3-r": ks3_structure().replace(r_matrix=elem(ks3_structure(), 2, {(0, 0): 2, (1, 2): 1})),
 }
 
 
@@ -421,7 +420,7 @@ def test_lemma11_sides_match_the_reference_on_a_failing_product(h2ext, ext, ks3)
     # supercommutative input tests
     transposition = elem(ks3, 1, {(1,): 1})
     for name, failed in (("alpha", ["eq.11ii", "eq.11iii"]), ("beta", ["eq.11i", "eq.11iv"])):
-        H = replace(ks3, **{name: transposition})
+        H = ks3.replace(**{name: transposition})
         assert check_lemma11(H).failed_ids() == failed, name
         _assert_lemma11_sides_match_the_reference(H)
 
@@ -555,12 +554,12 @@ ETA_AGREEMENT_CASES = {
     ),
     "h2ext-antipode": lambda fx: _with_image(fx("h2ext"), "antipode", 3, {(3,): 2}),
     # beta with an odd part: eq.lem5ii takes the d^3 cases
-    "h2ext-odd-beta": lambda fx: replace(
-        fx("h2ext"), beta=fx("h2ext").beta + elem(fx("h2ext"), 1, {(1,): 1})
+    "h2ext-odd-beta": lambda fx: fx("h2ext").replace(
+        beta=fx("h2ext").beta + elem(fx("h2ext"), 1, {(1,): 1})
     ),
     # alpha or beta a transposition: k[S3] is not commutative, so eta fails
-    "ks3-alpha": lambda fx: replace(fx("ks3"), alpha=elem(fx("ks3"), 1, {(1,): 1})),
-    "ks3-beta": lambda fx: replace(fx("ks3"), beta=elem(fx("ks3"), 1, {(1,): 1})),
+    "ks3-alpha": lambda fx: fx("ks3").replace(alpha=elem(fx("ks3"), 1, {(1,): 1})),
+    "ks3-beta": lambda fx: fx("ks3").replace(beta=elem(fx("ks3"), 1, {(1,): 1})),
     "h2-non-associative": lambda fx: _with_product(fx("h2"), (1, 1), {0: 1}),
     "h2ext-non-associative": lambda fx: _with_product(fx("h2ext"), (1, 2), {3: 1}),
 }
@@ -718,7 +717,7 @@ def test_run_suites_skips_after_validation_failure():
     from qhsa.fixtures import ext_broken_grading, ext_structure
 
     H = ext_structure()
-    bad = replace(H, algebra=ext_broken_grading())
+    bad = H.replace(algebra=ext_broken_grading())
     # keep maps pointing at the old algebra: rebuild structure over the bad
     # algebra directly to get a loadable but invalid object
     results = run_suites(bad, ["algebra", "quasi-bialgebra"])
@@ -771,7 +770,7 @@ def _with_image(H, component, index, terms):
     f = getattr(H, component)
     images = list(f.images)
     images[index] = elem(H, f.out_arity, terms)
-    return replace(H, **{component: StructureMap(H.algebra, f.out_arity, images)})
+    return H.replace(**{component: StructureMap(H.algebra, f.out_arity, images)})
 
 
 def _with_product(H, pair, row):
@@ -932,7 +931,7 @@ ETA_WITNESS_CASES = [
         "eq.lem5i-alpha",
         "eta",
         "ks3",
-        lambda H: replace(H, alpha=elem(H, 1, {(1,): 1})),  # alpha a transposition
+        lambda H: H.replace(alpha=elem(H, 1, {(1,): 1})),  # alpha a transposition
         "eq.lem5i",
         {"difference": [[[1], "-1"], [[5], "1"]], "basis": [2, 0, 0]},
     ),
@@ -940,7 +939,7 @@ ETA_WITNESS_CASES = [
         "eq.lem5ii-beta",
         "eta",
         "ks3",
-        lambda H: replace(H, beta=elem(H, 1, {(1,): 1})),
+        lambda H: H.replace(beta=elem(H, 1, {(1,): 1})),
         "eq.lem5ii",
         {"difference": [[[1], "-1"], [[5], "1"]], "basis": [2, 0, 0]},
     ),
@@ -1044,8 +1043,47 @@ def test_basis_check_witness_is_pinned(request, suite, fixture, corrupt, check_i
 )
 def test_singular_phi_witness_is_pinned(fixture, terms):
     H = build_structure(fixture)
-    report = validate_structure(replace(H, phi=elem(H, 3, terms)))
+    report = validate_structure(H.replace(phi=elem(H, 3, terms)))
     assert report.failed_ids() == ["structure.phi-invertible"]
     assert report.entry("structure.phi-invertible").witness == {
         "reason": "element has no left inverse"
     }
+
+
+# -- replace ------------------------------------------------------------------
+
+
+def _scaled_images(f: StructureMap, c) -> StructureMap:
+    return StructureMap(f.algebra, f.out_arity, [img.scaled(c) for img in f.images])
+
+
+@pytest.mark.parametrize("name", ["h2", "twisted-ks3"])
+@pytest.mark.parametrize("component", ["phi", "delta"])
+def test_replace_carries_no_derived_data(name, component):
+    """``replace`` builds a new structure: Phi^{-1}, Delta' and the suites
+    known to have passed are those of a structure built from the same
+    components, never the original's, and the original keeps its own."""
+    H = build_structure("h2") if name == "h2" else twist_structure(*ks3_twist(1, 2))
+    run_suites(H, VALIDATION_SUITES)
+    phi_inv, delta_prime, passed = H.phi_inv, H.delta_prime, set(H.passed)
+    assert passed == set(VALIDATION_SUITES)
+    two = H.algebra.field.from_int(2)
+    new = H.phi.scaled(two) if component == "phi" else _scaled_images(H.delta, two)
+    changed = H.replace(**{component: new})
+    fresh = QhsaStructure(
+        *(new if c == component else getattr(H, c) for c in QhsaStructure.COMPONENTS)
+    )
+    assert getattr(changed, component) is new
+    assert changed.phi_inv == fresh.phi_inv
+    assert changed.delta_prime.images == fresh.delta_prime.images
+    assert changed.passed == set()
+    if component == "phi":
+        assert changed.phi_inv != phi_inv
+    else:
+        assert changed.delta_prime.images != delta_prime.images
+    assert (H.phi_inv, H.delta_prime, H.passed) == (phi_inv, delta_prime, passed)
+    with pytest.raises(AttributeError):
+        H.phi = new
+    with pytest.raises(AttributeError):
+        del H.delta
+    assert getattr(H, component) is not new

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -256,7 +255,7 @@ def test_twist_by_r_matches_opposite(name):
 
 
 def test_twist_by_r_on_trivial(trivial):
-    H = replace(trivial, r_matrix=trivial.unit(2))
+    H = trivial.replace(r_matrix=trivial.unit(2))
     assert verify_twist_by_r(H).ok
 
 
@@ -379,7 +378,7 @@ def test_a_hopf_factor_with_a_two_term_unit_lifts_the_other_factor(with_r):
     # e0 + e1 has two terms, so its trivial Phi has 8
     field = FieldSpec.cyclotomic(4) if with_r else None
     h2 = h2_structure(field, with_r=with_r)
-    kz2 = replace(h2, phi=h2.unit(3), alpha=h2.unit(1), beta=h2.unit(1), r_matrix=None)
+    kz2 = h2.replace(phi=h2.unit(3), alpha=h2.unit(1), beta=h2.unit(1), r_matrix=None)
     assert len(kz2.phi.terms) == len(kz2.algebra.unit_support) ** 3 == 8
     for hopf_first in (True, False):
         T = tensor_product_structure(*((kz2, h2) if hopf_first else (h2, kz2)))
