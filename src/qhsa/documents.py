@@ -5,10 +5,15 @@ fixed key order, index tuples sorted lexicographically, scalars in their
 canonical text encoding, two-space indentation, trailing newline.  Parsing a
 canonical document and serializing it again reproduces it byte for byte.
 
-A structure is read by ``load_structure``: ``parse_structure_document``
-checks the text into a ``StructureDocument`` and ``document_to_structure``
-builds the ``QhsaStructure`` from it.  ``serialize_structure`` writes a
-structure straight from its tables and elements, with no document in between.
+A parsed document is a plain dict of the document's keys and their parsed
+values: scalars as field elements, sparse rows as sorted ``(i, j, ...,
+scalar)`` tuples, and an absent optional key absent.  A structure is read by
+``load_structure``: ``parse_structure_document`` checks the text into such a
+dict and ``document_to_structure`` builds the ``QhsaStructure`` from it.
+``serialize_structure`` writes a structure straight from its tables and
+elements, with no document in between.  A twistor goes both ways through a
+dict: ``parse_twistor_document`` then ``document_to_twistor`` to read,
+``twistor_to_document`` then ``serialize_twistor_document`` to write.
 Indices, parities and the dimension are JSON integers; ``true`` and ``false``
 are refused.
 
@@ -65,65 +70,9 @@ STRUCTURE_KEYS = (
 
 TWISTOR_KEYS = ("name", "field", "dimension", "element", "inverse", "normalization")
 
-
-class StructureDocument:
-    def __init__(
-        self,
-        name: str,
-        field: FieldSpec,
-        dimension: int,
-        parity: tuple,
-        unit: tuple,
-        mult: tuple,  # ((i, j, k, scalar), ...)
-        delta: tuple,
-        epsilon: tuple,
-        antipode: tuple,  # ((i, j, scalar), ...)
-        phi: tuple,
-        alpha: tuple,
-        beta: tuple,
-        r: tuple | None = None,
-    ):
-        self.name = name
-        self.field = field
-        self.dimension = dimension
-        self.parity = parity
-        self.unit = unit
-        self.mult = mult
-        self.delta = delta
-        self.epsilon = epsilon
-        self.antipode = antipode
-        self.phi = phi
-        self.alpha = alpha
-        self.beta = beta
-        self.r = r
-
-    def __eq__(self, other):
-        if type(other) is not StructureDocument:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
-class TwistorDocument:
-    def __init__(
-        self,
-        name: str,
-        field: FieldSpec,
-        dimension: int,
-        element: tuple,
-        inverse: tuple | None = None,
-        normalization: dict | None = None,
-    ):
-        self.name = name
-        self.field = field
-        self.dimension = dimension
-        self.element = element
-        self.inverse = inverse
-        self.normalization = normalization
-
-    def __eq__(self, other):
-        if type(other) is not TwistorDocument:
-            return NotImplemented
-        return vars(self) == vars(other)
+# sparse key -> the number of indices that open each of its rows; every other
+# body key of a structure is a vector of ``dimension`` scalars
+SPARSE_KEYS = {"mult": 3, "delta": 3, "antipode": 2, "phi": 3, "r": 2, "element": 2, "inverse": 2}
 
 
 def _load_json(text: str):
@@ -206,7 +155,7 @@ def _parse_sparse(parse, data, index_count, dimension, key):
     return tuple(sorted(rows, key=lambda r: r[:index_count]))
 
 
-def _parse_header(data) -> tuple:
+def _parse_header(data) -> dict:
     """The name, field and dimension that both document kinds open with."""
     name, dim = data["name"], data["dimension"]
     if not isinstance(name, str) or not name:
@@ -217,16 +166,32 @@ def _parse_header(data) -> tuple:
         raise DocumentError(f"field: {exc}")
     if not _is_int(dim) or dim < 1:
         raise DocumentError("dimension must be a positive integer")
-    return name, field, dim
+    return {"name": name, "field": field, "dimension": dim}
 
 
-def parse_structure_document(text: str) -> StructureDocument:
-    """Check ``text`` into a ``StructureDocument``, parsing each distinct
-    scalar text once (``_scalar_parser``); an invalid one is named at its first position."""
+def _parse_body(data, doc, keys, parse) -> dict:
+    """``doc`` with each of ``keys`` present in ``data`` parsed, in the order
+    of ``keys``: a sparse key into sorted rows, any other into a vector."""
+    dim = doc["dimension"]
+    for key in keys:
+        if key in data:
+            count = SPARSE_KEYS.get(key)
+            doc[key] = (
+                _parse_sparse(parse, data[key], count, dim, key)
+                if count
+                else _parse_scalar_vector(parse, data[key], dim, key)
+            )
+    return doc
+
+
+def parse_structure_document(text: str) -> dict:
+    """Check ``text`` into a dict of its keys and their parsed values, parsing
+    each distinct scalar text once (``_scalar_parser``); keys are parsed in
+    ``STRUCTURE_KEYS`` order, so an invalid scalar is named at its first position."""
     data = _load_json(text)
-    _expect_keys(data, STRUCTURE_KEYS, [k for k in STRUCTURE_KEYS if k != "r"], "structure")
-    name, field, dim = _parse_header(data)
-    parse = _scalar_parser(field)
+    _expect_keys(data, STRUCTURE_KEYS, STRUCTURE_KEYS[:-1], "structure")  # all but r
+    doc = _parse_header(data)
+    dim = doc["dimension"]
     parity = data["parity"]
     if (
         not isinstance(parity, list)
@@ -234,56 +199,38 @@ def parse_structure_document(text: str) -> StructureDocument:
         or any(not _is_int(p) or p not in (0, 1) for p in parity)
     ):
         raise DocumentError(f"parity must be a 0/1 list of length {dim}")
-    return StructureDocument(
-        name=name,
-        field=field,
-        dimension=dim,
-        parity=tuple(parity),
-        unit=_parse_scalar_vector(parse, data["unit"], dim, "unit"),
-        mult=_parse_sparse(parse, data["mult"], 3, dim, "mult"),
-        delta=_parse_sparse(parse, data["delta"], 3, dim, "delta"),
-        epsilon=_parse_scalar_vector(parse, data["epsilon"], dim, "epsilon"),
-        antipode=_parse_sparse(parse, data["antipode"], 2, dim, "antipode"),
-        phi=_parse_sparse(parse, data["phi"], 3, dim, "phi"),
-        alpha=_parse_scalar_vector(parse, data["alpha"], dim, "alpha"),
-        beta=_parse_scalar_vector(parse, data["beta"], dim, "beta"),
-        r=_parse_sparse(parse, data["r"], 2, dim, "r") if "r" in data else None,
-    )
+    doc["parity"] = tuple(parity)
+    return _parse_body(data, doc, STRUCTURE_KEYS[4:], _scalar_parser(doc["field"]))
 
 
-def parse_twistor_document(text: str) -> TwistorDocument:
+def parse_twistor_document(text: str) -> dict:
     data = _load_json(text)
-    _expect_keys(data, TWISTOR_KEYS, ["name", "field", "dimension", "element"], "twistor")
-    name, field, dim = _parse_header(data)
-    parse = _scalar_parser(field)
+    _expect_keys(data, TWISTOR_KEYS, TWISTOR_KEYS[:4], "twistor")  # all but inverse, normalization
+    doc = _parse_header(data)
+    parse = _scalar_parser(doc["field"])
     norm = data.get("normalization")
     if norm is not None:
         _expect_keys(norm, ("eps_alpha", "eps_beta"), ("eps_alpha", "eps_beta"), "normalization")
-        norm = {
-            "eps_alpha": _parse_scalar(parse, norm["eps_alpha"], "normalization.eps_alpha"),
-            "eps_beta": _parse_scalar(parse, norm["eps_beta"], "normalization.eps_beta"),
+        doc["normalization"] = {
+            key: _parse_scalar(parse, norm[key], f"normalization.{key}")
+            for key in ("eps_alpha", "eps_beta")
         }
-    return TwistorDocument(
-        name=name,
-        field=field,
-        dimension=dim,
-        element=_parse_sparse(parse, data["element"], 2, dim, "element"),
-        inverse=_parse_sparse(parse, data["inverse"], 2, dim, "inverse")
-        if "inverse" in data
-        else None,
-        normalization=norm,
-    )
+    return _parse_body(data, doc, ("element", "inverse"), parse)
 
 
 # -- document <-> structure -----------------------------------------------------
 
 
-def document_to_structure(doc: StructureDocument) -> QhsaStructure:
-    field = doc.field
+def _element(algebra, arity, rows) -> TensorElement:
+    return TensorElement(algebra, arity, {row[:-1]: row[-1] for row in rows})
+
+
+def document_to_structure(doc: dict) -> QhsaStructure:
+    dim = doc["dimension"]
     mult = {}
-    for i, j, k, c in doc.mult:
+    for i, j, k, c in doc["mult"]:
         mult.setdefault((i, j), {})[k] = c
-    algebra = GradedAlgebra(doc.dimension, doc.parity, doc.unit, mult, field)
+    algebra = GradedAlgebra(dim, doc["parity"], doc["unit"], mult, doc["field"])
 
     def sparse_map(rows, out_arity):
         images = {}
@@ -293,51 +240,48 @@ def document_to_structure(doc: StructureDocument) -> QhsaStructure:
         return StructureMap(
             algebra,
             out_arity,
-            [
-                TensorElement(algebra, out_arity, images.get(i, {}))
-                for i in range(doc.dimension)
-            ],
+            [TensorElement(algebra, out_arity, images.get(i, {})) for i in range(dim)],
         )
 
-    delta = sparse_map(doc.delta, 2)
-    epsilon = StructureMap(
-        algebra, 0, [TensorElement(algebra, 0, {(): c}) for c in doc.epsilon]
+    def vector(values):
+        return TensorElement(algebra, 1, {(i,): c for i, c in enumerate(values)})
+
+    r = doc.get("r")
+    return QhsaStructure(
+        algebra,
+        sparse_map(doc["delta"], 2),
+        StructureMap(algebra, 0, [TensorElement(algebra, 0, {(): c}) for c in doc["epsilon"]]),
+        sparse_map(doc["antipode"], 1),
+        _element(algebra, 3, doc["phi"]),
+        vector(doc["alpha"]),
+        vector(doc["beta"]),
+        None if r is None else _element(algebra, 2, r),
     )
-    antipode = sparse_map(doc.antipode, 1)
-    phi = TensorElement(algebra, 3, {row[:3]: row[3] for row in doc.phi})
-    alpha = TensorElement(algebra, 1, {(i,): c for i, c in enumerate(doc.alpha)})
-    beta = TensorElement(algebra, 1, {(i,): c for i, c in enumerate(doc.beta)})
-    r = None
-    if doc.r is not None:
-        r = TensorElement(algebra, 2, {row[:2]: row[2] for row in doc.r})
-    return QhsaStructure(algebra, delta, epsilon, antipode, phi, alpha, beta, r)
 
 
-def twistor_to_document(name: str, H: QhsaStructure, F: Twistor, normalization=None) -> TwistorDocument:
-    field = H.algebra.field
-    norm = None
+def twistor_to_document(name: str, H: QhsaStructure, F: Twistor, normalization=None) -> dict:
+    doc = {
+        "name": name,
+        "field": H.algebra.field,
+        "dimension": H.algebra.dimension,
+        "element": tuple(sorted(w + (c,) for w, c in F.element.terms.items())),
+        "inverse": tuple(sorted(w + (c,) for w, c in F.inverse.terms.items())),
+    }
     if normalization is not None:
-        norm = {"eps_alpha": normalization[0], "eps_beta": normalization[1]}
-    return TwistorDocument(
-        name=name,
-        field=field,
-        dimension=H.algebra.dimension,
-        element=tuple(sorted(w + (c,) for w, c in F.element.terms.items())),
-        inverse=tuple(sorted(w + (c,) for w, c in F.inverse.terms.items())),
-        normalization=norm,
-    )
+        doc["normalization"] = dict(zip(("eps_alpha", "eps_beta"), normalization))
+    return doc
 
 
-def document_to_twistor(doc: TwistorDocument, H: QhsaStructure) -> Twistor:
-    if doc.field != H.algebra.field:
+def document_to_twistor(doc: dict, H: QhsaStructure) -> Twistor:
+    if doc["field"] != H.algebra.field:
         raise DocumentError("twistor and structure declare different fields")
-    if doc.dimension != H.algebra.dimension:
+    if doc["dimension"] != H.algebra.dimension:
         raise DocumentError("twistor and structure dimensions differ")
-    element = TensorElement(H.algebra, 2, {row[:2]: row[2] for row in doc.element})
-    inverse = None
-    if doc.inverse is not None:
-        inverse = TensorElement(H.algebra, 2, {row[:2]: row[2] for row in doc.inverse})
-    return Twistor(element, inverse)
+    inverse = doc.get("inverse")
+    return Twistor(
+        _element(H.algebra, 2, doc["element"]),
+        None if inverse is None else _element(H.algebra, 2, inverse),
+    )
 
 
 # -- canonical serialization ------------------------------------------------------
@@ -365,21 +309,14 @@ def _canonical_json(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_twistor_document(doc: TwistorDocument) -> str:
-    field = doc.field
-    data = {
-        "name": doc.name,
-        "field": field.to_json(),
-        "dimension": doc.dimension,
-        "element": _sparse_json(field, doc.element),
-    }
-    if doc.inverse is not None:
-        data["inverse"] = _sparse_json(field, doc.inverse)
-    if doc.normalization is not None:
-        data["normalization"] = {
-            "eps_alpha": field.format(doc.normalization["eps_alpha"]),
-            "eps_beta": field.format(doc.normalization["eps_beta"]),
-        }
+def serialize_twistor_document(doc: dict) -> str:
+    field = doc["field"]
+    data = {"name": doc["name"], "field": field.to_json(), "dimension": doc["dimension"]}
+    for key in ("element", "inverse"):
+        if key in doc:
+            data[key] = _sparse_json(field, doc[key])
+    if "normalization" in doc:
+        data["normalization"] = {k: field.format(v) for k, v in doc["normalization"].items()}
     return _canonical_json(data)
 
 
@@ -421,7 +358,7 @@ def serialize_structure(name: str, H: QhsaStructure) -> str:
 
 def load_structure(text: str) -> tuple:
     doc = parse_structure_document(text)
-    return doc.name, document_to_structure(doc)
+    return doc["name"], document_to_structure(doc)
 
 
 # -- report documents -------------------------------------------------------------

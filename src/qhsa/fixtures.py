@@ -1,8 +1,9 @@
 """Programmatic builders for the bundled fixtures and twistors.
 
-A builder writes its structure's document rows, the ``(i, j, k, scalar)``
-tuples of a ``qhsa.documents.StructureDocument``, and builds the structure
-with ``document_to_structure``, the same path that reads a ``.qhsa`` file.
+A builder writes its structure's document as the dict that
+``qhsa.documents.parse_structure_document`` returns, with rows of ``(i, j, k,
+scalar)`` tuples, and builds the structure with ``document_to_structure``,
+the same path that reads a ``.qhsa`` file.
 The data files under ``qhsa/fixtures/`` are generated from these builders and
 kept byte-identical to them (there is a test for that).  Positive fixtures,
 in increasing order of spice:
@@ -25,7 +26,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import GradedAlgebra, TensorElement
-from .documents import StructureDocument, document_to_structure
+from .documents import document_to_structure
 from .scalars import Cyclotomic, FieldSpec
 from .structure import QhsaStructure
 from .transforms import Twistor, tensor_product_structure
@@ -33,20 +34,20 @@ from .transforms import Twistor, tensor_product_structure
 
 def trivial_structure(field=None) -> QhsaStructure:
     return document_to_structure(
-        StructureDocument(
-            name="trivial",
-            field=field or FieldSpec.rational(),
-            dimension=1,
-            parity=(0,),
-            unit=(1,),
-            mult=((0, 0, 0, 1),),
-            delta=((0, 0, 0, 1),),
-            epsilon=(1,),
-            antipode=((0, 0, 1),),
-            phi=((0, 0, 0, 1),),
-            alpha=(1,),
-            beta=(1,),
-        )
+        {
+            "name": "trivial",
+            "field": field or FieldSpec.rational(),
+            "dimension": 1,
+            "parity": (0,),
+            "unit": (1,),
+            "mult": ((0, 0, 0, 1),),
+            "delta": ((0, 0, 0, 1),),
+            "epsilon": (1,),
+            "antipode": ((0, 0, 1),),
+            "phi": ((0, 0, 0, 1),),
+            "alpha": (1,),
+            "beta": (1,),
+        }
     )
 
 
@@ -54,21 +55,21 @@ def ext_structure(field=None) -> QhsaStructure:
     """Exterior algebra on one odd theta: basis (1, theta), theta^2 = 0, with
     the R-matrix 1 (x) 1 + theta (x) theta."""
     return document_to_structure(
-        StructureDocument(
-            name="ext",
-            field=field or FieldSpec.rational(),
-            dimension=2,
-            parity=(0, 1),
-            unit=(1, 0),
-            mult=((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)),
-            delta=((0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 0, 1)),
-            epsilon=(1, 0),
-            antipode=((0, 0, 1), (1, 1, -1)),
-            phi=((0, 0, 0, 1),),
-            alpha=(1, 0),
-            beta=(1, 0),
-            r=((0, 0, 1), (1, 1, 1)),
-        )
+        {
+            "name": "ext",
+            "field": field or FieldSpec.rational(),
+            "dimension": 2,
+            "parity": (0, 1),
+            "unit": (1, 0),
+            "mult": ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)),
+            "delta": ((0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 0, 1)),
+            "epsilon": (1, 0),
+            "antipode": ((0, 0, 1), (1, 1, -1)),
+            "phi": ((0, 0, 0, 1),),
+            "alpha": (1, 0),
+            "beta": (1, 0),
+            "r": ((0, 0, 1), (1, 1, 1)),
+        }
     )
 
 
@@ -77,29 +78,26 @@ def h2_structure(field=None, with_r=False) -> QhsaStructure:
     coassociator.  The R-matrix needs zeta_4, so it only exists over a
     cyclotomic field of order divisible by 4."""
     field = field or FieldSpec.rational()
-    r = None
+    doc = {
+        "name": "h2r" if with_r else "h2",
+        "field": field,
+        "dimension": 2,
+        "parity": (0, 0),
+        "unit": (1, 1),
+        "mult": ((0, 0, 0, 1), (1, 1, 1, 1)),
+        "delta": ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)),
+        "epsilon": (1, 0),
+        "antipode": ((0, 0, 1), (1, 1, 1)),
+        "phi": tuple(w + (-1 if w == (1, 1, 1) else 1,) for w in product((0, 1), repeat=3)),
+        "alpha": (1, -1),
+        "beta": (1, 1),
+    }
     if with_r:
         if field.kind != "cyclotomic" or field.order % 4 != 0:
             raise ValueError("the h2 R-matrix needs zeta_4 in the field")
         z4 = Cyclotomic(field.order, [0] * (field.order // 4) + [1])
-        r = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, z4))
-    return document_to_structure(
-        StructureDocument(
-            name="h2r" if with_r else "h2",
-            field=field,
-            dimension=2,
-            parity=(0, 0),
-            unit=(1, 1),
-            mult=((0, 0, 0, 1), (1, 1, 1, 1)),
-            delta=((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)),
-            epsilon=(1, 0),
-            antipode=((0, 0, 1), (1, 1, 1)),
-            phi=tuple(w + (-1 if w == (1, 1, 1) else 1,) for w in product((0, 1), repeat=3)),
-            alpha=(1, -1),
-            beta=(1, 1),
-            r=r,
-        )
-    )
+        doc["r"] = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, z4))
+    return document_to_structure(doc)
 
 
 def h2r_structure() -> QhsaStructure:

@@ -1,23 +1,22 @@
 import importlib.util
 import itertools
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from qhsa.algebra import GradedAlgebra, StructureMap, TensorElement, interleave, outer
+from qhsa.algebra import StructureMap, TensorElement, interleave, outer
+from qhsa.documents import document_to_structure
 from qhsa.fixtures import build_structure
 from qhsa.scalars import FieldSpec
-from qhsa.structure import QhsaStructure
 from qhsa.transforms import Twistor, tensor_product_structure, twist_structure
 
 # tools/sweep.py, the byte-identity sweep, whose generated documents the CLI tests share
 _spec = importlib.util.spec_from_file_location(
     "sweep", Path(__file__).parent.parent / "tools" / "sweep.py"
 )
-sweep = sys.modules["sweep"] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
+sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep)
 
 
@@ -81,27 +80,21 @@ def ext_ext_graded():
 def kz2_structure():
     """k[Z2] in the basis {1, g}: g^2 = 1, Delta g = g (x) g, S g = g,
     eps g = 1, trivial coassociator and alpha = beta = 1.  Purely even."""
-    field = FieldSpec.rational()
-    one = field.one()
-    alg = GradedAlgebra(
-        2,
-        (0, 0),
-        (one, field.zero()),
-        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: one}},
-        field,
-    )
-
-    def element(arity, word):
-        return TensorElement(alg, arity, {word: one})
-
-    return QhsaStructure(
-        alg,
-        StructureMap(alg, 2, [element(2, (0, 0)), element(2, (1, 1))]),
-        StructureMap(alg, 0, [element(0, ()), element(0, ())]),
-        StructureMap(alg, 1, [element(1, (0,)), element(1, (1,))]),
-        element(3, (0, 0, 0)),
-        element(1, (0,)),
-        element(1, (0,)),
+    return document_to_structure(
+        {
+            "name": "kz2",
+            "field": FieldSpec.rational(),
+            "dimension": 2,
+            "parity": (0, 0),
+            "unit": (1, 0),
+            "mult": ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)),
+            "delta": ((0, 0, 0, 1), (1, 1, 1, 1)),
+            "epsilon": (1, 1),
+            "antipode": ((0, 0, 1), (1, 1, 1)),
+            "phi": ((0, 0, 0, 1),),
+            "alpha": (1, 0),
+            "beta": (1, 0),
+        }
     )
 
 
@@ -110,27 +103,27 @@ def ks3_structure():
     (the identity first): Delta g = g (x) g, S g = g^{-1}, eps g = 1,
     trivial coassociator and alpha = beta = 1.  Purely even, and not
     commutative, so alpha or beta off the centre breaks the eta lemma."""
-    field = FieldSpec.rational()
-    one = field.one()
     perms = list(itertools.permutations(range(3)))
     index = {g: k for k, g in enumerate(perms)}
-    mult = {
-        (index[g], index[h]): {index[tuple(g[i] for i in h)]: one} for g in perms for h in perms
-    }
-    alg = GradedAlgebra(6, (0,) * 6, (one,) + (field.zero(),) * 5, mult, field)
     inverse = [index[tuple(sorted(range(3), key=g.__getitem__))] for g in perms]
-
-    def element(arity, word):
-        return TensorElement(alg, arity, {word: one})
-
-    return QhsaStructure(
-        alg,
-        StructureMap(alg, 2, [element(2, (k, k)) for k in range(6)]),
-        StructureMap(alg, 0, [element(0, ()) for _ in range(6)]),
-        StructureMap(alg, 1, [element(1, (inverse[k],)) for k in range(6)]),
-        element(3, (0, 0, 0)),
-        element(1, (0,)),
-        element(1, (0,)),
+    identity = (1,) + (0,) * 5
+    return document_to_structure(
+        {
+            "name": "ks3",
+            "field": FieldSpec.rational(),
+            "dimension": 6,
+            "parity": (0,) * 6,
+            "unit": identity,
+            "mult": tuple(
+                (index[g], index[h], index[tuple(g[i] for i in h)], 1) for g in perms for h in perms
+            ),
+            "delta": tuple((k, k, k, 1) for k in range(6)),
+            "epsilon": (1,) * 6,
+            "antipode": tuple((k, inverse[k], 1) for k in range(6)),
+            "phi": ((0, 0, 0, 1),),
+            "alpha": identity,
+            "beta": identity,
+        }
     )
 
 

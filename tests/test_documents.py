@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from qhsa import cli
 from qhsa.documents import (
+    SPARSE_KEYS,
+    STRUCTURE_KEYS,
     DocumentError,
     document_to_twistor,
     load_structure,
@@ -270,6 +273,7 @@ ZETA = FieldSpec.cyclotomic(20)
 ZETA_TWIST_COEFFICIENT = Cyclotomic(20, [0, 0, 0, 1]) + Cyclotomic(20, [0] * 7 + [1]) - 1  # z^3 + z^7 - 1
 
 
+@cache
 def _zeta_documents():
     """A Q(zeta_20) structure document, h2 twisted by 1 (x) 1 + c e1 (x) e1
     and tensored with ext, and that twistor's document."""
@@ -318,7 +322,15 @@ def test_each_distinct_scalar_text_is_parsed_once_per_document(kind, parsed_text
     assert Counter(parsed_texts) == dict.fromkeys(texts, 2)
 
 
-@pytest.mark.parametrize("kind", ["structure", "twistor"])
+# (document kind, first key, second key): each pair of adjacent body keys of
+# a structure, delta before phi, and a twistor's element before its inverse
+_FIRST_POSITIONS = [("structure", a, b) for a, b in zip(STRUCTURE_KEYS[4:], STRUCTURE_KEYS[5:])]
+_FIRST_POSITIONS += [("structure", "delta", "phi"), ("twistor", "element", "inverse")]
+
+
+@pytest.mark.parametrize(
+    "kind, first, second", _FIRST_POSITIONS, ids=["-".join(keys) for keys in _FIRST_POSITIONS]
+)
 @pytest.mark.parametrize(
     "bad, expected",
     [
@@ -328,14 +340,19 @@ def test_each_distinct_scalar_text_is_parsed_once_per_document(kind, parsed_text
         ([1], "scalar must be a string, got [1]"),
     ],
 )
-def test_an_invalid_scalar_is_named_at_its_first_position(kind, bad, expected, tmp_path, capsys):
-    """An invalid scalar text, or a non-string, at two positions is one
-    error line naming the first, as when each entry was parsed on its own."""
+def test_an_invalid_scalar_is_named_at_its_first_position(
+    kind, first, second, bad, expected, tmp_path, capsys
+):
+    """An invalid scalar text, or a non-string, in two keys is one error
+    line naming its position in the first key, as when each entry was
+    parsed on its own: keys are parsed in file order."""
     structure, twistor = _zeta_documents()
     data = json.loads(twistor if kind == "twistor" else structure)
-    first, second = ("element", "inverse") if kind == "twistor" else ("delta", "phi")
-    data[first][1][-1] = bad
-    data[second][0][-1] = bad
+    for key, pos in ((first, 1), (second, 0)):
+        if key in SPARSE_KEYS:
+            data[key][pos][-1] = bad
+        else:
+            data[key][pos] = bad
     parse = parse_twistor_document if kind == "twistor" else parse_structure_document
     with pytest.raises(DocumentError) as excinfo:
         parse(json.dumps(data))

@@ -53,12 +53,13 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+from qhsa.documents import SPARSE_KEYS, STRUCTURE_KEYS  # noqa: E402
 from qhsa.scalars import FieldSpec  # noqa: E402
 from qhsa.structure import SUITES  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -70,14 +71,11 @@ TRANSFORMS = ("opposite", "prime")
 FORMATS = ("json", "text")
 WRITTEN = ("--output", "--emit-twist")  # options that name a file the job writes
 FIXTURE_DIR = ROOT / "src" / "qhsa" / "fixtures"
-ROW_KEYS = ("mult", "delta", "antipode", "phi", "r")  # the sparse rows a corruption edits
-VECTOR_KEYS = ("unit", "epsilon", "alpha", "beta")
 ESCAPED_FIXTURES = ("h2r", "ext")
 ESCAPED_NAME = 'caf\u00e9 "quoted" back\\slash'  # non-ASCII, a quote and a backslash
 
 
-@dataclass(frozen=True)
-class SweepJob:
+class SweepJob(NamedTuple):
     group: str  # the job's working directory under the sweep's directory
     argv: tuple
 
@@ -268,16 +266,16 @@ def _ends(entries) -> list:
 
 def corruptions(doc: dict) -> dict:
     """stem suffix -> a copy of the structure document ``doc`` with one entry
-    changed: the scalar of the first row of each of ``ROW_KEYS`` negated, then
-    doubled, then that row dropped; entry 0 of each of ``VECTOR_KEYS`` raised
-    by 1; ``parity[0]`` flipped.  Each is also made on the last row or entry
-    where there is more than one, its suffix marked ``-last``.  Scalars are
-    read and written by the field's own ``parse`` and ``format``."""
+    changed: the scalar of the first row of each sparse key negated, then
+    doubled, then that row dropped; entry 0 of each vector key raised by 1;
+    ``parity[0]`` flipped.  Each is also made on the last row or entry where
+    there is more than one, its suffix marked ``-last``.  Keys are taken in
+    ``STRUCTURE_KEYS`` order, sparse ones (``SPARSE_KEYS``) first.  Scalars
+    are read and written by the field's own ``parse`` and ``format``."""
     field = FieldSpec.from_json(doc["field"])
+    body = [key for key in STRUCTURE_KEYS[4:] if key in doc]
     out = {}
-    for key in ROW_KEYS:
-        if key not in doc:
-            continue
+    for key in [k for k in body if k in SPARSE_KEYS]:
         rows = doc[key]
         for label, i in _ends(rows):
             row, before, after = rows[i], rows[:i], rows[i + 1 :]
@@ -286,7 +284,7 @@ def corruptions(doc: dict) -> dict:
                 changed_row = row[:-1] + [field.format(changed)]
                 out[f"{key}{label}-{kind}"] = {**doc, key: [*before, changed_row, *after]}
             out[f"{key}{label}-dropped"] = {**doc, key: before + after}
-    for key in VECTOR_KEYS:
+    for key in [k for k in body if k not in SPARSE_KEYS]:
         vector = doc[key]
         for label, i in _ends(vector):
             raised = field.format(field.parse(vector[i]) + 1)
