@@ -50,7 +50,6 @@ from .structure import (
     DRINFELD_PREMISES,
     SUITES,
     VALIDATION_SUITES,
-    Twistor,
     run_suites,
 )
 
@@ -160,6 +159,7 @@ def cmd_transform(args) -> int:
 
 def cmd_drinfeld(args) -> int:
     from .drinfeld import drinfeld_construction, drinfeld_report
+    from .transforms import Twistor
 
     name, H = load_structure(_read(args.path))
     base = run_suites(H, DEFAULT_SUITE_NAMES if args.verify else DRINFELD_PREMISES)

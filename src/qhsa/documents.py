@@ -45,7 +45,7 @@ from math import isfinite
 
 from .algebra import GradedAlgebra, StructureMap, TensorElement
 from .scalars import FieldSpec, ScalarError, echo
-from .structure import QhsaStructure, Twistor
+from .structure import QhsaStructure
 
 
 class DocumentError(ValueError):
@@ -259,7 +259,7 @@ def document_to_structure(doc: dict) -> QhsaStructure:
     )
 
 
-def twistor_to_document(name: str, H: QhsaStructure, F: Twistor, normalization=None) -> dict:
+def twistor_to_document(name: str, H: QhsaStructure, F, normalization=None) -> dict:
     doc = {
         "name": name,
         "field": H.algebra.field,
@@ -272,7 +272,10 @@ def twistor_to_document(name: str, H: QhsaStructure, F: Twistor, normalization=N
     return doc
 
 
-def document_to_twistor(doc: dict, H: QhsaStructure) -> Twistor:
+def document_to_twistor(doc: dict, H: QhsaStructure):
+    """The ``qhsa.transforms.Twistor`` on H that the parsed document declares."""
+    from .transforms import Twistor
+
     if doc["field"] != H.algebra.field:
         raise DocumentError("twistor and structure declare different fields")
     if doc["dimension"] != H.algebra.dimension:

@@ -14,6 +14,8 @@ simplification anywhere.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .algebra import (
     SingularError,
     TensorElement,
@@ -37,23 +39,13 @@ from .structure import (
 from .transforms import Twistor, _compare_structures, prime_structure, twist_structure
 
 
-class DrinfeldData:
-    """gamma, gamma-bar, F_D and F_D^{-1}.  Immutable; equality is identity."""
+class DrinfeldData(NamedTuple):
+    """gamma, gamma-bar, F_D and F_D^{-1}."""
 
-    def __init__(
-        self,
-        gamma: TensorElement,
-        gamma_bar: TensorElement,
-        f_d: TensorElement,
-        f_d_inverse: TensorElement,
-    ):
-        vars(self).update(gamma=gamma, gamma_bar=gamma_bar, f_d=f_d, f_d_inverse=f_d_inverse)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: DrinfeldData is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: DrinfeldData is immutable")
+    gamma: TensorElement
+    gamma_bar: TensorElement
+    f_d: TensorElement
+    f_d_inverse: TensorElement
 
 
 def _gamma_post(H: QhsaStructure, w4: TensorElement) -> TensorElement:

@@ -37,8 +37,8 @@ class CheckEntry:
 
 
 class CheckReport:
-    def __init__(self, entries: list | None = None):
-        self.entries = [] if entries is None else entries
+    def __init__(self):
+        self.entries = []
 
     def __eq__(self, other):
         if type(other) is not CheckReport:

@@ -302,32 +302,6 @@ class QhsaStructure:
         return apply_map_legs(x, 0, self.antipode)
 
 
-class Twistor:
-    """An element of H (x) H meant to be even and invertible with both counit
-    legs equal to 1, as ``qhsa.transforms.check_twistor`` verifies.
-    ``inverse`` is the declared one, or is computed on first use
-    (SingularError if there is none).  It is defined here, beside the
-    structure, so that ``qhsa.documents`` reads a twistor document without
-    loading the transforms; ``qhsa.transforms.Twistor`` is this class."""
-
-    def __init__(self, element: TensorElement, inverse: TensorElement | None = None):
-        if element.arity != 2:
-            raise AlgebraError("a twistor has arity 2")
-        self.element = element
-        self.declared_inverse = inverse
-
-    @cached_property
-    def inverse(self) -> TensorElement:
-        if self.declared_inverse is not None:
-            return self.declared_inverse
-        return invert_tensor_element(self.element)
-
-    def transpose(self) -> "Twistor":
-        return Twistor(
-            permute_legs(self.element, (1, 0)), permute_legs(self.inverse, (1, 0))
-        )
-
-
 # -- recurring contraction patterns ------------------------------------------
 
 

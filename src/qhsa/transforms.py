@@ -10,6 +10,8 @@ outputs with the usual check suites rather than trusting these formulas.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import (
     AlgebraError,
     GradedAlgebra,
@@ -21,12 +23,12 @@ from .algebra import (
     embed_legs,
     interleave,
     interleave_sign,
+    invert_tensor_element,
     permute_legs,
 )
 from .reporting import CheckReport, element_terms_json, expect_equal, expect_equal_per_basis
 from .structure import (
     QhsaStructure,
-    Twistor,
     _counit_legs_entry,
     _even_entry,
     _inverse_witness,
@@ -34,6 +36,30 @@ from .structure import (
     m_alpha_s,
     m_beta_s,
 )
+
+
+class Twistor:
+    """An element of H (x) H meant to be even and invertible with both counit
+    legs equal to 1, as ``check_twistor`` verifies.  ``inverse`` is the
+    declared one, or is computed on first use (SingularError if there is
+    none)."""
+
+    def __init__(self, element: TensorElement, inverse: TensorElement | None = None):
+        if element.arity != 2:
+            raise AlgebraError("a twistor has arity 2")
+        self.element = element
+        self.declared_inverse = inverse
+
+    @cached_property
+    def inverse(self) -> TensorElement:
+        if self.declared_inverse is not None:
+            return self.declared_inverse
+        return invert_tensor_element(self.element)
+
+    def transpose(self) -> "Twistor":
+        return Twistor(
+            permute_legs(self.element, (1, 0)), permute_legs(self.inverse, (1, 0))
+        )
 
 
 def check_twistor(H: QhsaStructure, F: Twistor) -> CheckReport:
@@ -209,8 +235,7 @@ def tensor_product_structure(A: QhsaStructure, B: QhsaStructure) -> QhsaStructur
     h2r (x) h2r, h2 (x) h2ext and h2ext (x) h2 pass every default suite and
     the Drinfeld battery.  It is kept because taking R from both factors
     changes products whose Hopf factor has an R-matrix: h2r (x) ext's R
-    doubles, and a pass of the benchmark's ``cyclotomic`` workload took
-    about 13% longer (median 0.057 s to 0.064 s, on a 2-core Xeon).
+    would have twice its 4 terms, and every R identity multiplies them.
     """
     if A.algebra.field != B.algebra.field:
         raise AlgebraError("tensor product needs a common scalar field")

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import qhsa.algebra
 from qhsa.algebra import StructureMap, TensorElement, interleave, outer
+from qhsa.cli import BUNDLED_DIR
 from qhsa.documents import document_to_structure
-from qhsa.fixtures import build_structure
+from qhsa.fixtures import POSITIVE_FIXTURES, build_structure
 from qhsa.scalars import FieldSpec
+from qhsa.structure import run_suites
 from qhsa.transforms import Twistor, tensor_product_structure, twist_structure
 
 # tools/sweep.py, the byte-identity sweep, whose generated documents the CLI tests share
@@ -43,6 +46,33 @@ def h2r():
 @pytest.fixture(scope="session")
 def h2ext():
     return build_structure("h2ext")
+
+
+@pytest.fixture(scope="module", params=POSITIVE_FIXTURES)
+def fixture_structure(request):
+    return build_structure(request.param)
+
+
+def fx(name):
+    """The path of the bundled fixture file ``name``."""
+    return str(BUNDLED_DIR / name)
+
+
+def suites_ok(H):
+    return all(rep.ok for _, rep, _ in run_suites(H))
+
+
+def multiplications(monkeypatch):
+    """The arity of each ``tensor_multiply`` call from now on, in call order."""
+    calls = []
+    original = qhsa.algebra.tensor_multiply
+
+    def counting(x, y):
+        calls.append(x.arity)
+        return original(x, y)
+
+    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    return calls
 
 
 def _odd_product(A, B, signed):

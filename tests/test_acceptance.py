@@ -11,10 +11,9 @@ genuinely odd legs.
 import json
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from qhsa.algebra import apply_map_legs, embed_legs
-from qhsa.cli import main
+from qhsa.cli import BUNDLED_DIR, main
 from qhsa.documents import load_structure, serialize_structure
 from qhsa.drinfeld import compute_drinfeld_twist, drinfeld_report
 from qhsa.fixtures import (
@@ -50,18 +49,9 @@ from qhsa.transforms import (
     verify_twist_by_r,
 )
 
-from conftest import elem, kz2_structure, product, structures_equal
+from conftest import elem, fx, kz2_structure, product, structures_equal, suites_ok
 
-FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
 AXIOM_SUITES = ("algebra", "structure", "quasi-bialgebra", "antipode")
-
-
-def fx(name):
-    return str(FIXTURE_DIR / name)
-
-
-def suites_ok(H):
-    return all(rep.ok for _, rep, _ in run_suites(H))
 
 
 def test_criterion_1_axiom_suites():
@@ -300,7 +290,7 @@ def test_criterion_7_value_reproduction():
 def test_criterion_8_io_contract(tmp_path):
     # byte-stable round trip on every bundled document
     for name in POSITIVE_FIXTURES:
-        text = (FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8")
+        text = (BUNDLED_DIR / f"{name}.qhsa").read_text(encoding="utf-8")
         fixture_name, H = load_structure(text)
         assert serialize_structure(fixture_name, H) == text
 
@@ -313,7 +303,7 @@ def test_criterion_8_io_contract(tmp_path):
     malformed = tmp_path / "malformed.qhsa"
     malformed.write_text("{", encoding="utf-8")
     assert main(["check", str(malformed)]) == 2
-    truncated = json.loads((FIXTURE_DIR / "h2.qhsa").read_text())
+    truncated = json.loads((BUNDLED_DIR / "h2.qhsa").read_text())
     truncated["mult"][0][3] = "1/0"
     bad_scalar = tmp_path / "bad-scalar.qhsa"
     bad_scalar.write_text(json.dumps(truncated), encoding="utf-8")

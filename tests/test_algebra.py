@@ -4,7 +4,6 @@ import random
 import weakref
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +27,7 @@ from qhsa.algebra import (
     outer,
     permute_legs,
 )
-from qhsa.cli import main
+from qhsa.cli import BUNDLED_DIR, main
 from qhsa.documents import document_to_twistor, load_structure, parse_twistor_document
 from qhsa.drinfeld import compute_drinfeld_twist
 from qhsa.fixtures import (
@@ -1234,9 +1233,6 @@ def test_outer_is_plain_placement(ext):
 
 # -- the canonical rational form ------------------------------------------------------
 
-FIXTURE_DIR = Path(algebra.__file__).parent / "fixtures"
-
-
 def _assert_canonical(x):
     # over either field a rational is an int (never a bool or float) when
     # integral, else a Fraction; any other value is a Cyclotomic with a
@@ -1255,15 +1251,15 @@ def _elements(H):
     return elements + ([H.r_matrix, H.r_inv] if H.has_r else [])
 
 
-@pytest.mark.parametrize("name", sorted(path.stem for path in FIXTURE_DIR.glob("*.qhsa")))
+@pytest.mark.parametrize("name", sorted(path.stem for path in BUNDLED_DIR.glob("*.qhsa")))
 def test_coefficients_are_canonical(name, ext):
-    _, H = load_structure((FIXTURE_DIR / f"{name}.qhsa").read_text())
+    _, H = load_structure((BUNDLED_DIR / f"{name}.qhsa").read_text())
     structures = [H, opposite_structure(H), prime_structure(H)]
     if H.algebra.field == ext.algebra.field:
         structures.append(tensor_product_structure(H, ext))
     for twistor in ALL_TWISTOR_NAMES:
         if build_twistor(twistor)[0] == name:
-            doc = parse_twistor_document((FIXTURE_DIR / f"{twistor}.twist").read_text())
+            doc = parse_twistor_document((BUNDLED_DIR / f"{twistor}.twist").read_text())
             structures.append(twist_structure(H, document_to_twistor(doc, H)))
     for T in structures:
         for x in _elements(T):

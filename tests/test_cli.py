@@ -14,16 +14,11 @@ import qhsa.drinfeld
 import qhsa.structure
 from qhsa.algebra import GradedAlgebra
 from qhsa.cli import main
+from qhsa.fixtures import NEGATIVE_FIXTURES, POSITIVE_FIXTURES
 from qhsa.scalars import MAX_CYCLOTOMIC_ORDER, FieldSpec, euler_phi
 from qhsa.structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, SUITES
 
-from conftest import sweep
-
-FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
-
-
-def fx(name):
-    return str(FIXTURE_DIR / name)
+from conftest import fx, sweep
 
 
 def run_json(tmp_path, *argv):
@@ -45,7 +40,7 @@ def edited(tmp_path, fixture, **fields):
 
 
 def test_check_passes_on_every_positive_fixture(tmp_path):
-    for name in ("trivial", "ext", "h2", "h2r", "h2ext"):
+    for name in POSITIVE_FIXTURES:
         code, doc = run_json(tmp_path, "check", fx(f"{name}.qhsa"))
         assert code == 0
         assert doc["overall"] == "pass"
@@ -669,7 +664,7 @@ def test_drinfeld_without_verify_runs_no_battery(tmp_path, monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("name", ["trivial", "ext", "h2", "h2r", "h2ext"])
+@pytest.mark.parametrize("name", POSITIVE_FIXTURES)
 def test_drinfeld_report_is_a_prefix_of_the_verified_one(tmp_path, name):
     code, doc = run_json(tmp_path, "drinfeld", fx(f"{name}.qhsa"))
     verify_code, verified = run_json(tmp_path, "drinfeld", fx(f"{name}.qhsa"), "--verify")
@@ -698,8 +693,7 @@ def test_drinfeld_refuses_broken_structures(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name, code",
-    [(n, 0) for n in ("trivial", "ext", "h2", "h2r", "h2ext")]
-    + [("h2-broken-pentagon", 1), ("h2-broken-antipode", 1)],
+    [(n, 0) for n in POSITIVE_FIXTURES] + [(n, 1) for n in NEGATIVE_FIXTURES],
 )
 def test_drinfeld_without_verify_runs_only_its_premises(tmp_path, monkeypatch, name, code):
     def refuse(H):

@@ -2,13 +2,12 @@ import json
 import math
 from collections import Counter
 from functools import cache
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qhsa import cli
+from qhsa import cli, structure
 from qhsa.documents import (
     SPARSE_KEYS,
     STRUCTURE_KEYS,
@@ -23,11 +22,11 @@ from qhsa.documents import (
     twistor_to_document,
 )
 from qhsa.algebra import TensorElement
-from qhsa.cli import main
+from qhsa.cli import BUNDLED_DIR, main
 from qhsa.fixtures import (
     ALL_TWISTOR_NAMES,
     NEGATIVE_FIXTURES,
-    POSITIVE_FIXTURES,
+    STRUCTURE_BUILDERS,
     build_structure,
     build_twistor,
     ext_structure,
@@ -46,14 +45,12 @@ from qhsa.transforms import (
 
 from conftest import structures_equal
 
-FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
-
-BUNDLED = POSITIVE_FIXTURES + tuple(NEGATIVE_FIXTURES)
+BUNDLED = tuple(STRUCTURE_BUILDERS)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_files_match_builders(name):
-    on_disk = (FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8")
+    on_disk = (BUNDLED_DIR / f"{name}.qhsa").read_text(encoding="utf-8")
     regenerated = serialize_structure(name, build_structure(name))
     assert on_disk == regenerated
 
@@ -62,14 +59,14 @@ def test_bundled_files_match_builders(name):
 def test_bundled_twistors_match_builders(tname):
     target, F = build_twistor(tname)
     H = build_structure(target)
-    on_disk = (FIXTURE_DIR / f"{tname}.twist").read_text(encoding="utf-8")
+    on_disk = (BUNDLED_DIR / f"{tname}.twist").read_text(encoding="utf-8")
     assert on_disk == serialize_twistor_document(twistor_to_document(tname, H, F))
 
 
 def _bundled_over(name, field):
     """The bundled ``<name>.qhsa`` loaded with its field replaced by ``field``
     (a cyclotomic document accepts the bare rationals as they are)."""
-    data = json.loads((FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8"))
+    data = json.loads((BUNDLED_DIR / f"{name}.qhsa").read_text(encoding="utf-8"))
     data["field"] = field.to_json()
     return load_structure(json.dumps(data))[1]
 
@@ -126,7 +123,7 @@ def test_serialize_parse_round_trip_is_byte_stable(name):
 
 def test_parse_serialize_value_identity(h2):
     written = parse_structure_document(serialize_structure("h2", h2))
-    assert written == parse_structure_document((FIXTURE_DIR / "h2.qhsa").read_text(encoding="utf-8"))
+    assert written == parse_structure_document((BUNDLED_DIR / "h2.qhsa").read_text(encoding="utf-8"))
 
 
 def test_twisted_structure_survives_the_round_trip(h2):
@@ -220,8 +217,15 @@ def test_twistor_document_round_trip(h2):
     assert twistor.element == F.element and twistor.inverse == F.inverse
 
 
+def test_twistor_is_defined_only_in_the_transforms(h2):
+    # a twistor document is read into the transforms' class, imported on demand
+    assert not hasattr(structure, "Twistor")
+    text = (BUNDLED_DIR / "f-e11.twist").read_text(encoding="utf-8")
+    assert type(document_to_twistor(parse_twistor_document(text), h2)) is Twistor
+
+
 def test_twistor_field_mismatch(h2r):
-    text = (FIXTURE_DIR / "f-e11.twist").read_text(encoding="utf-8")
+    text = (BUNDLED_DIR / "f-e11.twist").read_text(encoding="utf-8")
     doc = parse_twistor_document(text)
     with pytest.raises(DocumentError, match="different fields"):
         document_to_twistor(doc, h2r)
@@ -230,7 +234,7 @@ def test_twistor_field_mismatch(h2r):
 def test_declared_inverse_is_verified(h2):
     # a declared inverse that is not two-sided is a failed check, not an
     # input error: the structure, not the document, may be at fault
-    text = (FIXTURE_DIR / "f-e11.twist").read_text(encoding="utf-8")
+    text = (BUNDLED_DIR / "f-e11.twist").read_text(encoding="utf-8")
     data = json.loads(text)
     data["inverse"][3][2] = "7"
     twistor = document_to_twistor(parse_twistor_document(json.dumps(data)), h2)
@@ -246,7 +250,7 @@ def test_declared_inverse_is_verified(h2):
 def test_a_one_sided_declared_inverse_fails_on_its_side():
     # e0 is only a left unit (e0 e1 = e1, e1 e0 = 0), so 1 (x) 1 + e1 (x) e1
     # is a left inverse of 1 (x) 1 and not a right one
-    data = json.loads((FIXTURE_DIR / "h2.qhsa").read_text(encoding="utf-8"))
+    data = json.loads((BUNDLED_DIR / "h2.qhsa").read_text(encoding="utf-8"))
     data.update(unit=["1", "0"], mult=[[0, 0, 0, "1"], [0, 1, 1, "1"]])
     _, H = load_structure(json.dumps(data))
     report = check_twistor(H, Twistor(H.unit(2), H.unit(2) + H.basis(1, 1)))
@@ -436,7 +440,7 @@ def test_every_bundled_report_is_written_as_json_dumps_writes_it(monkeypatch, ca
         return serialize_report(doc)
 
     monkeypatch.setattr(cli, "serialize_report", capture)
-    for name in sorted(p.stem for p in cli.BUNDLED_DIR.glob("*.qhsa")):
+    for name in sorted(p.stem for p in BUNDLED_DIR.glob("*.qhsa")):
         for argv in (["check", f"{name}.qhsa"], ["drinfeld", f"{name}.qhsa", "--verify"]):
             main(argv + ["--format", "json"])
     output = str(tmp_path / "ext-ext.qhsa")

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qhsa.algebra
 import qhsa.drinfeld
 import qhsa.structure
 import qhsa.transforms
@@ -31,7 +30,7 @@ from qhsa.drinfeld import (
     drinfeld_report,
     verify_prime_equivalence,
 )
-from qhsa.fixtures import build_structure, h2_broken_pentagon, h2_structure
+from qhsa.fixtures import STRUCTURE_BUILDERS, build_structure, h2_broken_pentagon, h2_structure
 from qhsa.scalars import FieldSpec
 from qhsa.structure import DEFAULT_SUITE_NAMES, DRINFELD_PREMISES, run_suites
 from qhsa.transforms import (
@@ -41,16 +40,8 @@ from qhsa.transforms import (
     tensor_product_structure,
     twist_structure,
 )
-from conftest import elem
+from conftest import elem, multiplications
 from printed import Printed, agree
-
-ALL_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
-BUNDLED_STRUCTURES = ALL_FIXTURES + ("h2-broken-pentagon", "h2-broken-antipode")
-
-
-@pytest.fixture(scope="module", params=ALL_FIXTURES)
-def fixture_structure(request):
-    return build_structure(request.param)
 
 
 # -- independent oracle for the h2 values -----------------------------------------
@@ -337,7 +328,7 @@ def _assert_drinfeld_sums_match_the_reference(H):
     assert agree(check_alt_expressions(H, D), printed) == ["altexpr.fd", "altexpr.fd-inverse"]
 
 
-@pytest.mark.parametrize("name", BUNDLED_STRUCTURES)
+@pytest.mark.parametrize("name", tuple(STRUCTURE_BUILDERS))
 def test_drinfeld_sums_match_the_reference_on_bundled_fixtures(name):
     _assert_drinfeld_sums_match_the_reference(build_structure(name))
 
@@ -424,14 +415,7 @@ def test_drinfeld_multiplication_counts_are_pinned(monkeypatch):
     """Exact tensor_multiply counts on a fresh h2ext once the gate has run.
     The construction after DRINFELD_PREMISES also builds the lemma-11
     middles; after every default suite they are cached."""
-    calls = []
-    original = qhsa.algebra.tensor_multiply
-
-    def counting(x, y):
-        calls.append(x.arity)
-        return original(x, y)
-
-    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    calls = multiplications(monkeypatch)
     counts = []
     stages = ((DRINFELD_PREMISES, drinfeld_construction), (DEFAULT_SUITE_NAMES, drinfeld_report))
     for gate, run in stages:

@@ -7,14 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from qhsa.cli import main
+from qhsa.cli import BUNDLED_DIR, main
 from qhsa.documents import load_structure
 from qhsa.drinfeld import drinfeld_construction
 from qhsa.fixtures import ALL_TWISTOR_NAMES, build_twistor
 from qhsa.structure import SUITES
 
-FIXTURE_DIR = Path(__file__).parent.parent / "src" / "qhsa" / "fixtures"
-BUNDLED = sorted(p.stem for p in FIXTURE_DIR.glob("*.qhsa"))
+BUNDLED = sorted(p.stem for p in BUNDLED_DIR.glob("*.qhsa"))
 
 
 CORRUPTIONS = (
@@ -47,7 +46,7 @@ DOCUMENTS = BUNDLED + [f"{base}~{c}" for base in ("h2", "ext") for c in CORRUPTI
 
 def _document(tmp_path, name):
     base, _, corruption = name.partition("~")
-    path = FIXTURE_DIR / f"{base}.qhsa"
+    path = BUNDLED_DIR / f"{base}.qhsa"
     if not corruption:
         return str(path)
     doc = json.loads(path.read_text())
@@ -96,7 +95,7 @@ def test_transform_twist_keeps_the_exit_contract(tmp_path, capsys, name, twistor
     structure's is never an input error, whatever is wrong with either:
     a failed check exits 1 with its report."""
     path = _document(tmp_path, name)
-    twist = str(FIXTURE_DIR / f"{twistor}.twist")
+    twist = str(BUNDLED_DIR / f"{twistor}.twist")
     argv = ["transform", path, "twist", "--twistor", twist, "--output", str(tmp_path / "out.qhsa")]
     assert _run(capsys, argv) != 2, argv
 
@@ -121,7 +120,7 @@ LONG_INDICES = {
 
 @pytest.mark.parametrize("case", sorted(LONG_INDICES))
 def test_a_long_index_is_echoed_in_one_short_line(tmp_path, capsys, case):
-    text = (FIXTURE_DIR / "h2.qhsa").read_text()
+    text = (BUNDLED_DIR / "h2.qhsa").read_text()
     assert '[1, 1, 1, "1"]' in text
     path = tmp_path / "h2.qhsa"
     path.write_text(text.replace('[1, 1, 1, "1"]', f'[{LONG_INDICES[case]}, 1, 1, "1"]', 1))
@@ -137,7 +136,7 @@ def test_a_long_index_is_echoed_in_one_short_line(tmp_path, capsys, case):
 def test_an_empty_field_spec_is_one_input_error(tmp_path, capsys, kind, spec):
     """A field spec without a ``kind`` is refused as input, exit 2 with one
     line, whether it is an object or not."""
-    source = FIXTURE_DIR / ("h2.qhsa" if kind == "structure" else "f-e11.twist")
+    source = BUNDLED_DIR / ("h2.qhsa" if kind == "structure" else "f-e11.twist")
     doc = json.loads(source.read_text())
     doc["field"] = spec
     path = tmp_path / source.name
@@ -145,7 +144,7 @@ def test_an_empty_field_spec_is_one_input_error(tmp_path, capsys, kind, spec):
     if kind == "structure":
         argv = ["check", str(path)]
     else:
-        h2 = str(FIXTURE_DIR / "h2.qhsa")
+        h2 = str(BUNDLED_DIR / "h2.qhsa")
         argv = ["transform", h2, "twist", "--twistor", str(path), "--output", str(tmp_path / "out")]
     capsys.readouterr()
     assert main(argv) == 2

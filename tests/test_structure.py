@@ -10,6 +10,7 @@ import qhsa.structure
 from qhsa.algebra import GradedAlgebra, StructureMap, TensorElement
 from qhsa.drinfeld import _gamma_bar_post, _gamma_post, drinfeld_report
 from qhsa.fixtures import (
+    POSITIVE_FIXTURES,
     build_structure,
     h2_broken_antipode,
     h2_broken_pentagon,
@@ -43,15 +44,15 @@ from qhsa.transforms import (
     verify_twist_by_r,
 )
 
-from conftest import elem, ks3_structure, ks3_twist, kz2_structure, signed_odd_product
+from conftest import (
+    elem,
+    ks3_structure,
+    ks3_twist,
+    kz2_structure,
+    multiplications,
+    signed_odd_product,
+)
 from printed import Printed, agree
-
-ALL_FIXTURES = ("trivial", "ext", "h2", "h2r", "h2ext")
-
-
-@pytest.fixture(scope="module", params=ALL_FIXTURES)
-def fixture_structure(request):
-    return build_structure(request.param)
 
 
 # -- validate_structure ------------------------------------------------------
@@ -281,14 +282,7 @@ def test_hexagon_products_match_the_printed_chains(name):
 def test_hexagon_suites_make_nineteen_products_on_h2r(monkeypatch):
     H = build_structure("h2r")  # fresh, so nothing is cached yet
     run_suites(H, VALIDATION_SUITES)
-    calls = []
-    original = qhsa.algebra.tensor_multiply
-
-    def counting(x, y):
-        calls.append(x.arity)
-        return original(x, y)
-
-    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    calls = multiplications(monkeypatch)
     assert all(report.ok for _, report, _ in run_suites(H, ["quasi-triangular", "qqybe"]))
     # the printed left-to-right chains make 4 arity-3 products for eq.6ii,
     # 4 for eq.6iii and 10 for eq.7, 18 of 26 calls; the shared chains make
@@ -311,7 +305,7 @@ def test_pentagon_consequences_fail_on_corruption():
 
 
 PENTAGON_CASES = {
-    **{name: (lambda fx, name=name: fx(name)) for name in ALL_FIXTURES},
+    **{name: (lambda fx, name=name: fx(name)) for name in POSITIVE_FIXTURES},
     "h2-broken-pentagon": lambda fx: h2_broken_pentagon(),
     "h2-broken-antipode": lambda fx: h2_broken_antipode(),
     # h2 brings a nontrivial Phi and ext (x) ext odd products; the twist mixes them
@@ -339,14 +333,7 @@ def test_pentagon_products_match_the_printed_chains(request, name):
 
 def test_pentagon_makes_eleven_arity4_products(monkeypatch):
     H = build_structure("h2ext")  # fresh, so nothing is cached yet
-    calls = []
-    original = qhsa.algebra.tensor_multiply
-
-    def counting(x, y):
-        calls.append(x.arity)
-        return original(x, y)
-
-    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    calls = multiplications(monkeypatch)
     assert check_quasi_bialgebra(H).ok and check_pentagon_consequences(H).ok
     # the printed left-to-right chains make 3 products for eq.fii and 3 for
     # each of eq.6.1i-iv: 15
@@ -542,7 +529,7 @@ def _entries(report):
 # shapes, and corruptions in alpha, beta, Delta, S and in the product table
 # (the last makes the algebra report fail, so the d^3 cases run).
 ETA_AGREEMENT_CASES = {
-    **{name: (lambda fx, name=name: fx(name)) for name in ALL_FIXTURES},
+    **{name: (lambda fx, name=name: fx(name)) for name in POSITIVE_FIXTURES},
     "h2-broken-antipode": lambda fx: h2_broken_antipode(),
     "h2-broken-pentagon": lambda fx: h2_broken_pentagon(),
     "h2ext-kz2": lambda fx: tensor_product_structure(fx("h2ext"), fx("kz2")),
@@ -595,14 +582,7 @@ def test_lemma11_and_eta_multiplication_counts_are_pinned(monkeypatch):
     Phi and builds the cached W per identity; the second reuses both.  On the fresh
     structure both checks enumerate the whole basis, d^3 eta cases; after
     validation they run over the generators, d |G| eta cases."""
-    calls = []
-    original = qhsa.algebra.tensor_multiply
-
-    def counting(x, y):
-        calls.append(x.arity)
-        return original(x, y)
-
-    monkeypatch.setattr(qhsa.algebra, "tensor_multiply", counting)
+    calls = multiplications(monkeypatch)
 
     def counts(H):
         out = []

@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from qhsa.cli import main
+from qhsa.cli import BUNDLED_DIR, main
 from qhsa.structure import SUITES
 
 from conftest import sweep
@@ -118,7 +118,7 @@ def _paths_that_differ(a, b, path=()):
 def test_each_corruption_changes_its_fixture_at_one_json_path(tmp_path):
     count = 0
     for name in sweep.fixture_names():
-        original = json.loads((sweep.FIXTURE_DIR / f"{name}.qhsa").read_text())
+        original = json.loads((BUNDLED_DIR / f"{name}.qhsa").read_text())
         for suffix, corrupted in sweep.corruptions(original).items():
             [changed] = _paths_that_differ(original, corrupted)
             assert changed[0] == suffix.split("-")[0]
@@ -126,7 +126,7 @@ def test_each_corruption_changes_its_fixture_at_one_json_path(tmp_path):
     jobs = sweep.corruption_jobs(tmp_path)
     assert count == len(list((tmp_path / "corrupted").glob("*.qhsa"))) == 230
     assert len(jobs) == 3 * 230
-    h2 = json.loads((sweep.FIXTURE_DIR / "h2.qhsa").read_text())
+    h2 = json.loads((BUNDLED_DIR / "h2.qhsa").read_text())
     corrupted = sweep.corruptions(h2)
     assert corrupted["phi-negated"]["phi"][0] == [0, 0, 0, "-1"]
     assert corrupted["phi-doubled"]["phi"][0] == [0, 0, 0, "2"]
@@ -136,7 +136,7 @@ def test_each_corruption_changes_its_fixture_at_one_json_path(tmp_path):
     assert corrupted["alpha-last-raised"]["alpha"] == ["1", "0"]
     assert corrupted["alpha-raised"]["alpha"] == ["2", "-1"]
     assert corrupted["parity-flipped"]["parity"] == [1, 0]
-    r = sweep.corruptions(json.loads((sweep.FIXTURE_DIR / "h2r.qhsa").read_text()))
+    r = sweep.corruptions(json.loads((BUNDLED_DIR / "h2r.qhsa").read_text()))
     assert r["r-negated"]["r"][0] == [0, 0, "[-1, 0]"]
     assert [job.argv[0] for job in jobs[:3]] == ["check", "drinfeld", "transform"]
     assert {job.argv[-1] for job in jobs} == {"json"}

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qhsa.algebra import AlgebraError, SingularError, TensorElement, interleave
-from qhsa.drinfeld import compute_drinfeld_twist, verify_thm5
 from qhsa.fixtures import (
+    POSITIVE_FIXTURES,
     build_structure,
     build_twistor,
     ext_structure,
@@ -17,15 +17,7 @@ from qhsa.fixtures import (
     twistor_u11,
 )
 from qhsa.scalars import FieldSpec
-from qhsa.structure import (
-    check_qqybe,
-    check_quasi_bialgebra,
-    check_quasi_triangular,
-    check_triangular,
-    run_suites,
-    validate_algebra,
-    validate_structure,
-)
+from qhsa.structure import check_quasi_bialgebra, validate_algebra, validate_structure
 from qhsa.transforms import (
     Twistor,
     check_cocycle,
@@ -40,11 +32,7 @@ from qhsa.transforms import (
     verify_twist_by_r,
 )
 
-from conftest import elem, structures_equal
-
-
-def suites_ok(H):
-    return all(rep.ok for _, rep, _ in run_suites(H))
+from conftest import elem, structures_equal, suites_ok
 
 
 # -- twistor validation ------------------------------------------------------
@@ -218,7 +206,7 @@ def test_singular_twistor_witness_is_pinned(fixture, terms):
 # -- opposite structure ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["trivial", "ext", "h2", "h2r", "h2ext"])
+@pytest.mark.parametrize("name", POSITIVE_FIXTURES)
 def test_opposite_passes_all_suites(name):
     H = build_structure(name)
     assert suites_ok(opposite_structure(H))
@@ -236,7 +224,7 @@ def test_ext_opposite_flips_r(ext):
     assert O.r_matrix == elem(ext, 2, {(0, 0): 1, (1, 1): -1})
 
 
-@pytest.mark.parametrize("name", ["trivial", "ext", "h2", "h2r", "h2ext"])
+@pytest.mark.parametrize("name", POSITIVE_FIXTURES)
 def test_double_opposite_is_identity(name):
     H = build_structure(name)
     assert structures_equal(opposite_structure(opposite_structure(H)), H)
@@ -264,26 +252,10 @@ def test_twist_by_r_skips_without_r(h2):
     assert all(e.status == "skipped" for e in report.entries)
 
 
-def test_r_checks_skip_the_ids_they_check(h2, ext):
-    # without an R-matrix each check lists, as skipped, the ids it reports with one
-    def ids(H):
-        D = compute_drinfeld_twist(H)
-        reports = (
-            check_quasi_triangular(H),
-            check_triangular(H),
-            check_qqybe(H),
-            verify_thm5(H, D, prime_structure(H), twist_structure(H, Twistor(D.f_d, D.f_d_inverse))),
-            verify_twist_by_r(H),
-        )
-        return [[e.check_id for e in report.entries] for report in reports]
-
-    assert ids(h2) == ids(ext)
-
-
 # -- primed structure ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["trivial", "ext", "h2", "h2r", "h2ext"])
+@pytest.mark.parametrize("name", POSITIVE_FIXTURES)
 def test_prime_passes_all_suites(name):
     H = build_structure(name)
     assert suites_ok(prime_structure(H))

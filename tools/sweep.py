@@ -59,6 +59,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+from qhsa.cli import BUNDLED_DIR  # noqa: E402
 from qhsa.documents import SPARSE_KEYS, STRUCTURE_KEYS  # noqa: E402
 from qhsa.scalars import FieldSpec  # noqa: E402
 from qhsa.structure import SUITES  # noqa: E402
@@ -70,7 +71,6 @@ DIAGONAL_DIMENSION = 50
 TRANSFORMS = ("opposite", "prime")
 FORMATS = ("json", "text")
 WRITTEN = ("--output", "--emit-twist")  # options that name a file the job writes
-FIXTURE_DIR = ROOT / "src" / "qhsa" / "fixtures"
 ESCAPED_FIXTURES = ("h2r", "ext")
 ESCAPED_NAME = 'caf\u00e9 "quoted" back\\slash'  # non-ASCII, a quote and a backslash
 
@@ -123,7 +123,7 @@ def document_jobs(work: Path, group: str, stems) -> list:
 
 def fixture_names() -> list:
     """The bundled structure fixtures, which the CLI finds by bare file name."""
-    return sorted(p.stem for p in FIXTURE_DIR.glob("*.qhsa"))
+    return sorted(p.stem for p in BUNDLED_DIR.glob("*.qhsa"))
 
 
 def fixture_jobs(work: Path, names=None) -> list:
@@ -220,12 +220,12 @@ def _header(path: Path) -> tuple:
 def twist_pairs(names=None) -> list:
     """(D, T) for each bundled fixture D in ``names`` (all of them when None)
     and each bundled twistor T that declares the same field and dimension."""
-    twistors = sorted(p.stem for p in FIXTURE_DIR.glob("*.twist"))
+    twistors = sorted(p.stem for p in BUNDLED_DIR.glob("*.twist"))
     return [
         (d, t)
         for d in names or fixture_names()
         for t in twistors
-        if _header(FIXTURE_DIR / f"{d}.qhsa") == _header(FIXTURE_DIR / f"{t}.twist")
+        if _header(BUNDLED_DIR / f"{d}.qhsa") == _header(BUNDLED_DIR / f"{t}.twist")
     ]
 
 
@@ -250,7 +250,7 @@ def escaped_jobs(work: Path, names=ESCAPED_FIXTURES) -> list:
     directory.mkdir(parents=True, exist_ok=True)
     jobs = []
     for name in names:
-        doc = json.loads((FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8"))
+        doc = json.loads((BUNDLED_DIR / f"{name}.qhsa").read_text(encoding="utf-8"))
         stem = f"{name}-escaped"
         (directory / f"{stem}.qhsa").write_text(json.dumps({**doc, "name": f"{name} {ESCAPED_NAME}"}))
         argvs = (("check", f"{stem}.qhsa"), _emit_argv(directory, stem))
@@ -304,7 +304,7 @@ def corruption_jobs(work: Path, names=None) -> list:
     directory.mkdir(parents=True, exist_ok=True)
     jobs = []
     for name in names or fixture_names():
-        doc = json.loads((FIXTURE_DIR / f"{name}.qhsa").read_text(encoding="utf-8"))
+        doc = json.loads((BUNDLED_DIR / f"{name}.qhsa").read_text(encoding="utf-8"))
         for suffix, corrupted in corruptions(doc).items():
             stem = f"{name}-{suffix}"
             (directory / f"{stem}.qhsa").write_text(json.dumps(corrupted))
