@@ -641,12 +641,6 @@ class StructureMap:
         return f"StructureMap(out_arity={self.out_arity}, dim={self.algebra.dimension})"
 
 
-def identity_map(algebra: GradedAlgebra) -> StructureMap:
-    return StructureMap(
-        algebra, 1, [TensorElement.basis(algebra, (i,)) for i in range(algebra.dimension)]
-    )
-
-
 def apply_map_legs(x: TensorElement, leg: int, f: StructureMap) -> TensorElement:
     """Apply f to one leg of every word, linearly.  Structure maps are even,
     so no Koszul sign appears regardless of what they pass over."""

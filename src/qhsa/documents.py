@@ -373,18 +373,11 @@ def report_document(fixture_name, suite_results, engine_version) -> dict:
     Timing is segregated under its own key so reports stay byte-identical
     across runs once it is dropped.
     """
-    entries = []
-    overall = "pass"
-    for suite, report, _ in suite_results:
-        for e in report.entries:
-            row = {"suite": suite, **e.to_json()}
-            entries.append(row)
-            if e.status == "fail":
-                overall = "fail"
+    entries = [{"suite": suite, **e} for suite, report, _ in suite_results for e in report.entries]
     return {
         "fixture": fixture_name,
         "engine_version": engine_version,
-        "overall": overall,
+        "overall": "pass" if all(report.ok for _, report, _ in suite_results) else "fail",
         "entries": entries,
         "wall_time_seconds": {suite: round(t, 6) for suite, report, t in suite_results},
     }

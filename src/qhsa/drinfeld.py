@@ -32,7 +32,6 @@ from .structure import (
     _expect_over,
     _inverse_witness,
     _require_r,
-    _witness_entry,
     check_quasi_triangular,
     validate_structure,
 )
@@ -217,7 +216,7 @@ def verify_thm5(
     )
     sub = check_quasi_triangular(primed)
     witness = None if sub.ok else {"failed": sub.failed_ids()}
-    _witness_entry(report, "prop8.quasi-triangular", witness)
+    report.add("prop8.quasi-triangular", witness)
     return report
 
 
@@ -265,7 +264,7 @@ def drinfeld_construction(H: QhsaStructure) -> tuple:
     gamma_bar_alt = _gamma_bar_post(H, phi[2] * inv[4])
     expect_equal(report, "drinfeld.gamma-bar-alt", D.gamma_bar, gamma_bar_alt)
     _expect_over(report, "eq.8.7", _absorb(H, D.gamma_bar, delta, ss_delta_t), H)
-    _witness_entry(report, "drinfeld.fd-inverse", _inverse_witness(H, D.f_d, D.f_d_inverse))
+    report.add("drinfeld.fd-inverse", _inverse_witness(H, D.f_d, D.f_d_inverse))
     _counit_legs_entry(report, "drinfeld.fd-counit", H, D.f_d, H.unit(1).scaled(H.eps_alpha))
     if not report.ok:
         return None, report

@@ -1,9 +1,11 @@
-"""Machine-readable pass/fail records for axiom and theorem checks.
+"""Pass/fail records for axiom and theorem checks, kept as the JSON rows a
+report writes.
 
-Every failing entry carries a witness: the first offending basis element
-and/or the difference element LHS - RHS, which is the most useful thing to
-stare at when a sign is wrong.  A difference lists at most WITNESS_TERMS
-terms, so a witness stays a few kilobytes whatever the dimension.
+A check records its verdict with one ``CheckReport.add``: a pass, or a
+failure carrying its witness, the first offending basis element and/or the
+difference element LHS - RHS, which is the most useful thing to stare at
+when a sign is wrong.  A difference lists at most WITNESS_TERMS terms, so a
+witness stays a few kilobytes whatever the dimension.
 """
 
 from __future__ import annotations
@@ -13,30 +15,11 @@ from __future__ import annotations
 WITNESS_TERMS = 64
 
 
-class CheckEntry:
-    def __init__(
-        self, check_id: str, status: str, witness: dict | None = None, detail: dict | None = None
-    ):
-        self.check_id = check_id
-        self.status = status  # "pass" | "fail" | "skipped"
-        self.witness = witness
-        self.detail = detail
-
-    def __eq__(self, other):
-        if type(other) is not CheckEntry:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def to_json(self) -> dict:
-        data = {"check_id": self.check_id, "status": self.status}
-        if self.witness is not None:
-            data["witness"] = self.witness
-        if self.detail is not None:
-            data["detail"] = self.detail
-        return data
-
-
 class CheckReport:
+    """A suite's verdicts in order, each the row a report writes without its
+    suite: ``check_id`` and ``status``, then ``witness`` or ``detail`` when
+    given."""
+
     def __init__(self):
         self.entries = []
 
@@ -47,32 +30,28 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return all(e.status != "fail" for e in self.entries)
+        return all(e["status"] != "fail" for e in self.entries)
 
-    def add_pass(self, check_id, detail=None):
-        self.entries.append(CheckEntry(check_id, "pass", detail=detail))
-
-    def add_fail(self, check_id, witness):
-        self.entries.append(CheckEntry(check_id, "fail", witness=witness))
+    def add(self, check_id, witness=None, detail=None):
+        """A failure carrying ``witness`` when there is one, else a pass."""
+        row = {"check_id": check_id, "status": "pass" if witness is None else "fail"}
+        if witness is not None:
+            row["witness"] = witness
+        if detail is not None:
+            row["detail"] = detail
+        self.entries.append(row)
 
     def add_skip(self, check_id, reason):
-        self.entries.append(CheckEntry(check_id, "skipped", detail={"reason": reason}))
+        self.entries.append(
+            {"check_id": check_id, "status": "skipped", "detail": {"reason": reason}}
+        )
 
     def extend(self, other: "CheckReport"):
         self.entries.extend(other.entries)
         return self
 
-    def entry(self, check_id) -> CheckEntry | None:
-        for e in self.entries:
-            if e.check_id == check_id:
-                return e
-        return None
-
     def failed_ids(self) -> list:
-        return [e.check_id for e in self.entries if e.status == "fail"]
-
-    def passed_ids(self) -> list:
-        return [e.check_id for e in self.entries if e.status == "pass"]
+        return [e["check_id"] for e in self.entries if e["status"] == "fail"]
 
 
 def element_terms_json(element) -> list:
@@ -99,9 +78,9 @@ def difference_witness(lhs, rhs, basis=None) -> dict:
 def expect_equal(report: CheckReport, check_id: str, lhs, rhs) -> bool:
     """Record an exact element equality; on failure store the difference."""
     if lhs == rhs:
-        report.add_pass(check_id)
+        report.add(check_id)
         return True
-    report.add_fail(check_id, difference_witness(lhs, rhs))
+    report.add(check_id, difference_witness(lhs, rhs))
     return False
 
 
@@ -115,7 +94,7 @@ def expect_equal_per_basis(report: CheckReport, check_id: str, cases) -> bool:
     """
     for basis, lhs, rhs in cases:
         if lhs != rhs:
-            report.add_fail(check_id, difference_witness(lhs, rhs, basis=basis))
+            report.add(check_id, difference_witness(lhs, rhs, basis=basis))
             return False
-    report.add_pass(check_id)
+    report.add(check_id)
     return True

@@ -370,7 +370,7 @@ def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
         ),
         None,
     )
-    _witness_entry(report, "algebra.grading", grading)
+    report.add("algebra.grading", grading)
 
     rows = algebra.product_rows
     dim = range(algebra.dimension)
@@ -436,17 +436,17 @@ def validate_structure(H: QhsaStructure) -> CheckReport:
 
     ok = expect_equal(report, "structure.delta-unit", H.coproduct(H.unit(1)), H.unit(2))
     expect_hom("structure.delta-hom", partial(_hom_cases, H, H.delta), ok)
-    _witness_entry(report, "structure.delta-parity", H.delta.parity_violation())
+    report.add("structure.delta-parity", H.delta.parity_violation())
 
     eps_unit = apply_map_legs(H.unit(1), 0, H.epsilon)
     one = TensorElement.from_scalar(alg, alg.field.one())
     ok = expect_equal(report, "structure.epsilon-unit", eps_unit, one)
     expect_hom("structure.epsilon-hom", partial(_hom_cases, H, H.epsilon), ok)
-    _witness_entry(report, "structure.epsilon-parity", H.epsilon.parity_violation())
+    report.add("structure.epsilon-parity", H.epsilon.parity_violation())
 
     ok = expect_equal(report, "structure.antipode-unit", H.s_of(H.unit(1)), H.unit(1))
     expect_hom("structure.antipode-antihom", partial(_antihom_cases, H), ok)
-    _witness_entry(report, "structure.antipode-parity", H.antipode.parity_violation())
+    report.add("structure.antipode-parity", H.antipode.parity_violation())
     _invertible_entry(
         report, "structure.antipode-bijective", H, "antipode_inv", "singular antipode"
     )
@@ -455,12 +455,9 @@ def validate_structure(H: QhsaStructure) -> CheckReport:
     _invertible_entry(report, "structure.phi-invertible", H, "phi_inv")
     _even_entry(report, "structure.alpha-even", H.alpha)
     _even_entry(report, "structure.beta-even", H.beta)
-    if H.has_r:
+    if _require_r(H, report, ("structure.r-even", "structure.r-invertible")):
         _even_entry(report, "structure.r-even", H.r_matrix)
         _invertible_entry(report, "structure.r-invertible", H, "r_inv")
-    else:
-        report.add_skip("structure.r-even", "no R-matrix")
-        report.add_skip("structure.r-invertible", "no R-matrix")
     return report
 
 
@@ -498,7 +495,7 @@ def _expect_reduced(report, check_id, reduced, full) -> bool:
     ``expect_equal_per_basis``, so a failure is witnessed with the first
     failing label of the full enumeration and its difference."""
     if reduced is not None and all(lhs == rhs for _, lhs, rhs in reduced):
-        report.add_pass(check_id)
+        report.add(check_id)
         return True
     return expect_equal_per_basis(report, check_id, full)
 
@@ -520,18 +517,18 @@ def _expect_over(report, check_id, cases, H) -> bool:
     return _expect_reduced(report, check_id, reduced, cases(range(H.algebra.dimension)))
 
 
-def _witness_entry(report, check_id, witness):
-    """A pass when there is no witness, else a failure carrying it: the one
-    place a check without an element equality records its verdict."""
-    if witness is None:
-        report.add_pass(check_id)
-    else:
-        report.add_fail(check_id, witness)
+def _require_r(H, report, ids):
+    """Whether H has an R-matrix; without one, each of ``ids`` is skipped."""
+    if H.has_r:
+        return True
+    for check_id in ids:
+        report.add_skip(check_id, "no R-matrix")
+    return False
 
 
 def _even_entry(report, check_id, element):
     odd = not element.is_even()
-    _witness_entry(report, check_id, {"reason": "element not homogeneous even"} if odd else None)
+    report.add(check_id, {"reason": "element not homogeneous even"} if odd else None)
 
 
 def _invertible_entry(report, check_id, H, attr, reason=None):
@@ -542,7 +539,7 @@ def _invertible_entry(report, check_id, H, attr, reason=None):
         getattr(H, attr)
     except SingularError as exc:
         witness = {"reason": reason or str(exc)}
-    _witness_entry(report, check_id, witness)
+    report.add(check_id, witness)
 
 
 def _counit_legs_entry(report, check_id, H, x, expected=None):
@@ -554,7 +551,7 @@ def _counit_legs_entry(report, check_id, H, x, expected=None):
     witness = None
     if left != expected or right != expected:
         witness = {"eps-left": element_terms_json(left), "eps-right": element_terms_json(right)}
-    _witness_entry(report, check_id, witness)
+    report.add(check_id, witness)
 
 
 def _inverse_witness(H, x, x_inv):
@@ -656,7 +653,7 @@ def check_antipode_axioms(H: QhsaStructure) -> CheckReport:
     witness = None
     if H.eps_alpha * H.eps_beta != one or H.eps_of(H.alpha * H.beta) != one:
         witness = {"eps_alpha": fmt(H.eps_alpha), "eps_beta": fmt(H.eps_beta)}
-    _witness_entry(report, "eq.eps-alpha-beta", witness)
+    report.add("eq.eps-alpha-beta", witness)
 
     s = H.antipode.images
     _expect_over(
@@ -669,14 +666,6 @@ def check_antipode_axioms(H: QhsaStructure) -> CheckReport:
 
 
 # -- quasi-triangularity ---------------------------------------------------------
-
-
-def _require_r(H, report, ids):
-    if H.has_r:
-        return True
-    for check_id in ids:
-        report.add_skip(check_id, "no R-matrix")
-    return False
 
 
 def check_quasi_triangular(H: QhsaStructure) -> CheckReport:

@@ -13,7 +13,8 @@ from qhsa.documents import document_to_structure
 from qhsa.fixtures import POSITIVE_FIXTURES, build_structure
 from qhsa.scalars import FieldSpec
 from qhsa.structure import run_suites
-from qhsa.transforms import Twistor, tensor_product_structure, twist_structure
+from qhsa.reporting import CheckReport
+from qhsa.transforms import Twistor, _compare_structures, tensor_product_structure, twist_structure
 
 # tools/sweep.py, the byte-identity sweep, whose generated documents the CLI tests share
 _spec = importlib.util.spec_from_file_location(
@@ -56,6 +57,20 @@ def fixture_structure(request):
 def fx(name):
     """The path of the bundled fixture file ``name``."""
     return str(BUNDLED_DIR / name)
+
+
+def entry(report, check_id):
+    """The first row of ``report`` for ``check_id``, or None."""
+    return next((e for e in report.entries if e["check_id"] == check_id), None)
+
+
+def twist_composition_check(H, F, G):
+    """Twisting by F then by G equals twisting once by G*F, componentwise."""
+    report = CheckReport()
+    twice = twist_structure(twist_structure(H, F), G)
+    once = twist_structure(H, Twistor(G.element * F.element))
+    _compare_structures(report, "twist-composition", twice, once)
+    return report
 
 
 def suites_ok(H):

@@ -16,8 +16,8 @@ denominators before it multiplies.
 A ``Verdict`` is the status and, for a failing equality, the first failing
 label and both sides, whose difference is the library's witness.  The
 transform ids need twistors: ``Printed(H, F, G)`` for ``check_twistor``,
-``check_cocycle`` and ``check_prop6`` (F) and ``twist_composition_check``
-(F, then G).  ``agree`` holds a library report against the printed forms.
+``check_cocycle`` and ``check_prop6`` (F) and conftest's
+``twist_composition_check`` (F, then G).  ``agree`` holds a library report against the printed forms.
 """
 
 from __future__ import annotations
@@ -72,14 +72,14 @@ def agree(report, printed) -> list:
     compared.  A suite skipped whole after a failed premise is left out."""
     compared = []
     for entry in report.entries:
-        if entry.check_id in SUITES:
+        if entry["check_id"] in SUITES:
             continue
-        verdict = printed[entry.check_id]
-        assert entry.status == verdict.status, entry.check_id
-        if entry.witness and "difference" in entry.witness:
+        verdict = printed[entry["check_id"]]
+        assert entry["status"] == verdict.status, entry["check_id"]
+        if "difference" in entry.get("witness", ()):
             expected = difference_witness(verdict.lhs, verdict.rhs, basis=verdict.label)
-            assert entry.witness == expected, entry.check_id
-        compared.append(entry.check_id)
+            assert entry["witness"] == expected, entry["check_id"]
+        compared.append(entry["check_id"])
     return compared
 
 

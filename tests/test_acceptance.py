@@ -44,12 +44,20 @@ from qhsa.transforms import (
     check_twistor,
     opposite_structure,
     tensor_product_structure,
-    twist_composition_check,
     twist_structure,
     verify_twist_by_r,
 )
 
-from conftest import elem, fx, kz2_structure, product, structures_equal, suites_ok
+from conftest import (
+    elem,
+    entry,
+    fx,
+    kz2_structure,
+    product,
+    structures_equal,
+    suites_ok,
+    twist_composition_check,
+)
 
 AXIOM_SUITES = ("algebra", "structure", "quasi-bialgebra", "antipode")
 
@@ -83,18 +91,18 @@ def test_criterion_1_axiom_suites():
         failed = {cid for _, rep, _ in results for cid in rep.failed_ids()}
         assert failed == forced, (name, failed)
         labeled_entry = next(
-            rep.entry(labeled) for s, rep, _ in results if s == suite
+            entry(rep, labeled) for s, rep, _ in results if s == suite
         )
-        assert labeled_entry.status == "fail"
-        assert labeled_entry.witness  # a concrete difference element
+        assert labeled_entry["status"] == "fail"
+        assert labeled_entry["witness"]  # a concrete difference element
 
     # the labeled cocycle negative: a valid twistor violating only eq.ccc
     h2ext = build_structure("h2ext")
     F = twistor_u11()
     assert check_twistor(h2ext, F).ok
     report = check_cocycle(h2ext, F)
-    assert report.entry("eq.ccc").status == "fail"
-    assert report.entry("eq.ccc").witness["difference"]
+    assert entry(report, "eq.ccc")["status"] == "fail"
+    assert entry(report, "eq.ccc")["witness"]["difference"]
 
 
 # -- criterion 2: the sign-engine oracle -----------------------------------------
@@ -253,7 +261,7 @@ def test_criterion_4_opposite_structures():
     ext = build_structure("ext")
     report = check_prop6(ext, twistor_theta())
     assert report.ok
-    assert report.entry("prop6.r").status == "pass"
+    assert entry(report, "prop6.r")["status"] == "pass"
     assert check_prop6(build_structure("h2"), twistor_e11()).ok
 
 
@@ -269,7 +277,7 @@ def test_criterion_6_drinfeld_battery():
         data, report = drinfeld_report(H)
         assert data is not None, name
         assert report.ok, (name, report.failed_ids())
-        statuses = {e.check_id: e.status for e in report.entries}
+        statuses = {e["check_id"]: e["status"] for e in report.entries}
         for cid in ("thm5.r", "eq.lem8", "prop8.quasi-triangular"):
             assert statuses[cid] == ("pass" if H.has_r else "skipped")
 

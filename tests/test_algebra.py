@@ -18,7 +18,6 @@ from qhsa.algebra import (
     TensorElement,
     apply_map_legs,
     embed_legs,
-    identity_map,
     interleave,
     invert_structure_map,
     invert_tensor_element,
@@ -49,7 +48,7 @@ from qhsa.transforms import (
     twist_structure,
 )
 
-from conftest import elem, ks3_structure, kz2_structure, product
+from conftest import elem, entry, ks3_structure, kz2_structure, product
 
 
 # -- validate_algebra ---------------------------------------------------------
@@ -62,14 +61,15 @@ def test_validate_trivial_algebra(trivial):
 def test_validate_exterior_algebra(ext):
     # eight triples for the 2-dimensional algebra, all associative
     report = validate_algebra(ext.algebra)
-    assert report.passed_ids() == ["algebra.grading", "algebra.unit", "algebra.assoc"]
+    ids = ["algebra.grading", "algebra.unit", "algebra.assoc"]
+    assert report.entries == [{"check_id": i, "status": "pass"} for i in ids]
 
 
 def test_corrupted_parity_fails_grading_with_witness():
     report = validate_algebra(ext_broken_grading())
-    entry = report.entry("algebra.grading")
-    assert entry.status == "fail"
-    assert entry.witness == {"pair": [1, 1], "target": 1}
+    row = entry(report, "algebra.grading")
+    assert row["status"] == "fail"
+    assert row["witness"] == {"pair": [1, 1], "target": 1}
 
 
 # -- tensor multiplication ------------------------------------------------------
@@ -1095,7 +1095,7 @@ def test_inversion_builds_no_dense_system(monkeypatch, h2ext, kz2):
 def test_invert_structure_map(ext):
     s_inv = invert_structure_map(ext.antipode)
     assert s_inv == ext.antipode  # S has order two here
-    ident = identity_map(ext.algebra)
+    ident = StructureMap(ext.algebra, 1, [ext.basis(0), ext.basis(1)])
     assert invert_structure_map(ident) == ident
     with pytest.raises(AlgebraError):
         invert_structure_map(ext.epsilon)
@@ -1153,7 +1153,8 @@ def test_structure_map_inverse_matches_gauss_jordan(case):
     assert inverse.images == tuple(
         TensorElement(alg, 1, {(j,): expected[j][i] for j in range(d)}) for i in range(d)
     )
-    assert compose(f, inverse) == identity_map(alg) == compose(inverse, f)
+    identity_map = StructureMap(alg, 1, [TensorElement.basis(alg, (i,)) for i in range(d)])
+    assert compose(f, inverse) == identity_map == compose(inverse, f)
 
 
 # -- grading ------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from qhsa.documents import (
     load_structure,
     parse_structure_document,
     parse_twistor_document,
+    report_document,
     serialize_report,
     serialize_structure,
     serialize_twistor_document,
@@ -32,18 +33,22 @@ from qhsa.fixtures import (
     ext_structure,
     h2_structure,
     twistor_e11,
+    twistor_u11,
 )
 from qhsa.scalars import Cyclotomic, FieldSpec
 from qhsa.transforms import (
     Twistor,
+    check_cocycle,
+    check_prop6,
     check_twistor,
     opposite_structure,
     prime_structure,
     tensor_product_structure,
     twist_structure,
+    verify_twist_by_r,
 )
 
-from conftest import structures_equal
+from conftest import elem, entry, structures_equal
 
 BUNDLED = tuple(STRUCTURE_BUILDERS)
 
@@ -241,7 +246,7 @@ def test_declared_inverse_is_verified(h2):
     report = check_twistor(h2, twistor)
     assert report.failed_ids() == ["twistor.invertible"]
     assert len(report.entries) == 1
-    assert report.entry("twistor.invertible").witness == {
+    assert entry(report, "twistor.invertible")["witness"] == {
         "difference": [[[1, 1], "13"]],
         "basis": "left",
     }
@@ -254,7 +259,7 @@ def test_a_one_sided_declared_inverse_fails_on_its_side():
     data.update(unit=["1", "0"], mult=[[0, 0, 0, "1"], [0, 1, 1, "1"]])
     _, H = load_structure(json.dumps(data))
     report = check_twistor(H, Twistor(H.unit(2), H.unit(2) + H.basis(1, 1)))
-    assert [e.to_json() for e in report.entries] == [
+    assert report.entries == [
         {
             "check_id": "twistor.invertible",
             "status": "fail",
@@ -450,3 +455,29 @@ def test_every_bundled_report_is_written_as_json_dumps_writes_it(monkeypatch, ca
     assert any(e.get("witness") for doc in docs for e in doc["entries"])
     for doc in docs:
         assert serialize_report(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_library_only_rows_are_written_as_json_dumps_writes_them(ext, h2, h2ext):
+    """Rows no CLI job writes: a pass with a detail (twist by R), the
+    skips of the same check without R, a failing cocycle and a failing
+    twistor.  Each row is its suite, id and status, then at most one of
+    witness and detail, in that order."""
+    F = twistor_u11()
+    reports = [
+        ("twist-by-r", verify_twist_by_r(ext)),
+        ("twist-by-r", verify_twist_by_r(h2)),
+        ("cocycle", check_cocycle(h2ext, F)),
+        ("prop6", check_prop6(h2ext, F)),
+        ("twistor", check_twistor(ext, Twistor(elem(ext, 2, {(1, 1): 1})))),
+    ]
+    doc = report_document("library", [(s, r, 0.0) for s, r in reports], "0.1.0")
+    shapes = set()
+    for row in doc["entries"]:
+        keys = list(row)
+        assert keys[:3] == ["suite", "check_id", "status"]
+        assert keys[3:] in ([], ["witness"], ["detail"])
+        shapes.add((row["status"], *keys[3:]))
+    assert shapes == {("pass",), ("pass", "detail"), ("skipped", "detail"), ("fail", "witness")}
+    assert entry(reports[2][1], "eq.ccc")["status"] == "fail"
+    assert doc["overall"] == "fail"
+    assert serialize_report(doc) == json.dumps(doc, indent=2) + "\n"

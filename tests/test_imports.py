@@ -6,6 +6,9 @@ only the modules it runs.
 
 No linter runs on the package, so this stdlib ``ast`` pass guards against
 imports left behind when code moves.  ``__init__.py`` is held to it too.
+A second pass holds every function, class and method of the package to
+having a reader in ``src/``, ``tests/``, ``tools/`` or ``bench/``, so code
+that loses its last caller goes with it.
 """
 
 import ast
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "qhsa"
+ROOT = PACKAGE.parent.parent
 
 
 def unused_imports(source: str) -> list:
@@ -42,6 +46,53 @@ def test_every_imported_name_is_used():
 def test_an_unused_import_is_found():
     source = "from .algebra import outer, permute_legs\nimport json, os.path\nos.path\n"
     assert unused_imports(source + "permute_legs(x)\n") == ["json", "outer"]
+
+
+def unreferenced(modules: dict, sources: list) -> list:
+    """``module: name`` for each top-level function or class of ``modules``
+    (file name -> source) and each method of its classes, dunders aside,
+    whose name no expression of ``sources`` reads as a name or an attribute
+    or spells as a string, as ``getattr`` and the benchmark tracer take it.
+    An import is no reader."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for defined in [node, *members]:
+                if not isinstance(defined, kinds) or defined.name.startswith("__"):
+                    continue
+                if defined.name not in read:
+                    found.append(f"{module}: {defined.name}")
+    return found
+
+
+def test_every_definition_has_a_reader():
+    dirs = ("src", "tests", "tools", "bench")
+    sources = [p.read_text() for d in dirs for p in (ROOT / d).rglob("*.py")]
+    modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced(modules, sources) == []
+
+
+def test_an_unreferenced_definition_is_found():
+    module = (
+        "def used():\n    pass\n\n\ndef unused():\n    used()\n\n\n"
+        "class C:\n    def __init__(self):\n        pass\n\n    def method(self):\n        pass\n"
+    )
+    assert unreferenced({"m.py": module}, [module, "from m import C\nC\n"]) == [
+        "m.py: unused",
+        "m.py: method",
+    ]
+    assert unreferenced({"m.py": module}, [module, "getattr(C(), 'method')\nunused\n"]) == []
 
 
 def fresh_modules(code: str, cwd=None) -> tuple:

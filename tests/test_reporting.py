@@ -7,13 +7,13 @@ from pathlib import Path
 from qhsa.reporting import WITNESS_TERMS, CheckReport, difference_witness, expect_equal_per_basis
 from qhsa.scalars import FieldSpec
 
-from conftest import elem
+from conftest import elem, entry
 
 
 def test_per_basis_passes_on_no_cases():
     report = CheckReport()
     assert expect_equal_per_basis(report, "empty", iter(())) is True
-    assert report.passed_ids() == ["empty"]
+    assert report.entries == [{"check_id": "empty", "status": "pass"}]
 
 
 def test_per_basis_witnesses_the_first_failing_label(ext):
@@ -21,9 +21,9 @@ def test_per_basis_witnesses_the_first_failing_label(ext):
     cases = [([0, 0], one, one), ([0, 1], one, theta), ([1, 1], theta, one)]
     report = CheckReport()
     assert expect_equal_per_basis(report, "pairs", cases) is False
-    entry = report.entry("pairs")
-    assert entry.status == "fail"
-    assert entry.witness == {"difference": [[[0], "1"], [[1], "-1"]], "basis": [0, 1]}
+    row = entry(report, "pairs")
+    assert row["status"] == "fail"
+    assert row["witness"] == {"difference": [[[0], "1"], [[1], "-1"]], "basis": [0, 1]}
 
 
 def test_per_basis_builds_no_case_after_the_first_failure(ext):
@@ -34,7 +34,7 @@ def test_per_basis_builds_no_case_after_the_first_failure(ext):
 
     report = CheckReport()
     assert expect_equal_per_basis(report, "lazy", cases()) is False
-    assert report.entry("lazy").witness["basis"] == 1
+    assert entry(report, "lazy")["witness"]["basis"] == 1
 
 
 def test_per_basis_returns_a_bool(ext):
@@ -52,7 +52,7 @@ def test_a_long_difference_is_cut_with_its_full_count(h2ext):
     zero = elem(h2ext, 4, {})
     report = CheckReport()
     assert expect_equal_per_basis(report, "long", [([0, 1], lhs, zero)]) is False
-    witness = report.entry("long").witness
+    witness = entry(report, "long")["witness"]
     assert WITNESS_TERMS == 64
     assert list(witness) == ["difference", "difference_terms", "basis"]
     assert witness["difference"] == [[list(w), "1"] for w in words[:64]]
@@ -62,7 +62,7 @@ def test_a_long_difference_is_cut_with_its_full_count(h2ext):
     exact = elem(h2ext, 4, {w: 1 for w in words[:64]})
     report = CheckReport()
     expect_equal_per_basis(report, "exact", [(0, exact, zero)])
-    assert list(report.entry("exact").witness) == ["difference", "basis"]
+    assert list(entry(report, "exact")["witness"]) == ["difference", "basis"]
 
 
 def test_a_cut_difference_formats_only_the_terms_it_keeps(monkeypatch, h2ext):
