@@ -266,13 +266,10 @@ class TensorElement:
     def is_zero(self):
         return not self.terms
 
-    def word_parity(self, word):
-        par = self.algebra.parity
-        return sum(par[i] for i in word) % 2
-
     def homogeneous_parity(self):
         """Parity if homogeneous, else None; the zero element counts as even."""
-        parities = {self.word_parity(w) for w in self.terms}
+        par = self.algebra.parity
+        parities = {sum(par[i] for i in w) % 2 for w in self.terms}
         if not parities:
             return 0
         if len(parities) > 1:
@@ -577,23 +574,6 @@ def embed_legs(x: TensorElement, positions, arity: int) -> TensorElement:
     fills = TensorElement.unit(alg, arity - x.arity).terms.items()
     out = {place(w + u): c if f == 1 else c * f for w, c in x.terms.items() for u, f in fills}
     return TensorElement._from_terms(alg, arity, out)
-
-
-def outer(*elements) -> TensorElement:
-    """Concatenate legs: (p, q) -> p (x) q.  Pure placement, no sign."""
-    if not elements:
-        raise AlgebraError("outer needs at least one element")
-    alg = elements[0].algebra
-    terms = {(): alg.field.one()}
-    arity = 0
-    for el in elements:
-        if el.algebra is not alg and el.algebra != alg:
-            raise AlgebraError("outer across different algebras")
-        terms = {
-            w + w2: c * c2 for w, c in terms.items() for w2, c2 in el.terms.items()
-        }
-        arity += el.arity
-    return TensorElement._from_terms(alg, arity, terms)
 
 
 class StructureMap:

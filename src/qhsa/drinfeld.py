@@ -63,16 +63,6 @@ def _gamma_bar_post(H: QhsaStructure, w4: TensorElement) -> TensorElement:
     return contract_legs(permute_legs(w4, (0, 3, 1, 2)), {0: b, 1: s, 2: b, 3: s}, 0, 1)
 
 
-def compute_gamma(H: QhsaStructure) -> TensorElement:
-    """gamma from (Phi^{-1} (x) 1)(Delta (x) 1 (x) 1)Phi."""
-    return _gamma_post(H, H.phi_inv_factors[3] * H.phi_factors[0])
-
-
-def compute_gamma_bar(H: QhsaStructure) -> TensorElement:
-    """gamma-bar from (Delta (x) 1 (x) 1)Phi^{-1} (Phi (x) 1)."""
-    return _gamma_bar_post(H, H.phi_inv_factors[0] * H.phi_factors[3])
-
-
 def _absorb(H, g, left, right):
     """eq.8.1 (left (S (x) S)Delta^T, right Delta, g = gamma) and eq.8.7
     (left Delta, right (S (x) S)Delta^T, g = gamma-bar), as a function of A
@@ -110,8 +100,10 @@ def _middle_sum(H: QhsaStructure, which: str, term) -> TensorElement:
 def compute_drinfeld_twist(H: QhsaStructure) -> DrinfeldData:
     """gamma, gamma-bar, F_D and F_D^{-1}, built and not checked;
     ``drinfeld_construction`` checks them."""
-    gamma = compute_gamma(H)
-    gamma_bar = compute_gamma_bar(H)
+    # gamma from (Phi^{-1} (x) 1)(Delta (x) 1 (x) 1)Phi
+    gamma = _gamma_post(H, H.phi_inv_factors[3] * H.phi_factors[0])
+    # gamma-bar from (Delta (x) 1 (x) 1)Phi^{-1} (Phi (x) 1)
+    gamma_bar = _gamma_bar_post(H, H.phi_inv_factors[0] * H.phi_factors[3])
     ss_delta_t, delta = H.ss_delta_t.images, H.delta.images
     # F_D = sum over Phi of (S (x) S)Delta^T(X) * gamma * Delta(Y beta S(Z))
     f_d = _middle_sum(H, "11i", lambda v, m: ss_delta_t[v] * gamma * H.coproduct(m))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import GradedAlgebra, TensorElement
+from .algebra import TensorElement
 from .documents import document_to_structure
 from .scalars import Cyclotomic, FieldSpec
 from .structure import QhsaStructure
@@ -124,19 +124,6 @@ def h2_broken_antipode() -> QhsaStructure:
     return H.replace(alpha=TensorElement(H.algebra, 1, {(0,): 1, (1,): 1}))
 
 
-def ext_broken_grading() -> GradedAlgebra:
-    """ext with theta^2 = theta: grading additivity fails at (theta, theta)."""
-    field = FieldSpec.rational()
-    one = field.one()
-    return GradedAlgebra(
-        2,
-        (0, 1),
-        (one, field.zero()),
-        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {1: one}},
-        field,
-    )
-
-
 # -- bundled twistors -----------------------------------------------------------
 
 
@@ -194,8 +181,6 @@ TWISTOR_BUILDERS = {
     "f-theta": ("ext", twistor_theta),
     "f-u11": ("h2ext", twistor_u11),
 }
-
-ALL_TWISTOR_NAMES = tuple(TWISTOR_BUILDERS)
 
 
 def build_structure(name: str) -> QhsaStructure:

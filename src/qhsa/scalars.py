@@ -11,18 +11,17 @@ comparison of integer tuples.
 
 A rational value has one canonical form over both fields: an ``int`` when it
 is integral, else a ``fractions.Fraction`` in lowest terms (``rational``,
-``canonical``).  ``FieldSpec`` returns it from ``one``, ``zero``,
-``from_int``, ``from_fraction``, ``parse`` and ``invert``, and the element
-constructors store it, so over Q(zeta_n) an element's ``Cyclotomic``
-coefficients all have a nonzero zeta part.  Equal ints, Fractions and
-Cyclotomics compare and hash alike, and ``FieldSpec.format`` prints a
-rational over Q(zeta_n) in the list form, so the form never shows in output;
-it only keeps the common rational products, the +-1 of a group-like table
-above all, on ``int`` arithmetic.  A ``Cyclotomic`` times, plus or minus a
-rational scales or shifts its numerators directly (times +-1 it comes back
-as itself or its negation, without arithmetic), and arithmetic between two
-``Cyclotomic`` values returns a ``Cyclotomic`` even when the result is
-rational.
+``canonical``).  ``FieldSpec`` returns it from ``one``, ``zero``, ``parse``
+and ``invert``, and the element constructors store it, so over Q(zeta_n) an
+element's ``Cyclotomic`` coefficients all have a nonzero zeta part.  Equal
+ints, Fractions and Cyclotomics compare and hash alike, and
+``FieldSpec.format`` prints a rational over Q(zeta_n) in the list form, so
+the form never shows in output; it only keeps the common rational products,
+the +-1 of a group-like table above all, on ``int`` arithmetic.  A
+``Cyclotomic`` times, plus or minus a rational scales or shifts its
+numerators directly (times +-1 it comes back as itself or its negation,
+without arithmetic), and arithmetic between two ``Cyclotomic`` values
+returns a ``Cyclotomic`` even when the result is rational.
 
 Reduction modulo Phi_n is one integer fold, ``_fold``, which adds the
 numerator of each zeta^k, phi(n) <= k < max(n, 2 phi(n) - 1), times its
@@ -461,16 +460,10 @@ class FieldSpec:
         return f"FieldSpec.cyclotomic({self.order})"
 
     def zero(self) -> Scalar:
-        return self.from_int(0)
+        return 0
 
     def one(self) -> Scalar:
-        return self.from_int(1)
-
-    def from_int(self, value: int) -> Scalar:
-        return int(value)
-
-    def from_fraction(self, value: Fraction) -> Scalar:
-        return rational(Fraction(value))
+        return 1
 
     def invert(self, value: Scalar) -> Scalar:
         if isinstance(value, Cyclotomic):

@@ -7,11 +7,11 @@ the antihomomorphism, [a, i, j] for the eta lemma and a elsewhere.  It reads
 only the fields of the structure: no cached property of ``QhsaStructure``, no
 ``GradedAlgebra.generators``, no premise, and no product rebracketed to be
 shared between identities.  Elements are built with ``TensorElement``
-arithmetic, ``permute_legs``, ``embed_legs`` and ``outer``, ``apply_map_legs``
-and the two inverses.  Three liberties change no value: a sum over the words
-of Phi with a lone leg is grouped by that leg (distributivity), a term of a
-printed sum is computed once per structure, and ``chain`` clears
-denominators before it multiplies.
+arithmetic, ``permute_legs``, ``embed_legs``, this module's ``outer``,
+``apply_map_legs`` and the two inverses.  Three liberties change no value:
+a sum over the words of Phi with a lone leg is grouped by that leg
+(distributivity), a term of a printed sum is computed once per structure,
+and ``chain`` clears denominators before it multiplies.
 
 A ``Verdict`` is the status and, for a failing equality, the first failing
 label and both sides, whose difference is the library's witness.  The
@@ -36,7 +36,6 @@ from qhsa.algebra import (
     embed_legs,
     invert_structure_map,
     invert_tensor_element,
-    outer,
     permute_legs,
 )
 from qhsa.reporting import difference_witness
@@ -64,6 +63,13 @@ def chain(*factors):
     product = reduce(mul, (x.scaled(s) if s > 1 else x for x, s in zip(factors, scales)))
     scale = math.prod(scales)
     return product.scaled(Fraction(1, scale)) if scale > 1 else product
+
+
+def outer(x, y):
+    """x (x) y, by concatenating the words: pure placement, no sign, and no
+    product, since (x (x) 1)(1 (x) y) is x (x) y only over a lawful table."""
+    terms = {w + v: c * d for w, c in x.terms.items() for v, d in y.terms.items()}
+    return TensorElement(x.algebra, x.arity + y.arity, terms)
 
 
 def agree(report, printed) -> list:

@@ -17,8 +17,8 @@ from qhsa.cli import BUNDLED_DIR, main
 from qhsa.documents import load_structure, serialize_structure
 from qhsa.drinfeld import compute_drinfeld_twist, drinfeld_report
 from qhsa.fixtures import (
-    ALL_TWISTOR_NAMES,
     POSITIVE_FIXTURES,
+    TWISTOR_BUILDERS,
     build_structure,
     build_twistor,
     twistor_e11,
@@ -231,7 +231,7 @@ def test_criterion_2_sign_engine_oracle():
 
 
 def test_criterion_3_twisting_theorem():
-    pairs = [(build_twistor(t)[0], t) for t in ALL_TWISTOR_NAMES]
+    pairs = [(build_twistor(t)[0], t) for t in TWISTOR_BUILDERS]
     for target, tname in pairs:
         H = build_structure(target)
         _, F = build_twistor(tname)

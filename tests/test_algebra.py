@@ -23,18 +23,16 @@ from qhsa.algebra import (
     invert_tensor_element,
     linear_combination,
     multiply_adjacent_legs,
-    outer,
     permute_legs,
 )
 from qhsa.cli import BUNDLED_DIR, main
 from qhsa.documents import document_to_twistor, load_structure, parse_twistor_document
 from qhsa.drinfeld import compute_drinfeld_twist
 from qhsa.fixtures import (
-    ALL_TWISTOR_NAMES,
     NEGATIVE_FIXTURES,
+    TWISTOR_BUILDERS,
     build_structure,
     build_twistor,
-    ext_broken_grading,
     h2_structure,
 )
 from qhsa.reporting import element_terms_json
@@ -48,7 +46,8 @@ from qhsa.transforms import (
     twist_structure,
 )
 
-from conftest import elem, entry, ks3_structure, kz2_structure, product
+from conftest import elem, entry, ext_broken_grading, ks3_structure, kz2_structure, product
+from printed import outer
 
 
 # -- validate_algebra ---------------------------------------------------------
@@ -66,7 +65,7 @@ def test_validate_exterior_algebra(ext):
 
 
 def test_corrupted_parity_fails_grading_with_witness():
-    report = validate_algebra(ext_broken_grading())
+    report = validate_algebra(ext_broken_grading().algebra)
     row = entry(report, "algebra.grading")
     assert row["status"] == "fail"
     assert row["witness"] == {"pair": [1, 1], "target": 1}
@@ -134,10 +133,7 @@ def oracle_multiply(x, y):
 
 
 def _rational_algebra(parity, unit, table):
-    field = FieldSpec.rational()
-    mult = {pair: {k: field.from_int(c) for k, c in row.items()} for pair, row in table.items()}
-    unit = [field.from_fraction(Fraction(u)) for u in unit]
-    return GradedAlgebra(len(parity), parity, unit, mult, field)
+    return GradedAlgebra(len(parity), parity, list(unit), table, FieldSpec.rational())
 
 
 SMALL_ALGEBRAS = {
@@ -309,14 +305,12 @@ def kernel_operands(draw, alg):
     tensor_multiply."""
     n = draw(st.integers(1, 4))
     word = st.tuples(*[st.integers(0, alg.dimension - 1)] * n)
-    field = alg.field
     operands = []
     for _ in range(2):
         size = draw(st.integers(0, 40))
         words = draw(st.lists(word, min_size=size, max_size=size))
         coefficients = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
-        terms = {w: field.from_int(c) for w, c in zip(words, coefficients)}
-        operands.append(TensorElement(alg, n, terms))
+        operands.append(TensorElement(alg, n, dict(zip(words, coefficients))))
     return tuple(operands)
 
 
@@ -339,9 +333,7 @@ def test_trie_route_matches_the_reference_product(name):
         size = min(40, len(words))
         for y_size in (size, 4) * 3:
             x, y = (
-                TensorElement(
-                    alg, n, {w: alg.field.from_int(rng.choice((-2, -1, 1, 3))) for w in pair}
-                )
+                TensorElement(alg, n, {w: rng.choice((-2, -1, 1, 3)) for w in pair})
                 for pair in (rng.sample(words, size), rng.sample(words, y_size))
             )
             assert x * y == oracle_multiply(x, y)
@@ -594,7 +586,7 @@ def chained_operands(draw, alg):
     partner words first, so that probes hit."""
     n = draw(st.integers(0, 4))
     word = st.tuples(*[st.integers(0, alg.dimension - 1)] * n)
-    coefficient = st.integers(-3, 3).filter(bool).map(alg.field.from_int)
+    coefficient = st.integers(-3, 3).filter(bool)
     pool = draw(st.lists(word, min_size=1, max_size=24, unique=True))
     anchor = pool[0]
     partners = sorted(itertools.product(*(alg.partners[i] for i in anchor)))
@@ -786,19 +778,6 @@ def embed_oracle(x, positions, arity):
     return TensorElement(alg, arity, terms)
 
 
-def permute_oracle(x, word):
-    """Each term moved by ``word``, negated when ``word`` puts an odd number
-    of pairs of its odd legs in the other order."""
-    position = {leg: p for p, leg in enumerate(word)}
-    par = x.algebra.parity
-    terms = {}
-    for w, c in x.terms.items():
-        odd = [leg for leg in range(x.arity) if par[w[leg]]]
-        flips = sum(position[a] > position[b] for a, b in itertools.combinations(odd, 2))
-        terms[tuple(w[leg] for leg in word)] = -c if flips % 2 else c
-    return TensorElement(x.algebra, x.arity, terms)
-
-
 def assert_leg_plans_match_the_oracles(alg, rng):
     """Every positions tuple up to arity 4, () and arities 0 and 1 among
     them, and every permutation up to arity 5; each is asked twice, so the
@@ -813,7 +792,7 @@ def assert_leg_plans_match_the_oracles(alg, rng):
     for arity in range(6):
         x = sample_element(alg, arity, rng)
         for word in itertools.permutations(range(arity)):
-            expected = permute_oracle(x, word)
+            expected = _oracle_permute(x, word)
             assert permute_legs(x, word) == expected == permute_legs(x, list(word))
     assert alg.has_odd or not alg.odd_legs  # a purely even algebra reads no mask
 
@@ -1034,10 +1013,10 @@ def inversion_inputs(draw, name, arity, zero_divisor):
     zeta = Cyclotomic(field.order, [0, 1]) if field.kind == "cyclotomic" else None
 
     def scalar():
-        value = field.from_int(draw(st.integers(-2, 2)))
+        value = draw(st.integers(-2, 2))
         if zeta is None:
             return value
-        return value + field.from_int(draw(st.integers(-2, 2))) * zeta
+        return value + draw(st.integers(-2, 2)) * zeta
 
     kind = draw(st.sampled_from(["random", "unipotent", "zero divisor"]))
     words = list(itertools.product(range(alg.dimension), repeat=arity))
@@ -1258,7 +1237,7 @@ def test_coefficients_are_canonical(name, ext):
     structures = [H, opposite_structure(H), prime_structure(H)]
     if H.algebra.field == ext.algebra.field:
         structures.append(tensor_product_structure(H, ext))
-    for twistor in ALL_TWISTOR_NAMES:
+    for twistor in TWISTOR_BUILDERS:
         if build_twistor(twistor)[0] == name:
             doc = parse_twistor_document((BUNDLED_DIR / f"{twistor}.twist").read_text())
             structures.append(twist_structure(H, document_to_twistor(doc, H)))

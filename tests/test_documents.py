@@ -25,9 +25,9 @@ from qhsa.documents import (
 from qhsa.algebra import TensorElement
 from qhsa.cli import BUNDLED_DIR, main
 from qhsa.fixtures import (
-    ALL_TWISTOR_NAMES,
     NEGATIVE_FIXTURES,
     STRUCTURE_BUILDERS,
+    TWISTOR_BUILDERS,
     build_structure,
     build_twistor,
     ext_structure,
@@ -60,7 +60,7 @@ def test_bundled_files_match_builders(name):
     assert on_disk == regenerated
 
 
-@pytest.mark.parametrize("tname", ALL_TWISTOR_NAMES)
+@pytest.mark.parametrize("tname", tuple(TWISTOR_BUILDERS))
 def test_bundled_twistors_match_builders(tname):
     target, F = build_twistor(tname)
     H = build_structure(target)
@@ -99,7 +99,7 @@ ROUND_TRIP = (
     BUNDLED
     + tuple(f"opposite-{name}" for name in BUNDLED)
     + tuple(f"prime-{name}" for name in BUNDLED)
-    + tuple(f"twist-{tname}" for tname in ALL_TWISTOR_NAMES)
+    + tuple(f"twist-{tname}" for tname in TWISTOR_BUILDERS)
     + ("tensor-h2-ext", "tensor-ext-ext")
 )
 

@@ -10,7 +10,7 @@ import pytest
 from qhsa.cli import BUNDLED_DIR, main
 from qhsa.documents import load_structure
 from qhsa.drinfeld import drinfeld_construction
-from qhsa.fixtures import ALL_TWISTOR_NAMES, build_twistor
+from qhsa.fixtures import TWISTOR_BUILDERS, build_twistor
 from qhsa.structure import SUITES
 
 BUNDLED = sorted(p.stem for p in BUNDLED_DIR.glob("*.qhsa"))
@@ -82,7 +82,7 @@ def test_every_command_keeps_the_exit_contract(tmp_path, capsys, name):
 
 
 # each bundled twistor on its target, and two of them on the corrupted targets
-TWISTS = [(build_twistor(t)[0], t) for t in ALL_TWISTOR_NAMES] + [
+TWISTS = [(build_twistor(t)[0], t) for t in TWISTOR_BUILDERS] + [
     (f"{base}~{c}", twistor)
     for base, twistor in (("h2", "f-e11"), ("ext", "f-theta"))
     for c in CORRUPTIONS

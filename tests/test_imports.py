@@ -6,9 +6,9 @@ only the modules it runs.
 
 No linter runs on the package, so this stdlib ``ast`` pass guards against
 imports left behind when code moves.  ``__init__.py`` is held to it too.
-A second pass holds every function, class and method of the package to
-having a reader in ``src/``, ``tests/``, ``tools/`` or ``bench/``, so code
-that loses its last caller goes with it.
+A second pass holds every function, class, method and top-level assigned
+name of the package to having a reader in ``src/``, ``tests/``, ``tools/``
+or ``bench/``, so code that loses its last caller goes with it.
 """
 
 import ast
@@ -48,31 +48,46 @@ def test_an_unused_import_is_found():
     assert unused_imports(source + "permute_legs(x)\n") == ["json", "outer"]
 
 
+KINDS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def bound_names(node) -> list:
+    """The names a top-level statement defines or assigns."""
+    if isinstance(node, KINDS):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def unreferenced(modules: dict, sources: list) -> list:
-    """``module: name`` for each top-level function or class of ``modules``
-    (file name -> source) and each method of its classes, dunders aside,
-    whose name no expression of ``sources`` reads as a name or an attribute
-    or spells as a string, as ``getattr`` and the benchmark tracer take it.
-    An import is no reader."""
+    """``module: name`` for each top-level function, class or assigned name
+    of ``modules`` (file name -> source) and each method of its classes,
+    dunders aside, that no expression of ``sources`` reads: as an attribute,
+    as a string, as ``getattr`` and the benchmark tracer take it, or as a
+    bare name where that source imports the name or defines it at its top
+    level (elsewhere a bare name is a local of the same spelling).  An
+    import or an assignment is no reader."""
     read = set()
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+        tree = ast.parse(source)
+        own = {n for node in tree.body for n in bound_names(node)}
+        imports = (node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom))
+        own.update(a.asname or a.name for node in imports for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in own:
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
     for module, source in modules.items():
         for node in ast.parse(source).body:
             members = node.body if isinstance(node, ast.ClassDef) else []
-            for defined in [node, *members]:
-                if not isinstance(defined, kinds) or defined.name.startswith("__"):
-                    continue
-                if defined.name not in read:
-                    found.append(f"{module}: {defined.name}")
+            names = bound_names(node) + [m.name for m in members if isinstance(m, KINDS)]
+            found += [f"{module}: {n}" for n in names if not n.startswith("__") and n not in read]
     return found
 
 
@@ -87,12 +102,20 @@ def test_an_unreferenced_definition_is_found():
     module = (
         "def used():\n    pass\n\n\ndef unused():\n    used()\n\n\n"
         "class C:\n    def __init__(self):\n        pass\n\n    def method(self):\n        pass\n"
+        "\n\nLIMIT, UNREAD = 3, 4\nLIMIT = LIMIT + 1\n"
     )
-    assert unreferenced({"m.py": module}, [module, "from m import C\nC\n"]) == [
+    # a local of the same spelling, an import and an assignment read nothing
+    others = (
+        "from m import C\nC\nm.UNREAD = 0\n\n\n"
+        "def f(unused, UNREAD):\n    return unused, UNREAD\n"
+    )
+    assert unreferenced({"m.py": module}, [module, others]) == [
         "m.py: unused",
         "m.py: method",
+        "m.py: UNREAD",
     ]
-    assert unreferenced({"m.py": module}, [module, "getattr(C(), 'method')\nunused\n"]) == []
+    readers = [module, "from m import C, unused\ngetattr(C(), 'method')\nunused\nm.UNREAD\n"]
+    assert unreferenced({"m.py": module}, readers) == []
 
 
 def fresh_modules(code: str, cwd=None) -> tuple:

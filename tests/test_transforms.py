@@ -16,10 +16,12 @@ from qhsa.fixtures import (
     twistor_theta,
     twistor_u11,
 )
+from qhsa.reporting import CheckReport
 from qhsa.scalars import FieldSpec
 from qhsa.structure import check_quasi_bialgebra, validate_algebra, validate_structure
 from qhsa.transforms import (
     Twistor,
+    _compare_structures,
     check_cocycle,
     check_prop6,
     check_twistor,
@@ -141,6 +143,28 @@ def test_random_twists_pass_all_suites():
             assert suites_ok(twist_structure(H, F)), name
 
 
+@pytest.mark.parametrize(
+    "name, field", [("ext", None), ("h2", None), ("h2ext", None), ("h2", 8), ("ext", 8)]
+)
+def test_random_twistors_are_even_counital_perturbations_of_one(name, field):
+    # 1 (x) 1 plus int coefficients in -2..2 on even words whose legs both
+    # have counit zero, and invertible
+    if field is None:
+        H = build_structure(name)
+    else:
+        build = {"h2": h2_structure, "ext": ext_structure}[name]
+        H = build(FieldSpec.cyclotomic(field))
+    eps = [img.scalar_value() for img in H.epsilon.images]
+    parity = H.algebra.parity
+    for seed in range(10):
+        F = random_twistor(H, random.Random(seed))
+        perturbation = F.element - H.unit(2)
+        for (i, j), c in perturbation.terms.items():
+            assert eps[i] == eps[j] == 0 and (parity[i] + parity[j]) % 2 == 0
+            assert type(c) is int and c in (-2, -1, 1, 2)
+        assert F.element * F.inverse == H.unit(2) == F.inverse * F.element
+
+
 def test_twist_composition_law(h2):
     F = twistor_e11()
     G = Twistor(h2.unit(2) + elem(h2, 2, {(1, 1): Fraction(-1, 3)}))
@@ -164,14 +188,13 @@ def test_twist_composition_with_unit(h2ext):
 def test_scalar_rescaling_covariance(h2ext):
     F = twistor_u11()
     c = Fraction(5, 3)
-    field = h2ext.algebra.field
-    cF = Twistor(F.element.scaled(field.from_fraction(c)), F.inverse.scaled(field.from_fraction(1 / c)))
+    cF = Twistor(F.element.scaled(c), F.inverse.scaled(1 / c))
     A = twist_structure(h2ext, F)
     B = twist_structure(h2ext, cF)
     assert B.phi == A.phi
     assert B.delta == A.delta
-    assert B.alpha == A.alpha.scaled(h2ext.algebra.field.from_fraction(1 / c))
-    assert B.beta == A.beta.scaled(h2ext.algebra.field.from_fraction(c))
+    assert B.alpha == A.alpha.scaled(1 / c)
+    assert B.beta == A.beta.scaled(c)
 
 
 def test_singular_twistor_rejected(ext):
@@ -246,11 +269,6 @@ def test_twist_by_r_on_trivial(trivial):
     assert verify_twist_by_r(H).ok
 
 
-def test_twist_by_r_skips_without_r(h2):
-    report = verify_twist_by_r(h2)
-    assert all(e["status"] == "skipped" for e in report.entries)
-
-
 # -- primed structure ------------------------------------------------------------------------
 
 
@@ -291,6 +309,30 @@ def test_prop6_ext_with_r_twistor(ext):
 
 def test_prop6_h2ext_with_noncocycle_twistor(h2ext):
     assert check_prop6(h2ext, twistor_u11()).ok
+
+
+@pytest.mark.parametrize("lacking", ["first", "second", "both"])
+def test_a_comparison_without_r_on_one_side_fails_its_r_row(ext, lacking):
+    no_r = ext.replace(r_matrix=None)
+    A = no_r if lacking in ("first", "both") else ext
+    B = no_r if lacking in ("second", "both") else ext
+    report = CheckReport()
+    _compare_structures(report, "cmp", A, B)
+    rows = {e["check_id"]: e for e in report.entries}
+    assert list(rows) == ["cmp.delta", "cmp.phi", "cmp.alpha", "cmp.beta", "cmp.r"]
+    assert all(rows[i]["status"] == "pass" for i in list(rows)[:-1])
+    if lacking == "both":
+        assert rows["cmp.r"] == {
+            "check_id": "cmp.r",
+            "status": "skipped",
+            "detail": {"reason": "no R-matrix"},
+        }
+    else:
+        assert rows["cmp.r"] == {
+            "check_id": "cmp.r",
+            "status": "fail",
+            "witness": {"reason": "one side lacks an R-matrix"},
+        }
 
 
 def test_prop6_unit_twistor_reduces_to_opposite(h2):
