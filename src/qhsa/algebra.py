@@ -23,6 +23,12 @@ form (``scalars.canonical``) as they drop the zeros, so products of the
 common integral coefficients, the +-1 of a group-like table above all, stay
 on ``int`` arithmetic.  Scalar arithmetic between two ``Cyclotomic`` values
 still returns a ``Cyclotomic``; only the constructors demote.
+
+Every engine result goes through ``TensorElement._from_terms``, which owns
+the dict it is given: it puts that dict in canonical form and drops its
+zeros in place, and the dict becomes the element's ``terms``.  So each
+operation builds its result in one dict, which it hands over and does not
+touch again, and never hands over another element's ``terms``.
 """
 
 from __future__ import annotations
@@ -168,16 +174,26 @@ class TensorElement:
     @staticmethod
     def _from_terms(algebra, arity, terms):
         """Engine results, whose words have the right length and range by
-        construction: only zero coefficients are dropped, and the others are
-        put in canonical form, an int passing with one type test.  Input from
-        outside the engine goes through ``__init__``, which validates every
-        word."""
+        construction; input from outside the engine goes through
+        ``__init__``, which validates every word.
+
+        The element takes ownership of ``terms``: in place, each value is
+        put in canonical form (an int passes with one type test) and each
+        zero is deleted, and the dict becomes the element's ``terms``.  So
+        a caller hands over a dict it has just built and does not use
+        again, never the ``terms`` of another element."""
+        zeros = []
+        for w, c in terms.items():
+            if type(c) is not int:
+                c = terms[w] = canonical(c)
+            if not c:
+                zeros.append(w)
+        for w in zeros:
+            del terms[w]
         x = object.__new__(TensorElement)
         x.algebra = algebra
         x.arity = arity
-        x.terms = {
-            w: c if type(c) is int else canonical(c) for w, c in terms.items() if c
-        }
+        x.terms = terms
         return x
 
     # -- constructors ------------------------------------------------------

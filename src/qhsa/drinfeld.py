@@ -79,8 +79,13 @@ def _absorb(H, g, left, right):
     """
 
     def cases(A):
+        left_g = {}  # j -> left(e_j) * g, read by every a whose Delta(a) has j
         for a in A:
-            terms = ((left[j] * g * right[k], c) for (j, k), c in H.delta.images[a].terms.items())
+            terms = []
+            for (j, k), c in H.delta.images[a].terms.items():
+                if j not in left_g:
+                    left_g[j] = left[j] * g
+                terms.append((left_g[j] * right[k], c))
             eps = H.epsilon.images[a].scalar_value()
             yield a, linear_combination(H.algebra, 2, terms), g.scaled(eps)
 

@@ -106,7 +106,12 @@ class QhsaStructure:
 
     @cached_property
     def phi_inv(self) -> TensorElement:
-        return invert_tensor_element(self.phi)
+        """Phi^{-1}, built and checked by ``invert_tensor_element``.  When
+        it equals Phi, as on trivial, ext, h2, h2r and h2ext, it is Phi's
+        own object, so ``phi_inv is phi`` tells every reader that Phi is its
+        own inverse and what is built from Phi serves for Phi^{-1} too."""
+        inverse = invert_tensor_element(self.phi)
+        return self.phi if inverse == self.phi else inverse
 
     @cached_property
     def r_inv(self) -> TensorElement:
@@ -167,7 +172,10 @@ class QhsaStructure:
 
     @cached_property
     def phi_inv_factors(self) -> tuple:
-        """The five arity-4 factors of the pentagon built from Phi^{-1}."""
+        """The five arity-4 factors of the pentagon built from Phi^{-1}:
+        ``phi_factors`` itself when ``phi_inv`` is Phi's object."""
+        if self.phi_inv is self.phi:
+            return self.phi_factors
         return arity4_factors(self.phi_inv, self.delta)
 
     @cached_property
@@ -255,6 +263,14 @@ class QhsaStructure:
         return {k: embed_legs(w, LEMMA11_FORMS[k][3], 3) for k, w in self.lemma11_factors.items()}
 
     @cached_property
+    def basis_on_legs(self) -> tuple:
+        """e_a (x) 1 and 1 (x) e_a for each basis a, indexed [leg][a]: the
+        embedded basis elements that lemma 11 and the eta lemma multiply
+        by, built once for both."""
+        basis = [self.basis(a) for a in range(self.algebra.dimension)]
+        return tuple(tuple(embed_legs(e, (leg,), 2) for e in basis) for leg in (0, 1))
+
+    @cached_property
     def lemma11_middles(self) -> dict:
         """Each identity's W split at its lone leg: {v: M_v} with W =
         sum_v e_v (x) M_v (lone leg 0: 11i, 11iii) or sum_v M_v (x) e_v
@@ -338,8 +354,12 @@ def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
     The unit and associativity are compared on the sparse ``product_rows``,
     with no element per case: an arity-1 product has no Koszul sign, so
     e_i e_j is ``rows[i].get(j, ())``.  An i with an empty row is skipped,
-    and when e_i e_j = 0, k runs over ``partners[j]`` only, so a triple
-    whose two products are both zero is never visited.
+    and k runs only over the indices where a side can be nonzero: (e_i e_j)
+    e_k = 0 unless k is in ``partners[m]`` for some m in the support of
+    e_i e_j, and e_i (e_j e_k) = 0 unless k is in ``partners[j]``.  So k
+    runs over the sorted union of those lists, and a triple whose two
+    sides are both zero is never visited; the skipped triples pass, so the
+    first failing label is the full enumeration's.
     Only the first case that fails there is built from elements, so its
     witness is the difference of the elements, labelled i (``algebra.unit``)
     or [i, j, k] (``algebra.assoc``).
@@ -372,7 +392,7 @@ def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
     )
     report.add("algebra.grading", grading)
 
-    rows = algebra.product_rows
+    rows, partners = algebra.product_rows, algebra.partners
     dim = range(algebra.dimension)
     one = algebra.field.one()
     units = algebra.unit_support
@@ -395,7 +415,10 @@ def validate_algebra(algebra: GradedAlgebra) -> CheckReport:
             for j in middle:
                 left = row_i.get(j, ())
                 row_j = rows[j]
-                for k in dim if left else algebra.partners[j]:
+                ks = partners[j]
+                if left:
+                    ks = sorted(set(ks).union(*(partners[m] for m, _ in left)))
+                for k in ks:
                     right = row_j.get(k, ())
                     lhs = _row_combination((c, rows[m].get(k, ())) for m, c in left)
                     if lhs != _row_combination((c, row_i.get(m, ())) for m, c in right):
@@ -763,8 +786,8 @@ def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
     """Both sides of one of the four exchange identities as Koszul products
     (``tensor_multiply``), so every sign is the product's.  W and its
     embedding W_pq are the cached ``lemma11_factors`` and ``lemma11_embedded``,
-    x is the stored iterated coproduct of a with S on one leg, m_k contracts
-    legs k, k+1:
+    x is the iterated coproduct of a with S on one leg, m_k contracts legs
+    k, k+1:
 
         11i    W (a (x) 1)    x = (Delta (x) 1)Delta(a), S on leg 2    m_1(x W_01)
         11ii   (1 (x) a) W    x = (1 (x) Delta)Delta(a), S on leg 0    m_0(W_12 x)
@@ -779,11 +802,19 @@ def lemma11_sides(H: QhsaStructure, which: str, a: TensorElement):
     """
     if which not in LEMMA11_FORMS:
         raise AlgebraError(f"unknown identity {which!r}")
+    lone = LEMMA11_FORMS[which][0]
+    iterated = H.delta_left3 if lone == 0 else H.delta_right3
+    return _lemma11_sides(H, which, embed_legs(a, (lone,), 2), apply_map_legs(a, 0, iterated))
+
+
+def _lemma11_sides(H: QhsaStructure, which: str, a2: TensorElement, a3: TensorElement):
+    """``lemma11_sides`` from a2, a on the lone leg of two, and a3, the
+    iterated coproduct of a: for a basis a, ``check_lemma11`` reads both
+    from the structure, the cached ``basis_on_legs`` entry and the stored
+    image of ``delta_left3`` or ``delta_right3``."""
     lone, w_left, s_leg, _ = LEMMA11_FORMS[which]
     w, w3 = H.lemma11_factors[which], H.lemma11_embedded[which]
-    a2 = embed_legs(a, (lone,), 2)
-    iterated = H.delta_left3 if lone == 0 else H.delta_right3
-    x = apply_map_legs(apply_map_legs(a, 0, iterated), s_leg, H.antipode)
+    x = apply_map_legs(a3, s_leg, H.antipode)
     if w_left:
         return w * a2, multiply_adjacent_legs(x * w3, 1 - lone)
     return a2 * w, multiply_adjacent_legs(w3 * x, 1 - lone)
@@ -812,13 +843,14 @@ def check_lemma11(H: QhsaStructure) -> CheckReport:
     with exactly the sign the action carries.
     """
     report = CheckReport()
-    for which in LEMMA11_FORMS:
-        _expect_over(
-            report,
-            f"eq.{which}",
-            lambda A, which=which: ((a, *lemma11_sides(H, which, H.basis(a))) for a in A),
-            H,
-        )
+    for which, (lone, _, _, _) in LEMMA11_FORMS.items():
+        on_leg = H.basis_on_legs[lone]
+        iterated = (H.delta_left3 if lone == 0 else H.delta_right3).images
+
+        def cases(A, which=which, on_leg=on_leg, iterated=iterated):
+            return ((a, *_lemma11_sides(H, which, on_leg[a], iterated[a])) for a in A)
+
+        _expect_over(report, f"eq.{which}", cases, H)
     return report
 
 
@@ -859,8 +891,8 @@ def _absorption_entry(report, check_id, H, contract, from_left):
     d = range(H.algebra.dimension)
     reduced = None
     if _known(H):
-        leg = (0,) if from_left else (1,)
-        etas = (((i,), embed_legs(H.basis(i), leg, 2)) for i in d)
+        on_leg = H.basis_on_legs[0 if from_left else 1]
+        etas = (((i,), on_leg[i]) for i in d)
         reduced = _absorption_cases(H, contract, from_left, etas, H.algebra.generators)
     etas = (((i, j), H.basis(i, j)) for i in d for j in d)
     _expect_reduced(report, check_id, reduced, _absorption_cases(H, contract, from_left, etas, d))

@@ -1,5 +1,6 @@
 """``tools/abtest.py``, the interleaved A/B harness, against its own checkout."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ def test_a_checkout_compared_with_itself_differs_in_no_job():
     assert lines[0] == "workload bundled: 1 passes of 42 jobs"
     assert lines[-1] == "  0 of 42 jobs differ"
     assert "ratio this/other per pass: median" in lines[3]
+    assert re.fullmatch(r"  this faster in [01] of 1 passes", lines[4])
 
 
 def test_spawn_mode_against_its_own_checkout_states_its_regime_and_differs_in_nothing():
@@ -33,4 +35,5 @@ def test_spawn_mode_against_its_own_checkout_states_its_regime_and_differs_in_no
         "transform h2.qhsa tensor --other ext.qhsa",
     ]
     assert all("ratio this/other median" in line for line in lines[2:6])
+    assert all(re.search(r", this faster in [01] of 1 rounds$", line) for line in lines[2:6])
     assert lines[-1] == "  0 of 4 commands differ"

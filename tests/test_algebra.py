@@ -33,6 +33,7 @@ from qhsa.fixtures import (
     TWISTOR_BUILDERS,
     build_structure,
     build_twistor,
+    ext_structure,
     h2_structure,
 )
 from qhsa.reporting import element_terms_json
@@ -1254,7 +1255,8 @@ def test_coefficients_are_canonical(name, ext):
 def test_constructors_store_integral_fractions_as_ints(h2ext):
     terms = {(0,): Fraction(4, 2), (1,): Fraction(1, 2), (2,): Fraction(0)}
     alg = h2ext.algebra
-    for x in (TensorElement(alg, 1, terms), TensorElement._from_terms(alg, 1, terms)):
+    # _from_terms owns the dict it is given, so each constructor gets its own
+    for x in (TensorElement(alg, 1, dict(terms)), TensorElement._from_terms(alg, 1, dict(terms))):
         assert x.terms == {(0,): 2, (1,): Fraction(1, 2)}
         assert type(x.terms[(0,)]) is int and type(x.scaled(2).terms[(1,)]) is int
 
@@ -1321,3 +1323,74 @@ def test_the_stored_form_is_never_observable(operands):
         _assert_canonical(stored)
         assert canonical.terms == stored.terms
         assert element_terms_json(canonical) == element_terms_json(stored)
+
+
+# -- ownership of the result dict -------------------------------------------------------
+
+
+@cache
+def _owner_structures(name):
+    """(H, ext over H's field, the algebra of H (x) ext) for the ownership
+    property: h2ext and ext over Q, and h2 over Q(zeta_8)."""
+    H = h2_structure(FieldSpec.cyclotomic(8)) if name == "h2-zeta8" else build_structure(name)
+    E = ext_structure(H.algebra.field)
+    return H, E, tensor_product_structure(H, E).algebra
+
+
+OWNER_SCALARS = (0, 1, -1, 2, Fraction(1, 2), Fraction(-4, 2))
+ZETA8_SCALARS = (Cyclotomic(8, [0, 1]), Cyclotomic(8, [1, 0, -1]), Cyclotomic(8, [3]))
+
+
+@st.composite
+def engine_operands(draw):
+    """A structure, arity-n operands x and y over it, z over ext, a scalar
+    and a permutation of n legs; x may carry a multiple of the shared unit
+    power 1^(tensor n), and the scalars hold zeros and integral Fractions
+    (and Cyclotomics with and without a zeta part over Q(zeta_8))."""
+    name = draw(st.sampled_from(("h2ext", "ext", "h2-zeta8")))
+    H, E, _ = _owner_structures(name)
+    n = draw(st.integers(1, 3))
+    values = OWNER_SCALARS + (ZETA8_SCALARS if name == "h2-zeta8" else ())
+    scalar = st.sampled_from(values)
+
+    def element(K):
+        word = st.tuples(*[st.integers(0, K.algebra.dimension - 1)] * n)
+        return TensorElement(K.algebra, n, draw(st.dictionaries(word, scalar, max_size=5)))
+
+    x, y, z = element(H), element(H), element(E)
+    if draw(st.booleans()):
+        x = x + H.unit(n).scaled(draw(scalar))
+    return name, x, y, z, draw(scalar), tuple(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_operands())
+def test_engine_operations_leave_their_operands_and_return_canonical_terms(operands):
+    """Each engine operation builds its result in a dict of its own and hands
+    it to ``TensorElement._from_terms``, which canonicalizes it and drops its
+    zeros in place: no operand's ``terms`` changes, the shared unit powers
+    and stored images included, and every result is canonical with no zero."""
+    name, x, y, z, c, perm = operands
+    H, _, tensor_algebra = _owner_structures(name)
+    K = H.replace()  # a fresh structure, so its lemma-11 data is built here
+    n = x.arity
+    unit = H.unit(n)
+    maps = (H.delta, H.epsilon, H.antipode)
+    watched = [x, y, z, unit, *(img for f in maps for img in f.images)]
+    watched += K.lemma11_factors.values()
+    before = [dict(e.terms) for e in watched]
+
+    results = [x + y, x - y, y - x, -x, x.scaled(c), x * y, y * unit, unit * x]
+    results.append(linear_combination(H.algebra, n, [(x, c), (y, 1), (unit, -c)]))
+    results.append(permute_legs(x, perm))
+    results += [embed_legs(x, range(n), n + 1), embed_legs(x, range(1, n + 1), n + 1)]
+    results += [apply_map_legs(x, leg, f) for leg in range(n) for f in maps]
+    results += [multiply_adjacent_legs(x, leg) for leg in range(n - 1)]
+    results.append(interleave(x, z, tensor_algebra))
+    results += [m for middles in K.lemma11_middles.values() for m in middles.values()]
+    results += invert_structure_map(H.antipode).images
+
+    assert [e.terms for e in watched] == before
+    for r in results:
+        _assert_canonical(r)
+        assert all(v != 0 for v in r.terms.values()), r

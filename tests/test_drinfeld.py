@@ -227,8 +227,18 @@ def test_battery_builds_the_primed_structure_and_its_phi_inverse_once(
     assert calls == {"prime_structure": 1, "invert_tensor_element": 1}
 
 
-def test_pentagon_factors_are_built_once_per_structure(monkeypatch):
-    H = build_structure("h2ext")  # fresh, so nothing is cached yet
+def _fresh_h2ext(kind):
+    """A fresh h2ext, whose Phi is its own inverse, or a fresh seeded twist
+    of it, whose Phi^{-1} differs from Phi; nothing is cached on either."""
+    H = build_structure("h2ext")
+    if kind == "twisted":
+        H = twist_structure(H, random_twistor(H, random.Random(3)))
+    return H
+
+
+@pytest.mark.parametrize("kind", ["h2ext", "twisted"])
+def test_pentagon_factors_are_built_once_per_structure(kind, monkeypatch):
+    H = _fresh_h2ext(kind)
     delta_legs, embeddings = [], []
 
     def apply_counting(x, leg, f):
@@ -248,16 +258,22 @@ def test_pentagon_factors_are_built_once_per_structure(monkeypatch):
         assert all(report.ok for _, report, _ in run_suites(H))
         compute_drinfeld_twist(H)
     # Delta on each leg of Phi and of Phi^{-1}, then Phi^{+-1} (x) 1 and
-    # 1 (x) Phi^{+-1}, however many identities and constructions read them
-    assert sorted(delta_legs) == [0, 0, 1, 1, 2, 2]
-    assert sorted(embeddings) == [(0, 1, 2), (0, 1, 2), (1, 2, 3), (1, 2, 3)]
+    # 1 (x) Phi^{+-1}, however many identities and constructions read them;
+    # a Phi that is its own inverse is Phi^{-1}'s object, so once in all
+    copies = 1 if kind == "h2ext" else 2
+    assert (H.phi_inv is H.phi) == (copies == 1)
+    assert sorted(delta_legs) == sorted([0, 1, 2] * copies)
+    assert sorted(embeddings) == sorted([(0, 1, 2), (1, 2, 3)] * copies)
 
 
-def test_the_construction_builds_no_lemma11_embedding(monkeypatch):
+@pytest.mark.parametrize("kind", ["h2ext", "twisted"])
+def test_the_construction_builds_no_lemma11_embedding(kind, monkeypatch):
     """The Drinfeld sums read the lemma-11 middles, which split W; W's
     arity-3 embeddings are read by lemma 11 alone, so the construction after
-    its premises, without the lemma11 suite, embeds nothing in arity 3."""
-    H = build_structure("h2ext")  # fresh, so nothing is cached yet
+    its premises, without the lemma11 suite, embeds nothing in arity 3.  On
+    the twist, Phi^{-1}'s pentagon factors are first built here, so the
+    counter sees the construction's arity-4 embeddings."""
+    H = _fresh_h2ext(kind)
     run_suites(H, DRINFELD_PREMISES)
     arities = []
 
@@ -269,7 +285,8 @@ def test_the_construction_builds_no_lemma11_embedding(monkeypatch):
         monkeypatch.setattr(module, "embed_legs", embed_counting)
     data, report = drinfeld_construction(H)
     assert data is not None and report.ok
-    assert arities and 3 not in arities
+    assert 3 not in arities
+    assert bool(arities) == (kind == "twisted")
 
 
 def test_thm5_conjugates_the_zeta_coefficient(h2r):
@@ -431,5 +448,7 @@ def test_drinfeld_multiplication_counts_are_pinned(monkeypatch):
     # second forms contract maps on the legs, with no unit-padded alpha or
     # beta to multiply, and so do alpha_F and beta_F of the F_D twist: one
     # call fewer each.  The antipode suite of the gate already built A and
-    # B, so the construction no longer does: 54 and 99.
-    assert counts == [54, 99]
+    # B, so the construction no longer does: 54 and 99.  eq.8.1 and eq.8.7
+    # multiply left(e_j) g once per j of the coproducts they sum over, not
+    # once per term: 42 and 87.
+    assert counts == [42, 87]

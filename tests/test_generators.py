@@ -409,14 +409,19 @@ def test_reduced_checks_evaluate_generator_many_cases(monkeypatch):
     assert all(report.ok for _, report, _ in run_suites(H))
     assert drinfeld_report(H)[1].ok
 
-    # two row combinations per unit case and per triple that is not zero on
-    # both sides; the zero triples are skipped unbuilt
+    # two row combinations per unit case and per triple with a side that
+    # can be nonzero: e_j e_k != 0, or e_m e_k != 0 for some m in the
+    # support of e_i e_j; every other triple is skipped unbuilt
     alg = H.algebra
-    nonzero = sum(
-        1 for i in range(d) for j in G for k in range(d) if product(alg, i, j) or product(alg, j, k)
+    visited = sum(
+        1
+        for i in range(d)
+        for j in G
+        for k in range(d)
+        if product(alg, j, k) or any(product(alg, m, k) for m in product(alg, i, j))
     )
-    assert len(combinations) == 2 * d + 2 * nonzero
-    assert nonzero <= d * d * g < d**3
+    assert len(combinations) == 2 * d + 2 * visited == 8256
+    assert visited <= d * d * g < d**3
     per_generator = {
         "eq.fi": g,
         "eq.fiii": 2 * g,

@@ -21,7 +21,8 @@ After each job the two runs must agree on the exit code, on stdout up to the
 report's ``wall_time_seconds`` block (the last key of a report), on stderr
 and on the file the job writes.  The summary gives, per workload, the median
 pass time of each side and the median of the per-pass ratio this / other
-with its quartiles.
+with its quartiles, and in how many passes this side was faster: a gain
+holds only when it wins at least nine tenths of the pairs.
 
 ``--spawns N`` times fresh interpreters instead: ``import qhsa.cli`` and
 the commands of ``SPAWNS``, each run as the ``qhsa`` console script runs
@@ -32,7 +33,8 @@ round.  The two runs of a command must agree on the exit code, stdout,
 stderr and the file written (text reports hold no timings).  The summary
 states the bytecode regime (``PYTHONDONTWRITEBYTECODE`` and whether each
 package has a ``__pycache__``) and gives, per command, each side's median
-wall time and the median of the per-round ratio this / other.
+wall time, the median of the per-round ratio this / other and in how many
+rounds this side was faster.
 
     python3 tools/abtest.py ../parent --spawns 21
 
@@ -110,6 +112,12 @@ def run_job(cli, job) -> tuple:
     return seconds, (code, stdout, err.getvalue(), written)
 
 
+def wins(this: list, other: list) -> int:
+    """The number of paired runs in which this side took less time; a tie
+    counts for neither side."""
+    return sum(a < b for a, b in zip(this, other))
+
+
 def compare(workload: str, jobs, this, other, passes: int) -> tuple:
     """(summary lines, labels of the jobs whose runs differ)."""
     totals = {"this": [], "other": []}
@@ -135,6 +143,7 @@ def compare(workload: str, jobs, this, other, passes: int) -> tuple:
         lines.append(f"  {name:5s} pass median {median:.4f} s (q1 {q1:.4f}, q3 {q3:.4f})")
     q1, median, q3 = quartiles(ratios)
     lines.append(f"  ratio this/other per pass: median {median:.3f} (q1 {q1:.3f}, q3 {q3:.3f})")
+    lines.append(f"  this faster in {wins(totals['this'], totals['other'])} of {passes} passes")
     lines.append(f"  {len(differ)} of {len(jobs)} jobs differ")
     lines += [f"    differs: {label}" for label in differ]
     return lines, differ
@@ -184,7 +193,8 @@ def compare_spawns(sources: dict, rounds: int, cwd: Path) -> tuple:
         q1, median, q3 = quartiles([a / b for a, b in zip(sides["this"], sides["other"])])
         lines.append(
             f"  {label}: this {this:.1f} ms, other {other:.1f} ms,"
-            f" ratio this/other median {median:.3f} (q1 {q1:.3f}, q3 {q3:.3f})"
+            f" ratio this/other median {median:.3f} (q1 {q1:.3f}, q3 {q3:.3f}),"
+            f" this faster in {wins(sides['this'], sides['other'])} of {rounds} rounds"
         )
     lines.append(f"  {len(differ)} of {len(SPAWNS)} commands differ")
     lines += [f"    differs: {label}" for label in differ]
